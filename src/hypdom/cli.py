@@ -45,25 +45,31 @@ def cmd_info(args):
     return 0
 
 
+def _write_run(report, doc, out):
+    """report.json plus one candidate_NNN.json per survivor in directory
+    `out`, or the report alone on stdout when no directory is given."""
+    if not out:
+        _dump(doc)
+        return
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    _dump(doc, outdir / "report.json")
+    for i, cand in enumerate(report.survivors):
+        _dump(enumeration.candidate_to_json_dict(cand),
+              outdir / f"candidate_{i:03d}.json")
+
+
 def cmd_enumerate(args):
     poly = _load_poly(args.polyhedron)
     report = enumeration.classify(poly, circuit_cap=args.circuit_cap)
     if not report.counts_consistent():
         raise AssertionError("report counts do not sum to the total")
-    outdir = Path(args.out) if args.out else None
     doc = enumeration.report_to_json_dict(report)
     if args.group == "rotations":
         doc["families_requested_grouping"] = len(report.families_rotations)
     else:
         doc["families_requested_grouping"] = len(report.families_full)
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _dump(doc, outdir / "report.json")
-        for i, cand in enumerate(report.survivors):
-            _dump(enumeration.candidate_to_json_dict(cand),
-                  outdir / f"candidate_{i:03d}.json")
-    else:
-        _dump(doc)
+    _write_run(report, doc, args.out)
     return 0
 
 
@@ -166,15 +172,7 @@ def cmd_pipeline(args):
             entry["reason"] = str(exc)
         families.append(entry)
     doc["families"] = families
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _dump(doc, outdir / "report.json")
-        for i, cand in enumerate(report.survivors):
-            _dump(enumeration.candidate_to_json_dict(cand),
-                  outdir / f"candidate_{i:03d}.json")
-    else:
-        _dump(doc)
+    _write_run(report, doc, args.out)
     return 0
 
 
@@ -184,48 +182,40 @@ def build_parser():
         description="Torsion-free fundamental domain search on polyhedra")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, candidate=False):
+    options = {
+        "--out-file": dict(default=None, help="write JSON here"),
+        "--out": dict(default=None, help="directory for report + candidates"),
+        "--group": dict(choices=("rotations", "all"), default="all"),
+        "--candidate": dict(default=None, help="candidate JSON document"),
+        "--circuit-cap": dict(type=int, default=polytope.DEFAULT_CIRCUIT_CAP),
+        "--tol-id": dict(type=float, default=geometry.EPS_ID),
+        "--tol-geo": dict(type=float, default=geometry.EPS_GEO),
+    }
+
+    def command(name, func, help, flags, candidate=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("polyhedron", help="polyhedron JSON document")
         if candidate:
             p.add_argument("candidate", help="candidate JSON document")
-        p.add_argument("--out-file", default=None, help="write JSON here")
-        p.add_argument("--circuit-cap", type=int,
-                       default=polytope.DEFAULT_CIRCUIT_CAP)
-        p.add_argument("--tol-id", type=float, default=geometry.EPS_ID)
-        p.add_argument("--tol-geo", type=float, default=geometry.EPS_GEO)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("info", help="census and required class count")
-    common(p)
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("enumerate", help="search pairing schemes")
-    common(p)
-    p.add_argument("--group", choices=("rotations", "all"), default="all")
-    p.add_argument("--out", default=None, help="directory for report + candidates")
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("angles", help="solve a candidate's angle system")
-    common(p, candidate=True)
-    p.set_defaults(func=cmd_angles)
-
-    p = sub.add_parser("restrict", help="relator-shape restriction report")
-    common(p)
-    p.add_argument("--candidate", default=None)
-    p.set_defaults(func=cmd_restrict)
-
-    p = sub.add_parser("realize", help="regular ideal realization (cube)")
-    common(p)
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("verify", help="verify a candidate's relators")
-    common(p, candidate=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("pipeline", help="enumerate, solve, restrict, verify")
-    common(p)
-    p.add_argument("--group", choices=("rotations", "all"), default="all")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_pipeline)
+    command("info", cmd_info, "census and required class count",
+            ["--out-file"])
+    command("enumerate", cmd_enumerate, "search pairing schemes",
+            ["--circuit-cap", "--group", "--out"])
+    command("angles", cmd_angles,
+            "solve a candidate's angle system, check its witness",
+            ["--out-file"], candidate=True)
+    command("restrict", cmd_restrict, "relator-shape restriction report",
+            ["--out-file", "--candidate"])
+    command("realize", cmd_realize, "regular ideal realization (cube)",
+            ["--out-file"])
+    command("verify", cmd_verify, "verify a candidate's relators",
+            ["--out-file", "--tol-id", "--tol-geo"], candidate=True)
+    command("pipeline", cmd_pipeline, "enumerate, solve, restrict, verify",
+            ["--circuit-cap", "--tol-id", "--tol-geo", "--out"])
     return parser
 
 

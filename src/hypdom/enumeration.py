@@ -172,23 +172,22 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
                 canon_cache[key] = angles.feasible(
                     canon_system, dual, cap=circuit_cap)
             canon_solution, canon_witness = canon_cache[key]
-            if canon_solution.status == "infeasible" or canon_witness is None:
-                partition_cache[partition] = (canon_solution.status, None)
-            else:
+            # a rejected partition keeps its canonical image's solution set:
+            # only its status, which the symmetry preserves, is read
+            record = (canon_solution, None)
+            if canon_witness is not None:
                 system = angles.assemble_system(
                     poly, [set(p) for p in sorted(partition, key=sorted)], inc)
                 solution = angles.solve_exact(system)
                 witness = angles.AngleAssignment(
                     {eid: canon_witness.values[perm[eid]]
                      for eid in range(len(inc.edges))})
-                for coef, rhs in system.rows:
-                    total = sum(c * witness.values[eid]
-                                for c, eid in zip(coef, system.columns))
-                    if total != rhs:
-                        raise AssertionError("witness pull-back failed")
-                partition_cache[partition] = (solution, witness)
+                if not solution.contains(witness.values):
+                    raise AssertionError("witness pull-back failed")
+                record = (solution, witness)
+            partition_cache[partition] = record
         solution, witness = partition_cache[partition]
-        if solution == "infeasible":
+        if solution.status == "infeasible":
             rejected["system_infeasible"] += 1
             continue
         if witness is None:
@@ -238,17 +237,17 @@ def candidate_to_json_dict(candidate):
     }
 
 
-def candidate_from_json_dict(poly, doc, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP):
-    """Rebuild a candidate from its persisted scheme, re-deriving the rest."""
+def candidate_from_json_dict(poly, doc):
+    """Rebuild a candidate from its persisted scheme, re-deriving the rest,
+    and check its persisted witness exactly instead of searching again."""
     scheme = pairings.scheme_from_json_dict(poly, doc["scheme"])
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
     orbits = pairings.edge_orbits(scheme, inc)
     words = tuple(pairings.relator_word(o) for o in orbits)
     system = angles.assemble_system(poly, [set(o.edges) for o in orbits], inc)
-    solution, witness = angles.feasible(system, dual, cap=circuit_cap)
-    if witness is None:
-        raise EnumerationError("persisted scheme is not a candidate")
+    solution = angles.solve_exact(system)
+    witness = _checked_witness(poly, inc, dual, solution, doc.get("witness"))
     census = pairings.quotient_census(scheme, orbits, inc)
     autos = pairings.symmetry_group(poly)
     return CandidateDomain(
@@ -257,6 +256,29 @@ def candidate_from_json_dict(poly, doc, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP
         key_rotations=pairings.canonicalize(scheme, "rotations", autos),
         key_full=pairings.canonicalize(scheme, "all", autos),
     )
+
+
+def _checked_witness(poly, inc, dual, solution, raw):
+    """The persisted witness, if it is one: a value in (0, 1) on every edge
+    id, a solution of the scheme's own angle system, and strictly inside
+    every non-facial circuit inequality."""
+    if not isinstance(raw, dict):
+        raise EnumerationError("candidate has no persisted witness")
+    if set(raw) != {str(eid) for eid in range(len(inc.edges))}:
+        raise EnumerationError("witness keys are not the edge ids")
+    try:
+        witness = angles.AngleAssignment.from_json_dict(raw)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise EnumerationError(f"witness is not valid: {exc}") from exc
+    if not solution.contains(witness.values):
+        raise EnumerationError("witness does not solve the angle system")
+    ok, failures = angles.check_inequalities(poly, dual, witness)
+    if not ok:
+        kind, where, value = failures[0]
+        raise EnumerationError(
+            f"witness fails the strict Rivin {kind} inequality at {where}: "
+            f"{value}")
+    return witness
 
 
 def report_to_json_dict(report):

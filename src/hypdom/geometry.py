@@ -246,11 +246,6 @@ def _to_reference(p1, p2, p3):
     return MobiusMap(p1 - p3, -p2 * (p1 - p3), p1 - p2, -p3 * (p1 - p2))
 
 
-def _triple_matrix(triple):
-    t0, t1, t2 = triple
-    return _to_reference(t0, t1, t2)
-
-
 def mobius_from_triples(src, dst):
     """The unique map with src[i] -> dst[i], built as Y^-1 o X where X and Y
     send the triples to the (0, 1, inf) reference."""
@@ -258,7 +253,7 @@ def mobius_from_triples(src, dst):
         finite = [p for p in triple if not is_infinity(p)]
         if len(set(finite)) != len(finite) or sum(map(is_infinity, triple)) > 1:
             raise GeometryError("triple points must be pairwise distinct")
-    return _triple_matrix(dst).inverse().compose(_triple_matrix(src)).normalized()
+    return _to_reference(*dst).inverse().compose(_to_reference(*src)).normalized()
 
 
 def face_pairing_maps(realization, scheme, inc=None, tol=EPS_GEO):
@@ -279,7 +274,7 @@ def face_pairing_maps(realization, scheme, inc=None, tol=EPS_GEO):
         corr = p.mapping()
         src = [realization[v] for v in ordered[:3]]
         dst = [realization[corr[v]] for v in ordered[:3]]
-        m = _triple_matrix(dst).inverse().compose(_triple_matrix(src)).normalized()
+        m = mobius_from_triples(src, dst)
         for v in ordered[3:]:
             image = m(realization[v])
             expect = realization[corr[v]]

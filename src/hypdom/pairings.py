@@ -9,7 +9,6 @@ signed generator letters in traversal order.
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from . import polytope
@@ -133,7 +132,7 @@ def validate_scheme(scheme):
     return scheme
 
 
-def _signed_generators(scheme, inc):
+def _signed_generators(scheme):
     """face id -> (codomain face, vertex map, (symbol, sign))."""
     table = {}
     for p in scheme.pairings:
@@ -147,22 +146,17 @@ def edge_orbits(scheme, inc=None):
 
     Each orbit starts at its lowest-id unvisited edge with the lower face id
     as the side, for determinism.  The reverse flag orbit traverses the same
-    class backwards and is folded into the forward one.
+    class backwards; its flags are consumed and its steps dropped.
     """
     poly = scheme.poly
     inc = inc or polytope.build_incidence(poly)
-    table = _signed_generators(scheme, inc)
+    table = _signed_generators(scheme)
     flags = {(eid, fid) for eid in range(len(inc.edges))
              for fid in inc.edge_faces[eid]}
     orbits = []
     claimed = set()
     while flags:
         start = min(flags)
-        if start[0] in claimed:
-            # reverse pass of an orbit already recorded
-            eid, fid = start
-            _consume_orbit(flags, table, inc, start)
-            continue
         steps = []
         flag = start
         while True:
@@ -176,26 +170,13 @@ def edge_orbits(scheme, inc=None):
             flag = (eid2, other[0] if other else tgt)
             if flag == start:
                 break
-        orbits.append(EdgeOrbit(tuple(steps)))
-        claimed.update(e for e, _, _ in steps)
+        if start[0] not in claimed:
+            orbits.append(EdgeOrbit(tuple(steps)))
+            claimed.update(e for e, _, _ in steps)
     covered = sorted(e for o in orbits for e in o.edges)
     if covered != list(range(len(inc.edges))):
         raise CensusError("edge orbits do not partition the edge set")
     return orbits
-
-
-def _consume_orbit(flags, table, inc, start):
-    flag = start
-    while True:
-        eid, fid = flag
-        flags.discard(flag)
-        tgt, vmap, _ = table[fid]
-        image = frozenset(vmap[v] for v in inc.edges[eid])
-        eid2 = inc.edge_id(*image)
-        other = [f for f in inc.edge_faces[eid2] if f != tgt]
-        flag = (eid2, other[0] if other else tgt)
-        if flag == start:
-            return
 
 
 def relator_word(orbit):
@@ -547,9 +528,3 @@ def scheme_from_json_dict(poly, doc):
                 poly, item["gen"], item["from"], item["to"],
                 item["twist_quarter_turns"], item.get("sense", "cw")))
     return validate_scheme(PairingScheme(poly, tuple(pairings)))
-
-
-def load_scheme(poly, source):
-    doc = source if isinstance(source, dict) else json.loads(
-        open(source).read() if not str(source).lstrip().startswith("{") else source)
-    return scheme_from_json_dict(poly, doc)

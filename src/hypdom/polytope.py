@@ -138,6 +138,15 @@ def _validate(poly):
     if touched != set(poly.vertices):
         missing = sorted(set(poly.vertices) - touched)
         raise PolyhedronError(f"vertices not used by any face: {missing}")
+    # coherent orientation: each directed edge is used by one face only
+    directed = set()
+    for face in poly.faces:
+        for u, v in _face_pairs(face):
+            if (u, v) in directed:
+                raise PolyhedronError(
+                    f"directed edge {u}->{v} is used by two faces; faces are "
+                    "not coherently oriented")
+            directed.add((u, v))
 
 
 def build_incidence(poly):

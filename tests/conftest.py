@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import domains, geometry, polytope
+from hypdom import domains, enumeration, geometry, polytope
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,6 +28,13 @@ def cube_inc(cube):
 @pytest.fixture(scope="session")
 def cube_dual(cube, cube_inc):
     return polytope.build_dual(cube, cube_inc)
+
+
+@pytest.fixture(scope="session")
+def cube_report(cube):
+    """The exhaustive cube classification, computed once per session; the
+    report and its survivors are shared, so tests must not mutate them."""
+    return enumeration.classify(cube)
 
 
 @pytest.fixture(scope="session")

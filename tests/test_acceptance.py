@@ -58,11 +58,6 @@ class _Line:
         return False
 
 
-@pytest.fixture(scope="module")
-def report(cube):
-    return enumeration.classify(cube)
-
-
 def _combine(weighted_rows):
     """sum of w * (coef, rhs) over (w, row) pairs, as (coef tuple, rhs)."""
     coef, rhs = None, Fraction(0)
@@ -121,13 +116,13 @@ def test_criterion_1_platonic_table(solids):
         assert time.time() - start < 1.0
 
 
-def test_criterion_2_cube_classification(cube, cube_inc, report):
+def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
     with _Line(2, "cube classification into three 6-6 families, the third "
                   "on uniform adjacent twists; every 5-7 split pins an "
                   "angle at 1"):
-        start_ok = report.total == 960
+        start_ok = cube_report.total == 960
         assert start_ok
-        fams = report.families_full
+        fams = cube_report.families_full
         assert len(fams) == 3, f"{len(fams)} families"
         autos = pairings.symmetry_group(cube)
         fd1_key = pairings.canonicalize(
@@ -351,7 +346,7 @@ def test_criterion_8_icosahedron_bound(solids):
 
 
 def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
-                                     report):
+                                     cube_report):
     with _Line(9, "property suites"):
         # Euler identities
         for poly in solids.values():
@@ -367,7 +362,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
             orbits = pairings.edge_orbits(scheme, cube_inc)
             assert sorted(e for o in orbits for e in o.edges) == list(range(12))
         # census identity on every survivor
-        for cand in report.survivors:
+        for cand in cube_report.survivors:
             c = cand.census
             assert (c.vertex_classes - c.edge_classes + c.face_classes
                     - c.interiors == c.euler)

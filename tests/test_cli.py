@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,15 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(scope="module")
+def cube_run(tmp_path_factory):
+    """One `hypdom enumerate cube.json --out DIR`, shared by the tests that
+    only read its candidate files."""
+    out = tmp_path_factory.mktemp("run")
+    assert cli.main(["enumerate", data_path("cube"), "--out", str(out)]) == 0
+    return out
 
 
 def test_info_cube(capsys):
@@ -77,21 +87,49 @@ def test_enumerate_deterministic(capsys, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_angles_and_verify_commands(capsys, tmp_path):
-    out = tmp_path / "run"
-    run(capsys, "enumerate", data_path("cube"), "--out", str(out))
-    candidate = str(out / "candidate_000.json")
+def test_angles_and_verify_commands(capsys, cube_run):
+    candidate = str(cube_run / "candidate_000.json")
     code, text, _ = run(capsys, "angles", data_path("cube"), candidate)
     assert code == 0
     doc = json.loads(text)
     assert doc["class_sizes"] == [6, 6]
     assert doc["status"] == "affine-family"
+    stored = json.loads(Path(candidate).read_text())["witness"]
+    assert doc["witness"] == stored
     code, text, _ = run(capsys, "verify", data_path("cube"), candidate)
     assert code == 0
     doc = json.loads(text)
     assert doc["status"] == "CONFIRMED"
     assert all(r["product"] == "identity" for r in doc["relators"])
     assert set(doc["generator_types"].values()) == {"loxodromic"}
+
+
+def _rejected_by_angles_and_verify(capsys, path, message):
+    for command in ("angles", "verify"):
+        code, out, err = run(capsys, command, data_path("cube"), str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_changed_witness_exit_code(capsys, cube_run, tmp_path):
+    doc = json.loads((cube_run / "candidate_000.json").read_text())
+    # halving one angle keeps it inside (0, 1) but breaks its vertex rows
+    doc["witness"]["0"] = str(Fraction(doc["witness"]["0"]) / 2)
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(doc))
+    _rejected_by_angles_and_verify(capsys, changed, "does not solve")
+
+
+def test_missing_witness_exit_code(capsys, cube_run, tmp_path):
+    doc = json.loads((cube_run / "candidate_000.json").read_text())
+    scheme_only = tmp_path / "scheme_only.json"
+    scheme_only.write_text(json.dumps({"scheme": doc["scheme"]}))
+    _rejected_by_angles_and_verify(capsys, scheme_only, "no persisted witness")
+    # restrict reads only the scheme
+    code, _, _ = run(capsys, "restrict", data_path("cube"),
+                     "--candidate", str(scheme_only))
+    assert code == 0
 
 
 def test_realize_command(capsys):
@@ -109,11 +147,9 @@ def test_restrict_command_icosahedron(capsys):
     assert doc["edge_bound_ok"] is False
 
 
-def test_restrict_command_candidate(capsys, tmp_path):
-    out = tmp_path / "run"
-    run(capsys, "enumerate", data_path("cube"), "--out", str(out))
+def test_restrict_command_candidate(capsys, cube_run):
     code, text, _ = run(capsys, "restrict", data_path("cube"),
-                        "--candidate", str(out / "candidate_000.json"))
+                        "--candidate", str(cube_run / "candidate_000.json"))
     assert code == 0
     doc = json.loads(text)
     assert doc["edge_bound_ok"] is True
@@ -153,11 +189,9 @@ def test_pipeline_tetrahedron(capsys):
     assert doc["families"] == []
 
 
-def test_verify_output_has_generators(capsys, tmp_path):
-    out = tmp_path / "run"
-    run(capsys, "enumerate", data_path("cube"), "--out", str(out))
+def test_verify_output_has_generators(capsys, cube_run):
     code, text, _ = run(capsys, "verify", data_path("cube"),
-                        str(out / "candidate_000.json"))
+                        str(cube_run / "candidate_000.json"))
     assert code == 0
     doc = json.loads(text)
     assert set(doc["generators"]) == set(doc["generator_types"])
@@ -170,10 +204,13 @@ def test_verify_output_has_generators(capsys, tmp_path):
 def test_determinism_across_processes(tmp_path):
     # same bytes under different hash seeds
     import subprocess, os, sys
+    # the child imports the same hypdom as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
     for seed in ("1", "31337"):
         outdir = tmp_path / f"s{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-m", "hypdom.cli", "enumerate",
              data_path("cube"), "--out", str(outdir)],

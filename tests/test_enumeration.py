@@ -1,15 +1,21 @@
 import itertools
+import json
+from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from hypdom import angles, enumeration, pairings, polytope
+from hypdom import angles, cli, enumeration, pairings, polytope
 
-from conftest import FD2_CLASSES, drawn
+from conftest import DRAWN_EDGES, FD2_CLASSES, drawn
 
-
-@pytest.fixture(scope="module")
-def cube_report(cube):
-    return enumeration.classify(cube)
+# exterior angles in drawing numbers for the quarter-twist opposite-face
+# scheme: the regular point, and a point of the same angle family whose
+# front-back belt (edges 2, 3, 6, 7) sums to exactly 2, breaking the strict
+# circuit inequality while every value stays inside (0, 1)
+REGULAR = {n: Fraction(2, 3) for n in DRAWN_EDGES}
+BELT_AT_TWO = {**REGULAR, **{n: Fraction(1, 2) for n in (2, 3, 6, 7)},
+               **{n: Fraction(5, 6) for n in (4, 8, 9, 10)}}
 
 
 def test_scheme_count_cube(cube):
@@ -94,7 +100,7 @@ def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_report):
         assert ok
 
 
-def test_filter_order_irrelevant(cube, cube_inc, cube_dual):
+def test_filter_order_irrelevant(cube, cube_inc, cube_dual, cube_report):
     # apply the filters independently, in a different order, and compare the
     # survivor set with classify's
     required = angles.required_class_count(cube)
@@ -116,9 +122,8 @@ def test_filter_order_irrelevant(cube, cube_inc, cube_dual):
         if pairings.detect_elliptic_generator(scheme, cube_inc):
             continue
         survivors.add(pairings._scheme_signature(scheme))
-    report = enumeration.classify(cube)
     assert survivors == {pairings._scheme_signature(c.scheme)
-                         for c in report.survivors}
+                         for c in cube_report.survivors}
 
 
 def test_fd2_family_membership(cube, cube_report, fd2):
@@ -131,14 +136,41 @@ def test_fd2_family_membership(cube, cube_report, fd2):
                for m in members)
 
 
-def test_candidate_json_roundtrip(cube, cube_report, tmp_path):
-    cand = cube_report.survivors[0]
-    doc = enumeration.candidate_to_json_dict(cand)
-    back = enumeration.candidate_from_json_dict(cube, doc)
-    assert back.scheme == cand.scheme
-    assert back.class_sizes == cand.class_sizes
-    assert back.key_full == cand.key_full
-    assert back.witness.values == cand.witness.values
+def test_candidate_json_roundtrip(cube, cube_report, tmp_path, capsys):
+    # every survivor reloads with the witness classify found, and `hypdom
+    # angles` reports the witness stored in the candidate file
+    cube_doc = str(resources.files("hypdom.data").joinpath("cube.json"))
+    assert len(cube_report.survivors) == 30
+    for i, cand in enumerate(cube_report.survivors):
+        doc = enumeration.candidate_to_json_dict(cand)
+        back = enumeration.candidate_from_json_dict(cube, doc)
+        assert back.scheme == cand.scheme
+        assert back.class_sizes == cand.class_sizes
+        assert back.key_full == cand.key_full
+        assert back.witness.values == cand.witness.values
+        path = tmp_path / f"candidate_{i:03d}.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["angles", cube_doc, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == doc["witness"]
+
+
+@pytest.mark.parametrize("values, message", [
+    (None, "no persisted witness"),
+    ({1: "2/3"}, "keys are not the edge ids"),
+    ({**REGULAR, 1: "3/2"}, "outside"),
+    ({**REGULAR, 1: "two thirds"}, "not valid"),
+    ({**REGULAR, 1: "1/0"}, "not valid"),
+    ({**REGULAR, 1: Fraction(1, 2)}, "does not solve"),
+    (BELT_AT_TWO, "circuit inequality"),
+], ids=["missing", "keys", "range", "unparsable", "zero-denominator",
+        "changed", "circuit"])
+def test_candidate_witness_checked(cube, cube_inc, fd1, values, message):
+    witness = None if values is None else {
+        str(cube_inc.edge_id(*DRAWN_EDGES[n])): str(q)
+        for n, q in values.items()}
+    doc = {"scheme": pairings.scheme_to_json_dict(fd1), "witness": witness}
+    with pytest.raises(enumeration.EnumerationError, match=message):
+        enumeration.candidate_from_json_dict(cube, doc)
 
 
 def test_classify_tetrahedron(solids):

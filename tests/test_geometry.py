@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import domains, enumeration, geometry, pairings
+from hypdom import domains, geometry, pairings
 
 from conftest import (SQRT3, reference_adjacent_generators,
                       reference_generators)
@@ -243,10 +243,9 @@ def test_classify_element_det_guard():
         geometry.MobiusMap(1, 2, 2, 4)
 
 
-def test_verify_candidates_on_cube(cube):
-    report = enumeration.classify(cube)
+def test_verify_candidates_on_cube(cube_report):
     confirmed = 0
-    for key, members in report.families_full.items():
+    for key, members in cube_report.families_full.items():
         presentation = geometry.verify_candidate(members[0])
         assert presentation.confirmed()
         for sym, m in presentation.generators.items():

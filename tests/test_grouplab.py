@@ -184,10 +184,9 @@ def test_five_seven_schemes_have_squared_terms(cube, cube_inc):
     assert hits
 
 
-def test_candidate_parity_property(cube):
+def test_candidate_parity_property(cube_report):
     # over all survivors: no squared term implies all-even orbit sizes
-    report = enumeration.classify(cube)
-    for cand in report.survivors:
+    for cand in cube_report.survivors:
         squared, _ = grouplab.has_squared_term(cand.words)
         if not squared:
             assert all(o.size % 2 == 0 for o in cand.orbits)

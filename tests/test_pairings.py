@@ -159,9 +159,8 @@ def test_census_fd2(fd2):
     assert census.vertex_classes == census.euler
 
 
-def test_census_identity_over_candidates(cube, cube_inc):
-    report = enumeration.classify(cube)
-    for cand in report.survivors:
+def test_census_identity_over_candidates(cube_report):
+    for cand in cube_report.survivors:
         c = cand.census
         assert c.vertex_classes - c.edge_classes + c.face_classes - 1 == c.euler
         assert c.vertex_classes == c.euler

@@ -30,6 +30,16 @@ def test_nonmanifold_edge_rejected():
         polytope.load_polyhedron(doc)
 
 
+def test_reversed_face_rejected(cube):
+    # the bundled cube with its first face listed clockwise: every edge
+    # still borders two faces, but four directed edges are used twice
+    faces = [list(f) for f in cube.faces]
+    faces[0].reverse()
+    doc = {"name": "cube", "vertices": list(cube.vertices), "faces": faces}
+    with pytest.raises(polytope.PolyhedronError, match="coherently oriented"):
+        polytope.load_polyhedron(doc)
+
+
 def test_euler_violation_rejected():
     # two disjoint tetrahedra: every edge is fine but chi = 4
     faces = []
