@@ -5,8 +5,9 @@ angle q means q*pi radians; the interior angle is (1-q)*pi.  The linear
 system for a polyhedron with a chosen edge partition has one row per vertex
 (incident angles sum to 2) and one row per class (angles sum to size-2).
 Strict inequalities (0 < q < 1 per edge, sum > 2 over every non-facial
-simple circuit of the dual) are decided exactly by Fourier-Motzkin
-elimination on the solution family.
+simple circuit of the dual) are decided exactly by a max-slack linear
+program over the solution family, solved by the simplex method in Fraction
+arithmetic.
 """
 
 from dataclasses import dataclass
@@ -25,13 +26,6 @@ class ClassCountError(ValueError):
 
 class PartitionError(ValueError):
     """Classes do not partition the edge set, or a class is too small."""
-
-
-class DimensionCapExceeded(RuntimeError):
-    """Feasibility elimination asked to eliminate too many variables."""
-
-
-FEASIBILITY_DIMENSION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -223,114 +217,90 @@ def check_inequalities(poly, dual, assignment, cap=polytope.DEFAULT_CIRCUIT_CAP)
     return (not failures), failures
 
 
-def _norm_constraint(a, b):
-    scale = max((abs(x) for x in a), default=Fraction(0))
-    scale = max(scale, abs(b))
-    if scale == 0:
-        return tuple(a), b
-    return tuple(x / scale for x in a), b / scale
-
-
-def _eliminate(cons, k, width):
-    """One Fourier-Motzkin step on strict constraints a.t < b."""
-    pos, neg, out = [], [], {}
-
-    def keep(a, b):
-        if all(x == 0 for x in a):
-            return b > 0 or None  # None signals infeasible, True means drop
-        a, b = _norm_constraint(a, b)
-        if a not in out or b < out[a]:
-            out[a] = b
-        return True
-
-    for a, b in cons:
-        if a[k] > 0:
-            pos.append((a, b))
-        elif a[k] < 0:
-            neg.append((a, b))
-        else:
-            if keep(a, b) is None:
-                return None
-    for ap, bp in pos:
-        for an, bn in neg:
-            a = tuple(ap[i] * (-an[k]) + an[i] * ap[k] for i in range(width))
-            b = bp * (-an[k]) + bn * ap[k]
-            if keep(a, b) is None:
-                return None
-    return sorted(out.items())
-
-
-def feasible(system, dual, cap=polytope.DEFAULT_CIRCUIT_CAP,
-             dimension_cap=FEASIBILITY_DIMENSION_CAP):
+def feasible(system, circuits):
     """Decide whether the open Rivin polytope meets the solution family.
 
-    Returns (solution_set, witness) where witness is an AngleAssignment
-    satisfying every equation and every strict inequality, or None when the
-    region is empty.  Exact Fourier-Motzkin elimination over the null-space
-    coordinates; midpoint back-substitution produces the rational witness.
+    `circuits` are the non-facial simple circuits of the dual, as returned by
+    nonfacial_circuits.  Returns (solution_set, witness) where witness is an
+    AngleAssignment satisfying every equation and every strict inequality, or
+    None when the region is empty.
+
+    In the null-space coordinates t every strict condition reads a.t < b.
+    The exact linear program max s subject to a.t + s <= b and s <= 1 has
+    an optimum s* > 0 iff the open region is non-empty, and its optimal t
+    meets every condition with slack s*, so it is itself the witness.
     """
     sol = solve_exact(system)
     if sol.status == "infeasible":
         return sol, None
-    m = len(sol.basis)
-    if m > dimension_cap:
-        raise DimensionCapExceeded(f"{m} free variables exceeds cap {dimension_cap}")
     col = {eid: i for i, eid in enumerate(sol.columns)}
-    cons = []
+    cons = {}  # a -> smallest b: of two rows with equal a only that one binds
 
     def add(a, b):
-        cons.append((tuple(a), b))
+        a = tuple(a)
+        if a not in cons or b < cons[a]:
+            cons[a] = b
 
     for i, eid in enumerate(sol.columns):
-        a = [sol.basis[j][i] for j in range(m)]
+        a = [vec[i] for vec in sol.basis]
         add([-x for x in a], sol.particular[eid])       # q > 0
         add(a, 1 - sol.particular[eid])                 # q < 1
-    for seq in nonfacial_circuits(dual, cap):
+    for seq in circuits:
         idxs = [col[eid] for eid in seq]
-        a = [sum(sol.basis[j][i] for i in idxs) for j in range(m)]
+        a = [sum(vec[i] for i in idxs) for vec in sol.basis]
         b = sum(sol.particular[sol.columns[i]] for i in idxs)
         add([-x for x in a], b - 2)                     # sum > 2
-    # eliminate in the cheapest order: fewest pairwise products first
-    cur = sorted({_norm_constraint(a, b) for a, b in cons})
-    remaining = list(range(m))
-    order, layers = [], []
-    while remaining:
-        def cost(k):
-            pos = sum(1 for a, _ in cur if a[k] > 0)
-            neg = sum(1 for a, _ in cur if a[k] < 0)
-            return pos * neg
-        k = min(remaining, key=cost)
-        remaining.remove(k)
-        order.append(k)
-        layers.append(cur)
-        cur = _eliminate(cur, k, m)
-        if cur is None:
-            return sol, None
-    for a, b in cur:
-        if all(x == 0 for x in a) and b <= 0:
-            return sol, None
-    t = [None] * m
-    for k, constraints in zip(reversed(order), reversed(layers)):
-        lo = hi = None
-        for a, b in constraints:
-            if a[k] == 0:
-                continue
-            rest = b - sum(a[j] * t[j] for j in range(m)
-                           if j != k and t[j] is not None and a[j] != 0)
-            bound = rest / a[k]
-            if a[k] > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None and hi is None:
-            t[k] = Fraction(0)
-        elif lo is None:
-            t[k] = hi - 1
-        elif hi is None:
-            t[k] = lo + 1
-        else:
-            if not lo < hi:
-                return sol, None
-            t[k] = (lo + hi) / 2
-    witness = AngleAssignment(sol.point(t))
-    return sol, witness
+    t, slack = _max_slack(list(cons.items()), len(sol.basis))
+    if slack <= 0:
+        return sol, None
+    return sol, AngleAssignment(sol.point(t))
+
+
+def _max_slack(rows, m):
+    """(t, s) maximizing s subject to a.t + s <= b for each (a, b) in rows
+    and s <= 1, with t of length m.
+
+    Solves the dual, min sum(b_i y_i) + w subject to sum(y_i a_i) = 0,
+    sum(y_i) + w = 1 and y, w >= 0, by the simplex method on a dense
+    Fraction tableau with m + 1 rows.  Bland's rule (lowest index enters,
+    ties in the ratio test leave by lowest index) rules out cycling.  The
+    tableau carries B^-1 in m + 1 extra columns that start as the identity,
+    so the primal optimum (t, s) = c_B B^-1 is read from the final basis.
+    """
+    n = len(rows)
+    cost = [b for _, b in rows] + [Fraction(1)]     # y_0 .. y_{n-1}, w
+    unit = [[Fraction(int(i == k)) for k in range(m + 1)] for i in range(m + 1)]
+    tab = [[a[i] for a, _ in rows] + [Fraction(0)] + unit[i] + [Fraction(0)]
+           for i in range(m)]
+    tab.append([Fraction(1)] * (n + 1) + unit[m] + [Fraction(1)])
+    basis = [None] * m + [n]  # None: a zero-level row with no dual variable
+
+    def pivot(r, j):
+        inv = 1 / tab[r][j]
+        tab[r] = [x * inv for x in tab[r]]
+        for i, row in enumerate(tab):
+            f = row[j]
+            if i != r and f:
+                tab[i] = [x - f * y for x, y in zip(row, tab[r])]
+        basis[r] = j
+
+    # the rows sum(y_i a_i) = 0 have right-hand side 0, so pivoting on any
+    # nonzero entry keeps the basis feasible; a row with none is redundant
+    for r in range(m):
+        j = next((j for j in range(n) if tab[r][j]), None)
+        if j is not None:
+            pivot(r, j)
+
+    def price(column):
+        return sum(cost[b] * tab[i][column]
+                   for i, b in enumerate(basis) if b is not None)
+
+    while True:
+        j = next((j for j in range(n + 1) if cost[j] < price(j)), None)
+        if j is None:
+            break
+        r = min((i for i in range(m + 1) if tab[i][j] > 0),
+                key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
+        pivot(r, j)
+    u = [price(n + 1 + k) for k in range(m + 1)]
+    return u[:m], u[m]

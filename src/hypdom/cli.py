@@ -92,7 +92,7 @@ def cmd_restrict(args):
     poly = _load_poly(args.polyhedron)
     if args.candidate:
         cand_doc = json.loads(Path(args.candidate).read_text())
-        scheme = pairings.scheme_from_json_dict(poly, cand_doc["scheme"])
+        scheme = enumeration.candidate_scheme(poly, cand_doc)
         gens = None
         try:
             realization = geometry.regular_cube_realization(poly)
@@ -222,9 +222,8 @@ def build_parser():
 INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 angles.PartitionError, angles.ClassCountError,
                 enumeration.EnumerationError, json.JSONDecodeError,
-                FileNotFoundError, KeyError,
-                enumeration.SchemeCapExceeded, polytope.CircuitCapExceeded,
-                angles.DimensionCapExceeded)
+                FileNotFoundError, enumeration.SchemeCapExceeded,
+                polytope.CircuitCapExceeded)
 
 
 def main(argv=None):
@@ -235,7 +234,7 @@ def main(argv=None):
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (pairings.CensusError, AssertionError) as exc:
+    except (pairings.CensusError, AssertionError, KeyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -121,6 +121,7 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
     required = angles.required_class_count(poly)
+    circuits = angles.nonfacial_circuits(dual, circuit_cap)
     autos = pairings.symmetry_group(poly)
     # edge-id permutation per automorphism, to pool angle systems that are
     # symmetry images of each other
@@ -162,15 +163,14 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
             continue
         partition = frozenset(frozenset(o.edges) for o in orbits)
         if partition not in partition_cache:
-            # the strict-feasibility verdict is symmetry-invariant: run the
-            # expensive elimination once per canonical partition and pull
-            # the witness back through the canonicalizing edge permutation
+            # the strict-feasibility verdict is symmetry-invariant: decide it
+            # once per canonical partition and pull the witness back through
+            # the canonicalizing edge permutation
             key, perm = canonical_partition(partition)
             if key not in canon_cache:
                 canon_classes = [set(cl) for cl in key]
                 canon_system = angles.assemble_system(poly, canon_classes, inc)
-                canon_cache[key] = angles.feasible(
-                    canon_system, dual, cap=circuit_cap)
+                canon_cache[key] = angles.feasible(canon_system, circuits)
             canon_solution, canon_witness = canon_cache[key]
             # a rejected partition keeps its canonical image's solution set:
             # only its status, which the symmetry preserves, is read
@@ -237,10 +237,17 @@ def candidate_to_json_dict(candidate):
     }
 
 
+def candidate_scheme(poly, doc):
+    """The pairing scheme of a persisted candidate document."""
+    if not isinstance(doc, dict) or "scheme" not in doc:
+        raise EnumerationError("candidate document has no 'scheme'")
+    return pairings.scheme_from_json_dict(poly, doc["scheme"])
+
+
 def candidate_from_json_dict(poly, doc):
     """Rebuild a candidate from its persisted scheme, re-deriving the rest,
     and check its persisted witness exactly instead of searching again."""
-    scheme = pairings.scheme_from_json_dict(poly, doc["scheme"])
+    scheme = candidate_scheme(poly, doc)
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
     orbits = pairings.edge_orbits(scheme, inc)

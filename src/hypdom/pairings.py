@@ -514,12 +514,24 @@ def scheme_to_json_dict(scheme):
 
 
 def scheme_from_json_dict(poly, doc):
+    if not isinstance(doc, dict) or not isinstance(doc.get("pairings"), list):
+        raise SchemeError("scheme document has no 'pairings' list")
     pairings = []
     for item in doc["pairings"]:
+        if not isinstance(item, dict):
+            raise SchemeError("pairing entry is not an object")
+        keys = ("gen", "from", "to",
+                "map" if "map" in item else "twist_quarter_turns")
+        missing = [k for k in keys if k not in item]
+        if missing:
+            raise SchemeError(f"pairing entry has no {missing[0]!r}")
         if "map" in item:
             fids = {"from": item["from"], "to": item["to"]}
             if isinstance(fids["from"], str):
                 names = cube_face_ids(poly)
+                if fids["from"] not in names or fids["to"] not in names:
+                    raise SchemeError(
+                        f"unknown cube face in {fids['from']!r}->{fids['to']!r}")
                 fids = {k: names[v] for k, v in fids.items()}
             pairings.append(make_pairing(
                 poly, item["gen"], fids["from"], fids["to"], dict(item["map"])))

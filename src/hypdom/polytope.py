@@ -6,6 +6,7 @@ structure are derived.  Face cycles are stored with the orientation given in
 the input document, read as counterclockwise seen from outside.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -124,15 +125,7 @@ def _validate(poly):
     for f1, f2 in border.values():
         adj[f1].add(f2)
         adj[f2].add(f1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != f:
+    if not _connected(adj, set(adj)):
         raise PolyhedronError("face-adjacency graph is disconnected")
     touched = {v for face in poly.faces for v in face}
     if touched != set(poly.vertices):
@@ -147,6 +140,31 @@ def _validate(poly):
                     f"directed edge {u}->{v} is used by two faces; faces are "
                     "not coherently oriented")
             directed.add((u, v))
+    # Steinitz: the vertex graph of a convex polyhedron is 3-connected
+    nbrs = {u: set() for u in poly.vertices}
+    for u, w in border:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    if poly.vertex_count() < 4:
+        raise PolyhedronError(f"{poly.vertex_count()} vertices: the vertex "
+                              "graph is not 3-connected")
+    for cut in itertools.combinations(poly.vertices, 2):
+        if not _connected(nbrs, set(poly.vertices) - set(cut)):
+            raise PolyhedronError(
+                f"removing vertices {cut[0]} and {cut[1]} disconnects the "
+                "vertex graph: it is not 3-connected")
+
+
+def _connected(adj, nodes):
+    """Is the subgraph of `adj` induced on the set `nodes` connected?"""
+    stack = list(nodes)[:1]
+    seen = set(stack)
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb in nodes and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen == nodes
 
 
 def build_incidence(poly):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import domains, enumeration, geometry, polytope
+from hypdom import angles, domains, enumeration, geometry, polytope
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,6 +28,11 @@ def cube_inc(cube):
 @pytest.fixture(scope="session")
 def cube_dual(cube, cube_inc):
     return polytope.build_dual(cube, cube_inc)
+
+
+@pytest.fixture(scope="session")
+def cube_circuits(cube_dual):
+    return angles.nonfacial_circuits(cube_dual)
 
 
 @pytest.fixture(scope="session")

@@ -7,10 +7,11 @@ not go through the code path under test:
 
   #2  the cube has exactly three families, all with classes 6-6; the third
       pairs adjacent faces with uniform quarter twists, and no family splits
-      5-7.  Certificate, without Fourier-Motzkin: each of the 24 achievable
-      5-7 orbit partitions pins one edge at angle exactly 1 in every exact
-      solution, and the 7-class row minus the rows of the two vertices whose
-      stars it contains is that edge's unit row with right-hand side 1.
+      5-7.  Certificate, without the feasibility engine: each of the 24
+      achievable 5-7 orbit partitions pins one edge at angle exactly 1 in
+      every exact solution, and the 7-class row minus the rows of the two
+      vertices whose stars it contains is that edge's unit row with
+      right-hand side 1.
   #3  the quarter-twist opposite-face angle system is rank 8 with a
       4-parameter solution family.  Certificate, in plain Fractions: the
       signed vertex rows of the bipartite cube graph sum to zero, the class
@@ -144,8 +145,8 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         assert all(m.class_sizes == (6, 6) for m in fams[fd3_key])
         sizes = {m.class_sizes for members in fams.values() for m in members}
         assert (5, 7) not in sizes, "a surviving family splits 5-7"
-        # certificate, without Fourier-Motzkin: every 5-7 orbit partition
-        # has an edge that all exact solutions pin at angle 1
+        # certificate, without the feasibility engine: every 5-7 orbit
+        # partition has an edge that all exact solutions pin at angle 1
         five_seven = {}
         for scheme in enumeration.enumerate_schemes(cube):
             orbits = pairings.edge_orbits(scheme, cube_inc)
@@ -346,7 +347,7 @@ def test_criterion_8_icosahedron_bound(solids):
 
 
 def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
-                                     cube_report):
+                                     cube_circuits, cube_report):
     with _Line(9, "property suites"):
         # Euler identities
         for poly in solids.values():
@@ -391,7 +392,8 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
         # conversion itself enforces |height| <= 1e-9, so it must not raise
         for p in geometry.inscribed_cube_vertices():
             geometry.ball_to_uhs(p, tol=1e-9)
-        # Fourier-Motzkin vs seeded rational sampling, up to 4 free variables
+        # the feasibility verdict vs seeded rational sampling, up to 4 free
+        # variables
         rng = random.Random(99)
         partitions = [
             [drawn(cube_inc, FD1_CLASSES[0]), drawn(cube_inc, FD1_CLASSES[1])],
@@ -402,7 +404,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
         ]
         for classes in partitions:
             system = angles.assemble_system(cube, classes, cube_inc)
-            sol, witness = angles.feasible(system, cube_dual)
+            sol, witness = angles.feasible(system, cube_circuits)
             if len(sol.basis) > 4:
                 continue
             sampled = False

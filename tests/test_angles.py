@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import angles, polytope
+from hypdom import angles, enumeration, pairings, polytope
 
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
                       drawn)
@@ -86,9 +86,9 @@ def test_solve_fd1_family_contains_regular_point(cube, cube_inc):
     assert second != regular
 
 
-def test_solve_substitute_back_exact(cube, cube_inc, cube_dual):
+def test_solve_substitute_back_exact(cube, cube_inc, cube_circuits):
     system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
-    sol, witness = angles.feasible(system, cube_dual)
+    sol, witness = angles.feasible(system, cube_circuits)
     vals = witness.values
     for coef, rhs in system.rows:
         assert sum(c * vals[eid] for c, eid in zip(coef, system.columns)) == rhs
@@ -149,20 +149,21 @@ def test_check_inequalities_waist_failure(cube, cube_inc, cube_dual):
     assert any(set(f[1]) == waist and f[2] == 2 for f in circuit_failures)
 
 
-def test_feasible_fd1(cube, cube_inc, cube_dual):
+def test_feasible_fd1(cube, cube_inc, cube_dual, cube_circuits):
     system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
-    sol, witness = angles.feasible(system, cube_dual)
+    sol, witness = angles.feasible(system, cube_circuits)
     assert witness is not None
     ok, _ = angles.check_inequalities(cube, cube_dual, witness)
     assert ok
 
 
-def test_feasible_rejects_opposite_vertex_three_class(cube, cube_inc, cube_dual):
+def test_feasible_rejects_opposite_vertex_three_class(cube, cube_inc,
+                                                      cube_circuits):
     # a 3-class spanning two opposite corners forces an angle >= 1
     three = drawn(cube_inc, {5, 9, 2})   # FTR-FTL-FBL-BBL path
     rest = set(range(12)) - three
     system = angles.assemble_system(cube, [three, rest], cube_inc)
-    sol, witness = angles.feasible(system, cube_dual)
+    sol, witness = angles.feasible(system, cube_circuits)
     assert witness is None
 
 
@@ -173,8 +174,7 @@ def test_feasible_toy_system_matches_grid_oracle():
         columns=(0, 1, 2),
         rows=(((Fraction(1), Fraction(1), Fraction(1)), Fraction(2)),),
         provenance=(("vertex", "v"),))
-    dual = polytope.DualGraph(nodes=(0,), links=(), facial_cycles={})
-    sol, witness = angles.feasible(system, dual)
+    sol, witness = angles.feasible(system, [])
     assert witness is not None
     vals = witness.values
     assert sum(vals.values()) == 2
@@ -186,16 +186,27 @@ def test_feasible_toy_system_matches_grid_oracle():
     assert oracle_hit
 
 
-def test_feasible_dimension_cap(cube, cube_inc, cube_dual):
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
-    with pytest.raises(angles.DimensionCapExceeded):
-        angles.feasible(system, cube_dual, dimension_cap=2)
+def test_feasible_nine_free_variables():
+    # x0 + ... + x9 = r over ten columns leaves nine free variables; r = 2
+    # has interior points, r = 10 would need every angle at 1
+    ones = (Fraction(1),) * 10
+    witnesses = {}
+    for rhs in (2, 10):
+        system = angles.LinearSystem(
+            columns=tuple(range(10)), rows=((ones, Fraction(rhs)),),
+            provenance=(("vertex", "v"),))
+        sol, witnesses[rhs] = angles.feasible(system, [])
+        assert len(sol.basis) == 9
+    assert witnesses[10] is None
+    assert sum(witnesses[2].values.values()) == 2
 
 
-def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual):
-    # For several partitions compare Fourier-Motzkin against seeded rational
-    # sampling of the solution family (soundness in both directions: every
-    # sampled valid point implies feasibility; the witness must validate).
+def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual,
+                                                 cube_circuits):
+    # For several partitions compare the feasibility verdict against seeded
+    # rational sampling of the solution family (soundness in both directions:
+    # every sampled valid point implies feasibility; the witness must
+    # validate).
     rng = random.Random(20260808)
     partitions = [
         fd1_class_sets(cube_inc),
@@ -206,7 +217,7 @@ def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual):
     ]
     for classes in partitions:
         system = angles.assemble_system(cube, classes, cube_inc)
-        sol, witness = angles.feasible(system, cube_dual)
+        sol, witness = angles.feasible(system, cube_circuits)
         if sol.status == "infeasible":
             continue
         assert len(sol.basis) <= 5
@@ -239,11 +250,12 @@ def test_angle_assignment_range():
         angles.AngleAssignment({0: Fraction(1)})
 
 
-def test_solution_angle_sum_equals_vertex_count(cube, cube_inc, cube_dual):
+def test_solution_angle_sum_equals_vertex_count(cube, cube_inc,
+                                                 cube_circuits):
     # summing the vertex rows double-counts each edge, so any solution's
     # total angle equals the vertex count; per class the total is size-2
     system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
-    sol, witness = angles.feasible(system, cube_dual)
+    sol, witness = angles.feasible(system, cube_circuits)
     assert sum(witness.values.values()) == cube.vertex_count()
     for cl in fd1_class_sets(cube_inc):
         assert sum(witness.values[e] for e in cl) == len(cl) - 2
@@ -263,7 +275,7 @@ def test_rank_cross_checked_with_sympy(cube, cube_inc):
 
 
 def test_five_seven_orbit_partitions_force_degenerate_angle(cube, cube_inc):
-    # independent of the elimination code: solving the system symbolically
+    # independent of the feasibility code: solving the system symbolically
     # shows the back-bottom angle is pinned to exactly 1 (a flat edge)
     sympy = pytest.importorskip("sympy")
     five = drawn(cube_inc, {3, 5, 6, 10, 12})
@@ -276,3 +288,123 @@ def test_five_seven_orbit_partitions_force_degenerate_angle(cube, cube_inc):
     (expr,) = sympy.linsolve(eqs, xs)
     pinned = drawn(cube_inc, {4}).pop()
     assert sympy.simplify(expr[pinned]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin reference engine (test-only oracle)
+# ---------------------------------------------------------------------------
+
+def _fm_normalized(a, b):
+    scale = max(max((abs(x) for x in a), default=Fraction(0)), abs(b))
+    if scale == 0:
+        return tuple(a), b
+    return tuple(x / scale for x in a), b / scale
+
+
+def _fm_eliminate(cons, k):
+    """One Fourier-Motzkin step on strict constraints a.t < b, eliminating
+    t[k]; None when a constant row 0 < b with b <= 0 shows the region empty."""
+    pos, neg, out = [], [], {}
+
+    def keep(a, b):
+        if not any(a):
+            return b > 0
+        a, b = _fm_normalized(a, b)
+        if a not in out or b < out[a]:
+            out[a] = b
+        return True
+
+    for a, b in cons:
+        if a[k] > 0:
+            pos.append((a, b))
+        elif a[k] < 0:
+            neg.append((a, b))
+        elif not keep(a, b):
+            return None
+    for ap, bp in pos:
+        for an, bn in neg:
+            a = tuple(x * -an[k] + y * ap[k] for x, y in zip(ap, an))
+            if not keep(a, bp * -an[k] + bn * ap[k]):
+                return None
+    return sorted(out.items())
+
+
+def fourier_motzkin_feasible(system, circuits):
+    """Does the open Rivin region meet the solution family?  Decided by
+    exact Fourier-Motzkin elimination over the null-space coordinates,
+    cheapest variable (fewest pairwise products) first."""
+    sol = angles.solve_exact(system)
+    if sol.status == "infeasible":
+        return False
+    m = len(sol.basis)
+    col = {eid: i for i, eid in enumerate(sol.columns)}
+    cons = []
+    for i, eid in enumerate(sol.columns):
+        a = [vec[i] for vec in sol.basis]
+        cons.append(([-x for x in a], sol.particular[eid]))    # q > 0
+        cons.append((a, 1 - sol.particular[eid]))              # q < 1
+    for seq in circuits:
+        idxs = [col[eid] for eid in seq]
+        a = [sum(vec[i] for i in idxs) for vec in sol.basis]
+        b = sum(sol.particular[sol.columns[i]] for i in idxs)
+        cons.append(([-x for x in a], b - 2))                  # sum > 2
+    cur = sorted({_fm_normalized(a, b) for a, b in cons})
+    remaining = list(range(m))
+    while remaining:
+        k = min(remaining, key=lambda k: (sum(a[k] > 0 for a, _ in cur)
+                                          * sum(a[k] < 0 for a, _ in cur)))
+        remaining.remove(k)
+        cur = _fm_eliminate(cur, k)
+        if cur is None:
+            return False
+    return all(b > 0 for _, b in cur)
+
+
+def distinct_partitions(poly, inc):
+    """Every distinct edge partition into orbits of the right count and of
+    size at least 3, over all pairing schemes of `poly`."""
+    required = angles.required_class_count(poly)
+    found = set()
+    for scheme in enumeration.enumerate_schemes(poly):
+        orbits = pairings.edge_orbits(scheme, inc)
+        if len(orbits) == required and all(o.size >= 3 for o in orbits):
+            found.add(frozenset(frozenset(o.edges) for o in orbits))
+    return sorted(found, key=lambda p: sorted(sorted(cl) for cl in p))
+
+
+def test_feasible_agrees_with_fourier_motzkin_on_cube(cube, cube_inc,
+                                                     cube_dual,
+                                                     cube_circuits):
+    partitions = distinct_partitions(cube, cube_inc)
+    assert len(partitions) == 105
+    n_feasible = 0
+    for partition in partitions:
+        system = angles.assemble_system(
+            cube, [set(cl) for cl in partition], cube_inc)
+        sol, witness = angles.feasible(system, cube_circuits)
+        assert ((witness is not None)
+                == fourier_motzkin_feasible(system, cube_circuits))
+        if witness is not None:
+            n_feasible += 1
+            assert sol.contains(witness.values)
+            assert angles.check_inequalities(cube, cube_dual, witness)[0]
+    assert n_feasible == 10
+
+
+def test_octahedron_partitions_feasible_with_witness(solids):
+    # checked by the witnesses: each must solve its own system exactly and
+    # pass every strict inequality
+    octa = solids["octahedron"]
+    inc = polytope.build_incidence(octa)
+    dual = polytope.build_dual(octa, inc)
+    circuits = angles.nonfacial_circuits(dual)
+    partitions = distinct_partitions(octa, inc)
+    assert len(partitions) == 96
+    for partition in partitions:
+        system = angles.assemble_system(
+            octa, [set(cl) for cl in partition], inc)
+        sol, witness = angles.feasible(system, circuits)
+        assert witness is not None
+        assert sol.contains(witness.values)
+        ok, failures = angles.check_inequalities(octa, dual, witness)
+        assert ok, failures

@@ -132,6 +132,15 @@ def test_missing_witness_exit_code(capsys, cube_run, tmp_path):
     assert code == 0
 
 
+def test_candidate_without_scheme_exit_code(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    _rejected_by_angles_and_verify(capsys, empty, "'scheme'")
+    code, _, err = run(capsys, "restrict", data_path("cube"),
+                       "--candidate", str(empty))
+    assert code == 2 and "'scheme'" in err
+
+
 def test_realize_command(capsys):
     code, out, _ = run(capsys, "realize", data_path("cube"))
     assert code == 0

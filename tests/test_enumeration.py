@@ -85,7 +85,8 @@ def test_survivors_closed_under_symmetry(cube, cube_report):
             assert pairings._scheme_signature(image) in signatures
 
 
-def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_report):
+def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_circuits,
+                              cube_report):
     required = angles.required_class_count(cube)
     for cand in cube_report.survivors:
         pairings.validate_scheme(cand.scheme)
@@ -94,13 +95,13 @@ def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_report):
         assert len(orbits) == required
         system = angles.assemble_system(
             cube, [set(o.edges) for o in orbits], cube_inc)
-        sol, witness = angles.feasible(system, cube_dual)
+        sol, witness = angles.feasible(system, cube_circuits)
         assert witness is not None
         ok, _ = angles.check_inequalities(cube, cube_dual, cand.witness)
         assert ok
 
 
-def test_filter_order_irrelevant(cube, cube_inc, cube_dual, cube_report):
+def test_filter_order_irrelevant(cube, cube_inc, cube_circuits, cube_report):
     # apply the filters independently, in a different order, and compare the
     # survivor set with classify's
     required = angles.required_class_count(cube)
@@ -113,7 +114,7 @@ def test_filter_order_irrelevant(cube, cube_inc, cube_dual, cube_report):
             if partition not in cache:
                 system = angles.assemble_system(
                     cube, [set(p) for p in partition], cube_inc)
-                cache[partition] = angles.feasible(system, cube_dual)[1]
+                cache[partition] = angles.feasible(system, cube_circuits)[1]
             feasible_witness = cache[partition]
         else:
             feasible_witness = None

@@ -247,6 +247,20 @@ def test_scheme_json_roundtrip(cube, fd1):
     assert back == fd1
 
 
+def test_scheme_json_missing_keys(cube, fd1):
+    doc = pairings.scheme_to_json_dict(fd1)
+    with pytest.raises(pairings.SchemeError, match="'pairings'"):
+        pairings.scheme_from_json_dict(cube, {})
+    for key in ("gen", "from", "to"):
+        broken = {"pairings": [dict(p) for p in doc["pairings"]]}
+        del broken["pairings"][1][key]
+        with pytest.raises(pairings.SchemeError, match=repr(key)):
+            pairings.scheme_from_json_dict(cube, broken)
+    sugar = {"pairings": [{"gen": "A", "from": "front", "to": "back"}]}
+    with pytest.raises(pairings.SchemeError, match="'twist_quarter_turns'"):
+        pairings.scheme_from_json_dict(cube, sugar)
+
+
 def test_twist_sugar_json(cube, fd1):
     doc = {"pairings": [
         {"gen": "A", "from": "front", "to": "back",

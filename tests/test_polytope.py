@@ -59,6 +59,13 @@ def test_short_face_rejected():
         polytope.load_polyhedron(doc)
 
 
+def test_faceless_document_rejected():
+    # two vertices and no faces satisfy Euler's formula (2 - 0 + 0)
+    doc = {"name": "bad", "vertices": ["a", "b"], "faces": []}
+    with pytest.raises(polytope.PolyhedronError, match="not used by any"):
+        polytope.load_polyhedron(doc)
+
+
 def test_repeated_vertex_in_face_rejected():
     doc = {"name": "bad", "vertices": ["a", "b", "c"],
            "faces": [["a", "b", "a"]]}
@@ -214,3 +221,19 @@ def test_disconnected_with_euler_two_rejected():
            "faces": faces}
     with pytest.raises(polytope.PolyhedronError, match="disconnected"):
         polytope.load_polyhedron(doc)
+
+
+def test_not_three_connected_rejected():
+    # both pass every other check (each edge borders two faces, chi = 2,
+    # faces coherently oriented); Steinitz needs a 3-connected vertex graph
+    two_triangles = {"name": "two triangles", "vertices": ["a", "b", "c"],
+                     "faces": [["a", "b", "c"], ["c", "b", "a"]]}
+    with pytest.raises(polytope.PolyhedronError, match="3-connected"):
+        polytope.load_polyhedron(two_triangles)
+    # three quadrilaterals between two poles: removing both poles
+    # disconnects the three equator vertices
+    pillow = {"name": "pillow", "vertices": ["n", "s", "a", "b", "c"],
+              "faces": [["n", "a", "s", "b"], ["n", "b", "s", "c"],
+                        ["n", "c", "s", "a"]]}
+    with pytest.raises(polytope.PolyhedronError, match="n and s"):
+        polytope.load_polyhedron(pillow)
