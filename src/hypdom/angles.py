@@ -38,9 +38,6 @@ class AngleAssignment:
             if not 0 < q < 1:
                 raise AngleDomainError(f"edge {eid}: q={q} outside (0, 1)")
 
-    def interior(self, eid):
-        return 1 - self.values[eid]
-
     def to_json_dict(self):
         return {str(eid): f"{q.numerator}/{q.denominator}"
                 for eid, q in sorted(self.values.items())}

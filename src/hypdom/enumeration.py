@@ -95,13 +95,16 @@ def scheme_space_size(poly):
 
 def enumerate_schemes(poly, cap=DEFAULT_SCHEME_CAP):
     """Every perfect matching of faces crossed with every orientation-
-    reversing boundary correspondence per pair, exactly once each."""
+    reversing boundary correspondence per pair, exactly once each; the face
+    count and the scheme cap are checked on the call, not on first use."""
+    size = scheme_space_size(poly)
+    if size > cap:
+        raise SchemeCapExceeded(f"{size} schemes exceeds cap {cap}")
+    return _schemes(poly)
+
+
+def _schemes(poly):
     faces = list(range(poly.face_count()))
-    if len(faces) % 2 != 0:
-        raise EnumerationError(f"odd face count {len(faces)}")
-    if scheme_space_size(poly) > cap:
-        raise SchemeCapExceeded(
-            f"{scheme_space_size(poly)} schemes exceeds cap {cap}")
     symbols = string.ascii_uppercase
     for matching in _perfect_matchings(faces):
         if any(len(poly.faces[f1]) != len(poly.faces[f2]) for f1, f2 in matching):
@@ -121,6 +124,8 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
     required = angles.required_class_count(poly)
+    # face count and scheme cap first, before the costly set-up
+    schemes = enumerate_schemes(poly, cap=scheme_cap)
     circuits = angles.nonfacial_circuits(dual, circuit_cap)
     autos = pairings.symmetry_group(poly)
     # edge-id permutation per automorphism, to pool angle systems that are
@@ -148,7 +153,7 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
         rejected[key] = 0
     partition_cache = {}
     canon_cache = {}
-    for scheme in enumerate_schemes(poly, cap=scheme_cap):
+    for scheme in schemes:
         report.total += 1
         pairings.validate_scheme(scheme)
         if pairings.detect_elliptic_generator(scheme, inc):

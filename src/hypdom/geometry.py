@@ -127,10 +127,6 @@ def projective_distance(m1, m2):
     return min(d_plus, d_minus)
 
 
-def projectively_equal(m1, m2, tol=EPS_ID):
-    return projective_distance(m1, m2) <= tol
-
-
 def classify_element(m, tol_id=EPS_ID, tol_cls=EPS_CLS):
     """identity / parabolic / elliptic / loxodromic by the squared trace."""
     n = m.normalized()

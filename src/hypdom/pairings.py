@@ -8,6 +8,7 @@ codomain face, then flip to the image edge's other side.  Words are the
 signed generator letters in traversal order.
 """
 
+import collections
 import itertools
 from dataclasses import dataclass
 
@@ -40,9 +41,6 @@ class FacePairing:
 class PairingScheme:
     poly: polytope.AbstractPolyhedron
     pairings: tuple
-
-    def generator_symbols(self):
-        return tuple(p.gen for p in self.pairings)
 
 
 @dataclass(frozen=True)
@@ -247,70 +245,53 @@ def quotient_census(scheme, orbits=None, inc=None):
 def symmetry_group(poly):
     """All combinatorial automorphisms, as (vertex map, orientation flag).
 
-    orientation flag is True when every face cycle maps onto a face cycle
-    with its cyclic order preserved (rotation) rather than reversed.
+    The vertex graph is 3-connected, so its embedding is unique (Whitney):
+    an automorphism sends every face cycle onto a face cycle in one sense,
+    kept (a rotation, flag True) or reversed, and the image of one flag
+    fixes it.  Maps come in the lexicographic order of the images of the
+    vertices taken by descending degree, stable in document order.
     """
-    inc = polytope.build_incidence(poly)
-    adjacency = {v: set() for v in poly.vertices}
-    for pair in inc.edges:
-        u, v = tuple(pair)
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    face_sets = {frozenset(f): f for f in poly.faces}
-    verts = sorted(poly.vertices, key=lambda v: -len(adjacency[v]))
-    out = []
-
-    def extend(partial):
-        if len(partial) == len(verts):
-            vmap = dict(partial)
-            orient = _orientation_of(poly, face_sets, vmap)
-            if orient is not None:
-                out.append((vmap, orient))
-            return
-        v = verts[len(partial)]
-        mapped = dict(partial)
-        used = set(mapped.values())
-        candidates = set(poly.vertices) - used
-        for u in mapped:
-            if u in adjacency[v]:
-                candidates &= adjacency[mapped[u]]
-            else:
-                candidates -= adjacency[mapped[u]]
-        for c in sorted(candidates):
-            if len(adjacency[c]) != len(adjacency[v]):
-                continue
-            extend(partial + [(v, c)])
-
-    extend([])
-    return out
+    at = {(f[i], f[(i + 1) % len(f)]): (fid, i)
+          for fid, f in enumerate(poly.faces) for i in range(len(f))}
+    degree = collections.Counter(u for u, _ in at)
+    order = sorted(poly.vertices, key=lambda v: -degree[v])
+    found = []
+    for image, sense in itertools.product(at, (1, -1)):
+        vmap = _spread(poly, at, image, sense)
+        if vmap is not None:
+            key = tuple(vmap[v] for v in order)
+            found.append((key, (dict(zip(order, key)), sense > 0)))
+    return [auto for _, auto in sorted(found)]
 
 
-def _orientation_of(poly, face_sets, vmap):
-    """True/False when all faces map consistently rotated/reversed, else None."""
-    senses = set()
-    for f in poly.faces:
-        image = [vmap[v] for v in f]
-        key = frozenset(image)
-        if key not in face_sets:
+def _spread(poly, at, image, sense):
+    """The map sending the first edge of face 0 to the directed edge
+    `image`, spread across shared edges face by face with every face cycle
+    mapped in `sense` (+1 kept, -1 reversed); None on a face-length mismatch
+    or a conflicting vertex image.  A surviving map is a bijection: the
+    faces across the edges of an image face are images too."""
+    vmap, done = {}, set()
+    queue = [(poly.faces[0][:2], image)]
+    while queue:
+        edge, (a, b) = queue.pop()
+        fid, i = at[edge]
+        if fid in done:
+            continue
+        done.add(fid)
+        gid, j = at[(a, b) if sense > 0 else (b, a)]
+        f, g = poly.faces[fid], poly.faces[gid]
+        n = len(f)
+        if len(g) != n:
             return None
-        target = face_sets[key]
-        if _is_rotation(image, target):
-            senses.add(True)
-        elif _is_rotation(image, list(reversed(target))):
-            senses.add(False)
-        else:
-            return None
-    if len(senses) != 1:
-        return None
-    return senses.pop()
-
-
-def _is_rotation(a, b):
-    n = len(b)
-    if len(a) != n:
-        return False
-    doubled = list(b) + list(b)
-    return any(doubled[i:i + n] == list(a) for i in range(n))
+        j += sense < 0  # g[j] is the image of f[i]
+        for t in range(n):
+            x, y = f[(i + t) % n], g[(j + sense * t) % n]
+            if vmap.setdefault(x, y) != y:
+                return None
+        for t in range(n):
+            x, y = f[(i + t) % n], f[(i + t + 1) % n]
+            queue.append(((y, x), (vmap[y], vmap[x])))
+    return vmap
 
 
 def conjugate_scheme(scheme, vmap):
@@ -526,15 +507,26 @@ def scheme_from_json_dict(poly, doc):
         if missing:
             raise SchemeError(f"pairing entry has no {missing[0]!r}")
         if "map" in item:
-            fids = {"from": item["from"], "to": item["to"]}
-            if isinstance(fids["from"], str):
+            source, target, mapping = item["from"], item["to"], item["map"]
+            if isinstance(source, str):
                 names = cube_face_ids(poly)
-                if fids["from"] not in names or fids["to"] not in names:
+                if not (isinstance(target, str)
+                        and {source, target} <= set(names)):
                     raise SchemeError(
-                        f"unknown cube face in {fids['from']!r}->{fids['to']!r}")
-                fids = {k: names[v] for k, v in fids.items()}
+                        f"unknown cube face in {source!r}->{target!r}")
+                source, target = names[source], names[target]
+            count = poly.face_count()
+            for fid in (source, target):
+                if type(fid) is not int or fid not in range(count):
+                    raise SchemeError(f"pairing {item['gen']!r}: {fid!r} is "
+                                      f"not a face id in range({count})")
+            if not (isinstance(mapping, dict) and all(
+                    v in poly.vertices
+                    for v in (*mapping, *mapping.values()))):
+                raise SchemeError(f"pairing {item['gen']!r}: 'map' is not a "
+                                  "mapping of vertex names to vertex names")
             pairings.append(make_pairing(
-                poly, item["gen"], fids["from"], fids["to"], dict(item["map"])))
+                poly, item["gen"], source, target, mapping))
         else:
             pairings.append(twist_pairing(
                 poly, item["gen"], item["from"], item["to"],

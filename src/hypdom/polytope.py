@@ -84,15 +84,21 @@ def load_polyhedron(source):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise PolyhedronError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PolyhedronError("polyhedron document is not an object")
     for key in ("name", "vertices", "faces"):
         if key not in doc:
             raise PolyhedronError(f"missing key {key!r}")
+        if key != "name" and not isinstance(doc[key], (list, tuple)):
+            raise PolyhedronError(f"{key!r} is not a list")
     vertices = tuple(doc["vertices"])
     if len(set(vertices)) != len(vertices):
         raise PolyhedronError("duplicate vertex identifiers")
     vset = set(vertices)
     faces = []
     for f in doc["faces"]:
+        if not isinstance(f, (list, tuple)):
+            raise PolyhedronError(f"face {f!r} is not a list of vertices")
         cyc = tuple(f)
         if len(cyc) < 3:
             raise PolyhedronError(f"face {cyc} has fewer than 3 vertices")

@@ -141,6 +141,17 @@ def test_candidate_without_scheme_exit_code(capsys, tmp_path):
     assert code == 2 and "'scheme'" in err
 
 
+def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
+    doc = json.loads((cube_run / "candidate_000.json").read_text())
+    for field, bad, message in (("from", 99, "face id"),
+                                ("map", [1, 2], "'map'")):
+        broken = json.loads(json.dumps(doc))
+        broken["scheme"]["pairings"][0][field] = bad
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps(broken))
+        _rejected_by_angles_and_verify(capsys, path, message)
+
+
 def test_realize_command(capsys):
     code, out, _ = run(capsys, "realize", data_path("cube"))
     assert code == 0
@@ -184,9 +195,11 @@ def test_pipeline_rotation_grouping(capsys):
 
 
 def test_icosahedron_enumerate_guarded(capsys):
-    code, _, err = run(capsys, "enumerate", data_path("icosahedron"))
-    assert code == 2
-    assert "cap" in err
+    # the scheme cap is checked before circuits or automorphisms are built
+    for name in ("icosahedron", "dodecahedron"):
+        code, _, err = run(capsys, "enumerate", data_path(name))
+        assert code == 2
+        assert "exceeds cap" in err
 
 
 def test_pipeline_tetrahedron(capsys):

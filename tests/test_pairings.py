@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -203,25 +204,134 @@ def test_symmetry_group_tetrahedron(solids):
     assert sum(1 for _, orient in autos if orient) == 12
 
 
+# square pyramid with a tetrahedron glued on one side face and a two-tet
+# tower on an adjacent side face: the decorations are inequivalent and share
+# the corner B, so only the identity is an automorphism
+LOPSIDED = {"name": "lopsided", "vertices":
+            ["A", "B", "C", "D", "apex", "w1", "w2", "w4"],
+            "faces": [
+                ["A", "D", "C", "B"],
+                ["apex", "C", "D"],
+                ["apex", "D", "A"],
+                ["apex", "A", "w1"], ["A", "B", "w1"], ["B", "apex", "w1"],
+                ["apex", "B", "w2"], ["C", "apex", "w2"],
+                ["B", "C", "w4"], ["C", "w2", "w4"], ["w2", "B", "w4"],
+            ]}
+
+
 def test_symmetry_group_asymmetric_solid():
-    # square pyramid with a tetrahedron glued on one side face and a two-tet
-    # tower on an adjacent side face: the decorations are inequivalent and
-    # share the corner B, so only the identity survives
-    doc = {"name": "lopsided", "vertices":
-           ["A", "B", "C", "D", "apex", "w1", "w2", "w4"],
-           "faces": [
-               ["A", "D", "C", "B"],
-               ["apex", "C", "D"],
-               ["apex", "D", "A"],
-               ["apex", "A", "w1"], ["A", "B", "w1"], ["B", "apex", "w1"],
-               ["apex", "B", "w2"], ["C", "apex", "w2"],
-               ["B", "C", "w4"], ["C", "w2", "w4"], ["w2", "B", "w4"],
-           ]}
-    poly = polytope.load_polyhedron(doc)
+    poly = polytope.load_polyhedron(LOPSIDED)
     autos = pairings.symmetry_group(poly)
     assert len(autos) == 1
     vmap, orient = autos[0]
     assert orient and all(k == v for k, v in vmap.items())
+
+
+def backtracking_symmetry_group(poly):
+    """Reference automorphism search, independent of the face structure
+    until the end: extend vertex images one vertex at a time (descending
+    degree, document order) over the adjacency-respecting candidates in
+    name order, then keep the complete maps that send every face cycle onto
+    a face cycle, all in one sense.  Exponential: about 19 s on the
+    dodecahedron."""
+    adjacency = {v: set() for v in poly.vertices}
+    for face in poly.faces:
+        for u, v in zip(face, face[1:] + face[:1]):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    face_sets = {frozenset(f): f for f in poly.faces}
+    verts = sorted(poly.vertices, key=lambda v: -len(adjacency[v]))
+    out = []
+
+    def is_rotation(a, b):
+        doubled = list(b) + list(b)
+        return len(a) == len(b) and any(
+            doubled[i:i + len(b)] == list(a) for i in range(len(b)))
+
+    def orientation(vmap):
+        senses = set()
+        for f in poly.faces:
+            image = [vmap[v] for v in f]
+            target = face_sets.get(frozenset(image))
+            if target is None:
+                return None
+            if is_rotation(image, target):
+                senses.add(True)
+            elif is_rotation(image, list(reversed(target))):
+                senses.add(False)
+            else:
+                return None
+        return senses.pop() if len(senses) == 1 else None
+
+    def extend(partial):
+        if len(partial) == len(verts):
+            vmap = dict(partial)
+            orient = orientation(vmap)
+            if orient is not None:
+                out.append((vmap, orient))
+            return
+        v = verts[len(partial)]
+        mapped = dict(partial)
+        candidates = set(poly.vertices) - set(mapped.values())
+        for u in mapped:
+            if u in adjacency[v]:
+                candidates &= adjacency[mapped[u]]
+            else:
+                candidates -= adjacency[mapped[u]]
+        for c in sorted(candidates):
+            if len(adjacency[c]) == len(adjacency[v]):
+                extend(partial + [(v, c)])
+
+    extend([])
+    return out
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron",
+                                  "icosahedron", "lopsided"])
+def test_symmetry_group_matches_backtracking(solids, name):
+    # same maps, flags and emission order
+    poly = (polytope.load_polyhedron(LOPSIDED) if name == "lopsided"
+            else solids[name])
+    assert pairings.symmetry_group(poly) == backtracking_symmetry_group(poly)
+
+
+def test_symmetry_group_matches_backtracking_relabeled(solids):
+    # shuffled vertex names, vertex order, face order and face start
+    # corners: the emission order depends on names and document order only
+    rng = random.Random(5)
+    for name in ("tetrahedron", "cube", "octahedron", "lopsided"):
+        poly = (polytope.load_polyhedron(LOPSIDED) if name == "lopsided"
+                else solids[name])
+        for _ in range(4):
+            names = list(poly.vertices)
+            rename = dict(zip(names, rng.sample(names, len(names))))
+            faces = []
+            for f in rng.sample(poly.faces, len(poly.faces)):
+                k = rng.randrange(len(f))
+                faces.append([rename[v] for v in f[k:] + f[:k]])
+            relabeled = polytope.load_polyhedron({
+                "name": name, "faces": faces,
+                "vertices": rng.sample(list(rename.values()), len(names))})
+            assert (pairings.symmetry_group(relabeled)
+                    == backtracking_symmetry_group(relabeled))
+
+
+def test_symmetry_group_dodecahedron(solids):
+    # the reference search takes about 19 s here, so check the maps directly
+    poly = solids["dodecahedron"]
+    autos = pairings.symmetry_group(poly)
+    assert len(autos) == 120
+    assert sum(1 for _, orient in autos if orient) == 60
+    cycles = {f[i:] + f[:i] for f in poly.faces for i in range(len(f))}
+    for vmap, orient in autos:
+        assert sorted(vmap) == sorted(vmap.values()) == sorted(poly.vertices)
+        for face in poly.faces:
+            image = tuple(vmap[v] for v in face)
+            assert (image if orient else image[::-1]) in cycles
+    # every vertex has degree 3: maps come sorted by the images of the
+    # vertices in document order
+    keys = [tuple(vmap[v] for v in poly.vertices) for vmap, _ in autos]
+    assert keys == sorted(set(keys))
 
 
 def test_canonicalize_rotation_invariance(cube, fd1):
@@ -259,6 +369,29 @@ def test_scheme_json_missing_keys(cube, fd1):
     sugar = {"pairings": [{"gen": "A", "from": "front", "to": "back"}]}
     with pytest.raises(pairings.SchemeError, match="'twist_quarter_turns'"):
         pairings.scheme_from_json_dict(cube, sugar)
+
+
+def test_scheme_json_face_id_out_of_range(cube, fd1):
+    doc = pairings.scheme_to_json_dict(fd1)
+    for key, bad in (("from", 99), ("to", -1), ("to", 1.0), ("from", True),
+                     ("from", [0]), ("to", "front")):
+        broken = {"pairings": [dict(p) for p in doc["pairings"]]}
+        broken["pairings"][0][key] = bad
+        with pytest.raises(pairings.SchemeError,
+                           match="face id|unknown cube face"):
+            pairings.scheme_from_json_dict(cube, broken)
+
+
+def test_scheme_json_map_not_vertex_mapping(cube, fd1):
+    doc = pairings.scheme_to_json_dict(fd1)
+    first = doc["pairings"][0]["map"]
+    some = next(iter(first))
+    for bad in ([1, 2], "FTL", None, {**first, some: [1]},
+                {**first, some: "nowhere"}, {"nowhere": some}):
+        broken = {"pairings": [dict(p) for p in doc["pairings"]]}
+        broken["pairings"][0]["map"] = bad
+        with pytest.raises(pairings.SchemeError, match="'map'"):
+            pairings.scheme_from_json_dict(cube, broken)
 
 
 def test_twist_sugar_json(cube, fd1):

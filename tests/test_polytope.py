@@ -18,9 +18,23 @@ def test_tetrahedron_counts(solids):
     assert (t.vertex_count(), t.edge_count(), t.face_count()) == (4, 6, 4)
 
 
-def test_parse_error():
+def test_parse_error(tmp_path, cube):
     with pytest.raises(polytope.PolyhedronError):
         polytope.load_polyhedron("{not json")
+    five = tmp_path / "five.json"
+    five.write_text("5")
+    with pytest.raises(polytope.PolyhedronError, match="not an object"):
+        polytope.load_polyhedron(str(five))
+    good = {"name": "cube", "vertices": list(cube.vertices),
+            "faces": [list(f) for f in cube.faces]}
+    for key, bad in (("vertices", "abcd"), ("vertices", 8),
+                     ("faces", {"a": 1}), ("faces", None)):
+        with pytest.raises(polytope.PolyhedronError, match="not a list"):
+            polytope.load_polyhedron({**good, key: bad})
+    for bad_face in ("FTLR", 3, None):
+        doc = {**good, "faces": good["faces"][1:] + [bad_face]}
+        with pytest.raises(polytope.PolyhedronError, match="not a list of"):
+            polytope.load_polyhedron(doc)
 
 
 def test_nonmanifold_edge_rejected():
