@@ -7,10 +7,9 @@ from .angles import (AngleAssignment, LinearSystem, SolutionSet,
                      assemble_system, check_inequalities, feasible,
                      required_class_count, solve_exact)
 from .pairings import (EdgeOrbit, FacePairing, PairingScheme, QuotientCensus,
-                       RelatorWord, SchemeError, canonicalize,
-                       detect_elliptic_generator, edge_orbits, quotient_census,
-                       relator_word, symmetry_group, twist_pairing,
-                       validate_scheme, vertex_orbits)
+                       RelatorWord, SchemeError, canonicalize, edge_orbits,
+                       quotient_census, relator_word, symmetry_group,
+                       twist_pairing, validate_scheme, vertex_orbits)
 from .enumeration import (CandidateDomain, EnumerationReport, classify,
                           enumerate_schemes)
 from .geometry import (INF, GroupPresentation, MobiusMap, ball_to_uhs,

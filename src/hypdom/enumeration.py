@@ -1,10 +1,10 @@
 """Exhaustive face-pairing search and the torsion-free candidate pipeline.
 
-classify() streams every scheme through cheap structural filters first
-(elliptic detection, class count, class size), then the exact angle solve
-and the strict Rivin feasibility test, memoized per edge partition.
-Survivors are grouped into families under both the rotation subgroup and
-the full symmetry group.
+classify() traverses each scheme's edge classes once and filters on them
+first (a class of size 1 is an elliptic generator, then the class count,
+then the class size), then runs the exact angle solve and the strict Rivin
+feasibility test, memoized per edge partition.  Survivors are grouped into
+families under both the rotation subgroup and the full symmetry group.
 """
 
 import itertools
@@ -156,10 +156,10 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     for scheme in schemes:
         report.total += 1
         pairings.validate_scheme(scheme)
-        if pairings.detect_elliptic_generator(scheme, inc):
+        orbits = pairings.edge_orbits(scheme, inc)
+        if any(o.size == 1 for o in orbits):
             rejected["elliptic"] += 1
             continue
-        orbits = pairings.edge_orbits(scheme, inc)
         if len(orbits) != required:
             rejected["class_count"] += 1
             continue

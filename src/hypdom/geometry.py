@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import angles, pairings, polytope
+from . import pairings, polytope
 
 EPS_GEO = 1e-9
 EPS_ID = 1e-9
@@ -106,17 +106,6 @@ class MobiusMap:
 
 
 IDENTITY = MobiusMap(1, 0, 0, 1)
-
-
-def sign_fixed(m):
-    """Det-1 normalization with the sign fixed by the first nonzero entry."""
-    n = m.normalized()
-    for e in n.entries():
-        if abs(e) > EPS_DET:
-            if e.real < -EPS_DET or (abs(e.real) <= EPS_DET and e.imag < 0):
-                return MobiusMap(-n.a, -n.b, -n.c, -n.d)
-            return n
-    return n
 
 
 def projective_distance(m1, m2):
@@ -252,7 +241,7 @@ def mobius_from_triples(src, dst):
     return _to_reference(*dst).inverse().compose(_to_reference(*src)).normalized()
 
 
-def face_pairing_maps(realization, scheme, inc=None, tol=EPS_GEO):
+def face_pairing_maps(realization, scheme, tol=EPS_GEO):
     """One Mobius map per pairing, from three consecutive boundary vertices.
 
     The reference triple is the three consecutive source-boundary vertices
@@ -311,7 +300,7 @@ class GroupPresentation:
 def verify_scheme(realization, scheme, inc=None, tol_id=EPS_ID, tol_geo=EPS_GEO):
     """Build generators and classify every relator product."""
     inc = inc or polytope.build_incidence(scheme.poly)
-    gens = face_pairing_maps(realization, scheme, inc, tol=tol_geo)
+    gens = face_pairing_maps(realization, scheme, tol=tol_geo)
     orbits = pairings.edge_orbits(scheme, inc)
     words = tuple(pairings.relator_word(o) for o in orbits)
     verdicts = tuple(

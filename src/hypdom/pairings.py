@@ -125,52 +125,56 @@ def validate_scheme(scheme):
     if sorted(used) != list(range(poly.face_count())):
         raise SchemeError("pairings do not cover every face exactly once")
     symbols = [p.gen for p in scheme.pairings]
-    if len(set(symbols)) != len(symbols):
+    try:
+        distinct = len(set(symbols)) == len(symbols)
+    except TypeError as exc:
+        raise SchemeError(f"a generator symbol is not hashable ({exc})"
+                          ) from None
+    if not distinct:
         raise SchemeError("generator symbols are not distinct")
     return scheme
 
 
 def _signed_generators(scheme):
-    """face id -> (codomain face, vertex map, (symbol, sign))."""
+    """face id -> (vertex map, (symbol, sign)) of the generator on that face."""
     table = {}
     for p in scheme.pairings:
-        table[p.source] = (p.target, p.mapping(), (p.gen, +1))
-        table[p.target] = (p.source, p.inverse_mapping(), (p.gen, -1))
+        table[p.source] = (p.mapping(), (p.gen, +1))
+        table[p.target] = (p.inverse_mapping(), (p.gen, -1))
     return table
 
 
 def edge_orbits(scheme, inc=None):
     """Edge classes by flag traversal, one orbit per class.
 
-    Each orbit starts at its lowest-id unvisited edge with the lower face id
-    as the side, for determinism.  The reverse flag orbit traverses the same
-    class backwards; its flags are consumed and its steps dropped.
+    A flag is a dart: the edge (u, v) on the side face whose cycle runs
+    u -> v.  The generator m on that face reverses orientation, so
+    (m[u], m[v]) runs against its codomain face and is already the dart
+    across the image edge.  Each orbit starts at its lowest-id unvisited
+    edge with the lower face id as the side, for determinism; the reverse
+    traversal of a class is not walked, its flags are dropped with the
+    class.  A class of size 1 is a generator fixing an edge of a face it
+    shares with its codomain: a rotation about that edge (elliptic).
     """
-    poly = scheme.poly
-    inc = inc or polytope.build_incidence(poly)
+    inc = inc or polytope.build_incidence(scheme.poly)
     table = _signed_generators(scheme)
-    flags = {(eid, fid) for eid in range(len(inc.edges))
-             for fid in inc.edge_faces[eid]}
+    darts, cycles = inc.darts, inc.face_edge_cycle
+    flags = {(cycles[fid][i], fid): dart for dart, (fid, i) in darts.items()}
     orbits = []
-    claimed = set()
     while flags:
-        start = min(flags)
+        start = dart = flags[min(flags)]
         steps = []
-        flag = start
         while True:
-            eid, fid = flag
-            flags.discard(flag)
-            tgt, vmap, letter = table[fid]
-            steps.append((eid, fid, letter))
-            image = frozenset(vmap[v] for v in inc.edges[eid])
-            eid2 = inc.edge_id(*image)
-            other = [f for f in inc.edge_faces[eid2] if f != tgt]
-            flag = (eid2, other[0] if other else tgt)
-            if flag == start:
+            fid, i = darts[dart]
+            vmap, letter = table[fid]
+            steps.append((cycles[fid][i], fid, letter))
+            dart = (vmap[dart[0]], vmap[dart[1]])
+            if dart == start:
                 break
-        if start[0] not in claimed:
-            orbits.append(EdgeOrbit(tuple(steps)))
-            claimed.update(e for e, _, _ in steps)
+        orbits.append(EdgeOrbit(tuple(steps)))
+        for eid, _, _ in steps:
+            for fid in inc.edge_faces[eid]:
+                flags.pop((eid, fid), None)
     covered = sorted(e for o in orbits for e in o.edges)
     if covered != list(range(len(inc.edges))):
         raise CensusError("edge orbits do not partition the edge set")
@@ -206,23 +210,6 @@ def vertex_orbits(scheme):
     return sorted(groups.values())
 
 
-def detect_elliptic_generator(scheme, inc=None):
-    """Pairings of adjacent faces whose correspondence maps the shared edge
-    to itself (setwise): such a map rotates about that edge and has torsion."""
-    inc = inc or polytope.build_incidence(scheme.poly)
-    offending = []
-    for p in scheme.pairings:
-        src_edges = set(inc.face_edge_cycle[p.source])
-        dst_edges = set(inc.face_edge_cycle[p.target])
-        m = p.mapping()
-        for eid in src_edges & dst_edges:
-            image = frozenset(m[v] for v in inc.edges[eid])
-            if image == inc.edges[eid]:
-                offending.append(p)
-                break
-    return offending
-
-
 def quotient_census(scheme, orbits=None, inc=None):
     poly = scheme.poly
     inc = inc or polytope.build_incidence(poly)
@@ -251,20 +238,19 @@ def symmetry_group(poly):
     fixes it.  Maps come in the lexicographic order of the images of the
     vertices taken by descending degree, stable in document order.
     """
-    at = {(f[i], f[(i + 1) % len(f)]): (fid, i)
-          for fid, f in enumerate(poly.faces) for i in range(len(f))}
-    degree = collections.Counter(u for u, _ in at)
+    darts = polytope.build_incidence(poly).darts
+    degree = collections.Counter(u for u, _ in darts)
     order = sorted(poly.vertices, key=lambda v: -degree[v])
     found = []
-    for image, sense in itertools.product(at, (1, -1)):
-        vmap = _spread(poly, at, image, sense)
+    for image, sense in itertools.product(darts, (1, -1)):
+        vmap = _spread(poly, darts, image, sense)
         if vmap is not None:
             key = tuple(vmap[v] for v in order)
             found.append((key, (dict(zip(order, key)), sense > 0)))
     return [auto for _, auto in sorted(found)]
 
 
-def _spread(poly, at, image, sense):
+def _spread(poly, darts, image, sense):
     """The map sending the first edge of face 0 to the directed edge
     `image`, spread across shared edges face by face with every face cycle
     mapped in `sense` (+1 kept, -1 reversed); None on a face-length mismatch
@@ -274,11 +260,11 @@ def _spread(poly, at, image, sense):
     queue = [(poly.faces[0][:2], image)]
     while queue:
         edge, (a, b) = queue.pop()
-        fid, i = at[edge]
+        fid, i = darts[edge]
         if fid in done:
             continue
         done.add(fid)
-        gid, j = at[(a, b) if sense > 0 else (b, a)]
+        gid, j = darts[(a, b) if sense > 0 else (b, a)]
         f, g = poly.faces[fid], poly.faces[gid]
         n = len(f)
         if len(g) != n:
@@ -331,36 +317,6 @@ def canonicalize(scheme, group="all", automorphisms=None):
         if best is None or sig < best:
             best = sig
     return repr(best).encode()
-
-
-def words_equivalent(w1, w2):
-    """Equality up to cyclic rotation, formal inversion, and a consistent
-    renaming (bijection) of the generator symbols."""
-    a = w1.letters if isinstance(w1, RelatorWord) else tuple(w1)
-    b = w2.letters if isinstance(w2, RelatorWord) else tuple(w2)
-    if len(a) != len(b):
-        return False
-
-    def inverse(word):
-        return tuple((g, -s) for g, s in reversed(word))
-
-    def match(x, y):
-        ren = {}
-        for (g1, s1), (g2, s2) in zip(x, y):
-            if s1 != s2:
-                return False
-            if g1 in ren and ren[g1] != g2:
-                return False
-            ren[g1] = g2
-        return len(set(ren.values())) == len(ren)
-
-    n = len(a)
-    for target in (b, inverse(b)):
-        doubled = target + target
-        for k in range(n):
-            if match(a, doubled[k:k + n]):
-                return True
-    return n == 0
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +422,10 @@ def twist_pairing(poly, gen, from_name, to_name, quarter_turns, sense="cw"):
     """Expand cube twist sugar into an explicit FacePairing."""
     if sense not in ("cw", "ccw"):
         raise SchemeError(f"sense must be 'cw' or 'ccw', got {sense!r}")
-    if quarter_turns not in (0, 1, 2, 3):
-        raise SchemeError("twist_quarter_turns must be 0..3")
+    if type(quarter_turns) is not int or quarter_turns not in range(4):
+        raise SchemeError("twist_quarter_turns must be an integer 0..3")
     fids = cube_face_ids(poly)
-    if from_name not in fids or to_name not in fids:
+    if not all(isinstance(n, str) and n in fids for n in (from_name, to_name)):
         raise SchemeError(f"unknown cube face in {from_name!r}->{to_name!r}")
     n1, n2 = CUBE_FACE_NORMALS[from_name], CUBE_FACE_NORMALS[to_name]
     if n1 == n2:

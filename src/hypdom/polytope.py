@@ -45,15 +45,11 @@ class IncidenceData:
     edge_faces: tuple          # edge id -> (face id, face id)
     vertex_edges: dict         # vertex name -> frozenset of edge ids
     face_edge_cycle: tuple     # face id -> tuple of edge ids around the face
+    darts: dict                # (u, v) on a face cycle -> (face id, index of u)
 
     def edge_id(self, u, v):
-        pair = frozenset((u, v))
-        try:
-            return self._lookup[pair]
-        except AttributeError:
-            lookup = {e: i for i, e in enumerate(self.edges)}
-            object.__setattr__(self, "_lookup", lookup)
-            return self._lookup[pair]
+        fid, i = self.darts[u, v]
+        return self.face_edge_cycle[fid][i]
 
 
 @dataclass(frozen=True)
@@ -92,9 +88,13 @@ def load_polyhedron(source):
         if key != "name" and not isinstance(doc[key], (list, tuple)):
             raise PolyhedronError(f"{key!r} is not a list")
     vertices = tuple(doc["vertices"])
-    if len(set(vertices)) != len(vertices):
+    try:
+        vset = set(vertices)
+    except TypeError as exc:
+        raise PolyhedronError(f"a vertex identifier is not hashable ({exc})"
+                              ) from None
+    if len(vset) != len(vertices):
         raise PolyhedronError("duplicate vertex identifiers")
-    vset = set(vertices)
     faces = []
     for f in doc["faces"]:
         if not isinstance(f, (list, tuple)):
@@ -102,11 +102,11 @@ def load_polyhedron(source):
         cyc = tuple(f)
         if len(cyc) < 3:
             raise PolyhedronError(f"face {cyc} has fewer than 3 vertices")
+        for v in cyc:
+            if v not in vertices:  # by equality: an unhashable v fails here
+                raise PolyhedronError(f"face vertex {v!r} not declared")
         if len(set(cyc)) != len(cyc):
             raise PolyhedronError(f"repeated vertex within face {cyc}")
-        for v in cyc:
-            if v not in vset:
-                raise PolyhedronError(f"face vertex {v!r} not declared")
         faces.append(cyc)
     poly = AbstractPolyhedron(str(doc["name"]), vertices, tuple(faces))
     _validate(poly)
@@ -177,15 +177,18 @@ def build_incidence(poly):
     """Derive edges and incidence maps.
 
     Edge ids are assigned in first-encounter order scanning faces in document
-    order, so they are stable across runs for the same document.
+    order, so they are stable across runs for the same document.  Each edge
+    has two darts, one per side face, directed along that face's cycle.
     """
     edge_index = {}
     edges = []
     edge_faces = {}
     face_cycles = []
+    darts = {}
     for fid, face in enumerate(poly.faces):
         cycle = []
-        for u, v in _face_pairs(face):
+        for i, (u, v) in enumerate(_face_pairs(face)):
+            darts[u, v] = (fid, i)
             pair = frozenset((u, v))
             if pair not in edge_index:
                 edge_index[pair] = len(edges)
@@ -204,6 +207,7 @@ def build_incidence(poly):
         edge_faces=tuple(tuple(edge_faces[i]) for i in range(len(edges))),
         vertex_edges={v: frozenset(s) for v, s in vertex_edges.items()},
         face_edge_cycle=tuple(face_cycles),
+        darts=darts,
     )
 
 

@@ -69,6 +69,38 @@ def realization(cube):
     return geometry.regular_cube_realization(cube)
 
 
+def detect_elliptic_generator(scheme, inc=None):
+    """Pairings of adjacent faces whose correspondence maps the shared edge
+    to itself (setwise): such a map rotates about that edge and has torsion.
+
+    Oracle for the library's criterion, a size-1 edge class: it scans the
+    shared edges directly instead of traversing flags."""
+    inc = inc or polytope.build_incidence(scheme.poly)
+    offending = []
+    for p in scheme.pairings:
+        src_edges = set(inc.face_edge_cycle[p.source])
+        dst_edges = set(inc.face_edge_cycle[p.target])
+        m = p.mapping()
+        for eid in src_edges & dst_edges:
+            image = frozenset(m[v] for v in inc.edges[eid])
+            if image == inc.edges[eid]:
+                offending.append(p)
+                break
+    return offending
+
+
+def sign_fixed(m):
+    """Det-1 normalization with the sign fixed by the first nonzero entry."""
+    n = m.normalized()
+    for e in n.entries():
+        if abs(e) > geometry.EPS_DET:
+            if e.real < -geometry.EPS_DET or (
+                    abs(e.real) <= geometry.EPS_DET and e.imag < 0):
+                return geometry.MobiusMap(-n.a, -n.b, -n.c, -n.d)
+            return n
+    return n
+
+
 def classes_by_pairs(inc, pairs):
     """Set of edge ids from a list of vertex-name pairs."""
     return {inc.edge_id(u, v) for u, v in pairs}

@@ -36,8 +36,9 @@ from hypdom import (angles, domains, enumeration, geometry, grouplab,
                     pairings, polytope)
 
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
-                      drawn, reference_adjacent_generators,
-                      reference_generators)
+                      detect_elliptic_generator, drawn,
+                      reference_adjacent_generators, reference_generators,
+                      sign_fixed)
 
 THIRD = Fraction(2, 3)
 
@@ -156,7 +157,7 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         assert len(five_seven) == 24, f"{len(five_seven)} 5-7 partitions"
         for partition, schemes in five_seven.items():
             assert len(schemes) == 1
-            assert not pairings.detect_elliptic_generator(schemes[0], cube_inc)
+            assert not detect_elliptic_generator(schemes[0], cube_inc)
             five, seven = sorted(partition, key=len)
             system = angles.assemble_system(cube, [five, seven], cube_inc)
             sol = angles.solve_exact(system)
@@ -245,8 +246,8 @@ def test_criterion_5_generator_reproduction(cube, realization, fd1):
         gens = geometry.face_pairing_maps(realization, fd1)
         refs = reference_generators()
         for sym in "ABC":
-            ours = geometry.sign_fixed(gens[sym])
-            ref = geometry.sign_fixed(refs[sym])
+            ours = sign_fixed(gens[sym])
+            ref = sign_fixed(refs[sym])
             residual = max(abs(a - b) for a, b in
                            zip(ours.entries(), ref.entries()))
             assert residual <= 1e-9, f"{sym}: residual {residual:.2e}"
@@ -317,7 +318,7 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
         for scheme, verdict in y2z_exceptions:
             # a YYZ word always comes with a size-3 class, never the reverse
             assert verdict.has_size3_orbit and not verdict.has_y2z_word
-            assert not pairings.detect_elliptic_generator(scheme, cube_inc)
+            assert not detect_elliptic_generator(scheme, cube_inc)
         # by hand: the first scheme on the three opposite pairs has four
         # 3-classes, each reading three distinct letters
         fids = pairings.cube_face_ids(cube)

@@ -60,6 +60,10 @@ def test_invalid_polyhedron_exit_code(capsys, tmp_path):
         "faces": [["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]]}))
     code, _, err = run(capsys, "info", str(bad))
     assert code == 2
+    bad.write_text(json.dumps({
+        "name": "x", "vertices": ["a", "b", "c", ["d"]], "faces": []}))
+    code, _, err = run(capsys, "info", str(bad))
+    assert code == 2 and "not hashable" in err
 
 
 def test_enumerate_writes_report_and_candidates(capsys, tmp_path):
@@ -143,11 +147,19 @@ def test_candidate_without_scheme_exit_code(capsys, tmp_path):
 
 def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
     doc = json.loads((cube_run / "candidate_000.json").read_text())
-    for field, bad, message in (("from", 99, "face id"),
-                                ("map", [1, 2], "'map'")):
+    first = doc["scheme"]["pairings"][0]
+    sugar = {"gen": "A", "from": "front", "to": "back",
+             "twist_quarter_turns": 1}
+    for i, (pairing, message) in enumerate((
+            ({**first, "from": 99}, "face id"),
+            ({**first, "map": [1, 2]}, "'map'"),
+            ({**first, "gen": ["A"]}, "not hashable"),
+            ({**sugar, "from": ["front"]}, "unknown cube face"),
+            ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
+            ({**sugar, "twist_quarter_turns": True}, "integer 0..3"))):
         broken = json.loads(json.dumps(doc))
-        broken["scheme"]["pairings"][0][field] = bad
-        path = tmp_path / f"bad_{field}.json"
+        broken["scheme"]["pairings"][0] = pairing
+        path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(broken))
         _rejected_by_angles_and_verify(capsys, path, message)
 

@@ -7,7 +7,8 @@ import pytest
 
 from hypdom import angles, cli, enumeration, pairings, polytope
 
-from conftest import DRAWN_EDGES, FD2_CLASSES, drawn
+from conftest import (DRAWN_EDGES, FD2_CLASSES, detect_elliptic_generator,
+                      drawn)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -90,7 +91,7 @@ def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_circuits,
     required = angles.required_class_count(cube)
     for cand in cube_report.survivors:
         pairings.validate_scheme(cand.scheme)
-        assert not pairings.detect_elliptic_generator(cand.scheme, cube_inc)
+        assert not detect_elliptic_generator(cand.scheme, cube_inc)
         orbits = pairings.edge_orbits(cand.scheme, cube_inc)
         assert len(orbits) == required
         system = angles.assemble_system(
@@ -120,7 +121,7 @@ def test_filter_order_irrelevant(cube, cube_inc, cube_circuits, cube_report):
             feasible_witness = None
         if feasible_witness is None:
             continue
-        if pairings.detect_elliptic_generator(scheme, cube_inc):
+        if detect_elliptic_generator(scheme, cube_inc):
             continue
         survivors.add(pairings._scheme_signature(scheme))
     assert survivors == {pairings._scheme_signature(c.scheme)

@@ -9,7 +9,7 @@ import pytest
 from hypdom import domains, geometry, pairings
 
 from conftest import (SQRT3, reference_adjacent_generators,
-                      reference_generators)
+                      reference_generators, sign_fixed)
 
 
 def test_inscribed_vertices():
@@ -148,8 +148,8 @@ def test_fd1_generator_sign_fix(realization, fd1):
     gens = geometry.face_pairing_maps(realization, fd1)
     refs = reference_generators()
     for sym in "ABC":
-        ours = geometry.sign_fixed(gens[sym])
-        ref = geometry.sign_fixed(refs[sym])
+        ours = sign_fixed(gens[sym])
+        ref = sign_fixed(refs[sym])
         assert max(abs(a - b) for a, b in
                    zip(ours.entries(), ref.entries())) <= 1e-9
 

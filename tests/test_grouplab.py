@@ -4,7 +4,7 @@ import pytest
 
 from hypdom import enumeration, geometry, grouplab, pairings, polytope
 
-from conftest import reference_generators
+from conftest import detect_elliptic_generator, reference_generators
 
 
 def words_of(scheme, inc=None):
@@ -55,7 +55,7 @@ def test_y2z_link_five_seven_scheme(cube, cube_inc):
 def test_y2z_link_synthetic_three_orbit(cube, cube_inc):
     # adjacent identified faces sharing an edge of a 3-orbit: both sides true
     for scheme in enumeration.enumerate_schemes(cube):
-        if pairings.detect_elliptic_generator(scheme, cube_inc):
+        if detect_elliptic_generator(scheme, cube_inc):
             continue
         if not grouplab.adjacent_identified_sharing_edge(scheme, cube_inc):
             continue

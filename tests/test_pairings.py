@@ -6,11 +6,83 @@ import pytest
 from hypdom import enumeration, pairings, polytope
 
 from conftest import (FD1_CLASSES, FD1_MIRROR_CLASSES, FD2_CLASSES,
-                      FIVE_SEVEN_CLASSES, drawn)
+                      FIVE_SEVEN_CLASSES, detect_elliptic_generator, drawn)
 
 
 def class_partition(scheme, inc):
     return {frozenset(o.edges) for o in pairings.edge_orbits(scheme, inc)}
+
+
+def words_equivalent(w1, w2):
+    """Equality up to cyclic rotation, formal inversion, and a consistent
+    renaming (bijection) of the generator symbols."""
+    a = w1.letters if isinstance(w1, pairings.RelatorWord) else tuple(w1)
+    b = w2.letters if isinstance(w2, pairings.RelatorWord) else tuple(w2)
+    if len(a) != len(b):
+        return False
+
+    def inverse(word):
+        return tuple((g, -s) for g, s in reversed(word))
+
+    def match(x, y):
+        ren = {}
+        for (g1, s1), (g2, s2) in zip(x, y):
+            if s1 != s2:
+                return False
+            if g1 in ren and ren[g1] != g2:
+                return False
+            ren[g1] = g2
+        return len(set(ren.values())) == len(ren)
+
+    n = len(a)
+    for target in (b, inverse(b)):
+        doubled = target + target
+        for k in range(n):
+            if match(a, doubled[k:k + n]):
+                return True
+    return n == 0
+
+
+def frozenset_edge_orbits(scheme, inc):
+    """Reference flag traversal on (edge id, side face) pairs: apply the
+    side face's generator to the edge's vertex set, look the image edge up
+    by that set, then flip to its face other than the generator's codomain.
+    Both traversal directions of a class are walked; the reverse one is
+    dropped."""
+    lookup = {e: i for i, e in enumerate(inc.edges)}
+    table = {}
+    for p in scheme.pairings:
+        table[p.source] = (p.target, p.mapping(), (p.gen, +1))
+        table[p.target] = (p.source, p.inverse_mapping(), (p.gen, -1))
+    flags = {(eid, fid) for eid in range(len(inc.edges))
+             for fid in inc.edge_faces[eid]}
+    orbits = []
+    claimed = set()
+    while flags:
+        start = min(flags)
+        steps = []
+        flag = start
+        while True:
+            eid, fid = flag
+            flags.discard(flag)
+            tgt, vmap, letter = table[fid]
+            steps.append((eid, fid, letter))
+            eid2 = lookup[frozenset(vmap[v] for v in inc.edges[eid])]
+            other = [f for f in inc.edge_faces[eid2] if f != tgt]
+            flag = (eid2, other[0] if other else tgt)
+            if flag == start:
+                break
+        if start[0] not in claimed:
+            orbits.append(pairings.EdgeOrbit(tuple(steps)))
+            claimed.update(e for e, _, _ in steps)
+    return orbits
+
+
+def size_one_letters(scheme, inc):
+    """The generator letters of the size-1 edge classes: the library's
+    elliptic criterion."""
+    return [o.steps[0][2] for o in pairings.edge_orbits(scheme, inc)
+            if o.size == 1]
 
 
 def test_fd1_valid(fd1):
@@ -110,17 +182,17 @@ def test_zero_twist_with_half_turn_completion_two_orbits(cube, cube_inc):
 def test_fd1_relator_word_shape(fd1, cube_inc):
     words = [pairings.relator_word(o) for o in pairings.edge_orbits(fd1, cube_inc)]
     reference = (("A", 1), ("B", -1), ("C", 1), ("A", -1), ("B", -1), ("C", -1))
-    assert any(pairings.words_equivalent(w, reference) for w in words)
+    assert any(words_equivalent(w, reference) for w in words)
     reference2 = (("A", 1), ("B", 1), ("C", -1), ("A", -1), ("B", 1), ("C", 1))
-    assert any(pairings.words_equivalent(w, reference2) for w in words)
+    assert any(words_equivalent(w, reference2) for w in words)
 
 
 def test_fd2_relator_word_shapes(fd2, cube_inc):
     words = [pairings.relator_word(o) for o in pairings.edge_orbits(fd2, cube_inc)]
     squared = (("P", 1), ("R", -1), ("R", -1), ("P", 1), ("Q", -1), ("Q", -1))
     mixed = (("P", 1), ("Q", 1), ("R", -1), ("P", -1), ("Q", -1), ("R", 1))
-    assert any(pairings.words_equivalent(w, squared) for w in words)
-    assert any(pairings.words_equivalent(w, mixed) for w in words)
+    assert any(words_equivalent(w, squared) for w in words)
+    assert any(words_equivalent(w, mixed) for w in words)
 
 
 def test_words_cyclically_reduced_across_schemes(cube, cube_inc):
@@ -174,8 +246,12 @@ def test_detect_elliptic_fold(cube, cube_inc):
         pairings.twist_pairing(cube, "B", "right", "bottom", 1),
         pairings.twist_pairing(cube, "C", "front", "back", 1),
     ))
-    flagged = pairings.detect_elliptic_generator(scheme, cube_inc)
+    flagged = detect_elliptic_generator(scheme, cube_inc)
     assert [p.gen for p in flagged] == ["A"]
+    # the hinge edge (drawing edge 6, top-left) is a class of its own
+    assert size_one_letters(scheme, cube_inc) == [("A", 1)]
+    assert [o.edges for o in pairings.edge_orbits(scheme, cube_inc)
+            if o.size == 1] == [tuple(drawn(cube_inc, {6}))]
 
 
 def test_detect_elliptic_back_bottom_zero_twist(cube, cube_inc):
@@ -184,12 +260,33 @@ def test_detect_elliptic_back_bottom_zero_twist(cube, cube_inc):
         pairings.twist_pairing(cube, "B", "top", "front", 1),
         pairings.twist_pairing(cube, "C", "left", "right", 1),
     ))
-    flagged = pairings.detect_elliptic_generator(scheme, cube_inc)
+    flagged = detect_elliptic_generator(scheme, cube_inc)
     assert [p.gen for p in flagged] == ["A"]
+    assert size_one_letters(scheme, cube_inc) == [("A", 1)]
 
 
 def test_fd1_no_elliptic(fd1, cube_inc):
-    assert pairings.detect_elliptic_generator(fd1, cube_inc) == []
+    assert detect_elliptic_generator(fd1, cube_inc) == []
+    assert size_one_letters(fd1, cube_inc) == []
+
+
+@pytest.mark.parametrize("name, schemes, elliptic", [
+    ("tetrahedron", 27, 15), ("cube", 960, 464), ("octahedron", 8505, 3849)])
+def test_orbits_match_frozenset_traversal(solids, name, schemes, elliptic):
+    # every scheme: the dart traversal returns the reference traversal's
+    # orbits (steps and order), and a class of size 1 exactly when the
+    # shared-edge scan finds an elliptic generator
+    poly = solids[name]
+    inc = polytope.build_incidence(poly)
+    seen = flagged = 0
+    for scheme in enumeration.enumerate_schemes(poly):
+        orbits = pairings.edge_orbits(scheme, inc)
+        assert orbits == frozenset_edge_orbits(scheme, inc)
+        elliptic_scan = bool(detect_elliptic_generator(scheme, inc))
+        assert elliptic_scan == any(o.size == 1 for o in orbits)
+        seen += 1
+        flagged += elliptic_scan
+    assert (seen, flagged) == (schemes, elliptic)
 
 
 def test_symmetry_group_cube(cube):
@@ -394,6 +491,24 @@ def test_scheme_json_map_not_vertex_mapping(cube, fd1):
             pairings.scheme_from_json_dict(cube, broken)
 
 
+def test_scheme_json_bad_types_named(cube, fd1):
+    # each of these reached a bare TypeError before it was named
+    doc = pairings.scheme_to_json_dict(fd1)
+    sugar = {"gen": "A", "from": "front", "to": "back",
+             "twist_quarter_turns": 1}
+    for pairing, message in (
+            ({**doc["pairings"][0], "gen": ["A"]}, "not hashable"),
+            ({**sugar, "gen": {"A": 1}}, "not hashable"),
+            ({**sugar, "from": ["front"]}, "unknown cube face"),
+            ({**sugar, "to": {"back": 1}}, "unknown cube face"),
+            ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
+            ({**sugar, "twist_quarter_turns": True}, "integer 0..3"),
+            ({**sugar, "twist_quarter_turns": [1]}, "integer 0..3")):
+        broken = {"pairings": [pairing] + doc["pairings"][1:]}
+        with pytest.raises(pairings.SchemeError, match=message):
+            pairings.scheme_from_json_dict(cube, broken)
+
+
 def test_twist_sugar_json(cube, fd1):
     doc = {"pairings": [
         {"gen": "A", "from": "front", "to": "back",
@@ -409,12 +524,12 @@ def test_twist_sugar_json(cube, fd1):
 
 def test_word_equivalence_predicate():
     w = (("A", 1), ("B", -1), ("C", 1))
-    assert pairings.words_equivalent(w, (("B", -1), ("C", 1), ("A", 1)))
-    assert pairings.words_equivalent(w, (("C", -1), ("B", 1), ("A", -1)))
-    assert pairings.words_equivalent(w, (("X", 1), ("Y", -1), ("Z", 1)))
-    assert not pairings.words_equivalent(w, (("A", 1), ("B", 1), ("C", 1)))
-    assert not pairings.words_equivalent(w, (("A", 1), ("A", -1), ("C", 1)))
-    assert not pairings.words_equivalent(w, (("A", 1), ("B", -1)))
+    assert words_equivalent(w, (("B", -1), ("C", 1), ("A", 1)))
+    assert words_equivalent(w, (("C", -1), ("B", 1), ("A", -1)))
+    assert words_equivalent(w, (("X", 1), ("Y", -1), ("Z", 1)))
+    assert not words_equivalent(w, (("A", 1), ("B", 1), ("C", 1)))
+    assert not words_equivalent(w, (("A", 1), ("A", -1), ("C", 1)))
+    assert not words_equivalent(w, (("A", 1), ("B", -1)))
 
 
 def closure_partition(scheme, inc):

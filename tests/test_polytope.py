@@ -35,6 +35,15 @@ def test_parse_error(tmp_path, cube):
         doc = {**good, "faces": good["faces"][1:] + [bad_face]}
         with pytest.raises(polytope.PolyhedronError, match="not a list of"):
             polytope.load_polyhedron(doc)
+    # unhashable vertex identifiers, declared or used in a face
+    with pytest.raises(polytope.PolyhedronError, match="not hashable"):
+        polytope.load_polyhedron({**good, "vertices": good["vertices"][1:]
+                                  + [["FTR"]]})
+    for bad_vertex in (["FTR"], {"FTR": 1}):
+        faces = [list(f) for f in good["faces"]]
+        faces[0][0] = bad_vertex
+        with pytest.raises(polytope.PolyhedronError, match="not declared"):
+            polytope.load_polyhedron({**good, "faces": faces})
 
 
 def test_nonmanifold_edge_rejected():
