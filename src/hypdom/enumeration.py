@@ -109,12 +109,11 @@ def _schemes(poly):
     for matching in _perfect_matchings(faces):
         if any(len(poly.faces[f1]) != len(poly.faces[f2]) for f1, f2 in matching):
             continue
-        per_pair = [_reversing_correspondences(poly, f1, f2) for f1, f2 in matching]
-        for combo in itertools.product(*[range(len(c)) for c in per_pair]):
-            ps = tuple(
-                pairings.make_pairing(poly, symbols[t], matching[t][0],
-                                      matching[t][1], per_pair[t][combo[t]])
-                for t in range(len(matching)))
+        # each pairing is built once per matching and shared by the schemes
+        per_pair = [[pairings.make_pairing(poly, symbols[t], f1, f2, corr)
+                     for corr in _reversing_correspondences(poly, f1, f2)]
+                    for t, (f1, f2) in enumerate(matching)]
+        for ps in itertools.product(*per_pair):
             yield pairings.PairingScheme(poly, ps)
 
 
@@ -127,11 +126,11 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     # face count and scheme cap first, before the costly set-up
     schemes = enumerate_schemes(poly, cap=scheme_cap)
     circuits = angles.nonfacial_circuits(dual, circuit_cap)
-    autos = pairings.symmetry_group(poly)
+    actions = pairings.automorphism_actions(poly)
     # edge-id permutation per automorphism, to pool angle systems that are
     # symmetry images of each other
     edge_perms = []
-    for vmap, _ in autos:
+    for vmap, _, _ in actions:
         perm = tuple(inc.edge_id(*(vmap[v] for v in inc.edges[eid]))
                      for eid in range(len(inc.edges)))
         edge_perms.append(perm)
@@ -169,8 +168,8 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
         partition = frozenset(frozenset(o.edges) for o in orbits)
         if partition not in partition_cache:
             # the strict-feasibility verdict is symmetry-invariant: decide it
-            # once per canonical partition and pull the witness back through
-            # the canonicalizing edge permutation
+            # once per canonical partition and pull the solution set and the
+            # witness back through the canonicalizing edge permutation
             key, perm = canonical_partition(partition)
             if key not in canon_cache:
                 canon_classes = [set(cl) for cl in key]
@@ -183,13 +182,7 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
             if canon_witness is not None:
                 system = angles.assemble_system(
                     poly, [set(p) for p in sorted(partition, key=sorted)], inc)
-                solution = angles.solve_exact(system)
-                witness = angles.AngleAssignment(
-                    {eid: canon_witness.values[perm[eid]]
-                     for eid in range(len(inc.edges))})
-                if not solution.contains(witness.values):
-                    raise AssertionError("witness pull-back failed")
-                record = (solution, witness)
+                record = pull_back(system, canon_solution, canon_witness, perm)
             partition_cache[partition] = record
         solution, witness = partition_cache[partition]
         if solution.status == "infeasible":
@@ -200,6 +193,7 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
             continue
         words = tuple(pairings.relator_word(o) for o in orbits)
         census = pairings.quotient_census(scheme, orbits, inc)
+        key_rotations, key_full = pairings.canonical_keys(scheme, actions)
         candidate = CandidateDomain(
             scheme=scheme,
             orbits=tuple(orbits),
@@ -207,8 +201,8 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
             solution=solution,
             witness=witness,
             census=census,
-            key_rotations=pairings.canonicalize(scheme, "rotations", autos),
-            key_full=pairings.canonicalize(scheme, "all", autos),
+            key_rotations=key_rotations,
+            key_full=key_full,
         )
         report.survivors.append(candidate)
     report.survivors.sort(key=lambda c: (c.key_full, c.key_rotations))
@@ -216,6 +210,40 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
         report.families_full.setdefault(cand.key_full, []).append(cand)
         report.families_rotations.setdefault(cand.key_rotations, []).append(cand)
     return report
+
+
+def pull_back(system, solution, witness, perm):
+    """The solution set and witness of `system`, read off `solution` and
+    `witness` of its symmetry image, in which edge e is edge perm[e].
+
+    Values and basis entries move with their edges; the free columns follow
+    the inverse of perm in the same order, so each basis vector keeps its 1
+    on its own free column.  The pulled-back witness and particular point
+    are substituted into the rows of `system`, and each basis vector into
+    the homogeneous rows, exactly; any mismatch means perm does not carry
+    `system` onto the image's system.
+    """
+    columns = system.columns
+    index = {eid: i for i, eid in enumerate(solution.columns)}
+    source = [index[perm[eid]] for eid in columns]
+    back = {c: i for i, c in enumerate(source)}
+    pulled = angles.SolutionSet(
+        solution.status,
+        {eid: solution.particular[perm[eid]] for eid in columns},
+        tuple(tuple(vec[c] for c in source) for vec in solution.basis),
+        solution.rank, columns,
+        tuple(back[c] for c in solution.free_columns))
+    point = [witness.values[perm[eid]] for eid in columns]
+    particular = [pulled.particular[eid] for eid in columns]
+    for coef, rhs in system.rows:
+        if (_dot(coef, point) != rhs or _dot(coef, particular) != rhs
+                or any(_dot(coef, vec) for vec in pulled.basis)):
+            raise AssertionError("witness pull-back failed")
+    return pulled, angles.AngleAssignment(dict(zip(columns, point)))
+
+
+def _dot(coef, vec):
+    return sum(c * x for c, x in zip(coef, vec) if c)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +289,12 @@ def candidate_from_json_dict(poly, doc):
     solution = angles.solve_exact(system)
     witness = _checked_witness(poly, inc, dual, solution, doc.get("witness"))
     census = pairings.quotient_census(scheme, orbits, inc)
-    autos = pairings.symmetry_group(poly)
+    key_rotations, key_full = pairings.canonical_keys(
+        scheme, pairings.automorphism_actions(poly))
     return CandidateDomain(
         scheme=scheme, orbits=tuple(orbits), words=words,
         solution=solution, witness=witness, census=census,
-        key_rotations=pairings.canonicalize(scheme, "rotations", autos),
-        key_full=pairings.canonicalize(scheme, "all", autos),
+        key_rotations=key_rotations, key_full=key_full,
     )
 
 

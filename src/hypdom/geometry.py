@@ -298,11 +298,17 @@ class GroupPresentation:
 
 
 def verify_scheme(realization, scheme, inc=None, tol_id=EPS_ID, tol_geo=EPS_GEO):
-    """Build generators and classify every relator product."""
+    """Build generators and classify every relator product, with the
+    relators read off the scheme's edge orbits."""
     inc = inc or polytope.build_incidence(scheme.poly)
+    words = tuple(pairings.relator_word(o)
+                  for o in pairings.edge_orbits(scheme, inc))
+    return verify_words(realization, scheme, words, tol_id, tol_geo)
+
+
+def verify_words(realization, scheme, words, tol_id=EPS_ID, tol_geo=EPS_GEO):
+    """Build generators and classify the product of each relator word."""
     gens = face_pairing_maps(realization, scheme, tol=tol_geo)
-    orbits = pairings.edge_orbits(scheme, inc)
-    words = tuple(pairings.relator_word(o) for o in orbits)
     verdicts = tuple(
         classify_element(relator_product(gens, w), tol_id=tol_id) for w in words)
     return GroupPresentation(gens, words, verdicts)
@@ -316,14 +322,12 @@ def verify_candidate(candidate, realization=None, tol_id=EPS_ID,
     ideal cube's exterior angles); anything else is not realizable here.
     """
     scheme = candidate.scheme
-    inc = polytope.build_incidence(scheme.poly)
-    regular = {eid: Fraction(2, 3) for eid in range(len(inc.edges))}
+    regular = {eid: Fraction(2, 3) for eid in range(scheme.poly.edge_count())}
     if not candidate.solution.contains(regular):
         raise NotRealizableError(
             "angle system does not admit the regular all-2/3 solution")
     realization = realization or regular_cube_realization(scheme.poly)
-    return verify_scheme(realization, scheme, inc, tol_id=tol_id,
-                         tol_geo=tol_geo)
+    return verify_words(realization, scheme, candidate.words, tol_id, tol_geo)
 
 
 def presentation_to_json_dict(presentation):

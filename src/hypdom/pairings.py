@@ -280,43 +280,51 @@ def _spread(poly, darts, image, sense):
     return vmap
 
 
-def conjugate_scheme(scheme, vmap):
-    """The scheme's image under a polyhedron automorphism."""
-    poly = scheme.poly
+def automorphism_actions(poly, automorphisms=None):
+    """Each automorphism as (vertex map, rotation flag, face permutation),
+    with the face permutation worked out once per polyhedron."""
+    autos = (automorphisms if automorphisms is not None
+             else symmetry_group(poly))
     face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
-    pairings = []
-    for p in scheme.pairings:
-        nsrc = face_ids[frozenset(vmap[v] for v in poly.faces[p.source])]
-        ntgt = face_ids[frozenset(vmap[v] for v in poly.faces[p.target])]
-        corr = {vmap[a]: vmap[b] for a, b in p.corr}
-        pairings.append(make_pairing(poly, p.gen, nsrc, ntgt, corr))
-    return PairingScheme(poly, tuple(pairings))
+    return [(vmap, orient,
+             tuple(face_ids[frozenset(vmap[v] for v in f)] for f in poly.faces))
+            for vmap, orient in autos]
 
 
-def _scheme_signature(scheme):
-    """Symbol-free serialization: pairs direction-normalized and sorted."""
-    items = []
-    for p in scheme.pairings:
-        src, tgt, corr = p.source, p.target, p.mapping()
-        if src > tgt:
-            src, tgt, corr = tgt, src, p.inverse_mapping()
-        items.append((src, tgt, tuple(sorted(corr.items()))))
-    return tuple(sorted(items))
+def canonical_keys(scheme, actions):
+    """(rotation-group key, full-group key) of the scheme, in one pass over
+    `actions` (from automorphism_actions).
+
+    A key is the minimal symbol-free signature of the scheme's images: each
+    image pair is direction-normalized (lower face id first, the inverse
+    correspondence when the direction flips), and the pairs are sorted.
+    """
+    best_rotations = best_full = None
+    for vmap, rotation, face_perm in actions:
+        items = []
+        for p in scheme.pairings:
+            src, tgt = face_perm[p.source], face_perm[p.target]
+            if src < tgt:
+                corr = sorted((vmap[a], vmap[b]) for a, b in p.corr)
+            else:
+                src, tgt = tgt, src
+                corr = sorted((vmap[b], vmap[a]) for a, b in p.corr)
+            items.append((src, tgt, tuple(corr)))
+        sig = tuple(sorted(items))
+        if best_full is None or sig < best_full:
+            best_full = sig
+        if rotation and (best_rotations is None or sig < best_rotations):
+            best_rotations = sig
+    return repr(best_rotations).encode(), repr(best_full).encode()
 
 
 def canonicalize(scheme, group="all", automorphisms=None):
     """Minimal serialized form over the chosen automorphism subgroup."""
     if group not in ("all", "rotations"):
         raise ValueError(f"unknown group choice {group!r}")
-    autos = automorphisms if automorphisms is not None else symmetry_group(scheme.poly)
-    best = None
-    for vmap, orient in autos:
-        if group == "rotations" and not orient:
-            continue
-        sig = _scheme_signature(conjugate_scheme(scheme, vmap))
-        if best is None or sig < best:
-            best = sig
-    return repr(best).encode()
+    key_rotations, key_full = canonical_keys(
+        scheme, automorphism_actions(scheme.poly, automorphisms))
+    return key_full if group == "all" else key_rotations
 
 
 # ---------------------------------------------------------------------------

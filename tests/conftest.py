@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import angles, domains, enumeration, geometry, polytope
+from hypdom import angles, domains, enumeration, geometry, pairings, polytope
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,6 +40,12 @@ def cube_report(cube):
     """The exhaustive cube classification, computed once per session; the
     report and its survivors are shared, so tests must not mutate them."""
     return enumeration.classify(cube)
+
+
+@pytest.fixture(scope="session")
+def octahedron_report(solids):
+    """The exhaustive octahedron classification, shared like cube_report."""
+    return enumeration.classify(solids["octahedron"])
 
 
 @pytest.fixture(scope="session")
@@ -87,6 +93,34 @@ def detect_elliptic_generator(scheme, inc=None):
                 offending.append(p)
                 break
     return offending
+
+
+def conjugate_scheme(scheme, vmap):
+    """The scheme's image under a polyhedron automorphism, rebuilt as a
+    scheme pairing by pairing.
+
+    Oracle for the conjugation that pairings.canonical_keys does on the
+    fly from precomputed face permutations."""
+    poly = scheme.poly
+    face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
+    images = []
+    for p in scheme.pairings:
+        nsrc = face_ids[frozenset(vmap[v] for v in poly.faces[p.source])]
+        ntgt = face_ids[frozenset(vmap[v] for v in poly.faces[p.target])]
+        corr = {vmap[a]: vmap[b] for a, b in p.corr}
+        images.append(pairings.make_pairing(poly, p.gen, nsrc, ntgt, corr))
+    return pairings.PairingScheme(poly, tuple(images))
+
+
+def scheme_signature(scheme):
+    """Symbol-free serialization: pairs direction-normalized and sorted."""
+    items = []
+    for p in scheme.pairings:
+        src, tgt, corr = p.source, p.target, p.mapping()
+        if src > tgt:
+            src, tgt, corr = tgt, src, p.inverse_mapping()
+        items.append((src, tgt, tuple(sorted(corr.items()))))
+    return tuple(sorted(items))
 
 
 def sign_fixed(m):

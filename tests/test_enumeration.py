@@ -7,8 +7,8 @@ import pytest
 
 from hypdom import angles, cli, enumeration, pairings, polytope
 
-from conftest import (DRAWN_EDGES, FD2_CLASSES, detect_elliptic_generator,
-                      drawn)
+from conftest import (DRAWN_EDGES, FD2_CLASSES, conjugate_scheme,
+                      detect_elliptic_generator, drawn, scheme_signature)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -29,7 +29,7 @@ def test_scheme_count_tetrahedron(solids):
     assert enumeration.scheme_space_size(tet) == 27
     schemes = list(enumeration.enumerate_schemes(tet))
     assert len(schemes) == 27
-    assert len({pairings._scheme_signature(s) for s in schemes}) == 27
+    assert len({scheme_signature(s) for s in schemes}) == 27
 
 
 def test_odd_face_count_rejected():
@@ -78,12 +78,12 @@ def test_all_survivors_six_six(cube_report):
 
 def test_survivors_closed_under_symmetry(cube, cube_report):
     autos = pairings.symmetry_group(cube)
-    signatures = {pairings._scheme_signature(c.scheme)
+    signatures = {scheme_signature(c.scheme)
                   for c in cube_report.survivors}
     for cand in cube_report.survivors:
         for vmap, _ in autos:
-            image = pairings.conjugate_scheme(cand.scheme, vmap)
-            assert pairings._scheme_signature(image) in signatures
+            image = conjugate_scheme(cand.scheme, vmap)
+            assert scheme_signature(image) in signatures
 
 
 def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_circuits,
@@ -123,8 +123,8 @@ def test_filter_order_irrelevant(cube, cube_inc, cube_circuits, cube_report):
             continue
         if detect_elliptic_generator(scheme, cube_inc):
             continue
-        survivors.add(pairings._scheme_signature(scheme))
-    assert survivors == {pairings._scheme_signature(c.scheme)
+        survivors.add(scheme_signature(scheme))
+    assert survivors == {scheme_signature(c.scheme)
                          for c in cube_report.survivors}
 
 
@@ -208,10 +208,10 @@ def test_partition_ranks(cube, cube_inc, cube_report):
     assert ranks == {(8, 4), (7, 5)}
 
 
-def test_classify_octahedron_exploratory(solids):
+def test_classify_octahedron_exploratory(octahedron_report):
     # regression freeze of the exploratory octahedron run: seven families,
     # all chiral, with class-size profiles 3-4-5, 3-3-6 and 4-4-4
-    report = enumeration.classify(solids["octahedron"])
+    report = octahedron_report
     assert report.total == 8505
     assert len(report.survivors) == 120
     profiles = sorted(
@@ -223,3 +223,53 @@ def test_classify_octahedron_exploratory(solids):
         ((3, 4, 5), 24, 2), ((3, 4, 5), 24, 2), ((3, 4, 5), 24, 2),
         ((4, 4, 4), 12, 2), ((4, 4, 4), 12, 2),
     ]
+
+
+def test_pulled_back_solution_sets_match_fresh_solve(solids, cube_report,
+                                                     octahedron_report):
+    # every feasible partition is a survivor's partition; its solution set,
+    # pulled back from the canonical partition's, must be the affine space
+    # a fresh exact solve of its own system finds
+    for name, report, partitions in (("cube", cube_report, 10),
+                                     ("octahedron", octahedron_report, 96)):
+        poly = solids[name]
+        inc = polytope.build_incidence(poly)
+        seen = set()
+        for cand in report.survivors:
+            partition = frozenset(frozenset(o.edges) for o in cand.orbits)
+            if partition in seen:
+                continue
+            seen.add(partition)
+            system = angles.assemble_system(
+                poly, [set(o.edges) for o in cand.orbits], inc)
+            fresh, pulled = angles.solve_exact(system), cand.solution
+            assert (pulled.status, pulled.rank, len(pulled.basis)) == (
+                fresh.status, fresh.rank, len(fresh.basis))
+            for one, other in ((pulled, fresh), (fresh, pulled)):
+                assert other.contains(one.particular)
+                for k in range(len(one.basis)):
+                    shifted = one.point([int(j == k)
+                                         for j in range(len(one.basis))])
+                    assert other.contains(shifted)
+            assert fresh.contains(cand.witness.values)
+        assert len(seen) == partitions
+
+
+def test_pull_back_check_fires(cube, cube_inc, cube_circuits, fd1):
+    # swapping two edges of different classes at a common vertex is no
+    # symmetry of the angle system: the exact substitution must refuse it
+    orbits = pairings.edge_orbits(fd1, cube_inc)
+    classes = [set(o.edges) for o in orbits]
+    system = angles.assemble_system(cube, classes, cube_inc)
+    solution, witness = angles.feasible(system, cube_circuits)
+    identity = list(range(len(cube_inc.edges)))
+    pulled, same = enumeration.pull_back(system, solution, witness, identity)
+    assert same.values == witness.values
+    swaps = [(a, b) for a in classes[0] for b in classes[1]
+             if set(cube_inc.edges[a]) & set(cube_inc.edges[b])]
+    assert swaps
+    for a, b in swaps:
+        perm = list(identity)
+        perm[a], perm[b] = b, a
+        with pytest.raises(AssertionError, match="pull-back failed"):
+            enumeration.pull_back(system, solution, witness, perm)

@@ -6,7 +6,8 @@ import pytest
 from hypdom import enumeration, pairings, polytope
 
 from conftest import (FD1_CLASSES, FD1_MIRROR_CLASSES, FD2_CLASSES,
-                      FIVE_SEVEN_CLASSES, detect_elliptic_generator, drawn)
+                      FIVE_SEVEN_CLASSES, conjugate_scheme,
+                      detect_elliptic_generator, drawn, scheme_signature)
 
 
 def class_partition(scheme, inc):
@@ -435,7 +436,7 @@ def test_canonicalize_rotation_invariance(cube, fd1):
     autos = pairings.symmetry_group(cube)
     rot = next(vmap for vmap, orient in autos
                if orient and any(k != v for k, v in vmap.items()))
-    rotated = pairings.conjugate_scheme(fd1, rot)
+    rotated = conjugate_scheme(fd1, rot)
     assert (pairings.canonicalize(fd1, "rotations", autos)
             == pairings.canonicalize(rotated, "rotations", autos))
 
@@ -446,6 +447,48 @@ def test_canonicalize_mirror_split(cube, fd1, fd1_mirror):
             != pairings.canonicalize(fd1_mirror, "rotations", autos))
     assert (pairings.canonicalize(fd1, "all", autos)
             == pairings.canonicalize(fd1_mirror, "all", autos))
+
+
+def conjugation_canonicalize(scheme, group, automorphisms):
+    """The canonical key by conjugation: every image scheme is rebuilt in
+    full and serialized, one group at a time.  Oracle for the one-pass
+    pairings.canonical_keys."""
+    best = None
+    for vmap, orient in automorphisms:
+        if group == "rotations" and not orient:
+            continue
+        sig = scheme_signature(conjugate_scheme(scheme, vmap))
+        if best is None or sig < best:
+            best = sig
+    return repr(best).encode()
+
+
+def assert_keys_match_oracle(schemes, autos, actions):
+    for scheme in schemes:
+        expected = (conjugation_canonicalize(scheme, "rotations", autos),
+                    conjugation_canonicalize(scheme, "all", autos))
+        assert pairings.canonical_keys(scheme, actions) == expected
+
+
+def test_canonical_keys_match_oracle_on_cube_schemes(cube):
+    autos = pairings.symmetry_group(cube)
+    actions = pairings.automorphism_actions(cube, autos)
+    assert len(actions) == 48
+    assert_keys_match_oracle(enumeration.enumerate_schemes(cube), autos,
+                             actions)
+
+
+def test_canonical_keys_match_oracle_on_octahedron_survivors(
+        solids, octahedron_report):
+    octahedron = solids["octahedron"]
+    autos = pairings.symmetry_group(octahedron)
+    actions = pairings.automorphism_actions(octahedron, autos)
+    survivors = octahedron_report.survivors
+    assert len(survivors) == 120
+    assert_keys_match_oracle([c.scheme for c in survivors], autos, actions)
+    for cand in survivors:
+        assert ((cand.key_rotations, cand.key_full)
+                == pairings.canonical_keys(cand.scheme, actions))
 
 
 def test_scheme_json_roundtrip(cube, fd1):
