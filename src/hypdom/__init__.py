@@ -2,22 +2,20 @@
 
 from .polytope import (AbstractPolyhedron, DualGraph, IncidenceData,
                        PolyhedronError, build_dual, build_incidence, bundled,
-                       dual_polyhedron, load_polyhedron, simple_circuits)
+                       load_polyhedron, simple_circuits)
 from .angles import (AngleAssignment, LinearSystem, SolutionSet,
                      assemble_system, check_inequalities, feasible,
                      required_class_count, solve_exact)
 from .pairings import (EdgeOrbit, FacePairing, PairingScheme, QuotientCensus,
-                       RelatorWord, SchemeError, canonical_keys, canonicalize,
-                       edge_orbits, quotient_census, relator_word,
-                       symmetry_group, twist_pairing, validate_scheme,
-                       vertex_orbits)
+                       RelatorWord, SchemeError, canonical_keys, edge_orbits,
+                       quotient_census, relator_word, symmetry_group,
+                       twist_pairing, validate_scheme, vertex_orbits)
 from .enumeration import (CandidateDomain, EnumerationReport, classify,
                           enumerate_schemes)
-from .geometry import (INF, GroupPresentation, MobiusMap, ball_to_uhs,
-                       classify_element, cross_ratio, face_pairing_maps,
-                       inscribed_cube_vertices, mobius_from_triples,
-                       regular_cube_realization, relator_product,
-                       verify_candidate, verify_scheme, verify_words)
+from .geometry import (INF, GroupPresentation, MobiusMap, classify_element,
+                       cross_ratio, face_pairing_maps, load_realization,
+                       mobius_from_triples, relator_product,
+                       verify_candidate, verify_words)
 from .grouplab import (commute_numeric, edge_bound_check, has_squared_term,
                        parity_check, restriction_report, y2z_class_link)
 from . import domains

@@ -95,9 +95,9 @@ def cmd_restrict(args):
         scheme = enumeration.candidate_scheme(poly, cand_doc)
         gens = None
         try:
-            realization = geometry.regular_cube_realization(poly)
+            realization = geometry.load_realization(poly)
             gens = geometry.face_pairing_maps(realization, scheme)
-        except (geometry.GeometryError, pairings.SchemeError):
+        except geometry.GeometryError:
             pass
         report = grouplab.restriction_report(scheme, gens)
         doc = {
@@ -108,7 +108,7 @@ def cmd_restrict(args):
                 report.adjacent_identified_sharing_edge,
             "edge_bound_ok": report.edge_bound_ok,
             "parity_ok": report.parity_ok,
-            "commuting_generator_pairs":
+            "commuting_generator_pairs": None if gens is None else
                 [list(p) for p in report.commuting_generator_pairs],
         }
     else:
@@ -123,7 +123,7 @@ def cmd_restrict(args):
 
 def cmd_realize(args):
     poly = _load_poly(args.polyhedron)
-    realization = geometry.regular_cube_realization(poly)
+    realization = geometry.load_realization(poly)
     _dump(geometry.realization_to_json_dict(realization), args.out_file)
     return 0
 
@@ -167,7 +167,7 @@ def cmd_pipeline(args):
         except geometry.NotRealizableError as exc:
             entry["verification"] = "out-of-scope"
             entry["reason"] = str(exc)
-        except (geometry.GeometryError, pairings.SchemeError) as exc:
+        except geometry.GeometryError as exc:
             entry["verification"] = "error"
             entry["reason"] = str(exc)
         families.append(entry)
@@ -210,7 +210,7 @@ def build_parser():
             ["--out-file"], candidate=True)
     command("restrict", cmd_restrict, "relator-shape restriction report",
             ["--out-file", "--candidate"])
-    command("realize", cmd_realize, "regular ideal realization (cube)",
+    command("realize", cmd_realize, "bundled regular ideal realization",
             ["--out-file"])
     command("verify", cmd_verify, "verify a candidate's relators",
             ["--out-file", "--tol-id", "--tol-geo"], candidate=True)
@@ -223,7 +223,8 @@ INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 angles.PartitionError, angles.ClassCountError,
                 enumeration.EnumerationError, json.JSONDecodeError,
                 FileNotFoundError, enumeration.SchemeCapExceeded,
-                polytope.CircuitCapExceeded)
+                polytope.CircuitCapExceeded, geometry.NotRealizableError,
+                geometry.RealizationError)
 
 
 def main(argv=None):

@@ -1,17 +1,25 @@
-"""Hyperbolic realization of the regular ideal cube and Mobius machinery.
+"""Regular ideal realizations and Mobius machinery.
 
 Ideal points are tracked on the upper-half-space boundary as complex numbers
 plus the point at infinity (the string "inf", following the usual convention
 for extended-complex code).  Mobius maps are 2x2 complex matrices acting as
 z -> (az+b)/(cz+d), identified projectively.
+
+A realization places each vertex of a solid on the boundary.  The regular
+ideal ones are data: one document per solid under data/realizations, named
+after the polyhedron document's "name" (the cube and the octahedron are
+bundled), loaded and validated by load_realization.
 """
 
 import cmath
+import collections
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
-from . import pairings, polytope
+from . import pairings
 
 EPS_GEO = 1e-9
 EPS_ID = 1e-9
@@ -19,8 +27,6 @@ EPS_CLS = 1e-8
 EPS_DET = 1e-12
 
 INF = "inf"
-
-SQRT3 = math.sqrt(3.0)
 
 
 class GeometryError(ValueError):
@@ -37,18 +43,12 @@ class FourthVertexError(GeometryError):
 
 
 class NotRealizableError(GeometryError):
-    """Candidate's angle solution is incompatible with the realization."""
+    """No realization is bundled for the solid, or the candidate's angle
+    solution is incompatible with it."""
 
 
-@dataclass(frozen=True)
-class Point3:
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(c) for c in (self.x, self.y, self.z)):
-            raise GeometryError("non-finite coordinate")
+class RealizationError(GeometryError):
+    """A realization document does not fit its polyhedron."""
 
 
 def is_infinity(z):
@@ -130,62 +130,39 @@ def classify_element(m, tol_id=EPS_ID, tol_cls=EPS_CLS):
 
 
 # ---------------------------------------------------------------------------
-# Regular ideal cube realization
+# Regular ideal realizations, bundled as data
 # ---------------------------------------------------------------------------
 
-def inscribed_cube_vertices():
-    """The 8 vertices (+-1/sqrt3, +-1/sqrt3, 1 +- 1/sqrt3) of the cube
-    inscribed in the unit sphere centered at (0, 0, 1)."""
-    r = 1 / SQRT3
-    pts = []
-    for sz in (1, -1):
-        for sy in (1, -1):
-            for sx in (1, -1):
-                pts.append(Point3(sx * r, sy * r, 1 + sz * r))
-    return pts
+def load_realization(poly):
+    """vertex name -> boundary point of the regular ideal realization
+    bundled under `poly.name`, validated against `poly`.
 
-
-def ball_to_uhs(p, tol=EPS_GEO):
-    """Ball-model ideal point to a boundary complex number.
-
-    Invert about the sphere of radius 2 centered at (0, 0, 2), then reflect
-    across the xy-plane.  Points on the unit sphere centered at (0, 0, 1)
-    land on z=0; anything else is rejected.  The north pole (0, 0, 2) maps
-    to infinity.
+    Raises NotRealizableError when no realization is bundled for the
+    solid, and RealizationError when the document does not fit it.
     """
-    cx, cy, cz = p.x, p.y, p.z - 2
-    rho2 = cx * cx + cy * cy + cz * cz
-    if rho2 < tol * tol:
-        return INF
-    scale = 4 / rho2
-    ix, iy, iz = scale * cx, scale * cy, 2 + scale * cz
-    if abs(iz) > tol:
-        raise GeometryError(
-            f"point ({p.x}, {p.y}, {p.z}) is not an ideal point of the ball "
-            f"(image height {iz:.3e})")
-    return complex(ix, iy)
+    folder = resources.files("hypdom.data") / "realizations"
+    filename = f"{poly.name}.json"
+    if filename not in {p.name for p in folder.iterdir()}:
+        raise NotRealizableError(
+            f"no regular ideal realization is bundled for {poly.name!r}")
+    doc = json.loads((folder / filename).read_text())
+    if not isinstance(doc, dict) or set(doc) != set(poly.vertices):
+        raise RealizationError(f"the {poly.name!r} realization does not "
+                               "name exactly the polyhedron's vertices")
+    _regular_degree(poly)
+    return realization_from_json_dict(doc)
 
 
-# The bundled cube's vertex names against the inscribed cube: combinatorial
-# front is the ball +x side, right is +y, top is +z.  This labeling is what
-# makes the quarter-twist opposite-face scheme reproduce the closed-form
-# generator matrices in the tests.
-_BALL_FRONT = (1, 0)
-_BALL_RIGHT = (0, 1)
-
-
-def regular_cube_realization(poly):
-    """vertex name -> boundary complex number for the bundled cube document."""
-    out = {}
-    for name in poly.vertices:
-        sx, sy, sz = pairings._cube_vertex_coords(name)
-        a = sz * _BALL_FRONT[0] + sx * _BALL_RIGHT[0]
-        b = sz * _BALL_FRONT[1] + sx * _BALL_RIGHT[1]
-        r = 1 / SQRT3
-        out[name] = ball_to_uhs(Point3(a * r, b * r, 1 + sy * r))
-    if len(set(out.values())) != len(out):
-        raise GeometryError("realization images are not distinct")
-    return out
+def _regular_degree(poly):
+    """The common vertex degree d.  The regular ideal realization has
+    exterior angle 2/d (in units of pi) on every edge, since the exterior
+    angles at an ideal vertex sum to 2."""
+    degrees = set(collections.Counter(
+        v for face in poly.faces for v in face).values())
+    if len(degrees) != 1:
+        raise RealizationError(f"vertex degrees {sorted(degrees)} differ: "
+                               "no regular ideal realization")
+    return degrees.pop()
 
 
 def realization_to_json_dict(realization):
@@ -196,9 +173,20 @@ def realization_to_json_dict(realization):
 
 
 def realization_from_json_dict(doc):
+    """Parse vertex name -> [re, im] or "inf"; the points must be pairwise
+    distinct, so at most one is at infinity."""
     out = {}
     for name, val in doc.items():
-        out[name] = INF if val == INF else complex(val[0], val[1])
+        if val == INF:
+            out[name] = INF
+        elif (isinstance(val, list) and len(val) == 2 and all(
+                type(x) in (int, float) and math.isfinite(x) for x in val)):
+            out[name] = complex(val[0], val[1])
+        else:
+            raise RealizationError(f"vertex {name!r}: {val!r} is neither "
+                                   '"inf" nor two finite numbers')
+    if len(set(out.values())) != len(out):
+        raise RealizationError("realization points are not pairwise distinct")
     return out
 
 
@@ -297,15 +285,6 @@ class GroupPresentation:
         return all(v == "identity" for v in self.verification)
 
 
-def verify_scheme(realization, scheme, inc=None, tol_id=EPS_ID, tol_geo=EPS_GEO):
-    """Build generators and classify every relator product, with the
-    relators read off the scheme's edge orbits."""
-    inc = inc or polytope.build_incidence(scheme.poly)
-    words = tuple(pairings.relator_word(o)
-                  for o in pairings.edge_orbits(scheme, inc))
-    return verify_words(realization, scheme, words, tol_id, tol_geo)
-
-
 def verify_words(realization, scheme, words, tol_id=EPS_ID, tol_geo=EPS_GEO):
     """Build generators and classify the product of each relator word."""
     gens = face_pairing_maps(realization, scheme, tol=tol_geo)
@@ -314,19 +293,21 @@ def verify_words(realization, scheme, words, tol_id=EPS_ID, tol_geo=EPS_GEO):
     return GroupPresentation(gens, words, verdicts)
 
 
-def verify_candidate(candidate, realization=None, tol_id=EPS_ID,
-                     tol_geo=EPS_GEO):
-    """Verification for an enumeration survivor on the regular ideal cube.
+def verify_candidate(candidate, tol_id=EPS_ID, tol_geo=EPS_GEO):
+    """Verification of an enumeration survivor on its solid's bundled
+    regular ideal realization.
 
-    The candidate's angle system must admit the all-2/3 point (the regular
-    ideal cube's exterior angles); anything else is not realizable here.
+    The candidate's angle system must admit the regular point, exterior
+    angle 2/d on every edge (2/3 on the cube, 1/2 on the octahedron);
+    anything else is not realizable here.
     """
     scheme = candidate.scheme
-    regular = {eid: Fraction(2, 3) for eid in range(scheme.poly.edge_count())}
+    realization = load_realization(scheme.poly)
+    angle = Fraction(2, _regular_degree(scheme.poly))
+    regular = {eid: angle for eid in range(scheme.poly.edge_count())}
     if not candidate.solution.contains(regular):
         raise NotRealizableError(
-            "angle system does not admit the regular all-2/3 solution")
-    realization = realization or regular_cube_realization(scheme.poly)
+            f"angle system does not admit the regular all-{angle} solution")
     return verify_words(realization, scheme, candidate.words, tol_id, tol_geo)
 
 

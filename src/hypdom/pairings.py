@@ -318,15 +318,6 @@ def canonical_keys(scheme, actions):
     return repr(best_rotations).encode(), repr(best_full).encode()
 
 
-def canonicalize(scheme, group="all", automorphisms=None):
-    """Minimal serialized form over the chosen automorphism subgroup."""
-    if group not in ("all", "rotations"):
-        raise ValueError(f"unknown group choice {group!r}")
-    key_rotations, key_full = canonical_keys(
-        scheme, automorphism_actions(scheme.poly, automorphisms))
-    return key_full if group == "all" else key_rotations
-
-
 # ---------------------------------------------------------------------------
 # Cube twist sugar
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Combinatorial polyhedra: validation, incidence data, duals, circuit search.
+"""Combinatorial polyhedra: validation, incidence data, dual graph, circuits.
 
 Everything here is purely combinatorial.  A polyhedron is a sphere-like cell
 complex given by its faces as cyclic vertex lists; edges and all incidence
@@ -244,46 +244,6 @@ def build_dual(poly, inc=None):
         links=inc.edge_faces,
         facial_cycles=facial,
     )
-
-
-def dual_polyhedron(poly, inc=None):
-    """The dual as a polyhedron: vertices are primal face ids (as strings),
-    one face per primal vertex, in the facial cyclic order around it."""
-    inc = inc or build_incidence(poly)
-    faces = []
-    for v in poly.vertices:
-        cyc = _rotation_at_vertex(poly, inc, v)
-        # consecutive links around v share a face; take the shared face per step
-        walk = []
-        n = len(cyc)
-        for i in range(n):
-            shared = set(inc.edge_faces[cyc[i]]) & set(inc.edge_faces[cyc[(i + 1) % n]])
-            walk.append(str(min(shared)) if len(shared) > 1 else str(shared.pop()))
-        faces.append(walk)
-    doc = {
-        "name": poly.name + "*",
-        "vertices": [str(fid) for fid in range(poly.face_count())],
-        "faces": faces,
-    }
-    return load_polyhedron(doc)
-
-
-def isomorphic_to(poly, other):
-    """Check isomorphism via the canonical bijection of dual_polyhedron(dual).
-
-    Used for the dual-of-dual round trip, where vertices of the double dual
-    are primal vertex positions by construction, so the bijection is index i
-    -> poly.vertices[i] and only the face structure needs checking.
-    """
-    if (poly.vertex_count() != other.vertex_count()
-            or poly.face_count() != other.face_count()):
-        return False
-    mapping = {str(i): v for i, v in enumerate(poly.vertices)}
-    try:
-        mapped = {frozenset(mapping[v] for v in f) for f in other.faces}
-    except KeyError:
-        return False
-    return mapped == {frozenset(f) for f in poly.faces}
 
 
 def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -72,7 +73,85 @@ def fd3u(cube):
 
 @pytest.fixture(scope="session")
 def realization(cube):
-    return geometry.regular_cube_realization(cube)
+    return geometry.load_realization(cube)
+
+
+# ---------------------------------------------------------------------------
+# The ball model: certificate for the bundled regular ideal cube
+# ---------------------------------------------------------------------------
+
+Point3 = collections.namedtuple("Point3", "x y z")
+
+
+def inscribed_cube_vertices():
+    """The 8 vertices (+-1/sqrt3, +-1/sqrt3, 1 +- 1/sqrt3) of the cube
+    inscribed in the unit sphere centered at (0, 0, 1)."""
+    r = 1 / SQRT3
+    pts = []
+    for sz in (1, -1):
+        for sy in (1, -1):
+            for sx in (1, -1):
+                pts.append(Point3(sx * r, sy * r, 1 + sz * r))
+    return pts
+
+
+def ball_to_uhs(p, tol=geometry.EPS_GEO):
+    """Ball-model ideal point to a boundary complex number.
+
+    Invert about the sphere of radius 2 centered at (0, 0, 2), then reflect
+    across the xy-plane.  Points on the unit sphere centered at (0, 0, 1)
+    land on z=0; anything else is rejected.  The north pole (0, 0, 2) maps
+    to infinity.
+    """
+    cx, cy, cz = p.x, p.y, p.z - 2
+    rho2 = cx * cx + cy * cy + cz * cz
+    if rho2 < tol * tol:
+        return geometry.INF
+    scale = 4 / rho2
+    ix, iy, iz = scale * cx, scale * cy, 2 + scale * cz
+    if abs(iz) > tol:
+        raise geometry.GeometryError(
+            f"point ({p.x}, {p.y}, {p.z}) is not an ideal point of the ball "
+            f"(image height {iz:.3e})")
+    return complex(ix, iy)
+
+
+# The bundled cube's vertex names against the inscribed cube: combinatorial
+# front is the ball +x side, right is +y, top is +z.  This labeling is what
+# makes the quarter-twist opposite-face scheme reproduce the closed-form
+# generator matrices in the tests.
+BALL_FRONT = (1, 0)
+BALL_RIGHT = (0, 1)
+
+
+def ball_model_cube_realization(poly):
+    """vertex name -> boundary point of the inscribed cube's vertex that the
+    cube naming (pairings' twist sugar) places there."""
+    out = {}
+    for name in poly.vertices:
+        sx, sy, sz = pairings._cube_vertex_coords(name)
+        a = sz * BALL_FRONT[0] + sx * BALL_RIGHT[0]
+        b = sz * BALL_FRONT[1] + sx * BALL_RIGHT[1]
+        r = 1 / SQRT3
+        out[name] = ball_to_uhs(Point3(a * r, b * r, 1 + sy * r))
+    return out
+
+
+def verify_scheme(realization, scheme, tol_id=geometry.EPS_ID,
+                  tol_geo=geometry.EPS_GEO):
+    """geometry.verify_words on the relators read off the scheme's edge
+    orbits."""
+    words = tuple(pairings.relator_word(o)
+                  for o in pairings.edge_orbits(scheme))
+    return geometry.verify_words(realization, scheme, words, tol_id, tol_geo)
+
+
+def canonicalize(scheme, group="all", automorphisms=None):
+    """The canonical key of the scheme over the chosen automorphism
+    subgroup, from pairings.canonical_keys."""
+    key_rotations, key_full = pairings.canonical_keys(
+        scheme, pairings.automorphism_actions(scheme.poly, automorphisms))
+    return key_full if group == "all" else key_rotations
 
 
 def detect_elliptic_generator(scheme, inc=None):

@@ -36,9 +36,10 @@ from hypdom import (angles, domains, enumeration, geometry, grouplab,
                     pairings, polytope)
 
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
-                      detect_elliptic_generator, drawn,
+                      ball_to_uhs, canonicalize, detect_elliptic_generator,
+                      drawn, inscribed_cube_vertices,
                       reference_adjacent_generators, reference_generators,
-                      sign_fixed)
+                      sign_fixed, verify_scheme)
 
 THIRD = Fraction(2, 3)
 
@@ -127,9 +128,9 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         fams = cube_report.families_full
         assert len(fams) == 3, f"{len(fams)} families"
         autos = pairings.symmetry_group(cube)
-        fd1_key = pairings.canonicalize(
+        fd1_key = canonicalize(
             domains.opposite_quarter_twist(cube), "all", autos)
-        fd2_key = pairings.canonicalize(
+        fd2_key = canonicalize(
             domains.adjacent_mixed_twist(cube), "all", autos)
         assert fd1_key in fams, "quarter-twist opposite-face family missing"
         assert fd2_key in fams, "mixed adjacent-twist family missing"
@@ -138,7 +139,7 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         chiral = sorted(len({m.key_rotations for m in members})
                         for members in fams.values())
         assert chiral == [1, 2, 2]
-        fd3_key = pairings.canonicalize(
+        fd3_key = canonicalize(
             domains.adjacent_uniform_twist(cube), "all", autos)
         assert fd3_key in fams, "uniform adjacent-twist family missing"
         fd3_rot = len({m.key_rotations for m in fams[fd3_key]})
@@ -255,7 +256,7 @@ def test_criterion_5_generator_reproduction(cube, realization, fd1):
 
 def test_criterion_6_relator_identity(cube, realization, fd1, fd1_mirror, fd2):
     with _Line(6, "relator products are +-identity to 1e-9"):
-        pres1 = geometry.verify_scheme(realization, fd1, tol_id=1e-9)
+        pres1 = verify_scheme(realization, fd1, tol_id=1e-9)
         assert pres1.verification == ("identity", "identity")
         assert len(pres1.relators) == 2
         refs = reference_adjacent_generators()
@@ -391,8 +392,8 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
             done += 1
         # ball-to-boundary planarity of all 8 ideal cube vertices: the
         # conversion itself enforces |height| <= 1e-9, so it must not raise
-        for p in geometry.inscribed_cube_vertices():
-            geometry.ball_to_uhs(p, tol=1e-9)
+        for p in inscribed_cube_vertices():
+            ball_to_uhs(p, tol=1e-9)
         # the feasibility verdict vs seeded rational sampling, up to 4 free
         # variables
         rng = random.Random(99)

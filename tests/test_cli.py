@@ -164,12 +164,28 @@ def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
         _rejected_by_angles_and_verify(capsys, path, message)
 
 
-def test_realize_command(capsys):
+def test_realize_command(capsys, tmp_path):
     code, out, _ = run(capsys, "realize", data_path("cube"))
     assert code == 0
     doc = json.loads(out)
     assert len(doc) == 8
     assert all(len(v) == 2 for v in doc.values())
+    code, out, _ = run(capsys, "realize", data_path("octahedron"))
+    assert code == 0
+    assert json.loads(out) == {"v0": "inf", "v1": [0.0, 0.0],
+                               "v2": [1.0, 0.0], "v3": [-1.0, 0.0],
+                               "v4": [0.0, 1.0], "v5": [0.0, -1.0]}
+    code, out, err = run(capsys, "realize", data_path("tetrahedron"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "tetrahedron" in err
+    # a document whose name has a realization that does not fit it
+    misnamed = tmp_path / "misnamed.json"
+    misnamed.write_text(json.dumps(
+        dict(json.loads(Path(data_path("cube")).read_text()),
+             name="octahedron")))
+    code, out, err = run(capsys, "realize", str(misnamed))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "vertices" in err
 
 
 def test_restrict_command_icosahedron(capsys):
@@ -179,13 +195,23 @@ def test_restrict_command_icosahedron(capsys):
     assert doc["edge_bound_ok"] is False
 
 
-def test_restrict_command_candidate(capsys, cube_run):
+def test_restrict_command_candidate(capsys, cube_run, tmp_path):
+    candidate = str(cube_run / "candidate_000.json")
     code, text, _ = run(capsys, "restrict", data_path("cube"),
-                        "--candidate", str(cube_run / "candidate_000.json"))
+                        "--candidate", candidate)
     assert code == 0
     doc = json.loads(text)
     assert doc["edge_bound_ok"] is True
     assert doc["has_size3_class"] is False
+    assert doc["commuting_generator_pairs"] == []
+    # the same cube under a name with no bundled realization: the
+    # commutator test is not run, and says so
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps(
+        dict(json.loads(Path(data_path("cube")).read_text()), name="box")))
+    code, text, _ = run(capsys, "restrict", str(box), "--candidate", candidate)
+    assert code == 0
+    assert json.loads(text)["commuting_generator_pairs"] is None
 
 
 def test_pipeline_cube(capsys, tmp_path):

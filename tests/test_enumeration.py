@@ -7,8 +7,9 @@ import pytest
 
 from hypdom import angles, cli, enumeration, pairings, polytope
 
-from conftest import (DRAWN_EDGES, FD2_CLASSES, conjugate_scheme,
-                      detect_elliptic_generator, drawn, scheme_signature)
+from conftest import (DRAWN_EDGES, FD2_CLASSES, canonicalize,
+                      conjugate_scheme, detect_elliptic_generator, drawn,
+                      scheme_signature)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -129,7 +130,7 @@ def test_filter_order_irrelevant(cube, cube_inc, cube_circuits, cube_report):
 
 
 def test_fd2_family_membership(cube, cube_report, fd2):
-    fd2_key = pairings.canonicalize(fd2)
+    fd2_key = canonicalize(fd2)
     members = cube_report.families_full[fd2_key]
     assert len({m.key_rotations for m in members}) == 1
     part = {frozenset(drawn(polytope.build_incidence(cube), c))

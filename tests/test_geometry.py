@@ -1,4 +1,6 @@
 import cmath
+import collections
+import json
 import math
 import random
 import types
@@ -6,14 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import domains, geometry, pairings
+from hypdom import domains, geometry, pairings, polytope
 
-from conftest import (SQRT3, reference_adjacent_generators,
-                      reference_generators, sign_fixed)
+from conftest import (SQRT3, Point3, ball_model_cube_realization, ball_to_uhs,
+                      inscribed_cube_vertices, reference_adjacent_generators,
+                      reference_generators, sign_fixed, verify_scheme)
 
 
 def test_inscribed_vertices():
-    pts = geometry.inscribed_cube_vertices()
+    pts = inscribed_cube_vertices()
     assert len(pts) == 8
     assert len({(p.x, p.y, p.z) for p in pts}) == 8
     for p in pts:
@@ -32,29 +35,74 @@ def test_inscribed_vertices():
 
 def test_ball_to_uhs_example_vertex():
     r = 1 / SQRT3
-    z = geometry.ball_to_uhs(geometry.Point3(r, r, 1 + r))
+    z = ball_to_uhs(Point3(r, r, 1 + r))
     assert abs(z - complex(1 + SQRT3, 1 + SQRT3)) < 1e-12
 
 
 def test_ball_to_uhs_poles():
-    assert geometry.ball_to_uhs(geometry.Point3(0, 0, 0)) == 0
-    assert geometry.is_infinity(geometry.ball_to_uhs(geometry.Point3(0, 0, 2)))
+    assert ball_to_uhs(Point3(0, 0, 0)) == 0
+    assert geometry.is_infinity(ball_to_uhs(Point3(0, 0, 2)))
 
 
 def test_ball_to_uhs_rejects_off_sphere():
     with pytest.raises(geometry.GeometryError, match="ideal"):
-        geometry.ball_to_uhs(geometry.Point3(0.5, 0.0, 1.0))
+        ball_to_uhs(Point3(0.5, 0.0, 1.0))
 
 
-def test_realization_planar(cube):
-    # every ideal cube vertex lands exactly on the boundary plane, i.e. the
-    # construction itself raises if any image height exceeds 1e-9
-    realization = geometry.regular_cube_realization(cube)
+def test_realization_planar(cube, realization):
+    # every ideal cube vertex lands exactly on the boundary plane: the
+    # ball-model construction raises if any image height exceeds 1e-9, and
+    # the bundled cube is its output float for float
+    assert ball_model_cube_realization(cube) == realization
     assert len(set(realization.values())) == 8
     big = {z for z in realization.values() if abs(z) > 3}
     small = {z for z in realization.values() if abs(z) < 3}
     assert all(abs(abs(z) - (1 + SQRT3) * math.sqrt(2)) < 1e-9 for z in big)
     assert all(abs(abs(z) - (SQRT3 - 1) * math.sqrt(2)) < 1e-9 for z in small)
+
+
+def link_exterior_angles(poly, points):
+    """(edge u-v, exterior dihedral angle) read at each endpoint u, without
+    any Mobius machinery: u goes to infinity by z -> 1/(z - u), so each face
+    at u becomes a vertical plane over the line through its other vertices,
+    and the exterior angle at edge u-v is the link polygon's exterior angle
+    at the image of v.  Also asserts that the images of each face's other
+    vertices are collinear, i.e. that every face is an ideal polygon."""
+    out = []
+    for u in poly.vertices:
+        pu = points[u]
+
+        def image(z):
+            if geometry.is_infinity(pu):
+                return z
+            return 0j if geometry.is_infinity(z) else 1 / (z - pu)
+
+        across = collections.defaultdict(list)  # v -> u's other neighbours
+        for face in poly.faces:
+            if u not in face:
+                continue
+            i = face.index(u)
+            rest = face[i + 1:] + face[:i]
+            nxt, prv = rest[0], rest[-1]
+            across[nxt].append(prv)
+            across[prv].append(nxt)
+            line = [image(points[w]) for w in rest]
+            for w in line[1:-1]:
+                assert abs(((w - line[0]) / (line[-1] - line[0])).imag) < 1e-9
+        for v, (a, b) in across.items():
+            pa, pv, pb = (image(points[w]) for w in (a, v, b))
+            interior = abs(cmath.phase((pa - pv) / (pb - pv)))
+            out.append(((u, v), math.pi - interior))
+    return out
+
+
+def test_bundled_realizations_are_regular(solids):
+    for name, degree in (("cube", 3), ("octahedron", 4)):
+        poly = solids[name]
+        angles = link_exterior_angles(poly, geometry.load_realization(poly))
+        assert len(angles) == 2 * poly.edge_count()
+        for edge, angle in angles:
+            assert abs(angle - 2 * math.pi / degree) < 1e-9, (name, edge)
 
 
 def test_cross_ratio_reference_values():
@@ -202,7 +250,7 @@ def test_fourth_vertex_error(realization, fd1):
 
 
 def test_relator_products_fd1(realization, fd1):
-    presentation = geometry.verify_scheme(realization, fd1)
+    presentation = verify_scheme(realization, fd1)
     assert presentation.verification == ("identity", "identity")
 
 
@@ -260,6 +308,54 @@ def test_verify_candidate_rejects_non_regular(cube, fd1):
     stub = types.SimpleNamespace(scheme=fd1, solution=solution)
     with pytest.raises(geometry.NotRealizableError):
         geometry.verify_candidate(stub)
+
+
+def test_verify_candidates_on_octahedron(octahedron_report):
+    # the regular ideal octahedron (all exterior angles 1/2) carries both
+    # 4-4-4 families; the 3-4-5 and 3-3-6 families miss the regular point
+    confirmed = 0
+    for members in octahedron_report.families_full.values():
+        if members[0].class_sizes != (4, 4, 4):
+            with pytest.raises(geometry.NotRealizableError, match="all-1/2"):
+                geometry.verify_candidate(members[0])
+            continue
+        for member in members:
+            presentation = geometry.verify_candidate(member)
+            assert presentation.confirmed()
+            assert {geometry.classify_element(m) for m in
+                    presentation.generators.values()} <= {"loxodromic",
+                                                           "parabolic"}
+            confirmed += 1
+    assert confirmed == 24
+
+
+def test_load_realization_rejects(solids, monkeypatch, tmp_path):
+    with pytest.raises(geometry.NotRealizableError, match="tetrahedron"):
+        geometry.load_realization(solids["tetrahedron"])
+    # the octahedron's names on a pentagonal pyramid: degrees 5 and 3
+    rim = ["v1", "v2", "v3", "v4", "v5"]
+    pyramid = polytope.load_polyhedron({
+        "name": "octahedron", "vertices": ["v0"] + rim,
+        "faces": [rim[::-1]] + [["v0", a, b] for a, b in
+                                zip(rim, rim[1:] + rim[:1])]})
+    with pytest.raises(geometry.RealizationError, match="degrees"):
+        geometry.load_realization(pyramid)
+    bundled = geometry.realization_to_json_dict(
+        geometry.load_realization(solids["octahedron"]))
+    folder = tmp_path / "realizations"
+    folder.mkdir()
+    monkeypatch.setattr(geometry.resources, "files", lambda package: tmp_path)
+    for change, message in (
+            ({"v6": [2.0, 0.0]}, "exactly the polyhedron's vertices"),
+            ({"v2": [0.0, 0.0]}, "not pairwise distinct"),
+            ({"v1": "inf"}, "not pairwise distinct"),
+            ({"v3": ["-1", 0.0]}, "neither"),
+            ({"v3": [math.nan, 0.0]}, "neither"),
+            ({"v3": [-1.0]}, "neither")):
+        (folder / "octahedron.json").write_text(
+            json.dumps({**bundled, **change}))
+        with pytest.raises(geometry.RealizationError, match=message):
+            geometry.load_realization(solids["octahedron"])
 
 
 def test_realization_json_roundtrip(realization):

@@ -6,7 +6,7 @@ import pytest
 from hypdom import enumeration, pairings, polytope
 
 from conftest import (FD1_CLASSES, FD1_MIRROR_CLASSES, FD2_CLASSES,
-                      FIVE_SEVEN_CLASSES, conjugate_scheme,
+                      FIVE_SEVEN_CLASSES, canonicalize, conjugate_scheme,
                       detect_elliptic_generator, drawn, scheme_signature)
 
 
@@ -437,16 +437,16 @@ def test_canonicalize_rotation_invariance(cube, fd1):
     rot = next(vmap for vmap, orient in autos
                if orient and any(k != v for k, v in vmap.items()))
     rotated = conjugate_scheme(fd1, rot)
-    assert (pairings.canonicalize(fd1, "rotations", autos)
-            == pairings.canonicalize(rotated, "rotations", autos))
+    assert (canonicalize(fd1, "rotations", autos)
+            == canonicalize(rotated, "rotations", autos))
 
 
 def test_canonicalize_mirror_split(cube, fd1, fd1_mirror):
     autos = pairings.symmetry_group(cube)
-    assert (pairings.canonicalize(fd1, "rotations", autos)
-            != pairings.canonicalize(fd1_mirror, "rotations", autos))
-    assert (pairings.canonicalize(fd1, "all", autos)
-            == pairings.canonicalize(fd1_mirror, "all", autos))
+    assert (canonicalize(fd1, "rotations", autos)
+            != canonicalize(fd1_mirror, "rotations", autos))
+    assert (canonicalize(fd1, "all", autos)
+            == canonicalize(fd1_mirror, "all", autos))
 
 
 def conjugation_canonicalize(scheme, group, automorphisms):
