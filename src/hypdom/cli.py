@@ -1,11 +1,13 @@
 """Command line front end.
 
-Exit codes: 0 the command ran, 2 invalid input, 3 internal invariant breach.
+Exit codes: 0 the command ran (also when the reader of its standard output
+closed the pipe early), 2 invalid input, 3 internal invariant breach.
 All outputs are deterministic JSON (sorted keys) so runs can be diffed.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -231,7 +233,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: what is left goes nowhere, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

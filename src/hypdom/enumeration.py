@@ -1,13 +1,19 @@
 """Exhaustive face-pairing search and the torsion-free candidate pipeline.
 
-classify() traverses each scheme's edge classes once and filters on them
-first (a class of size 1 is an elliptic generator, then the class count,
-then the class size), then runs the exact angle solve and the strict Rivin
-feasibility test, memoized per edge partition.  Survivors are grouped into
-families under both the rotation subgroup and the full symmetry group.
+classify() works one face matching at a time: it builds, validates and
+compiles each pairing once, drops the elliptic ones (a pairing whose dart
+moves fix a flag rotates about an edge) before taking the product, and
+counts the schemes they remove in closed form.  It traverses each remaining
+scheme's edge classes once and filters on them (the class count, then the
+class size), then runs the exact angle solve and the strict Rivin
+feasibility test once per canonical edge partition, pulling the solution
+set back to each partition and checking it in integers.  Survivors are
+grouped into families under both the rotation subgroup and the full
+symmetry group.
 """
 
 import itertools
+import math
 import string
 from dataclasses import dataclass, field
 
@@ -97,24 +103,53 @@ def enumerate_schemes(poly, cap=DEFAULT_SCHEME_CAP):
     """Every perfect matching of faces crossed with every orientation-
     reversing boundary correspondence per pair, exactly once each; the face
     count and the scheme cap are checked on the call, not on first use."""
-    size = scheme_space_size(poly)
-    if size > cap:
-        raise SchemeCapExceeded(f"{size} schemes exceeds cap {cap}")
+    _check_scheme_space(poly, cap)
     return _schemes(poly)
 
 
+def _check_scheme_space(poly, cap):
+    size = scheme_space_size(poly)
+    if size > cap:
+        raise SchemeCapExceeded(f"{size} schemes exceeds cap {cap}")
+
+
 def _schemes(poly):
+    for per_pair in _matchings(poly):
+        for ps in itertools.product(*per_pair):
+            yield pairings.PairingScheme(poly, ps)
+
+
+def _matchings(poly):
+    """Each perfect matching of equal-length faces, one at a time, as the
+    list per pair of its FacePairings, one per orientation-reversing
+    correspondence; each pairing is built once per matching and shared by
+    the matching's schemes."""
     faces = list(range(poly.face_count()))
     symbols = string.ascii_uppercase
     for matching in _perfect_matchings(faces):
         if any(len(poly.faces[f1]) != len(poly.faces[f2]) for f1, f2 in matching):
             continue
-        # each pairing is built once per matching and shared by the schemes
-        per_pair = [[pairings.make_pairing(poly, symbols[t], f1, f2, corr)
-                     for corr in _reversing_correspondences(poly, f1, f2)]
-                    for t, (f1, f2) in enumerate(matching)]
-        for ps in itertools.product(*per_pair):
-            yield pairings.PairingScheme(poly, ps)
+        yield [[pairings.make_pairing(poly, symbols[t], f1, f2, corr)
+                for corr in _reversing_correspondences(poly, f1, f2)]
+               for t, (f1, f2) in enumerate(matching)]
+
+
+def _compiled_pairs(poly, inc, per_pair):
+    """The matching's non-elliptic pairings with their dart moves, as a
+    list per pair of (pairing, moves).  The matching's coverage and symbols
+    are checked once, and every pairing once; a pairing is elliptic when
+    one of its moves fixes its dart."""
+    pairings.validate_matching(poly, [ps[0] for ps in per_pair])
+    kept = []
+    for ps in per_pair:
+        compiled = []
+        for p in ps:
+            pairings.validate_pairing(poly, p)
+            moves = pairings.pairing_moves(poly, p, inc)
+            if all(dart != nxt for dart, (nxt, _) in moves.items()):
+                compiled.append((p, moves))
+        kept.append(compiled)
+    return kept
 
 
 def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
@@ -124,7 +159,7 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     dual = polytope.build_dual(poly, inc)
     required = angles.required_class_count(poly)
     # face count and scheme cap first, before the costly set-up
-    schemes = enumerate_schemes(poly, cap=scheme_cap)
+    _check_scheme_space(poly, scheme_cap)
     circuits = angles.nonfacial_circuits(dual, circuit_cap)
     actions = pairings.automorphism_actions(poly)
     # edge-id permutation per automorphism, to pool angle systems that are
@@ -145,66 +180,78 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
                 best = (key, perm)
         return best
 
+    partition_cache = {}
+    canon_cache = {}
+
+    def angle_record(partition):
+        """(solution set, witness or None) of the partition's system."""
+        if partition in partition_cache:
+            return partition_cache[partition]
+        # the strict-feasibility verdict is symmetry-invariant: decide it
+        # once per canonical partition and pull the solution set and the
+        # witness back through the canonicalizing edge permutation
+        key, perm = canonical_partition(partition)
+        if key not in canon_cache:
+            canon_system = angles.assemble_system(
+                poly, [set(cl) for cl in key], inc)
+            canon_cache[key] = angles.feasible(canon_system, circuits)
+        canon_solution, canon_witness = canon_cache[key]
+        # a rejected partition keeps its canonical image's solution set:
+        # only its status, which the symmetry preserves, is read
+        record = (canon_solution, None)
+        if canon_witness is not None:
+            system = angles.assemble_system(
+                poly, [set(p) for p in sorted(partition, key=sorted)], inc)
+            record = pull_back(system, canon_solution, canon_witness, perm)
+        partition_cache[partition] = record
+        return record
+
     report = EnumerationReport()
     rejected = report.rejected
     for key in ("elliptic", "class_count", "class_size",
                 "system_infeasible", "rivin_infeasible"):
         rejected[key] = 0
-    partition_cache = {}
-    canon_cache = {}
-    for scheme in schemes:
-        report.total += 1
-        pairings.validate_scheme(scheme)
-        orbits = pairings.edge_orbits(scheme, inc)
-        if any(o.size == 1 for o in orbits):
-            rejected["elliptic"] += 1
-            continue
-        if len(orbits) != required:
-            rejected["class_count"] += 1
-            continue
-        if any(o.size < 3 for o in orbits):
-            rejected["class_size"] += 1
-            continue
-        partition = frozenset(frozenset(o.edges) for o in orbits)
-        if partition not in partition_cache:
-            # the strict-feasibility verdict is symmetry-invariant: decide it
-            # once per canonical partition and pull the solution set and the
-            # witness back through the canonicalizing edge permutation
-            key, perm = canonical_partition(partition)
-            if key not in canon_cache:
-                canon_classes = [set(cl) for cl in key]
-                canon_system = angles.assemble_system(poly, canon_classes, inc)
-                canon_cache[key] = angles.feasible(canon_system, circuits)
-            canon_solution, canon_witness = canon_cache[key]
-            # a rejected partition keeps its canonical image's solution set:
-            # only its status, which the symmetry preserves, is read
-            record = (canon_solution, None)
-            if canon_witness is not None:
-                system = angles.assemble_system(
-                    poly, [set(p) for p in sorted(partition, key=sorted)], inc)
-                record = pull_back(system, canon_solution, canon_witness, perm)
-            partition_cache[partition] = record
-        solution, witness = partition_cache[partition]
-        if solution.status == "infeasible":
-            rejected["system_infeasible"] += 1
-            continue
-        if witness is None:
-            rejected["rivin_infeasible"] += 1
-            continue
-        words = tuple(pairings.relator_word(o) for o in orbits)
-        census = pairings.quotient_census(scheme, orbits, inc)
-        key_rotations, key_full = pairings.canonical_keys(scheme, actions)
-        candidate = CandidateDomain(
-            scheme=scheme,
-            orbits=tuple(orbits),
-            words=words,
-            solution=solution,
-            witness=witness,
-            census=census,
-            key_rotations=key_rotations,
-            key_full=key_full,
-        )
-        report.survivors.append(candidate)
+    for per_pair in _matchings(poly):
+        # a scheme is elliptic iff one of its pairings is: those pairings
+        # are dropped before the product, and the schemes they took with
+        # them counted in closed form
+        kept = _compiled_pairs(poly, inc, per_pair)
+        built = math.prod(len(ps) for ps in per_pair)
+        report.total += built
+        rejected["elliptic"] += built - math.prod(len(ps) for ps in kept)
+        for choice in itertools.product(*kept):
+            moves = {}
+            for _, table in choice:
+                moves.update(table)
+            scheme = pairings.PairingScheme(poly, tuple(p for p, _ in choice))
+            orbits = pairings.edge_orbits(scheme, inc, moves)
+            if any(o.size == 1 for o in orbits):
+                raise AssertionError("an elliptic pairing passed the filter")
+            if len(orbits) != required:
+                rejected["class_count"] += 1
+                continue
+            if any(o.size < 3 for o in orbits):
+                rejected["class_size"] += 1
+                continue
+            solution, witness = angle_record(
+                frozenset(frozenset(o.edges) for o in orbits))
+            if solution.status == "infeasible":
+                rejected["system_infeasible"] += 1
+                continue
+            if witness is None:
+                rejected["rivin_infeasible"] += 1
+                continue
+            key_rotations, key_full = pairings.canonical_keys(scheme, actions)
+            report.survivors.append(CandidateDomain(
+                scheme=scheme,
+                orbits=tuple(orbits),
+                words=tuple(pairings.relator_word(o) for o in orbits),
+                solution=solution,
+                witness=witness,
+                census=pairings.quotient_census(scheme, orbits, inc),
+                key_rotations=key_rotations,
+                key_full=key_full,
+            ))
     report.survivors.sort(key=lambda c: (c.key_full, c.key_rotations))
     for cand in report.survivors:
         report.families_full.setdefault(cand.key_full, []).append(cand)
@@ -220,8 +267,9 @@ def pull_back(system, solution, witness, perm):
     the inverse of perm in the same order, so each basis vector keeps its 1
     on its own free column.  The pulled-back witness and particular point
     are substituted into the rows of `system`, and each basis vector into
-    the homogeneous rows, exactly; any mismatch means perm does not carry
-    `system` onto the image's system.
+    the homogeneous rows, exactly, in integers: each vector and each row is
+    scaled by the lcm of its denominators.  Any mismatch means perm does
+    not carry `system` onto the image's system.
     """
     columns = system.columns
     index = {eid: i for i, eid in enumerate(solution.columns)}
@@ -235,15 +283,24 @@ def pull_back(system, solution, witness, perm):
         tuple(back[c] for c in solution.free_columns))
     point = [witness.values[perm[eid]] for eid in columns]
     particular = [pulled.particular[eid] for eid in columns]
+    rows = []
     for coef, rhs in system.rows:
-        if (_dot(coef, point) != rhs or _dot(coef, particular) != rhs
-                or any(_dot(coef, vec) for vec in pulled.basis)):
-            raise AssertionError("witness pull-back failed")
+        _, (rhs, *coef) = _integral((rhs, *coef))
+        rows.append(([(i, c) for i, c in enumerate(coef) if c], rhs))
+    for vec, homogeneous in ((point, False), (particular, False),
+                             *((vec, True) for vec in pulled.basis)):
+        scale, ints = _integral(vec)
+        for coef, rhs in rows:
+            if sum(c * ints[i] for i, c in coef) != (
+                    0 if homogeneous else rhs * scale):
+                raise AssertionError("witness pull-back failed")
     return pulled, angles.AngleAssignment(dict(zip(columns, point)))
 
 
-def _dot(coef, vec):
-    return sum(c * x for c, x in zip(coef, vec) if c)
+def _integral(values):
+    """(s, [s * x for x in values]) for s the lcm of the denominators."""
+    scale = math.lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Face-identification schemes: orbits, relator words, symmetries, twist sugar.
 
 A scheme pairs the faces of a polyhedron into source/target pairs, each with
-an orientation-reversing boundary-vertex correspondence.  Edge classes are
-computed by flag traversal: from the flag (edge, side face) apply the signed
-generator attached to that face, land on the image edge on the generator's
-codomain face, then flip to the image edge's other side.  Words are the
-signed generator letters in traversal order.
+an orientation-reversing boundary-vertex correspondence.  Each pairing is
+validated on its own (`validate_pairing`) and a scheme's pairings together
+(`validate_matching`: coverage, distinct symbols).  A pairing compiles into
+its dart moves (`pairing_moves`): from the flag (edge, side face) apply the
+signed generator attached to that face, land on the image edge on the
+generator's codomain face, then flip to the image edge's other side.  Edge
+classes are the cycles of a scheme's merged moves (`edge_orbits`); a move
+that fixes its flag makes the pairing, and every scheme using it, elliptic.
+Words are the signed generator letters in traversal order.
 """
 
 import collections
@@ -105,26 +109,30 @@ def _cycle_maps_reversed(src_cycle, dst_cycle, mapping):
     return all(images[i] == rev[(k + i) % n] for i in range(n))
 
 
-def validate_scheme(scheme):
-    """Check fixed-point-freeness, lengths, orientation reversal, coverage."""
-    poly = scheme.poly
-    for p in scheme.pairings:
-        if p.source == p.target:
-            raise SchemeError(f"pairing {p.gen} identifies face {p.source} with itself")
-        src, dst = poly.faces[p.source], poly.faces[p.target]
-        if len(src) != len(dst):
-            raise SchemeError(
-                f"pairing {p.gen}: faces of lengths {len(src)} and {len(dst)}")
-        m = p.mapping()
-        if set(m) != set(src) or set(m.values()) != set(dst):
-            raise SchemeError(f"pairing {p.gen}: correspondence domain mismatch")
-        if not _cycle_maps_reversed(src, dst, m):
-            raise SchemeError(
-                f"pairing {p.gen}: correspondence does not reverse orientation")
-    used = [fid for p in scheme.pairings for fid in (p.source, p.target)]
+def validate_pairing(poly, p):
+    """Check one pairing: no self-pairing, equal lengths, the correspondence
+    a bijection of the two faces' vertices that reverses orientation."""
+    if p.source == p.target:
+        raise SchemeError(f"pairing {p.gen} identifies face {p.source} with itself")
+    src, dst = poly.faces[p.source], poly.faces[p.target]
+    if len(src) != len(dst):
+        raise SchemeError(
+            f"pairing {p.gen}: faces of lengths {len(src)} and {len(dst)}")
+    m = p.mapping()
+    if set(m) != set(src) or set(m.values()) != set(dst):
+        raise SchemeError(f"pairing {p.gen}: correspondence domain mismatch")
+    if not _cycle_maps_reversed(src, dst, m):
+        raise SchemeError(
+            f"pairing {p.gen}: correspondence does not reverse orientation")
+
+
+def validate_matching(poly, pairings):
+    """Check that the pairings cover every face exactly once under distinct
+    generator symbols; only their faces and symbols are read."""
+    used = [fid for p in pairings for fid in (p.source, p.target)]
     if sorted(used) != list(range(poly.face_count())):
         raise SchemeError("pairings do not cover every face exactly once")
-    symbols = [p.gen for p in scheme.pairings]
+    symbols = [p.gen for p in pairings]
     try:
         distinct = len(set(symbols)) == len(symbols)
     except TypeError as exc:
@@ -132,49 +140,69 @@ def validate_scheme(scheme):
                           ) from None
     if not distinct:
         raise SchemeError("generator symbols are not distinct")
+
+
+def validate_scheme(scheme):
+    """Check every pairing, then their coverage and symbols."""
+    for p in scheme.pairings:
+        validate_pairing(scheme.poly, p)
+    validate_matching(scheme.poly, scheme.pairings)
     return scheme
 
 
-def _signed_generators(scheme):
-    """face id -> (vertex map, (symbol, sign)) of the generator on that face."""
-    table = {}
-    for p in scheme.pairings:
-        table[p.source] = (p.mapping(), (p.gen, +1))
-        table[p.target] = (p.inverse_mapping(), (p.gen, -1))
-    return table
-
-
-def edge_orbits(scheme, inc=None):
-    """Edge classes by flag traversal, one orbit per class.
+def pairing_moves(poly, p, inc):
+    """The pairing's dart moves: dart -> (next dart, (edge id, face id,
+    (gen symbol, sign))) for each dart of its source face (the map, sign
+    +1) and of its target face (the inverse, sign -1).
 
     A flag is a dart: the edge (u, v) on the side face whose cycle runs
     u -> v.  The generator m on that face reverses orientation, so
     (m[u], m[v]) runs against its codomain face and is already the dart
-    across the image edge.  Each orbit starts at its lowest-id unvisited
-    edge with the lower face id as the side, for determinism; the reverse
-    traversal of a class is not walked, its flags are dropped with the
-    class.  A class of size 1 is a generator fixing an edge of a face it
-    shares with its codomain: a rotation about that edge (elliptic).
+    across the image edge.  A move that fixes its dart is a rotation about
+    an edge the two faces share: the pairing is elliptic, and so is every
+    scheme that uses it.
+    """
+    moves = {}
+    for fid, vmap, sign in ((p.source, p.mapping(), +1),
+                            (p.target, p.inverse_mapping(), -1)):
+        face, cycle = poly.faces[fid], inc.face_edge_cycle[fid]
+        n = len(face)
+        for i in range(n):
+            u, v = face[i], face[(i + 1) % n]
+            moves[u, v] = ((vmap[u], vmap[v]), (cycle[i], fid, (p.gen, sign)))
+    return moves
+
+
+def edge_orbits(scheme, inc=None, moves=None):
+    """Edge classes by flag traversal, one orbit per class.
+
+    `moves` is the scheme's dart-move table, the union of its pairings'
+    `pairing_moves`; it is built here when not given.  Each orbit starts at
+    the first flag of the incidence's sorted flags (edge id, face id, dart)
+    whose edge no orbit has reached, for determinism; the reverse traversal
+    of a class is not walked, its flags are dropped with the class.  A class
+    of size 1 is a generator fixing an edge of a face it shares with its
+    codomain: a rotation about that edge (elliptic).
     """
     inc = inc or polytope.build_incidence(scheme.poly)
-    table = _signed_generators(scheme)
-    darts, cycles = inc.darts, inc.face_edge_cycle
-    flags = {(cycles[fid][i], fid): dart for dart, (fid, i) in darts.items()}
+    if moves is None:
+        moves = {}
+        for p in scheme.pairings:
+            moves.update(pairing_moves(scheme.poly, p, inc))
+    reached = [False] * len(inc.edges)
     orbits = []
-    while flags:
-        start = dart = flags[min(flags)]
-        steps = []
+    for eid, _, start in inc.flags:
+        if reached[eid]:
+            continue
+        dart, steps = start, []
         while True:
-            fid, i = darts[dart]
-            vmap, letter = table[fid]
-            steps.append((cycles[fid][i], fid, letter))
-            dart = (vmap[dart[0]], vmap[dart[1]])
+            dart, step = moves[dart]
+            steps.append(step)
             if dart == start:
                 break
         orbits.append(EdgeOrbit(tuple(steps)))
-        for eid, _, _ in steps:
-            for fid in inc.edge_faces[eid]:
-                flags.pop((eid, fid), None)
+        for e, _, _ in steps:
+            reached[e] = True
     covered = sorted(e for o in orbits for e in o.edges)
     if covered != list(range(len(inc.edges))):
         raise CensusError("edge orbits do not partition the edge set")

@@ -46,6 +46,7 @@ class IncidenceData:
     vertex_edges: dict         # vertex name -> frozenset of edge ids
     face_edge_cycle: tuple     # face id -> tuple of edge ids around the face
     darts: dict                # (u, v) on a face cycle -> (face id, index of u)
+    flags: tuple               # (edge id, face id, dart) per dart, sorted
 
     def edge_id(self, u, v):
         fid, i = self.darts[u, v]
@@ -178,7 +179,9 @@ def build_incidence(poly):
 
     Edge ids are assigned in first-encounter order scanning faces in document
     order, so they are stable across runs for the same document.  Each edge
-    has two darts, one per side face, directed along that face's cycle.
+    has two darts, one per side face, directed along that face's cycle;
+    the flags list each dart after its edge id and face id, sorted once
+    here for the orbit traversal's deterministic starts.
     """
     edge_index = {}
     edges = []
@@ -208,6 +211,8 @@ def build_incidence(poly):
         vertex_edges={v: frozenset(s) for v, s in vertex_edges.items()},
         face_edge_cycle=tuple(face_cycles),
         darts=darts,
+        flags=tuple(sorted((face_cycles[fid][i], fid, dart)
+                           for dart, (fid, i) in darts.items())),
     )
 
 

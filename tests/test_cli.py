@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -261,19 +265,66 @@ def test_verify_output_has_generators(capsys, cube_run):
         assert abs(a * d - b * c - 1) < 1e-9
 
 
-def test_determinism_across_processes(tmp_path):
-    # same bytes under different hash seeds
-    import subprocess, os, sys
-    # the child imports the same hypdom as this process, installed or not
+def child_env(**extra):
+    """Environment in which a child `python -m hypdom.cli` imports the same
+    hypdom as this process, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outs = []
-    for seed in ("1", "31337"):
-        outdir = tmp_path / f"s{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        subprocess.run(
-            [sys.executable, "-m", "hypdom.cli", "enumerate",
-             data_path("cube"), "--out", str(outdir)],
-            check=True, env=env, capture_output=True)
-        outs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
-    assert outs[0] == outs[1]
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def test_determinism_across_processes(tmp_path):
+    # same bytes under different hash seeds
+    for command, solid in (("enumerate", "cube"), ("pipeline", "octahedron")):
+        outs = []
+        for seed in ("1", "31337"):
+            outdir = tmp_path / f"{command}_{solid}_s{seed}"
+            subprocess.run(
+                [sys.executable, "-m", "hypdom.cli", command,
+                 data_path(solid), "--out", str(outdir)],
+                check=True, env=child_env(PYTHONHASHSEED=seed),
+                capture_output=True)
+            outs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+        assert outs[0] == outs[1]
+
+
+def tree_digest(directory):
+    """sha256 over the sorted relative paths and bytes of every file, with
+    the file count and the byte count."""
+    h = hashlib.sha256()
+    files = total = 0
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(str(path.relative_to(directory)).encode() + b"\0")
+        h.update(len(data).to_bytes(8, "big") + data)
+        files += 1
+        total += len(data)
+    return h.hexdigest(), files, total
+
+
+@pytest.mark.parametrize("solid, digest", [
+    ("cube", ("221c49bc8b1ae7e9a0a59df8841c757f11934ab13ae6d1c148bf0bdf9cb27b90",
+              31, 69489)),
+    ("octahedron",
+     ("f7b965d03df00198a3b51fc953c388b1aa1ed436d64ac6338d65d99b9cb77451",
+      121, 281861)),
+])
+def test_pipeline_output_bytes_pinned(tmp_path, solid, digest):
+    # the whole `pipeline --out` tree, byte for byte: a change to the search
+    # that alters a count, a family, a witness, an orbit's start or the
+    # order of the candidates shows here
+    out = tmp_path / solid
+    assert cli.main(["pipeline", data_path(solid), "--out", str(out)]) == 0
+    assert tree_digest(out) == digest
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader closes its end before the child writes: no traceback, 0
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hypdom.cli", "realize", data_path("cube")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 0
+    assert err == b""

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -215,6 +216,9 @@ def test_classify_octahedron_exploratory(octahedron_report):
     report = octahedron_report
     assert report.total == 8505
     assert len(report.survivors) == 120
+    assert report.rejected == {
+        "elliptic": 3849, "class_count": 4014, "class_size": 522,
+        "system_infeasible": 0, "rivin_infeasible": 0}
     profiles = sorted(
         (members[0].class_sizes, len(members),
          len({m.key_rotations for m in members}))
@@ -224,6 +228,28 @@ def test_classify_octahedron_exploratory(octahedron_report):
         ((3, 4, 5), 24, 2), ((3, 4, 5), 24, 2), ((3, 4, 5), 24, 2),
         ((4, 4, 4), 12, 2), ((4, 4, 4), 12, 2),
     ]
+
+
+@pytest.mark.parametrize("name, elliptic", [
+    ("tetrahedron", 15), ("cube", 464), ("octahedron", 3849)])
+def test_elliptic_pairings_match_oracle(solids, name, elliptic):
+    # the elliptic schemes classify counts in closed form, from the pairings
+    # it drops before the product, are the schemes the shared-edge oracle
+    # flags; and no pairing the filter keeps is flagged
+    poly = solids[name]
+    inc = polytope.build_incidence(poly)
+    flagged = sum(1 for scheme in enumeration.enumerate_schemes(poly)
+                  if detect_elliptic_generator(scheme, inc))
+    closed_form = 0
+    for per_pair in enumeration._matchings(poly):
+        kept = enumeration._compiled_pairs(poly, inc, per_pair)
+        closed_form += (math.prod(len(ps) for ps in per_pair)
+                        - math.prod(len(ps) for ps in kept))
+        for ps in kept:
+            for p, _ in ps:
+                alone = pairings.PairingScheme(poly, (p,))
+                assert not detect_elliptic_generator(alone, inc)
+    assert closed_form == flagged == elliptic
 
 
 def test_pulled_back_solution_sets_match_fresh_solve(solids, cube_report,
