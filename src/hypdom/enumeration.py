@@ -70,13 +70,6 @@ def _perfect_matchings(items):
             yield [(first, items[i])] + rest_match
 
 
-def _reversing_correspondences(poly, f1, f2):
-    c1, c2 = poly.faces[f1], poly.faces[f2]
-    rev = list(reversed(c2))
-    n = len(c1)
-    return [{c1[i]: rev[(i + k) % n] for i in range(n)} for k in range(n)]
-
-
 def scheme_space_size(poly):
     """Closed-form count: faces can only pair within equal-length groups;
     a group of n same-length L faces contributes (n-1)!! matchings with L
@@ -130,7 +123,7 @@ def _matchings(poly):
         if any(len(poly.faces[f1]) != len(poly.faces[f2]) for f1, f2 in matching):
             continue
         yield [[pairings.make_pairing(poly, symbols[t], f1, f2, corr)
-                for corr in _reversing_correspondences(poly, f1, f2)]
+                for corr in pairings.reversing_correspondences(poly, f1, f2)]
                for t, (f1, f2) in enumerate(matching)]
 
 
@@ -154,7 +147,8 @@ def _compiled_pairs(poly, inc, per_pair):
 
 def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
              scheme_cap=DEFAULT_SCHEME_CAP):
-    """Run the full candidate pipeline and group survivors by symmetry."""
+    """Run the full candidate pipeline and group survivors by symmetry; the
+    report's rejections and survivors must sum to its total."""
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
     required = angles.required_class_count(poly)
@@ -252,6 +246,8 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
                 key_rotations=key_rotations,
                 key_full=key_full,
             ))
+    if not report.counts_consistent():
+        raise AssertionError("report counts do not sum to the total")
     report.survivors.sort(key=lambda c: (c.key_full, c.key_rotations))
     for cand in report.survivors:
         report.families_full.setdefault(cand.key_full, []).append(cand)

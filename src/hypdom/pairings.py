@@ -1,15 +1,17 @@
 """Face-identification schemes: orbits, relator words, symmetries, twist sugar.
 
 A scheme pairs the faces of a polyhedron into source/target pairs, each with
-an orientation-reversing boundary-vertex correspondence.  Each pairing is
-validated on its own (`validate_pairing`) and a scheme's pairings together
-(`validate_matching`: coverage, distinct symbols).  A pairing compiles into
-its dart moves (`pairing_moves`): from the flag (edge, side face) apply the
-signed generator attached to that face, land on the image edge on the
-generator's codomain face, then flip to the image edge's other side.  Edge
-classes are the cycles of a scheme's merged moves (`edge_orbits`); a move
-that fixes its flag makes the pairing, and every scheme using it, elliptic.
-Words are the signed generator letters in traversal order.
+an orientation-reversing boundary-vertex correspondence, one of the pair's
+`reversing_correspondences` (the cube's twist sugar picks one by face names
+and twist).  Each pairing is validated on its own (`validate_pairing`) and a
+scheme's pairings together (`validate_matching`: coverage, distinct
+symbols).  A pairing compiles into its dart moves (`pairing_moves`): from
+the flag (edge, side face) apply the signed generator attached to that face,
+land on the image edge on the generator's codomain face, then flip to the
+image edge's other side.  Edge classes are the cycles of a scheme's merged
+moves (`edge_orbits`); a move that fixes its flag makes the pairing, and
+every scheme using it, elliptic.  Words are the signed generator letters in
+traversal order.
 """
 
 import collections
@@ -94,6 +96,15 @@ class QuotientCensus:
 
 def make_pairing(poly, gen, source, target, mapping):
     return FacePairing(gen, source, target, tuple(sorted(mapping.items())))
+
+
+def reversing_correspondences(poly, f1, f2):
+    """The orientation-reversing correspondences of face f1 onto face f2,
+    one per rotation of the reversed f2 cycle against the f1 cycle."""
+    c1, c2 = poly.faces[f1], poly.faces[f2]
+    rev = list(reversed(c2))
+    n = len(c1)
+    return [{c1[i]: rev[(i + k) % n] for i in range(n)} for k in range(n)]
 
 
 def _cycle_maps_reversed(src_cycle, dst_cycle, mapping):
@@ -182,7 +193,9 @@ def edge_orbits(scheme, inc=None, moves=None):
     whose edge no orbit has reached, for determinism; the reverse traversal
     of a class is not walked, its flags are dropped with the class.  A class
     of size 1 is a generator fixing an edge of a face it shares with its
-    codomain: a rotation about that edge (elliptic).
+    codomain: a rotation about that edge (elliptic).  A walk longer than
+    the move table means a pairing that does not reverse orientation: its
+    moves are not a permutation, and it raises CensusError.
     """
     inc = inc or polytope.build_incidence(scheme.poly)
     if moves is None:
@@ -191,15 +204,19 @@ def edge_orbits(scheme, inc=None, moves=None):
             moves.update(pairing_moves(scheme.poly, p, inc))
     reached = [False] * len(inc.edges)
     orbits = []
+    bound = range(len(moves))  # no orbit is longer than the move table
     for eid, _, start in inc.flags:
         if reached[eid]:
             continue
         dart, steps = start, []
-        while True:
+        for _ in bound:
             dart, step = moves[dart]
             steps.append(step)
             if dart == start:
                 break
+        else:
+            raise CensusError(f"the walk from flag {start} never returns: "
+                              "the dart moves are not a permutation")
         orbits.append(EdgeOrbit(tuple(steps)))
         for e, _, _ in steps:
             reached[e] = True
@@ -349,100 +366,35 @@ def canonical_keys(scheme, actions):
 # ---------------------------------------------------------------------------
 # Cube twist sugar
 # ---------------------------------------------------------------------------
-# Vertex names of the bundled cube encode coordinates: F/B (front z=+1 /
-# back z=-1), T/B (top y=+1 / bottom), R/L (right x=+1 / left).  A pairing
-# "from face f1 to face f2 with twist k quarter turns, sense cw" expands as
-# R^(+-k) o base where base is the straight translation (opposite faces) or
-# the hinge fold over the shared edge (adjacent faces), and R is the
-# right-hand quarter turn about the target face's outward normal; "cw" means
-# clockwise as seen from the cube's interior.
+# Cube vertex names spell F/B, T/B, R/L (front/back, top/bottom, right/left);
+# a face is named by the letter its vertex names share.  Twist sugar picks a
+# reversing correspondence: the base map (adjacent faces: the hinge fold,
+# fixing the shared edge; opposite faces: the translation along edges), every
+# image then moved k steps along the target's cycle, forward for "cw".
 
-CUBE_FACE_NORMALS = {
-    "front": (0, 0, 1), "back": (0, 0, -1),
-    "top": (0, 1, 0), "bottom": (0, -1, 0),
-    "left": (-1, 0, 0), "right": (1, 0, 0),
-}
-
-
-def _cube_vertex_coords(name):
-    if len(name) != 3 or name[0] not in "FB" or name[1] not in "TB" or name[2] not in "RL":
-        raise SchemeError(f"vertex {name!r} does not follow the cube naming scheme")
-    sz = 1 if name[0] == "F" else -1
-    sy = 1 if name[1] == "T" else -1
-    sx = 1 if name[2] == "R" else -1
-    return (sx, sy, sz)
-
-
-def _cube_vertex_name(coords):
-    sx, sy, sz = coords
-    return ("F" if sz > 0 else "B") + ("T" if sy > 0 else "B") + ("R" if sx > 0 else "L")
+CUBE_FACES = {(0, "F"): "front", (0, "B"): "back", (1, "T"): "top",
+              (1, "B"): "bottom", (2, "R"): "right", (2, "L"): "left"}
+CUBE_VERTICES = {a + b + c for a in "FB" for b in "TB" for c in "RL"}
 
 
 def cube_face_ids(poly):
     """face name -> face id for a cube document using the standard naming."""
-    wanted = {}
-    for name, normal in CUBE_FACE_NORMALS.items():
-        members = frozenset(
-            _cube_vertex_name(c) for c in itertools.product((1, -1), repeat=3)
-            if (c[0], c[1], c[2])[_axis_of(normal)] == _sign_of(normal))
-        wanted[members] = name
     out = {}
     for fid, face in enumerate(poly.faces):
-        key = frozenset(face)
-        if key not in wanted:
-            raise SchemeError("polyhedron is not the standard named cube")
-        out[wanted[key]] = fid
-    if len(out) != 6:
+        shared = (set.intersection(*(set(enumerate(v)) for v in face))
+                  if len(face) == 4 and set(face) <= CUBE_VERTICES else ())
+        if len(shared) == 1:
+            out[CUBE_FACES[shared.pop()]] = fid
+    if len(out) != 6 or len(poly.faces) != 6:
         raise SchemeError("polyhedron is not the standard named cube")
     return out
 
 
-def _axis_of(normal):
-    return next(i for i, c in enumerate(normal) if c)
-
-
-def _sign_of(normal):
-    return normal[_axis_of(normal)]
-
-
-def _rot_about(normal, quarter):
-    ax, s = _axis_of(normal), _sign_of(normal)
-    i, j = [(1, 2), (2, 0), (0, 1)][ax]
-
-    def rot90(p):
-        p = list(p)
-        if s > 0:
-            p[i], p[j] = -p[j], p[i]
-        else:
-            p[i], p[j] = p[j], -p[i]
-        return tuple(p)
-
-    def apply(p):
-        for _ in range(quarter % 4):
-            p = rot90(p)
-        return p
-
-    return apply
-
-
-def _base_motion(n1, n2):
-    dot = sum(a * b for a, b in zip(n1, n2))
-    if dot == -1:
-        return lambda p: tuple(x - 2 * n for x, n in zip(p, n1))
-    hinge_dir = (n1[1] * n2[2] - n1[2] * n2[1],
-                 n1[2] * n2[0] - n1[0] * n2[2],
-                 n1[0] * n2[1] - n1[1] * n2[0])
-    neg_n2 = tuple(-x for x in n2)
-    rot = _rot_about(hinge_dir, 1)
-    if rot(n1) != neg_n2:
-        rot = _rot_about(hinge_dir, 3)
-    center = tuple(a + b for a, b in zip(n1, n2))
-
-    def fold(p):
-        q = tuple(x - c for x, c in zip(p, center))
-        return tuple(x + c for x, c in zip(rot(q), center))
-
-    return fold
+def _cube_faces(poly, source, target):
+    fids = cube_face_ids(poly)
+    if not all(isinstance(n, str) and n in fids for n in (source, target)):
+        raise SchemeError(f"unknown cube face in {source!r}->{target!r}")
+    return fids[source], fids[target]
 
 
 def twist_pairing(poly, gen, from_name, to_name, quarter_turns, sense="cw"):
@@ -451,20 +403,18 @@ def twist_pairing(poly, gen, from_name, to_name, quarter_turns, sense="cw"):
         raise SchemeError(f"sense must be 'cw' or 'ccw', got {sense!r}")
     if type(quarter_turns) is not int or quarter_turns not in range(4):
         raise SchemeError("twist_quarter_turns must be an integer 0..3")
-    fids = cube_face_ids(poly)
-    if not all(isinstance(n, str) and n in fids for n in (from_name, to_name)):
-        raise SchemeError(f"unknown cube face in {from_name!r}->{to_name!r}")
-    n1, n2 = CUBE_FACE_NORMALS[from_name], CUBE_FACE_NORMALS[to_name]
-    if n1 == n2:
+    source, target = _cube_faces(poly, from_name, to_name)
+    if source == target:
         raise SchemeError("cannot pair a face with itself")
-    base = _base_motion(n1, n2)
-    turns = quarter_turns if sense == "cw" else (4 - quarter_turns) % 4
-    rot = _rot_about(n2, turns)
-    corr = {}
-    for vname in poly.faces[fids[from_name]]:
-        image = rot(base(_cube_vertex_coords(vname)))
-        corr[vname] = _cube_vertex_name(image)
-    return make_pairing(poly, gen, fids[from_name], fids[to_name], corr)
+    hinge = set(poly.faces[source]) & set(poly.faces[target])
+    darts = polytope.build_incidence(poly).darts
+    corrs = reversing_correspondences(poly, source, target)
+    base = next(k for k, c in enumerate(corrs) if (
+        all(c[v] == v for v in hinge) if hinge
+        else all(pair in darts for pair in c.items())))
+    # one step forward along the target cycle is one entry back in the list
+    turns = quarter_turns if sense == "cw" else -quarter_turns
+    return make_pairing(poly, gen, source, target, corrs[(base - turns) % 4])
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +442,7 @@ def scheme_from_json_dict(poly, doc):
         if "map" in item:
             source, target, mapping = item["from"], item["to"], item["map"]
             if isinstance(source, str):
-                names = cube_face_ids(poly)
-                if not (isinstance(target, str)
-                        and {source, target} <= set(names)):
-                    raise SchemeError(
-                        f"unknown cube face in {source!r}->{target!r}")
-                source, target = names[source], names[target]
+                source, target = _cube_faces(poly, source, target)
             count = poly.face_count()
             for fid in (source, target):
                 if type(fid) is not int or fid not in range(count):

@@ -124,12 +124,18 @@ BALL_FRONT = (1, 0)
 BALL_RIGHT = (0, 1)
 
 
+def cube_vertex_signs(name):
+    """(x, y, z) signs of a cube vertex name, read from R/L, T/B, F/B."""
+    return tuple(1 if name[i] == c else -1
+                 for i, c in ((2, "R"), (1, "T"), (0, "F")))
+
+
 def ball_model_cube_realization(poly):
     """vertex name -> boundary point of the inscribed cube's vertex that the
-    cube naming (pairings' twist sugar) places there."""
+    cube naming (right +x, top +y, front +z) places there."""
     out = {}
     for name in poly.vertices:
-        sx, sy, sz = pairings._cube_vertex_coords(name)
+        sx, sy, sz = cube_vertex_signs(name)
         a = sz * BALL_FRONT[0] + sx * BALL_RIGHT[0]
         b = sz * BALL_FRONT[1] + sx * BALL_RIGHT[1]
         r = 1 / SQRT3

@@ -300,3 +300,17 @@ def test_pull_back_check_fires(cube, cube_inc, cube_circuits, fd1):
         perm[a], perm[b] = b, a
         with pytest.raises(AssertionError, match="pull-back failed"):
             enumeration.pull_back(system, solution, witness, perm)
+
+
+def test_classify_checks_report_counts(monkeypatch, tmp_path):
+    # the check runs inside classify, so `pipeline` and library callers get
+    # it as well as `enumerate`
+    monkeypatch.setattr(enumeration.EnumerationReport, "counts_consistent",
+                        lambda self: False)
+    tetrahedron = str(resources.files("hypdom.data").joinpath(
+        "tetrahedron.json"))
+    with pytest.raises(AssertionError, match="do not sum to the total"):
+        enumeration.classify(polytope.load_polyhedron(tetrahedron))
+    for command in ("enumerate", "pipeline"):
+        assert cli.main([command, tetrahedron,
+                         "--out", str(tmp_path / command)]) == 3

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -563,6 +565,84 @@ def test_twist_sugar_json(cube, fd1):
     ]}
     scheme = pairings.scheme_from_json_dict(cube, doc)
     assert scheme == fd1
+
+
+CUBE_FACE_NAMES = ["back", "bottom", "front", "left", "right", "top"]
+
+
+def twist_maps(poly):
+    """Every twist-sugar map on the cube: each ordered face pair, each
+    twist and each sense."""
+    return [[a, b, k, s,
+             sorted(pairings.twist_pairing(poly, "A", a, b, k, s).corr)]
+            for a, b in itertools.permutations(CUBE_FACE_NAMES, 2)
+            for k in range(4) for s in ("cw", "ccw")]
+
+
+def cube_document(cube, faces):
+    return polytope.load_polyhedron(
+        {"name": "cube", "vertices": list(cube.vertices), "faces": faces})
+
+
+def test_twist_maps_pinned(cube):
+    # all 240 maps, as the coordinate construction (translation or hinge
+    # fold, then quarter turns about the target's normal) gave them
+    digest = hashlib.sha256(json.dumps(twist_maps(cube)).encode()).hexdigest()
+    assert digest == ("fe71837067a86b50590032d795fbc6f77c71a6051d4cfe75f79ce175"
+                      "107fcb2c")
+
+
+def test_twist_maps_ignore_face_order_and_cycle_start(cube):
+    rng = random.Random(7)
+    faces = [list(f[i:] + f[:i]) for f, i in
+             zip(cube.faces, (rng.randrange(4) for _ in cube.faces))]
+    rng.shuffle(faces)
+    assert [list(f) for f in cube.faces] != faces
+    assert twist_maps(cube_document(cube, faces)) == twist_maps(cube)
+
+
+def test_twist_sense_is_read_in_document_orientation(cube):
+    # a cube document listing its faces clockwise from outside turns every
+    # twist the other way: each map is the standard document's map for the
+    # opposite sense
+    flipped = cube_document(cube, [list(reversed(f)) for f in cube.faces])
+    opposite = {"cw": "ccw", "ccw": "cw"}
+    assert twist_maps(flipped) == [
+        [a, b, k, s, sorted(pairings.twist_pairing(
+            cube, "A", a, b, k, opposite[s]).corr)]
+        for a, b, k, s, _ in twist_maps(cube)]
+
+
+def test_twist_sugar_errors(cube, solids):
+    for args, message in (
+            (("front", "back", 1, "up"), "sense must be"),
+            (("front", "back", 4, "cw"), "integer 0..3"),
+            (("front", "front", 1, "cw"), "cannot pair a face with itself"),
+            (("front", "aft", 1, "cw"), "unknown cube face")):
+        with pytest.raises(pairings.SchemeError, match=message):
+            pairings.twist_pairing(cube, "A", *args)
+    renamed = polytope.load_polyhedron(
+        {"name": "cube", "vertices": [v.lower() for v in cube.vertices],
+         "faces": [[v.lower() for v in f] for f in cube.faces]})
+    for poly in (solids["octahedron"], renamed):
+        with pytest.raises(pairings.SchemeError, match="standard named cube"):
+            pairings.twist_pairing(poly, "A", "front", "back", 1)
+        doc = {"pairings": [{"gen": "A", "from": "front", "to": "back",
+                             "map": {}}]}
+        with pytest.raises(pairings.SchemeError, match="standard named cube"):
+            pairings.scheme_from_json_dict(poly, doc)
+
+
+def test_edge_orbits_non_reversing_pairing_raises(cube, fd1, cube_inc):
+    # the moves of a pairing that keeps orientation are not a permutation:
+    # the walk must end with a named error, not loop
+    first = fd1.pairings[0]
+    keep = dict(zip(cube.faces[first.source], cube.faces[first.target]))
+    scheme = pairings.PairingScheme(cube, (
+        pairings.make_pairing(cube, first.gen, first.source, first.target,
+                              keep), *fd1.pairings[1:]))
+    with pytest.raises(pairings.CensusError, match="not a permutation"):
+        pairings.edge_orbits(scheme, cube_inc)
 
 
 def test_word_equivalence_predicate():
