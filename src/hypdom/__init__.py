@@ -12,12 +12,11 @@ from .pairings import (EdgeOrbit, FacePairing, PairingScheme, QuotientCensus,
                        twist_pairing, validate_scheme, vertex_orbits)
 from .enumeration import (CandidateDomain, EnumerationReport, classify,
                           enumerate_schemes)
-from .geometry import (INF, GroupPresentation, MobiusMap, classify_element,
-                       cross_ratio, face_pairing_maps, load_realization,
+from .geometry import (INF, GroupPresentation, MobiusMap, Z3i,
+                       classify_element, face_pairing_maps, load_realization,
                        mobius_from_triples, relator_product,
                        verify_candidate, verify_words)
-from .grouplab import (commute_numeric, edge_bound_check, has_squared_term,
+from .grouplab import (commutes, edge_bound_check, has_squared_term,
                        parity_check, restriction_report, y2z_class_link)
-from . import domains
 
 __all__ = [name for name in dir() if not name.startswith("_")]

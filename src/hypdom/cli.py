@@ -129,8 +129,7 @@ def cmd_verify(args):
     cand_doc = json.loads(Path(args.candidate).read_text())
     cand = enumeration.candidate_from_json_dict(poly, cand_doc)
     try:
-        presentation = geometry.verify_candidate(
-            cand, tol_id=args.tol_id, tol_geo=args.tol_geo)
+        presentation = geometry.verify_candidate(cand)
     except geometry.NotRealizableError as exc:
         _dump({"status": "not-attempted", "reason": str(exc)}, args.out_file)
         return 0
@@ -153,8 +152,7 @@ def cmd_pipeline(args):
         entry = dict(summary)
         entry["schemes"] = entry.pop("size")
         try:
-            presentation = geometry.verify_candidate(
-                rep, tol_id=args.tol_id, tol_geo=args.tol_geo)
+            presentation = geometry.verify_candidate(rep)
             entry["verification"] = ("CONFIRMED" if presentation.confirmed()
                                      else "REJECTED")
         except geometry.NotRealizableError as exc:
@@ -181,34 +179,28 @@ def build_parser():
         "--group": dict(choices=("rotations", "all"), default="all"),
         "--candidate": dict(default=None, help="candidate JSON document"),
         "--circuit-cap": dict(type=int, default=polytope.DEFAULT_CIRCUIT_CAP),
-        "--tol-id": dict(type=float, default=geometry.EPS_ID),
-        "--tol-geo": dict(type=float, default=geometry.EPS_GEO),
     }
 
-    def command(name, func, help, flags, candidate=False):
+    def command(name, help, flags, candidate=False):
         p = sub.add_parser(name, help=help)
         p.add_argument("polyhedron", help="polyhedron JSON document")
         if candidate:
             p.add_argument("candidate", help="candidate JSON document")
         for flag in flags:
             p.add_argument(flag, **options[flag])
-        p.set_defaults(func=func)
 
-    command("info", cmd_info, "census and required class count",
-            ["--out-file"])
-    command("enumerate", cmd_enumerate, "search pairing schemes",
+    command("info", "census and required class count", ["--out-file"])
+    command("enumerate", "search pairing schemes",
             ["--circuit-cap", "--group", "--out"])
-    command("angles", cmd_angles,
-            "solve a candidate's angle system, check its witness",
+    command("angles", "solve a candidate's angle system, check its witness",
             ["--out-file"], candidate=True)
-    command("restrict", cmd_restrict, "relator-shape restriction report",
+    command("restrict", "relator-shape restriction report",
             ["--out-file", "--candidate"])
-    command("realize", cmd_realize, "bundled regular ideal realization",
-            ["--out-file"])
-    command("verify", cmd_verify, "verify a candidate's relators",
-            ["--out-file", "--tol-id", "--tol-geo"], candidate=True)
-    command("pipeline", cmd_pipeline, "enumerate, solve, restrict, verify",
-            ["--circuit-cap", "--tol-id", "--tol-geo", "--out"])
+    command("realize", "bundled regular ideal realization", ["--out-file"])
+    command("verify", "verify a candidate's relators", ["--out-file"],
+            candidate=True)
+    command("pipeline", "enumerate, solve, restrict, verify",
+            ["--circuit-cap", "--out"])
     return parser
 
 
@@ -220,11 +212,18 @@ INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 geometry.RealizationError)
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process, not once per call
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        code = args.func(args)
+        # cmd_<name> is looked up at call time, so a wrapper put in its
+        # place as a module attribute is honoured
+        code = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -332,7 +332,9 @@ def candidate_scheme(poly, doc):
 
 def candidate_from_json_dict(poly, doc):
     """Rebuild a candidate from its persisted scheme, re-deriving the rest,
-    and check its persisted witness exactly instead of searching again."""
+    and check its persisted witness exactly instead of searching again.
+    The canonical keys are taken as persisted: no caller of a reloaded
+    candidate groups it into families."""
     scheme = candidate_scheme(poly, doc)
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
@@ -341,13 +343,15 @@ def candidate_from_json_dict(poly, doc):
     system = angles.assemble_system(poly, [set(o.edges) for o in orbits], inc)
     solution = angles.solve_exact(system)
     witness = _checked_witness(poly, inc, dual, solution, doc.get("witness"))
+    keys = [doc.get(name) for name in ("key_rotations", "key_full")]
+    if not all(isinstance(key, str) for key in keys):
+        raise EnumerationError(
+            "candidate has no string 'key_rotations' and 'key_full'")
     census = pairings.quotient_census(scheme, orbits, inc)
-    key_rotations, key_full = pairings.canonical_keys(
-        scheme, pairings.automorphism_actions(poly))
     return CandidateDomain(
         scheme=scheme, orbits=tuple(orbits), words=words,
         solution=solution, witness=witness, census=census,
-        key_rotations=key_rotations, key_full=key_full,
+        key_rotations=keys[0].encode(), key_full=keys[1].encode(),
     )
 
 

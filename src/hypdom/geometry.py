@@ -1,9 +1,13 @@
-"""Regular ideal realizations and Mobius machinery.
+"""Regular ideal realizations and exact Mobius machinery.
 
-Ideal points are tracked on the upper-half-space boundary as complex numbers
-plus the point at infinity (the string "inf", following the usual convention
-for extended-complex code).  Mobius maps are 2x2 complex matrices acting as
-z -> (az+b)/(cz+d), identified projectively.
+Ideal points are tracked on the upper-half-space boundary as elements of
+the ring Z[sqrt3, i] (the type Z3i) plus the point at infinity (the string
+"inf", following the usual convention for extended-complex code).  Both
+bundled realizations lie in that ring: each cube coordinate is
++-(sqrt3 - 1) or +-(sqrt3 + 1), and the octahedron sits at inf, 0, +-1 and
++-i.  Mobius maps are 2x2 matrices over the ring acting as
+z -> (az+b)/(cz+d), identified projectively, so every verdict below is an
+equality of ring elements: there is no tolerance anywhere.
 
 A realization places each vertex of a solid on the boundary.  The regular
 ideal ones are data: one document per solid under data/realizations, named
@@ -11,8 +15,8 @@ after the polyhedron document's "name" (the cube and the octahedron are
 bundled), loaded and validated by load_realization.
 """
 
-import cmath
 import collections
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,11 +24,6 @@ from fractions import Fraction
 from importlib import resources
 
 from . import pairings
-
-EPS_GEO = 1e-9
-EPS_ID = 1e-9
-EPS_CLS = 1e-8
-EPS_DET = 1e-12
 
 INF = "inf"
 
@@ -34,12 +33,7 @@ class GeometryError(ValueError):
 
 
 class FourthVertexError(GeometryError):
-    """The Mobius map from three vertices fails on the fourth."""
-
-    def __init__(self, vertex, error):
-        super().__init__(f"vertex {vertex!r} off by {error:.3e}")
-        self.vertex = vertex
-        self.error = error
+    """The Mobius map from three vertices misses the image of another."""
 
 
 class NotRealizableError(GeometryError):
@@ -55,16 +49,63 @@ def is_infinity(z):
     return isinstance(z, str) and z == INF
 
 
+@dataclass(frozen=True, slots=True)
+class Z3i:
+    """a + b sqrt3 + i (c + d sqrt3), with integers a, b, c, d."""
+    a: int
+    b: int = 0
+    c: int = 0
+    d: int = 0
+
+    def __add__(self, o):
+        return Z3i(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+
+    def __sub__(self, o):
+        return Z3i(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+
+    def __neg__(self):
+        return Z3i(-self.a, -self.b, -self.c, -self.d)
+
+    def __mul__(self, o):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = o.a, o.b, o.c, o.d
+        # (x + iy)(u + iv) with x, y, u, v in Z[sqrt3], where sqrt3^2 = 3
+        return Z3i(a * e + 3 * b * f - c * g - 3 * d * h,
+                   a * f + b * e - c * h - d * g,
+                   a * g + 3 * b * h + c * e + 3 * d * f,
+                   a * h + b * g + c * f + d * e)
+
+    def __bool__(self):
+        return bool(self.a or self.b or self.c or self.d)
+
+    def conjugate(self):
+        return Z3i(self.a, self.b, -self.c, -self.d)
+
+    def real_sign(self):
+        """Sign of the real part a + b sqrt3: where a and b differ in sign
+        the larger of a^2 and 3b^2 decides (they are equal only at 0)."""
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if self.a * self.a > 3 * self.b * self.b else sb
+
+    def parts(self):
+        return (self.a, self.b, self.c, self.d)
+
+
 @dataclass(frozen=True)
 class MobiusMap:
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    a: Z3i  # an int entry n is read as Z3i(n)
+    b: Z3i
+    c: Z3i
+    d: Z3i
 
     def __post_init__(self):
-        if abs(self.det) < EPS_DET:
-            raise GeometryError(f"singular matrix, |det|={abs(self.det):.3e}")
+        for name in "abcd":
+            if isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, Z3i(getattr(self, name)))
+        if not self.det:
+            raise GeometryError("singular matrix")
 
     @property
     def det(self):
@@ -74,57 +115,62 @@ class MobiusMap:
     def trace(self):
         return self.a + self.d
 
-    def __call__(self, z):
-        if is_infinity(z):
-            if abs(self.c) < EPS_DET:
-                return INF
-            return self.a / self.c
-        den = self.c * z + self.d
-        if abs(den) < EPS_DET * max(1.0, abs(z)):
-            return INF
-        return (self.a * z + self.b) / den
+    def sends(self, z, w):
+        """True iff the map takes boundary point z to w: the image
+        (a x + b y : c x + d y) of z = (x : y) is the point w = (u : v)."""
+        x, y = _homogeneous(z)
+        u, v = _homogeneous(w)
+        return (self.a * x + self.b * y) * v == (self.c * x + self.d * y) * u
 
     def compose(self, other):
-        """self after other (matrix product self * other)."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        """self after other (matrix product self * other), divided by the
+        gcd of its 16 integers so that entries stay small."""
+        entries = (self.a * other.a + self.b * other.c,
+                   self.a * other.b + self.b * other.d,
+                   self.c * other.a + self.d * other.c,
+                   self.c * other.b + self.d * other.d)
+        g = math.gcd(*(x for e in entries for x in e.parts()))
+        return MobiusMap(*(Z3i(*(x // g for x in e.parts()))
+                           for e in entries))
 
     def inverse(self):
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
-    def normalized(self):
-        """Scale to determinant 1 (sign of the square root is arbitrary)."""
-        s = cmath.sqrt(self.det)
-        return MobiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
+
+
+def _homogeneous(z):
+    return (Z3i(1), Z3i(0)) if is_infinity(z) else (z, Z3i(1))
 
 
 IDENTITY = MobiusMap(1, 0, 0, 1)
 
 
 def projective_distance(m1, m2):
-    """min over sign of the max entrywise distance after det-1 normalization."""
-    n1, n2 = m1.normalized(), m2.normalized()
-    d_plus = max(abs(x - y) for x, y in zip(n1.entries(), n2.entries()))
-    d_minus = max(abs(x + y) for x, y in zip(n1.entries(), n2.entries()))
-    return min(d_plus, d_minus)
+    """0 iff m1 and m2 are the same map, that is, their entry vectors are
+    proportional and all six cross-minors vanish; otherwise the number of
+    minors that do not."""
+    u, v = m1.entries(), m2.entries()
+    return sum(u[i] * v[j] != u[j] * v[i]
+               for i, j in itertools.combinations(range(4), 2))
 
 
-def classify_element(m, tol_id=EPS_ID, tol_cls=EPS_CLS):
-    """identity / parabolic / elliptic / loxodromic by the squared trace."""
-    n = m.normalized()
-    if projective_distance(n, IDENTITY) <= tol_id:
+def classify_element(m):
+    """identity / parabolic / elliptic / loxodromic, decided exactly.
+
+    With t = tr^2 / det, the squared trace of the det-1 scaling, m is
+    parabolic iff t = 4 and elliptic iff t is real in [0, 4).  Multiplied by
+    |det|^2 this stays in the ring: t |det|^2 = tr^2 conj(det).
+    """
+    if not m.b and not m.c and m.a == m.d:
         return "identity"
-    tau = n.trace ** 2
-    if abs(tau - 4) <= tol_cls:
+    tr2, det = m.trace * m.trace, m.det
+    if tr2 == det * Z3i(4):
         return "parabolic"
-    if abs(tau.imag) <= tol_cls and -tol_cls <= tau.real < 4:
+    x = tr2 * det.conjugate()
+    if (not (x.c or x.d) and x.real_sign() >= 0
+            and (det * det.conjugate() * Z3i(4) - x).real_sign() > 0):
         return "elliptic"
     return "loxodromic"
 
@@ -165,48 +211,43 @@ def _regular_degree(poly):
     return degrees.pop()
 
 
+def ring_to_json(z):
+    """[[a, b], [c, d]] for a + b sqrt3 + i (c + d sqrt3)."""
+    return [[z.a, z.b], [z.c, z.d]]
+
+
+def ring_from_json(val):
+    """The ring element written [[a, b], [c, d]] in integers, else None."""
+    if (isinstance(val, list) and len(val) == 2 and all(
+            isinstance(part, list) and len(part) == 2
+            and all(type(x) is int for x in part) for part in val)):
+        return Z3i(val[0][0], val[0][1], val[1][0], val[1][1])
+    return None
+
+
 def realization_to_json_dict(realization):
-    doc = {}
-    for name, z in sorted(realization.items()):
-        doc[name] = INF if is_infinity(z) else [z.real, z.imag]
-    return doc
+    return {name: z if is_infinity(z) else ring_to_json(z)
+            for name, z in sorted(realization.items())}
 
 
 def realization_from_json_dict(doc):
-    """Parse vertex name -> [re, im] or "inf"; the points must be pairwise
-    distinct, so at most one is at infinity."""
+    """Parse vertex name -> [[a, b], [c, d]] or "inf"; the points must be
+    pairwise distinct, so at most one is at infinity."""
     out = {}
     for name, val in doc.items():
-        if val == INF:
-            out[name] = INF
-        elif (isinstance(val, list) and len(val) == 2 and all(
-                type(x) in (int, float) and math.isfinite(x) for x in val)):
-            out[name] = complex(val[0], val[1])
-        else:
-            raise RealizationError(f"vertex {name!r}: {val!r} is neither "
-                                   '"inf" nor two finite numbers')
+        out[name] = INF if val == INF else ring_from_json(val)
+        if out[name] is None:
+            raise RealizationError(
+                f"vertex {name!r}: {val!r} is neither \"inf\" nor "
+                "[[a, b], [c, d]] in integers")
     if len(set(out.values())) != len(out):
         raise RealizationError("realization points are not pairwise distinct")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Cross-ratio and map construction
+# Map construction and verification
 # ---------------------------------------------------------------------------
-
-def cross_ratio(z, p1, p2, p3):
-    """(z - p2)(p1 - p3) / ((z - p3)(p1 - p2)); sends p2->0, p1->1, p3->inf.
-
-    Standard infinity conventions: the two factors containing an infinite
-    point cancel.
-    """
-    pts = (p1, p2, p3)
-    finite = [p for p in pts if not is_infinity(p)]
-    if len(set(finite)) != len(finite) or sum(is_infinity(p) for p in pts) > 1:
-        raise GeometryError("cross-ratio reference points must be distinct")
-    m = _to_reference(p1, p2, p3)
-    return m(z)
-
 
 def _to_reference(p1, p2, p3):
     """Matrix sending (p2, p1, p3) -> (0, 1, inf)."""
@@ -226,16 +267,16 @@ def mobius_from_triples(src, dst):
         finite = [p for p in triple if not is_infinity(p)]
         if len(set(finite)) != len(finite) or sum(map(is_infinity, triple)) > 1:
             raise GeometryError("triple points must be pairwise distinct")
-    return _to_reference(*dst).inverse().compose(_to_reference(*src)).normalized()
+    return _to_reference(*dst).inverse().compose(_to_reference(*src))
 
 
-def face_pairing_maps(realization, scheme, tol=EPS_GEO):
+def face_pairing_maps(realization, scheme):
     """One Mobius map per pairing, from three consecutive boundary vertices.
 
     The reference triple is the three consecutive source-boundary vertices
     starting at the lexicographically smallest vertex name; every remaining
-    boundary vertex must land on its image within tol, otherwise the scheme
-    is not realizable on this vertex placement.
+    boundary vertex must land exactly on its image, otherwise the scheme is
+    not realizable on this vertex placement.
     """
     poly = scheme.poly
     maps = {}
@@ -249,19 +290,11 @@ def face_pairing_maps(realization, scheme, tol=EPS_GEO):
         dst = [realization[corr[v]] for v in ordered[:3]]
         m = mobius_from_triples(src, dst)
         for v in ordered[3:]:
-            image = m(realization[v])
-            expect = realization[corr[v]]
-            err = _point_distance(image, expect)
-            if err > tol:
-                raise FourthVertexError(v, err)
+            if not m.sends(realization[v], realization[corr[v]]):
+                raise FourthVertexError(
+                    f"vertex {v!r} does not land on its image")
         maps[p.gen] = m
     return maps
-
-
-def _point_distance(z, w):
-    if is_infinity(z) or is_infinity(w):
-        return 0.0 if is_infinity(z) and is_infinity(w) else math.inf
-    return abs(z - w)
 
 
 def relator_product(generators, word):
@@ -272,7 +305,7 @@ def relator_product(generators, word):
         g = generators[gen]
         g = g if sign > 0 else g.inverse()
         m = g.compose(m)
-    return m.normalized()
+    return m
 
 
 @dataclass(frozen=True)
@@ -285,15 +318,15 @@ class GroupPresentation:
         return all(v == "identity" for v in self.verification)
 
 
-def verify_words(realization, scheme, words, tol_id=EPS_ID, tol_geo=EPS_GEO):
+def verify_words(realization, scheme, words):
     """Build generators and classify the product of each relator word."""
-    gens = face_pairing_maps(realization, scheme, tol=tol_geo)
+    gens = face_pairing_maps(realization, scheme)
     verdicts = tuple(
-        classify_element(relator_product(gens, w), tol_id=tol_id) for w in words)
+        classify_element(relator_product(gens, w)) for w in words)
     return GroupPresentation(gens, words, verdicts)
 
 
-def verify_candidate(candidate, tol_id=EPS_ID, tol_geo=EPS_GEO):
+def verify_candidate(candidate):
     """Verification of an enumeration survivor on its solid's bundled
     regular ideal realization.
 
@@ -308,17 +341,15 @@ def verify_candidate(candidate, tol_id=EPS_ID, tol_geo=EPS_GEO):
     if not candidate.solution.contains(regular):
         raise NotRealizableError(
             f"angle system does not admit the regular all-{angle} solution")
-    return verify_words(realization, scheme, candidate.words, tol_id, tol_geo)
+    return verify_words(realization, scheme, candidate.words)
 
 
 def presentation_to_json_dict(presentation):
-    """Generators as det-1 matrices (4 entries, re/im pairs) plus verdicts."""
-    gens = {}
-    for sym, m in sorted(presentation.generators.items()):
-        n = m.normalized()
-        gens[sym] = [[e.real, e.imag] for e in n.entries()]
+    """Generators as their exact entries a, b, c, d (each written as by
+    ring_to_json, the 16 integers without a common factor) plus verdicts."""
     return {
-        "generators": gens,
+        "generators": {sym: [ring_to_json(e) for e in m.entries()]
+                       for sym, m in sorted(presentation.generators.items())},
         "relators": [
             {"word": [[g, s] for g, s in w.letters], "product": verdict}
             for w, verdict in zip(presentation.relators,

@@ -2,7 +2,7 @@
 
 These are the machine-checkable shadows of the group-theoretic restrictions:
 squared terms in relators against adjacent identified faces, size-3 classes
-against short relators, the numeric commutator test, and the edge-count
+against short relators, the exact commutation test, and the edge-count
 bound that forces commuting generators.
 """
 
@@ -72,10 +72,9 @@ def y2z_class_link(orbits, words):
     return Y2ZVerdict(has3 == hasy, has3, hasy, orbit_witness, word_witness)
 
 
-def commute_numeric(g1, g2, tol=geometry.EPS_ID):
-    """True iff the commutator g1 g2 g1^-1 g2^-1 is projectively +-I."""
-    comm = g1.compose(g2).compose(g1.inverse()).compose(g2.inverse())
-    return geometry.projective_distance(comm, geometry.IDENTITY) <= tol
+def commutes(g1, g2):
+    """True iff g1 g2 and g2 g1 are the same map (projectively equal)."""
+    return geometry.projective_distance(g1.compose(g2), g2.compose(g1)) == 0
 
 
 def edge_bound_check(poly):
@@ -117,7 +116,7 @@ def restriction_report(scheme, generators=None, inc=None):
         symbols = sorted(generators)
         for i, s1 in enumerate(symbols):
             for s2 in symbols[i + 1:]:
-                if commute_numeric(generators[s1], generators[s2]):
+                if commutes(generators[s1], generators[s2]):
                     commuting.append((s1, s2))
     return RestrictionReport(
         has_size3_class=verdict.has_size3_orbit,

@@ -1,12 +1,13 @@
 import collections
-import math
 from fractions import Fraction
 
 import pytest
 
-from hypdom import angles, domains, enumeration, geometry, pairings, polytope
+from hypdom import angles, enumeration, geometry, pairings, polytope
+from hypdom.geometry import MobiusMap, Z3i
 
-SQRT3 = math.sqrt(3.0)
+import domains
+from float_mobius import EPS_GEO, SQRT3
 
 
 @pytest.fixture(scope="session")
@@ -95,7 +96,7 @@ def inscribed_cube_vertices():
     return pts
 
 
-def ball_to_uhs(p, tol=geometry.EPS_GEO):
+def ball_to_uhs(p, tol=EPS_GEO):
     """Ball-model ideal point to a boundary complex number.
 
     Invert about the sphere of radius 2 centered at (0, 0, 2), then reflect
@@ -143,13 +144,12 @@ def ball_model_cube_realization(poly):
     return out
 
 
-def verify_scheme(realization, scheme, tol_id=geometry.EPS_ID,
-                  tol_geo=geometry.EPS_GEO):
+def verify_scheme(realization, scheme):
     """geometry.verify_words on the relators read off the scheme's edge
     orbits."""
     words = tuple(pairings.relator_word(o)
                   for o in pairings.edge_orbits(scheme))
-    return geometry.verify_words(realization, scheme, words, tol_id, tol_geo)
+    return geometry.verify_words(realization, scheme, words)
 
 
 def canonicalize(scheme, group="all", automorphisms=None):
@@ -208,18 +208,6 @@ def scheme_signature(scheme):
     return tuple(sorted(items))
 
 
-def sign_fixed(m):
-    """Det-1 normalization with the sign fixed by the first nonzero entry."""
-    n = m.normalized()
-    for e in n.entries():
-        if abs(e) > geometry.EPS_DET:
-            if e.real < -geometry.EPS_DET or (
-                    abs(e.real) <= geometry.EPS_DET and e.imag < 0):
-                return geometry.MobiusMap(-n.a, -n.b, -n.c, -n.d)
-            return n
-    return n
-
-
 def classes_by_pairs(inc, pairs):
     """Set of edge ids from a list of vertex-name pairs."""
     return {inc.edge_id(u, v) for u, v in pairs}
@@ -259,24 +247,32 @@ FIVE_SEVEN_ANGLES = {
 
 def reference_generators():
     """Closed forms of the three quarter-twist opposite-face generators on
-    the regular ideal cube (front-to-back, left-to-right, top-to-bottom)."""
-    A = geometry.MobiusMap(1j - SQRT3, 4, 1, 1j - SQRT3)
-    B = geometry.MobiusMap(1 - SQRT3 * 1j, 4, -1, 1 - SQRT3 * 1j)
-    C = geometry.MobiusMap((1 - SQRT3) * (1 - 1j), 0, 0, -(1 + SQRT3) * (1 + 1j))
+    the regular ideal cube (front-to-back, left-to-right, top-to-bottom),
+    exact in Z[sqrt3, i]:
+      A = [[i - sqrt3, 4], [1, i - sqrt3]],
+      B = [[1 - sqrt3 i, 4], [-1, 1 - sqrt3 i]],
+      C = [[(1 - sqrt3)(1 - i), 0], [0, -(1 + sqrt3)(1 + i)]]."""
+    a = Z3i(0, -1, 1, 0)
+    b = Z3i(1, 0, 0, -1)
+    A = MobiusMap(a, 4, 1, a)
+    B = MobiusMap(b, 4, -1, b)
+    C = MobiusMap(Z3i(1, -1, -1, 1), 0, 0, Z3i(-1, -1, -1, -1))
     return {"A": A, "B": B, "C": C}
 
 
 def reference_adjacent_generators():
     """Closed forms for the mixed adjacent-twist scheme: P front-to-back,
-    Q top-to-left, R right-to-bottom."""
-    P = geometry.MobiusMap(2 * (1 + 1j), -4 * SQRT3 * (1 + 1j),
-                           -SQRT3 * (1 + 1j), 2 * (1 + 1j))
-    Q = geometry.MobiusMap((2 + 2 * SQRT3) + 1j * (-2 + 2 * SQRT3),
-                           (20 + 12 * SQRT3) + 1j * (4 + 4 * SQRT3),
-                           (SQRT3 - 1) + 1j * (-1 - SQRT3),
-                           (-2 * SQRT3 - 2) + 1j * (10 + 6 * SQRT3))
-    R = geometry.MobiusMap((10 * SQRT3 - 18) + (6 * SQRT3 - 10) * 1j,
-                           (-12 * SQRT3 + 20) + (20 * SQRT3 - 36) * 1j,
-                           (SQRT3 - 3) + (-1 + SQRT3) * 1j,
-                           (2 * SQRT3 - 2) + (6 - 2 * SQRT3) * 1j)
+    Q top-to-left, R right-to-bottom, exact in Z[sqrt3, i]:
+      P = [[2(1 + i), -4 sqrt3 (1 + i)], [-sqrt3 (1 + i), 2(1 + i)]],
+      Q = [[(2 + 2 sqrt3) + i(-2 + 2 sqrt3), (20 + 12 sqrt3) + i(4 + 4 sqrt3)],
+           [(sqrt3 - 1) + i(-1 - sqrt3), (-2 - 2 sqrt3) + i(10 + 6 sqrt3)]],
+      R = [[(-18 + 10 sqrt3) + i(-10 + 6 sqrt3),
+            (20 - 12 sqrt3) + i(-36 + 20 sqrt3)],
+           [(-3 + sqrt3) + i(-1 + sqrt3), (-2 + 2 sqrt3) + i(6 - 2 sqrt3)]]."""
+    P = MobiusMap(Z3i(2, 0, 2, 0), Z3i(0, -4, 0, -4), Z3i(0, -1, 0, -1),
+                  Z3i(2, 0, 2, 0))
+    Q = MobiusMap(Z3i(2, 2, -2, 2), Z3i(20, 12, 4, 4), Z3i(-1, 1, -1, -1),
+                  Z3i(-2, -2, 10, 6))
+    R = MobiusMap(Z3i(-18, 10, -10, 6), Z3i(20, -12, -36, 20),
+                  Z3i(-3, 1, -1, 1), Z3i(-2, 2, 6, -2))
     return {"P": P, "Q": Q, "R": R}

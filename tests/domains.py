@@ -7,7 +7,7 @@ twist sugar.  The opposite-pair and uniform-adjacent schemes are chiral
 its own mirror up to rotation.
 """
 
-from . import pairings
+from hypdom import pairings
 
 
 def opposite_quarter_twist(poly, mirror=False):

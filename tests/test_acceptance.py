@@ -32,14 +32,16 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import (angles, domains, enumeration, geometry, grouplab,
-                    pairings, polytope)
+from hypdom import (angles, enumeration, geometry, grouplab, pairings,
+                    polytope)
 
+import domains
+import float_mobius as fm
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
                       ball_to_uhs, canonicalize, detect_elliptic_generator,
                       drawn, inscribed_cube_vertices,
                       reference_adjacent_generators, reference_generators,
-                      sign_fixed, verify_scheme)
+                      verify_scheme)
 
 THIRD = Fraction(2, 3)
 
@@ -243,20 +245,24 @@ def test_criterion_4_five_seven_assignment(cube, cube_inc, cube_dual):
 
 
 def test_criterion_5_generator_reproduction(cube, realization, fd1):
-    with _Line(5, "generator matrices reproduced to 1e-9"):
+    with _Line(5, "generator matrices reproduced exactly, and to 1e-9 by "
+                  "the float oracle"):
         gens = geometry.face_pairing_maps(realization, fd1)
         refs = reference_generators()
         for sym in "ABC":
-            ours = sign_fixed(gens[sym])
-            ref = sign_fixed(refs[sym])
+            assert geometry.projective_distance(gens[sym], refs[sym]) == 0
+        floats = fm.face_pairing_maps(fm.float_realization(realization), fd1)
+        for sym in "ABC":
+            ours = fm.sign_fixed(floats[sym])
+            ref = fm.sign_fixed(fm.from_exact(refs[sym]))
             residual = max(abs(a - b) for a, b in
                            zip(ours.entries(), ref.entries()))
             assert residual <= 1e-9, f"{sym}: residual {residual:.2e}"
 
 
 def test_criterion_6_relator_identity(cube, realization, fd1, fd1_mirror, fd2):
-    with _Line(6, "relator products are +-identity to 1e-9"):
-        pres1 = verify_scheme(realization, fd1, tol_id=1e-9)
+    with _Line(6, "relator products are exactly +-identity"):
+        pres1 = verify_scheme(realization, fd1)
         assert pres1.verification == ("identity", "identity")
         assert len(pres1.relators) == 2
         refs = reference_adjacent_generators()
@@ -266,14 +272,14 @@ def test_criterion_6_relator_identity(cube, realization, fd1, fd1_mirror, fd2):
                       ("Q", -1), ("R", 1))):
             product = geometry.relator_product(refs, word)
             assert geometry.projective_distance(
-                product, geometry.IDENTITY) <= 1e-9
+                product, geometry.IDENTITY) == 0
         own_words = [pairings.relator_word(o)
                      for o in pairings.edge_orbits(fd2)]
         gens2 = geometry.face_pairing_maps(realization, fd2)
         for w in own_words:
             product = geometry.relator_product(gens2, w)
             assert geometry.projective_distance(
-                product, geometry.IDENTITY) <= 1e-9
+                product, geometry.IDENTITY) == 0
         # mirror version via the inverse generators
         inverses = {sym: m.inverse() for sym, m in
                     reference_generators().items()}
@@ -281,7 +287,7 @@ def test_criterion_6_relator_identity(cube, realization, fd1, fd1_mirror, fd2):
             word = pairings.relator_word(orbit)
             product = geometry.relator_product(inverses, word)
             assert geometry.projective_distance(
-                product, geometry.IDENTITY) <= 1e-9
+                product, geometry.IDENTITY) == 0
 
 
 def test_criterion_7_word_shape_equivalences(cube, cube_inc):
@@ -370,14 +376,15 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
             assert (c.vertex_classes - c.edge_classes + c.face_classes
                     - c.interiors == c.euler)
             assert c.vertex_classes == c.euler
-        # cross-ratio invariance under 100 seeded random unit-determinant maps
+        # cross-ratio invariance under 100 seeded random unit-determinant
+        # maps, in the float oracle
         rng = random.Random(20260808)
         done = 0
         while done < 100:
             entries = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                        for _ in range(4)]
             try:
-                m = geometry.MobiusMap(*entries).normalized()
+                m = fm.MobiusMap(*entries).normalized()
             except geometry.GeometryError:
                 continue
             pts = []
@@ -386,8 +393,8 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
                 if all(abs(c - p) > 1e-3 for p in pts):
                     pts.append(c)
             z, p1, p2, p3 = pts
-            before = geometry.cross_ratio(z, p1, p2, p3)
-            after = geometry.cross_ratio(m(z), m(p1), m(p2), m(p3))
+            before = fm.cross_ratio(z, p1, p2, p3)
+            after = fm.cross_ratio(m(z), m(p1), m(p2), m(p3))
             assert abs(before - after) <= 1e-9 * max(1.0, abs(before))
             done += 1
         # ball-to-boundary planarity of all 8 ideal cube vertices: the

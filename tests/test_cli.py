@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypdom import cli
+from hypdom import cli, geometry
 
 
 def data_path(name):
@@ -176,9 +177,9 @@ def test_realize_command(capsys, tmp_path):
     assert all(len(v) == 2 for v in doc.values())
     code, out, _ = run(capsys, "realize", data_path("octahedron"))
     assert code == 0
-    assert json.loads(out) == {"v0": "inf", "v1": [0.0, 0.0],
-                               "v2": [1.0, 0.0], "v3": [-1.0, 0.0],
-                               "v4": [0.0, 1.0], "v5": [0.0, -1.0]}
+    assert json.loads(out) == {"v0": "inf", "v1": [[0, 0], [0, 0]],
+                               "v2": [[1, 0], [0, 0]], "v3": [[-1, 0], [0, 0]],
+                               "v4": [[0, 0], [1, 0]], "v5": [[0, 0], [-1, 0]]}
     code, out, err = run(capsys, "realize", data_path("tetrahedron"))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "tetrahedron" in err
@@ -260,9 +261,35 @@ def test_verify_output_has_generators(capsys, cube_run):
     doc = json.loads(text)
     assert set(doc["generators"]) == set(doc["generator_types"])
     for entries in doc["generators"].values():
+        # four exact entries [[a, b], [c, d]], content-reduced, invertible
         assert len(entries) == 4
-        a, b, c, d = (complex(re, im) for re, im in entries)
-        assert abs(a * d - b * c - 1) < 1e-9
+        ints = [x for e in entries for part in e for x in part]
+        assert len(ints) == 16 and all(type(x) is int for x in ints)
+        assert math.gcd(*ints) == 1
+        a, b, c, d = map(geometry.ring_from_json, entries)
+        assert a * d - b * c
+
+
+def test_tolerance_options_are_gone(capsys, cube_run):
+    # verification decides by equality: no tolerance can be passed
+    for argv in (["verify", data_path("cube"),
+                  str(cube_run / "candidate_000.json"), "--tol-id", "1e-9"],
+                 ["pipeline", data_path("cube"), "--tol-geo", "1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: calls.append(1) or build())
+    for _ in range(3):
+        assert run(capsys, "info", data_path("cube"))[0] == 0
+    assert calls == [1]
 
 
 def child_env(**extra):

@@ -158,6 +158,27 @@ def test_candidate_json_roundtrip(cube, cube_report, tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["witness"] == doc["witness"]
 
 
+def test_reload_takes_persisted_keys(cube, cube_report, monkeypatch):
+    # a reload builds no automorphism group: both canonical keys come from
+    # the document, and a document without them is refused by name
+    calls = []
+    group = pairings.symmetry_group
+    monkeypatch.setattr(pairings, "symmetry_group",
+                        lambda poly: calls.append(poly) or group(poly))
+    docs = [enumeration.candidate_to_json_dict(c)
+            for c in cube_report.survivors]
+    assert len(docs) == 30
+    for cand, doc in zip(cube_report.survivors, docs):
+        back = enumeration.candidate_from_json_dict(cube, doc)
+        assert back.key_rotations == cand.key_rotations
+        assert back.key_full == cand.key_full
+    assert calls == []
+    missing = {k: v for k, v in docs[0].items() if k != "key_full"}
+    for doc in (missing, {**docs[0], "key_rotations": 7}):
+        with pytest.raises(enumeration.EnumerationError, match="'key_full'"):
+            enumeration.candidate_from_json_dict(cube, doc)
+
+
 @pytest.mark.parametrize("values, message", [
     (None, "no persisted witness"),
     ({1: "2/3"}, "keys are not the edge ids"),

@@ -1,18 +1,32 @@
 import cmath
 import collections
+import itertools
 import json
 import math
 import random
 import types
-from fractions import Fraction
 
 import pytest
 
-from hypdom import domains, geometry, pairings, polytope
+from hypdom import geometry, grouplab, pairings, polytope
+from hypdom.geometry import MobiusMap, Z3i
 
+import float_mobius as fm
 from conftest import (SQRT3, Point3, ball_model_cube_realization, ball_to_uhs,
                       inscribed_cube_vertices, reference_adjacent_generators,
-                      reference_generators, sign_fixed, verify_scheme)
+                      reference_generators, verify_scheme)
+
+I = Z3i(0, 0, 1, 0)
+
+
+def gaussian_points(rng, count, bound):
+    """`count` distinct Gaussian integers with parts in [-bound, bound]."""
+    pts = []
+    while len(pts) < count:
+        z = Z3i(rng.randint(-bound, bound), 0, rng.randint(-bound, bound), 0)
+        if z not in pts:
+            pts.append(z)
+    return pts
 
 
 def test_inscribed_vertices():
@@ -52,11 +66,14 @@ def test_ball_to_uhs_rejects_off_sphere():
 def test_realization_planar(cube, realization):
     # every ideal cube vertex lands exactly on the boundary plane: the
     # ball-model construction raises if any image height exceeds 1e-9, and
-    # the bundled cube is its output float for float
-    assert ball_model_cube_realization(cube) == realization
+    # the bundled exact cube is its output to 1e-12
+    ball = ball_model_cube_realization(cube)
+    points = fm.float_realization(realization)
+    assert ball.keys() == points.keys()
+    assert all(abs(ball[v] - points[v]) < 1e-12 for v in ball)
     assert len(set(realization.values())) == 8
-    big = {z for z in realization.values() if abs(z) > 3}
-    small = {z for z in realization.values() if abs(z) < 3}
+    big = {z for z in points.values() if abs(z) > 3}
+    small = {z for z in points.values() if abs(z) < 3}
     assert all(abs(abs(z) - (1 + SQRT3) * math.sqrt(2)) < 1e-9 for z in big)
     assert all(abs(abs(z) - (SQRT3 - 1) * math.sqrt(2)) < 1e-9 for z in small)
 
@@ -99,39 +116,36 @@ def link_exterior_angles(poly, points):
 def test_bundled_realizations_are_regular(solids):
     for name, degree in (("cube", 3), ("octahedron", 4)):
         poly = solids[name]
-        angles = link_exterior_angles(poly, geometry.load_realization(poly))
+        angles = link_exterior_angles(
+            poly, fm.float_realization(geometry.load_realization(poly)))
         assert len(angles) == 2 * poly.edge_count()
         for edge, angle in angles:
             assert abs(angle - 2 * math.pi / degree) < 1e-9, (name, edge)
 
 
 def test_cross_ratio_reference_values():
-    assert geometry.cross_ratio(5.0, 2.0, 5.0, 7.0) == 0
-    assert geometry.is_infinity(geometry.cross_ratio(7.0, 2.0, 5.0, 7.0))
-    assert abs(geometry.cross_ratio(2.0, 2.0, 5.0, 7.0) - 1) < 1e-12
+    assert fm.cross_ratio(5.0, 2.0, 5.0, 7.0) == 0
+    assert geometry.is_infinity(fm.cross_ratio(7.0, 2.0, 5.0, 7.0))
+    assert abs(fm.cross_ratio(2.0, 2.0, 5.0, 7.0) - 1) < 1e-12
     z = complex(0.3, 1.7)
-    assert abs(geometry.cross_ratio(z, 1.0, 0.0, geometry.INF) - z) < 1e-12
+    assert abs(fm.cross_ratio(z, 1.0, 0.0, geometry.INF) - z) < 1e-12
 
 
 def test_cross_ratio_coincident_rejected():
     with pytest.raises(geometry.GeometryError):
-        geometry.cross_ratio(1.0, 2.0, 2.0, 3.0)
+        fm.cross_ratio(1.0, 2.0, 2.0, 3.0)
 
 
 def test_cross_ratio_matches_compose_oracle():
-    # the cross ratio equals the image under the map sending (p2,p1,p3) to
-    # (0,1,inf), built independently from mobius_from_triples
+    # the oracle's cross ratio equals the image of z under the exact map
+    # sending (p2, p1, p3) to (0, 1, inf), from geometry.mobius_from_triples
     rng = random.Random(7)
     for _ in range(50):
-        pts = []
-        while len(pts) < 4:
-            c = complex(rng.randint(-9, 9), rng.randint(-9, 9))
-            if c not in pts:
-                pts.append(c)
-        z, p1, p2, p3 = pts
-        direct = geometry.cross_ratio(z, p1, p2, p3)
+        z, p1, p2, p3 = gaussian_points(rng, 4, 9)
+        direct = fm.cross_ratio(*map(fm.to_complex, (z, p1, p2, p3)))
         m = geometry.mobius_from_triples((p2, p1, p3), (0, 1, geometry.INF))
-        assert abs(direct - m(z)) < 1e-9
+        image = fm.to_complex(m.a * z + m.b) / fm.to_complex(m.c * z + m.d)
+        assert abs(direct - image) < 1e-9
 
 
 def test_cross_ratio_mobius_invariance():
@@ -140,7 +154,7 @@ def test_cross_ratio_mobius_invariance():
         entries = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                    for _ in range(4)]
         try:
-            m = geometry.MobiusMap(*entries).normalized()
+            m = fm.MobiusMap(*entries).normalized()
         except geometry.GeometryError:
             continue
         pts = []
@@ -149,55 +163,51 @@ def test_cross_ratio_mobius_invariance():
             if all(abs(c - p) > 1e-3 for p in pts):
                 pts.append(c)
         z, p1, p2, p3 = pts
-        before = geometry.cross_ratio(z, p1, p2, p3)
-        after = geometry.cross_ratio(m(z), m(p1), m(p2), m(p3))
+        before = fm.cross_ratio(z, p1, p2, p3)
+        after = fm.cross_ratio(m(z), m(p1), m(p2), m(p3))
         assert abs(before - after) <= 1e-9 * max(1.0, abs(before))
 
 
 def test_mobius_from_triples_identity():
     m = geometry.mobius_from_triples((0, 1, geometry.INF), (0, 1, geometry.INF))
-    assert geometry.projective_distance(m, geometry.IDENTITY) < 1e-12
+    assert geometry.projective_distance(m, geometry.IDENTITY) == 0
 
 
 def test_mobius_from_triples_degenerate():
     with pytest.raises(geometry.GeometryError):
-        geometry.mobius_from_triples((1.0, 1.0, 2.0), (0.0, 1.0, 2.0))
+        geometry.mobius_from_triples((Z3i(1), Z3i(1), Z3i(2)),
+                                     (Z3i(0), Z3i(1), Z3i(2)))
 
 
 def test_mobius_round_trip():
     rng = random.Random(11)
     for _ in range(25):
-        src = []
-        dst = []
-        while len(src) < 3:
-            c = complex(rng.randint(-8, 8), rng.randint(-8, 8))
-            if c not in src:
-                src.append(c)
-        while len(dst) < 3:
-            c = complex(rng.randint(-8, 8), rng.randint(-8, 8))
-            if c not in dst:
-                dst.append(c)
+        src = gaussian_points(rng, 3, 8)
+        dst = gaussian_points(rng, 3, 8)
         m = geometry.mobius_from_triples(src, dst)
         for s, d in zip(src, dst):
-            assert abs(m(s) - d) < 1e-9
+            assert m.sends(s, d)
+        assert not m.sends(src[0], dst[1])
         back = geometry.mobius_from_triples(dst, src)
         assert geometry.projective_distance(
-            m.compose(back), geometry.IDENTITY) < 1e-9
+            m.compose(back), geometry.IDENTITY) == 0
 
 
 def test_fd1_generators_match_reference(realization, fd1):
     gens = geometry.face_pairing_maps(realization, fd1)
     refs = reference_generators()
     for sym in "ABC":
-        assert geometry.projective_distance(gens[sym], refs[sym]) <= 1e-9
+        assert geometry.projective_distance(gens[sym], refs[sym]) == 0
 
 
 def test_fd1_generator_sign_fix(realization, fd1):
-    gens = geometry.face_pairing_maps(realization, fd1)
+    # the float oracle on the float image of the realization reproduces the
+    # closed forms entrywise after det-1 normalization with a fixed sign
+    gens = fm.face_pairing_maps(fm.float_realization(realization), fd1)
     refs = reference_generators()
     for sym in "ABC":
-        ours = sign_fixed(gens[sym])
-        ref = sign_fixed(refs[sym])
+        ours = fm.sign_fixed(gens[sym])
+        ref = fm.sign_fixed(fm.from_exact(refs[sym]))
         assert max(abs(a - b) for a, b in
                    zip(ours.entries(), ref.entries())) <= 1e-9
 
@@ -205,9 +215,9 @@ def test_fd1_generator_sign_fix(realization, fd1):
 def test_fd2_generators_match_reference(realization, fd2):
     gens = geometry.face_pairing_maps(realization, fd2)
     refs = reference_adjacent_generators()
-    assert geometry.projective_distance(gens["P"], refs["P"]) <= 1e-9
-    assert geometry.projective_distance(gens["Q"], refs["Q"]) <= 1e-9
-    assert geometry.projective_distance(gens["R"], refs["R"]) <= 1e-9
+    assert geometry.projective_distance(gens["P"], refs["P"]) == 0
+    assert geometry.projective_distance(gens["Q"], refs["Q"]) == 0
+    assert geometry.projective_distance(gens["R"], refs["R"]) == 0
 
 
 def test_mirror_generators_are_entrywise_conjugates(realization, fd1,
@@ -217,18 +227,17 @@ def test_mirror_generators_are_entrywise_conjugates(realization, fd1,
     # it conjugate to the entrywise complex conjugate, the swapped pair to
     # the conjugate of the inverse -- in no case to the plain inverse
     def conj(m):
-        a, b, c, d = (z.conjugate() for z in m.entries())
-        return geometry.MobiusMap(a, b, c, d)
+        return MobiusMap(*(z.conjugate() for z in m.entries()))
 
     gens = geometry.face_pairing_maps(realization, fd1)
     mirror = geometry.face_pairing_maps(realization, fd1_mirror)
-    assert geometry.projective_distance(mirror["A"], conj(gens["A"])) <= 1e-9
-    assert geometry.projective_distance(mirror["C"], conj(gens["C"])) <= 1e-9
+    assert geometry.projective_distance(mirror["A"], conj(gens["A"])) == 0
+    assert geometry.projective_distance(mirror["C"], conj(gens["C"])) == 0
     assert geometry.projective_distance(
-        mirror["B"], conj(gens["B"].inverse())) <= 1e-9
+        mirror["B"], conj(gens["B"].inverse())) == 0
     for sym in "ABC":
         assert geometry.projective_distance(
-            mirror[sym], gens[sym].inverse()) > 1e-3
+            mirror[sym], gens[sym].inverse()) > 0
 
 
 def test_mirror_words_verify_with_inverse_generators(cube, fd1, fd1_mirror):
@@ -244,7 +253,7 @@ def test_mirror_words_verify_with_inverse_generators(cube, fd1, fd1_mirror):
 
 def test_fourth_vertex_error(realization, fd1):
     bent = dict(realization)
-    bent["BBL"] = bent["BBL"] + 0.05
+    bent["BBL"] = bent["BBL"] + Z3i(1)
     with pytest.raises(geometry.FourthVertexError):
         geometry.face_pairing_maps(bent, fd1)
 
@@ -279,16 +288,35 @@ def test_relator_word_times_inverse(realization, fd1):
 
 
 def test_classify_element_standard_forms():
-    assert geometry.classify_element(geometry.MobiusMap(1, 1, 0, 1)) == "parabolic"
-    two = geometry.MobiusMap(2, 0, 0, 1)      # trace^2 = 9/2 after det-1
+    assert geometry.classify_element(MobiusMap(1, 1, 0, 1)) == "parabolic"
+    two = MobiusMap(2, 0, 0, 1)      # trace^2 = 9/2 after det-1
     assert geometry.classify_element(two) == "loxodromic"
-    assert geometry.classify_element(geometry.MobiusMap(0, -1, 1, 0)) == "elliptic"
-    assert geometry.classify_element(geometry.MobiusMap(-3, 0, 0, -3)) == "identity"
+    assert geometry.classify_element(MobiusMap(0, -1, 1, 0)) == "elliptic"
+    assert geometry.classify_element(MobiusMap(-3, 0, 0, -3)) == "identity"
+    # the same verdicts as the float oracle where the sign test in Q(sqrt3)
+    # matters and where the determinant is not real
+    root3, unit = Z3i(0, 1), Z3i(1, 1, 1, 0)
+    cases = {
+        MobiusMap(root3, -1, 1, 0): "elliptic",         # trace^2 = 3
+        MobiusMap(Z3i(1, 1), -1, 1, 0): "loxodromic",   # 4 + 2 sqrt3
+        MobiusMap(Z3i(-2, 1), -1, 1, 0): "elliptic",    # 7 - 4 sqrt3
+        MobiusMap(unit, unit, 0, unit): "parabolic",
+        MobiusMap(I, 0, 0, Z3i(0, 0, 2)): "loxodromic",  # trace^2/det = 9/2
+        MobiusMap(0, -I, I, 0): "elliptic",
+        MobiusMap(unit, 0, 0, unit): "identity",
+        MobiusMap(I, 1, 0, -I): "elliptic",             # trace 0
+        MobiusMap(Z3i(1, 0, 1), 0, 0, 1): "loxodromic",
+    }
+    for m, verdict in cases.items():
+        assert geometry.classify_element(m) == verdict, m
+        assert fm.classify_element(fm.from_exact(m)) == verdict, m
 
 
 def test_classify_element_det_guard():
     with pytest.raises(geometry.GeometryError, match="singular"):
-        geometry.MobiusMap(1, 2, 2, 4)
+        MobiusMap(1, 2, 2, 4)
+    with pytest.raises(geometry.GeometryError, match="singular"):
+        MobiusMap(Z3i(1, 1), 2, 1, Z3i(-1, 1))  # det (sqrt3+1)(sqrt3-1) - 2
 
 
 def test_verify_candidates_on_cube(cube_report):
@@ -346,12 +374,15 @@ def test_load_realization_rejects(solids, monkeypatch, tmp_path):
     folder.mkdir()
     monkeypatch.setattr(geometry.resources, "files", lambda package: tmp_path)
     for change, message in (
-            ({"v6": [2.0, 0.0]}, "exactly the polyhedron's vertices"),
-            ({"v2": [0.0, 0.0]}, "not pairwise distinct"),
+            ({"v6": [[2, 0], [0, 0]]}, "exactly the polyhedron's vertices"),
+            ({"v2": [[0, 0], [0, 0]]}, "not pairwise distinct"),
             ({"v1": "inf"}, "not pairwise distinct"),
-            ({"v3": ["-1", 0.0]}, "neither"),
-            ({"v3": [math.nan, 0.0]}, "neither"),
-            ({"v3": [-1.0]}, "neither")):
+            ({"v3": [["-1", 0], [0, 0]]}, "neither"),   # a string
+            ({"v3": [[-1.0, 0], [0, 0]]}, "neither"),   # a float coefficient
+            ({"v3": [[True, 0], [0, 0]]}, "neither"),   # a bool
+            ({"v3": [-1.0, 0.0]}, "neither"),           # a float pair
+            ({"v3": [[-1, 0]]}, "neither"),             # wrong shapes
+            ({"v3": [[-1, 0, 0], [0, 0]]}, "neither")):
         (folder / "octahedron.json").write_text(
             json.dumps({**bundled, **change}))
         with pytest.raises(geometry.RealizationError, match=message):
@@ -362,3 +393,51 @@ def test_realization_json_roundtrip(realization):
     doc = geometry.realization_to_json_dict(realization)
     back = geometry.realization_from_json_dict(doc)
     assert back == realization
+
+
+def test_ring_arithmetic_matches_complex():
+    # +, -, *, conjugation and the sign test against their float images
+    rng = random.Random(3)
+
+    def element():
+        return Z3i(*(rng.randint(-9, 9) for _ in range(4)))
+
+    for _ in range(200):
+        x, y = element(), element()
+        cx, cy = fm.to_complex(x), fm.to_complex(y)
+        assert abs(fm.to_complex(x + y) - (cx + cy)) < 1e-9
+        assert abs(fm.to_complex(x - y) - (cx - cy)) < 1e-9
+        assert abs(fm.to_complex(x * y) - cx * cy) < 1e-9
+        assert abs(fm.to_complex(-x * Z3i(2)) + 2 * cx) < 1e-9
+        assert fm.to_complex(x.conjugate()) == cx.conjugate()
+        assert x.real_sign() == (cx.real > 0) - (cx.real < 0)
+        assert (x * y == y * x) and ((x - x) == Z3i(0)) and not (x - x)
+
+
+def test_exact_verdicts_agree_with_float_oracle(solids, cube_report,
+                                                octahedron_report):
+    # on all 150 cube and octahedron survivors, on the solid's bundled
+    # realization (whether or not the angle family admits it): the same
+    # relator verdicts, generator types and commuting pairs as the oracle
+    confirmed = commuting = 0
+    for name, report in (("cube", cube_report),
+                         ("octahedron", octahedron_report)):
+        realization = geometry.load_realization(solids[name])
+        points = fm.float_realization(realization)
+        for cand in report.survivors:
+            gens = geometry.face_pairing_maps(realization, cand.scheme)
+            oracle = fm.face_pairing_maps(points, cand.scheme)
+            verdicts = [geometry.classify_element(
+                geometry.relator_product(gens, w)) for w in cand.words]
+            assert verdicts == [fm.classify_element(
+                fm.relator_product(oracle, w)) for w in cand.words]
+            assert ({s: geometry.classify_element(m) for s, m in gens.items()}
+                    == {s: fm.classify_element(m) for s, m in oracle.items()})
+            pairs = grouplab.restriction_report(
+                cand.scheme, gens).commuting_generator_pairs
+            assert pairs == tuple(
+                (s, t) for s, t in itertools.combinations(sorted(oracle), 2)
+                if fm.commutes(oracle[s], oracle[t]))
+            confirmed += verdicts == ["identity"] * len(verdicts)
+            commuting += bool(pairs)
+    assert (confirmed, commuting) == (54, 12)

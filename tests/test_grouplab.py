@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from hypdom import enumeration, geometry, grouplab, pairings, polytope
+from hypdom.geometry import MobiusMap, Z3i
 
-from conftest import detect_elliptic_generator, reference_generators
+import float_mobius as fm
+from conftest import detect_elliptic_generator
 
 
 def words_of(scheme, inc=None):
@@ -76,21 +79,21 @@ def test_y2z_link_synthetic_three_orbit(cube, cube_inc):
 
 
 def test_commute_translations():
-    t1 = geometry.MobiusMap(1, 1, 0, 1)
-    t2 = geometry.MobiusMap(1, 1j, 0, 1)
-    assert grouplab.commute_numeric(t1, t2)
+    t1 = MobiusMap(1, 1, 0, 1)
+    t2 = MobiusMap(1, Z3i(0, 0, 1, 0), 0, 1)
+    assert grouplab.commutes(t1, t2)
 
 
 def test_commute_affine_pair():
-    double = geometry.MobiusMap(2, 0, 0, 1)
-    shift = geometry.MobiusMap(1, 1, 0, 1)
-    assert not grouplab.commute_numeric(double, shift)
+    double = MobiusMap(2, 0, 0, 1)
+    shift = MobiusMap(1, 1, 0, 1)
+    assert not grouplab.commutes(double, shift)
 
 
 def test_fd1_generators_do_not_commute(realization, fd1, cube_inc):
     gens = geometry.face_pairing_maps(realization, fd1)
     pairs = list(itertools.combinations(sorted(gens), 2))
-    verdicts = {p: grouplab.commute_numeric(gens[p[0]], gens[p[1]])
+    verdicts = {p: grouplab.commutes(gens[p[0]], gens[p[1]])
                 for p in pairs}
     assert not any(verdicts.values())
     # with no commuting pair there should be no size-3 orbit, and there isn't
@@ -100,20 +103,34 @@ def test_fd1_generators_do_not_commute(realization, fd1, cube_inc):
 
 def test_y2z_identity_product_forces_commuting():
     # the commuting consequence of a YYZ relator needs the product to BE the
-    # identity: with Z := Y^-2 exactly, Y and Z must commute
-    import random
+    # identity: with Z := Y^-2 exactly, Y and Z must commute -- in the float
+    # oracle on random complex matrices, and exactly on random ring ones
     rng = random.Random(5)
     for _ in range(25):
         entries = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                    for _ in range(4)]
         try:
-            y = geometry.MobiusMap(*entries).normalized()
+            y = fm.MobiusMap(*entries).normalized()
+        except geometry.GeometryError:
+            continue
+        z = y.inverse().compose(y.inverse())
+        product = y.compose(y).compose(z)
+        assert fm.classify_element(product) == "identity"
+        assert fm.commutes(y, z)
+    for _ in range(25):
+        entries = [Z3i(*(rng.randint(-3, 3) for _ in range(4)))
+                   for _ in range(4)]
+        try:
+            y = MobiusMap(*entries)
         except geometry.GeometryError:
             continue
         z = y.inverse().compose(y.inverse())
         product = y.compose(y).compose(z)
         assert geometry.classify_element(product) == "identity"
-        assert grouplab.commute_numeric(y, z)
+        assert grouplab.commutes(y, z)
+        w = MobiusMap(1, entries[0], 0, 1)  # a translation
+        assert grouplab.commutes(y, w) == fm.commutes(
+            fm.from_exact(y), fm.from_exact(w))
 
 
 def test_y2z_realized_products_are_half_turns(cube, cube_inc, realization):
@@ -135,12 +152,12 @@ def test_y2z_realized_products_are_half_turns(cube, cube_inc, realization):
             singles = [l for l in set(letters) if letters.count(l) == 1]
             product = geometry.relator_product(gens, w)
             assert geometry.classify_element(product) == "elliptic"
-            assert abs(product.normalized().trace) < 1e-8  # rotation by pi
+            assert not product.trace  # rotation by pi
             if doubles and singles:
                 (gy, sy), (gz, sz) = doubles[0], singles[0]
                 y = gens[gy] if sy > 0 else gens[gy].inverse()
                 z = gens[gz] if sz > 0 else gens[gz].inverse()
-                if not grouplab.commute_numeric(y, z):
+                if not grouplab.commutes(y, z):
                     saw_noncommuting = True
             checked += 1
         if checked >= 20:
