@@ -5,7 +5,7 @@ from .polytope import (AbstractPolyhedron, DualGraph, IncidenceData,
                        load_polyhedron, simple_circuits)
 from .angles import (AngleAssignment, LinearSystem, SolutionSet,
                      assemble_system, check_inequalities, feasible,
-                     required_class_count, solve_exact)
+                     required_class_count, satisfies, solve_exact)
 from .pairings import (EdgeOrbit, FacePairing, PairingScheme, QuotientCensus,
                        RelatorWord, SchemeError, canonical_keys, edge_orbits,
                        quotient_census, relator_word, symmetry_group,

@@ -61,7 +61,6 @@ class SolutionSet:
     basis: tuple       # null-space basis vectors (tuples over columns)
     rank: int
     columns: tuple
-    free_columns: tuple = ()
 
     def point(self, coeffs):
         """particular + sum coeffs[j]*basis[j], as an edge->value dict."""
@@ -70,13 +69,6 @@ class SolutionSet:
             for eid, x in zip(self.columns, vec):
                 vals[eid] += t * x
         return vals
-
-    def contains(self, values):
-        """Does the given edge->Fraction map solve every row exactly?"""
-        if self.status == "infeasible":
-            return False
-        res = _solve_in_span(self, values)
-        return res is not None
 
 
 def required_class_count(poly):
@@ -158,7 +150,7 @@ def solve_exact(system):
             break
     for coef, rhs in rows[r:]:
         if all(x == 0 for x in coef) and rhs != 0:
-            return SolutionSet("infeasible", None, (), r, system.columns, ())
+            return SolutionSet("infeasible", None, (), r, system.columns)
     particular = {eid: Fraction(0) for eid in system.columns}
     for (coef, rhs), c in zip(rows[:r], pivots):
         particular[system.columns[c]] = rhs
@@ -171,31 +163,22 @@ def solve_exact(system):
             vec[c] = -coef[fcol]
         basis.append(tuple(vec))
     status = "unique" if not free else "affine-family"
-    return SolutionSet(status, particular, tuple(basis), r, system.columns,
-                       tuple(free))
+    return SolutionSet(status, particular, tuple(basis), r, system.columns)
 
 
-def _solve_in_span(sol, values):
-    """Coefficients t with particular + basis.t == values, or None.
-
-    Each basis vector carries a 1 on its own free column and 0 on the other
-    free columns, so the coefficients can be read off directly.
-    """
-    diff = [values[eid] - sol.particular[eid] for eid in sol.columns]
-    if not sol.basis:
-        return () if all(d == 0 for d in diff) else None
-    coeffs = [diff[c] for c in sol.free_columns]
-    residual = list(diff)
-    for t, vec in zip(coeffs, sol.basis):
-        residual = [r - t * x for r, x in zip(residual, vec)]
-    return tuple(coeffs) if all(r == 0 for r in residual) else None
+def satisfies(system, values):
+    """Does the edge -> Fraction map `values` solve every row of `system`,
+    by exact substitution?"""
+    return all(sum(c * values[eid] for c, eid in zip(coef, system.columns)
+                   if c) == rhs
+               for coef, rhs in system.rows)
 
 
-def nonfacial_circuits(dual, cap=polytope.DEFAULT_CIRCUIT_CAP):
-    return [seq for seq, facial in polytope.simple_circuits(dual, cap) if not facial]
+def nonfacial_circuits(dual):
+    return [seq for seq, facial in polytope.simple_circuits(dual) if not facial]
 
 
-def check_inequalities(poly, dual, assignment, cap=polytope.DEFAULT_CIRCUIT_CAP):
+def check_inequalities(poly, dual, assignment):
     """Strict Rivin checks for a full assignment.
 
     Returns (ok, failures); each failure is ("edge", id, value) for a range
@@ -207,7 +190,7 @@ def check_inequalities(poly, dual, assignment, cap=polytope.DEFAULT_CIRCUIT_CAP)
     for eid in sorted(vals):
         if not 0 < vals[eid] < 1:
             failures.append(("edge", eid, vals[eid]))
-    for seq in nonfacial_circuits(dual, cap):
+    for seq in nonfacial_circuits(dual):
         total = sum(vals[eid] for eid in seq)
         if not total > 2:
             failures.append(("circuit", seq, total))

@@ -59,7 +59,7 @@ def _write_run(report, doc, out):
 
 def cmd_enumerate(args):
     poly = polytope.load_polyhedron(args.polyhedron)
-    report = enumeration.classify(poly, circuit_cap=args.circuit_cap)
+    report = enumeration.classify(poly)
     doc = enumeration.report_to_json_dict(report)
     if args.group == "rotations":
         doc["families_requested_grouping"] = len(report.families_rotations)
@@ -144,7 +144,7 @@ def cmd_verify(args):
 
 def cmd_pipeline(args):
     poly = polytope.load_polyhedron(args.polyhedron)
-    report = enumeration.classify(poly, circuit_cap=args.circuit_cap)
+    report = enumeration.classify(poly)
     doc = enumeration.report_to_json_dict(report)
     families = []
     reps = [members[0] for _, members in sorted(report.families_full.items())]
@@ -178,7 +178,6 @@ def build_parser():
         "--out": dict(default=None, help="directory for report + candidates"),
         "--group": dict(choices=("rotations", "all"), default="all"),
         "--candidate": dict(default=None, help="candidate JSON document"),
-        "--circuit-cap": dict(type=int, default=polytope.DEFAULT_CIRCUIT_CAP),
     }
 
     def command(name, help, flags, candidate=False):
@@ -191,7 +190,7 @@ def build_parser():
 
     command("info", "census and required class count", ["--out-file"])
     command("enumerate", "search pairing schemes",
-            ["--circuit-cap", "--group", "--out"])
+            ["--group", "--out"])
     command("angles", "solve a candidate's angle system, check its witness",
             ["--out-file"], candidate=True)
     command("restrict", "relator-shape restriction report",
@@ -200,7 +199,7 @@ def build_parser():
     command("verify", "verify a candidate's relators", ["--out-file"],
             candidate=True)
     command("pipeline", "enumerate, solve, restrict, verify",
-            ["--circuit-cap", "--out"])
+            ["--out"])
     return parser
 
 

@@ -6,12 +6,15 @@ moves fix a flag rotates about an edge) before taking the product, and
 counts the schemes they remove in closed form.  It traverses each remaining
 scheme's edge classes once and filters on them (the class count, then the
 class size), then runs the exact angle solve and the strict Rivin
-feasibility test once per canonical edge partition, pulling the solution
-set back to each partition and checking it in integers.  Survivors are
-grouped into families under both the rotation subgroup and the full
-symmetry group.
+feasibility test once per canonical edge partition.  The canonical
+witness is permuted back to each partition once the symmetry is checked
+to carry every row of the partition's system onto a row of the canonical
+one.  A survivor carries that witness; its solution set is solved only
+when read.  Survivors are grouped into families under both the rotation
+subgroup and the full symmetry group.
 """
 
+import functools
 import itertools
 import math
 import string
@@ -36,7 +39,6 @@ class CandidateDomain:
     scheme: pairings.PairingScheme
     orbits: tuple
     words: tuple
-    solution: angles.SolutionSet
     witness: angles.AngleAssignment
     census: pairings.QuotientCensus
     key_rotations: bytes
@@ -45,6 +47,18 @@ class CandidateDomain:
     @property
     def class_sizes(self):
         return tuple(sorted(o.size for o in self.orbits))
+
+    @functools.cached_property
+    def system(self):
+        """The candidate's own angle system, one class row per orbit."""
+        return angles.assemble_system(
+            self.scheme.poly, [set(o.edges) for o in self.orbits])
+
+    @functools.cached_property
+    def solution(self):
+        """The exact solution set of the candidate's system, solved the
+        first time it is read."""
+        return angles.solve_exact(self.system)
 
 
 @dataclass
@@ -92,18 +106,19 @@ def scheme_space_size(poly):
     return total
 
 
-def enumerate_schemes(poly, cap=DEFAULT_SCHEME_CAP):
+def enumerate_schemes(poly):
     """Every perfect matching of faces crossed with every orientation-
     reversing boundary correspondence per pair, exactly once each; the face
     count and the scheme cap are checked on the call, not on first use."""
-    _check_scheme_space(poly, cap)
+    _check_scheme_space(poly)
     return _schemes(poly)
 
 
-def _check_scheme_space(poly, cap):
+def _check_scheme_space(poly):
     size = scheme_space_size(poly)
-    if size > cap:
-        raise SchemeCapExceeded(f"{size} schemes exceeds cap {cap}")
+    if size > DEFAULT_SCHEME_CAP:
+        raise SchemeCapExceeded(
+            f"{size} schemes exceeds cap {DEFAULT_SCHEME_CAP}")
 
 
 def _schemes(poly):
@@ -145,16 +160,15 @@ def _compiled_pairs(poly, inc, per_pair):
     return kept
 
 
-def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
-             scheme_cap=DEFAULT_SCHEME_CAP):
+def classify(poly):
     """Run the full candidate pipeline and group survivors by symmetry; the
     report's rejections and survivors must sum to its total."""
     inc = polytope.build_incidence(poly)
     dual = polytope.build_dual(poly, inc)
     required = angles.required_class_count(poly)
     # face count and scheme cap first, before the costly set-up
-    _check_scheme_space(poly, scheme_cap)
-    circuits = angles.nonfacial_circuits(dual, circuit_cap)
+    _check_scheme_space(poly)
+    circuits = angles.nonfacial_circuits(dual)
     actions = pairings.automorphism_actions(poly)
     # edge-id permutation per automorphism, to pool angle systems that are
     # symmetry images of each other
@@ -178,27 +192,25 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     canon_cache = {}
 
     def angle_record(partition):
-        """(solution set, witness or None) of the partition's system."""
+        """(status, witness or None) of the partition's system."""
         if partition in partition_cache:
             return partition_cache[partition]
         # the strict-feasibility verdict is symmetry-invariant: decide it
-        # once per canonical partition and pull the solution set and the
-        # witness back through the canonicalizing edge permutation
+        # once per canonical partition and pull the witness back through
+        # the canonicalizing edge permutation
         key, perm = canonical_partition(partition)
         if key not in canon_cache:
             canon_system = angles.assemble_system(
                 poly, [set(cl) for cl in key], inc)
-            canon_cache[key] = angles.feasible(canon_system, circuits)
-        canon_solution, canon_witness = canon_cache[key]
-        # a rejected partition keeps its canonical image's solution set:
-        # only its status, which the symmetry preserves, is read
-        record = (canon_solution, None)
-        if canon_witness is not None:
+            solution, witness = angles.feasible(canon_system, circuits)
+            canon_cache[key] = (canon_system, solution.status, witness)
+        canon_system, status, witness = canon_cache[key]
+        if witness is not None:
             system = angles.assemble_system(
                 poly, [set(p) for p in sorted(partition, key=sorted)], inc)
-            record = pull_back(system, canon_solution, canon_witness, perm)
-        partition_cache[partition] = record
-        return record
+            witness = pull_back(system, canon_system, witness, perm)
+        partition_cache[partition] = (status, witness)
+        return status, witness
 
     report = EnumerationReport()
     rejected = report.rejected
@@ -227,9 +239,9 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
             if any(o.size < 3 for o in orbits):
                 rejected["class_size"] += 1
                 continue
-            solution, witness = angle_record(
+            status, witness = angle_record(
                 frozenset(frozenset(o.edges) for o in orbits))
-            if solution.status == "infeasible":
+            if status == "infeasible":
                 rejected["system_infeasible"] += 1
                 continue
             if witness is None:
@@ -240,7 +252,6 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
                 scheme=scheme,
                 orbits=tuple(orbits),
                 words=tuple(pairings.relator_word(o) for o in orbits),
-                solution=solution,
                 witness=witness,
                 census=pairings.quotient_census(scheme, orbits, inc),
                 key_rotations=key_rotations,
@@ -255,48 +266,28 @@ def classify(poly, circuit_cap=polytope.DEFAULT_CIRCUIT_CAP,
     return report
 
 
-def pull_back(system, solution, witness, perm):
-    """The solution set and witness of `system`, read off `solution` and
-    `witness` of its symmetry image, in which edge e is edge perm[e].
+def pull_back(system, image, witness, perm):
+    """The witness of `system`, read off `witness` of its symmetry image
+    `image`, in which edge e is edge perm[e].
 
-    Values and basis entries move with their edges; the free columns follow
-    the inverse of perm in the same order, so each basis vector keeps its 1
-    on its own free column.  The pulled-back witness and particular point
-    are substituted into the rows of `system`, and each basis vector into
-    the homogeneous rows, exactly, in integers: each vector and each row is
-    scaled by the lcm of its denominators.  Any mismatch means perm does
-    not carry `system` onto the image's system.
+    perm must carry every row of `system` onto a row of `image`: both are
+    compared as sorted lists of (relabelled support with its coefficients,
+    rhs).  Then the two systems have the same solutions up to perm, so the
+    permuted witness solves `system` exactly as `witness` solves `image`.
     """
-    columns = system.columns
-    index = {eid: i for i, eid in enumerate(solution.columns)}
-    source = [index[perm[eid]] for eid in columns]
-    back = {c: i for i, c in enumerate(source)}
-    pulled = angles.SolutionSet(
-        solution.status,
-        {eid: solution.particular[perm[eid]] for eid in columns},
-        tuple(tuple(vec[c] for c in source) for vec in solution.basis),
-        solution.rank, columns,
-        tuple(back[c] for c in solution.free_columns))
-    point = [witness.values[perm[eid]] for eid in columns]
-    particular = [pulled.particular[eid] for eid in columns]
-    rows = []
-    for coef, rhs in system.rows:
-        _, (rhs, *coef) = _integral((rhs, *coef))
-        rows.append(([(i, c) for i, c in enumerate(coef) if c], rhs))
-    for vec, homogeneous in ((point, False), (particular, False),
-                             *((vec, True) for vec in pulled.basis)):
-        scale, ints = _integral(vec)
-        for coef, rhs in rows:
-            if sum(c * ints[i] for i, c in coef) != (
-                    0 if homogeneous else rhs * scale):
-                raise AssertionError("witness pull-back failed")
-    return pulled, angles.AngleAssignment(dict(zip(columns, point)))
+    if _row_list(system, perm) != _row_list(image, range(len(perm))):
+        raise AssertionError("witness pull-back failed: the permutation "
+                             "does not carry the system onto its image")
+    return angles.AngleAssignment(
+        {eid: witness.values[perm[eid]] for eid in system.columns})
 
 
-def _integral(values):
-    """(s, [s * x for x in values]) for s the lcm of the denominators."""
-    scale = math.lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
+def _row_list(system, relabel):
+    """The rows of `system` with edge e renamed relabel[e], order-free."""
+    return sorted(
+        (tuple(sorted((relabel[eid], c)
+                      for eid, c in zip(system.columns, coef) if c)), rhs)
+        for coef, rhs in system.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +332,7 @@ def candidate_from_json_dict(poly, doc):
     orbits = pairings.edge_orbits(scheme, inc)
     words = tuple(pairings.relator_word(o) for o in orbits)
     system = angles.assemble_system(poly, [set(o.edges) for o in orbits], inc)
-    solution = angles.solve_exact(system)
-    witness = _checked_witness(poly, inc, dual, solution, doc.get("witness"))
+    witness = _checked_witness(poly, inc, dual, system, doc.get("witness"))
     keys = [doc.get(name) for name in ("key_rotations", "key_full")]
     if not all(isinstance(key, str) for key in keys):
         raise EnumerationError(
@@ -350,12 +340,12 @@ def candidate_from_json_dict(poly, doc):
     census = pairings.quotient_census(scheme, orbits, inc)
     return CandidateDomain(
         scheme=scheme, orbits=tuple(orbits), words=words,
-        solution=solution, witness=witness, census=census,
+        witness=witness, census=census,
         key_rotations=keys[0].encode(), key_full=keys[1].encode(),
     )
 
 
-def _checked_witness(poly, inc, dual, solution, raw):
+def _checked_witness(poly, inc, dual, system, raw):
     """The persisted witness, if it is one: a value in (0, 1) on every edge
     id, a solution of the scheme's own angle system, and strictly inside
     every non-facial circuit inequality."""
@@ -367,7 +357,7 @@ def _checked_witness(poly, inc, dual, solution, raw):
         witness = angles.AngleAssignment.from_json_dict(raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise EnumerationError(f"witness is not valid: {exc}") from exc
-    if not solution.contains(witness.values):
+    if not angles.satisfies(system, witness.values):
         raise EnumerationError("witness does not solve the angle system")
     ok, failures = angles.check_inequalities(poly, dual, witness)
     if not ok:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import pairings
+from . import angles, pairings
 
 INF = "inf"
 
@@ -338,7 +338,7 @@ def verify_candidate(candidate):
     realization = load_realization(scheme.poly)
     angle = Fraction(2, _regular_degree(scheme.poly))
     regular = {eid: angle for eid in range(scheme.poly.edge_count())}
-    if not candidate.solution.contains(regular):
+    if not angles.satisfies(candidate.system, regular):
         raise NotRealizableError(
             f"angle system does not admit the regular all-{angle} solution")
     return verify_words(realization, scheme, candidate.words)

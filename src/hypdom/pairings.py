@@ -325,15 +325,13 @@ def _spread(poly, darts, image, sense):
     return vmap
 
 
-def automorphism_actions(poly, automorphisms=None):
+def automorphism_actions(poly):
     """Each automorphism as (vertex map, rotation flag, face permutation),
     with the face permutation worked out once per polyhedron."""
-    autos = (automorphisms if automorphisms is not None
-             else symmetry_group(poly))
     face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
     return [(vmap, orient,
              tuple(face_ids[frozenset(vmap[v] for v in f)] for f in poly.faces))
-            for vmap, orient in autos]
+            for vmap, orient in symmetry_group(poly)]
 
 
 def canonical_keys(scheme, actions):

@@ -257,8 +257,8 @@ def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
     A circuit is a closed node walk with no repeated node, recorded as the
     link-id sequence.  Each circuit is emitted once (smallest node first,
     lexicographic tie-break on link ids).  A circuit is facial iff its links
-    are exactly one primal vertex's incident edges in their facial cyclic
-    order.
+    are exactly one primal vertex's incident edges: a simple circuit is
+    fixed by its link set.
     """
     adj = {n: [] for n in dual.nodes}
     for lid, (f1, f2) in enumerate(dual.links):
@@ -284,26 +284,9 @@ def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
 
     for s in dual.nodes:
         dfs(s, s, {s}, [])
-    facial_sets = {}
-    for v, cyc in dual.facial_cycles.items():
-        facial_sets[frozenset(cyc)] = cyc
-    out = []
-    for key in sorted(found, key=lambda k: (len(k), sorted(k))):
-        seq = found[key]
-        facial = key in facial_sets and _cyclic_equal(seq, facial_sets[key])
-        out.append((seq, facial))
-    return out
-
-
-def _cyclic_equal(a, b):
-    if len(a) != len(b):
-        return False
-    doubled = b + b
-    rev = tuple(reversed(b)) + tuple(reversed(b))
-    for i in range(len(b)):
-        if doubled[i:i + len(a)] == a or rev[i:i + len(a)] == a:
-            return True
-    return False
+    stars = {frozenset(cyc) for cyc in dual.facial_cycles.values()}
+    return [(found[key], key in stars)
+            for key in sorted(found, key=lambda k: (len(k), sorted(k)))]
 
 
 def bundled(name):

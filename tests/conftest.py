@@ -152,11 +152,11 @@ def verify_scheme(realization, scheme):
     return geometry.verify_words(realization, scheme, words)
 
 
-def canonicalize(scheme, group="all", automorphisms=None):
+def canonicalize(scheme, group="all"):
     """The canonical key of the scheme over the chosen automorphism
     subgroup, from pairings.canonical_keys."""
     key_rotations, key_full = pairings.canonical_keys(
-        scheme, pairings.automorphism_actions(scheme.poly, automorphisms))
+        scheme, pairings.automorphism_actions(scheme.poly))
     return key_full if group == "all" else key_rotations
 
 

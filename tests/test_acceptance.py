@@ -129,11 +129,8 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         assert start_ok
         fams = cube_report.families_full
         assert len(fams) == 3, f"{len(fams)} families"
-        autos = pairings.symmetry_group(cube)
-        fd1_key = canonicalize(
-            domains.opposite_quarter_twist(cube), "all", autos)
-        fd2_key = canonicalize(
-            domains.adjacent_mixed_twist(cube), "all", autos)
+        fd1_key = canonicalize(domains.opposite_quarter_twist(cube))
+        fd2_key = canonicalize(domains.adjacent_mixed_twist(cube))
         assert fd1_key in fams, "quarter-twist opposite-face family missing"
         assert fd2_key in fams, "mixed adjacent-twist family missing"
         fd1_rot = len({m.key_rotations for m in fams[fd1_key]})
@@ -141,8 +138,7 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         chiral = sorted(len({m.key_rotations for m in members})
                         for members in fams.values())
         assert chiral == [1, 2, 2]
-        fd3_key = canonicalize(
-            domains.adjacent_uniform_twist(cube), "all", autos)
+        fd3_key = canonicalize(domains.adjacent_uniform_twist(cube))
         assert fd3_key in fams, "uniform adjacent-twist family missing"
         fd3_rot = len({m.key_rotations for m in fams[fd3_key]})
         assert fd3_rot == 2, f"third family splits into {fd3_rot}"
@@ -195,7 +191,7 @@ def test_criterion_3_unique_angle_solution(cube, cube_inc, cube_dual):
         system = angles.assemble_system(cube, classes, cube_inc)
         sol = angles.solve_exact(system)
         regular = {eid: THIRD for eid in range(12)}
-        assert sol.contains(regular)
+        assert angles.satisfies(system, regular)
         assert (sol.status, sol.rank, len(sol.basis)) == (
             "affine-family", 8, 4)
         # certificate in plain Fractions: two independent row dependencies

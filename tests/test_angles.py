@@ -76,14 +76,22 @@ def test_solve_fd1_family_contains_regular_point(cube, cube_inc):
     assert sol.status == "affine-family"
     assert sol.rank == 8
     assert len(sol.basis) == 4
+    # the family is the solution set: its particular point and each unit
+    # step along the basis solve the rows, and rank + basis = 12 unknowns
+    assert angles.satisfies(system, sol.particular)
+    for k in range(4):
+        assert angles.satisfies(system, sol.point([int(j == k)
+                                                   for j in range(4)]))
     regular = {eid: THIRD for eid in range(12)}
-    assert sol.contains(regular)
+    assert angles.satisfies(system, regular)
     second = {drawn(cube_inc, {n}).pop(): q for n, q in {
         1: Fraction(5, 6), 2: Fraction(1, 2), 3: Fraction(1, 2),
         4: Fraction(5, 6), 5: THIRD, 6: THIRD, 7: THIRD, 8: THIRD,
         9: THIRD, 10: THIRD, 11: THIRD, 12: THIRD}.items()}
-    assert sol.contains(second)
+    assert angles.satisfies(system, second)
     assert second != regular
+    off = {**regular, drawn(cube_inc, {1}).pop(): Fraction(1, 2)}
+    assert not angles.satisfies(system, off)
 
 
 def test_solve_substitute_back_exact(cube, cube_inc, cube_circuits):
@@ -381,12 +389,12 @@ def test_feasible_agrees_with_fourier_motzkin_on_cube(cube, cube_inc,
     for partition in partitions:
         system = angles.assemble_system(
             cube, [set(cl) for cl in partition], cube_inc)
-        sol, witness = angles.feasible(system, cube_circuits)
+        _, witness = angles.feasible(system, cube_circuits)
         assert ((witness is not None)
                 == fourier_motzkin_feasible(system, cube_circuits))
         if witness is not None:
             n_feasible += 1
-            assert sol.contains(witness.values)
+            assert angles.satisfies(system, witness.values)
             assert angles.check_inequalities(cube, cube_dual, witness)[0]
     assert n_feasible == 10
 
@@ -403,8 +411,8 @@ def test_octahedron_partitions_feasible_with_witness(solids):
     for partition in partitions:
         system = angles.assemble_system(
             octa, [set(cl) for cl in partition], inc)
-        sol, witness = angles.feasible(system, circuits)
+        _, witness = angles.feasible(system, circuits)
         assert witness is not None
-        assert sol.contains(witness.values)
+        assert angles.satisfies(system, witness.values)
         ok, failures = angles.check_inequalities(octa, dual, witness)
         assert ok, failures

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hypdom import cli, geometry
+from hypdom import angles, cli, geometry
 
 
 def data_path(name):
@@ -271,14 +272,41 @@ def test_verify_output_has_generators(capsys, cube_run):
 
 
 def test_tolerance_options_are_gone(capsys, cube_run):
-    # verification decides by equality: no tolerance can be passed
+    # verification decides by equality: no tolerance can be passed; nor
+    # the circuit cap, a module constant
     for argv in (["verify", data_path("cube"),
                   str(cube_run / "candidate_000.json"), "--tol-id", "1e-9"],
-                 ["pipeline", data_path("cube"), "--tol-geo", "1e-9"]):
+                 ["pipeline", data_path("cube"), "--tol-geo", "1e-9"],
+                 ["enumerate", data_path("cube"), "--circuit-cap", "10"],
+                 ["pipeline", data_path("cube"), "--circuit-cap", "10"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_only_angles_solves_on_reload(capsys, cube_run, monkeypatch):
+    # a reload checks the persisted witness by substitution: `verify`
+    # solves no angle system, and `angles` solves the candidate's own
+    # system once, to print its status, rank and free variables
+    calls = []
+    solve = angles.solve_exact
+    monkeypatch.setattr(angles, "solve_exact",
+                        lambda system: calls.append(system) or solve(system))
+    candidates = sorted(cube_run.glob("candidate_*.json"))
+    assert len(candidates) == 30
+    for path in candidates:
+        code, text, _ = run(capsys, "verify", data_path("cube"), str(path))
+        assert code == 0 and json.loads(text)["status"] == "CONFIRMED"
+    assert calls == []
+    shapes = collections.Counter()
+    for path in candidates:
+        code, text, _ = run(capsys, "angles", data_path("cube"), str(path))
+        doc = json.loads(text)
+        shapes[doc["status"], doc["rank"], doc["free_variables"]] += 1
+    assert len(calls) == 30
+    assert shapes == {("affine-family", 8, 4): 18,
+                      ("affine-family", 7, 5): 12}
 
 
 def test_parser_built_once(capsys, monkeypatch):

@@ -273,15 +273,16 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
     assert closed_form == flagged == elliptic
 
 
-def test_pulled_back_solution_sets_match_fresh_solve(solids, cube_report,
-                                                     octahedron_report):
-    # every feasible partition is a survivor's partition; its solution set,
-    # pulled back from the canonical partition's, must be the affine space
-    # a fresh exact solve of its own system finds
+def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
+                                                 octahedron_report):
+    # every feasible partition is a survivor's partition; the witness pulled
+    # back to it from the canonical partition must solve the partition's
+    # own system, assembled afresh, and pass every strict inequality
     for name, report, partitions in (("cube", cube_report, 10),
                                      ("octahedron", octahedron_report, 96)):
         poly = solids[name]
         inc = polytope.build_incidence(poly)
+        dual = polytope.build_dual(poly, inc)
         seen = set()
         for cand in report.survivors:
             partition = frozenset(frozenset(o.edges) for o in cand.orbits)
@@ -290,37 +291,54 @@ def test_pulled_back_solution_sets_match_fresh_solve(solids, cube_report,
             seen.add(partition)
             system = angles.assemble_system(
                 poly, [set(o.edges) for o in cand.orbits], inc)
-            fresh, pulled = angles.solve_exact(system), cand.solution
-            assert (pulled.status, pulled.rank, len(pulled.basis)) == (
-                fresh.status, fresh.rank, len(fresh.basis))
-            for one, other in ((pulled, fresh), (fresh, pulled)):
-                assert other.contains(one.particular)
-                for k in range(len(one.basis)):
-                    shifted = one.point([int(j == k)
-                                         for j in range(len(one.basis))])
-                    assert other.contains(shifted)
-            assert fresh.contains(cand.witness.values)
+            assert angles.satisfies(system, cand.witness.values)
+            ok, failures = angles.check_inequalities(poly, dual, cand.witness)
+            assert ok, failures
         assert len(seen) == partitions
 
 
 def test_pull_back_check_fires(cube, cube_inc, cube_circuits, fd1):
     # swapping two edges of different classes at a common vertex is no
-    # symmetry of the angle system: the exact substitution must refuse it
-    orbits = pairings.edge_orbits(fd1, cube_inc)
-    classes = [set(o.edges) for o in orbits]
+    # symmetry of the angle system: the row check must refuse it, although
+    # the witness, the regular point, is fixed by every such swap
+    classes = [set(o.edges) for o in pairings.edge_orbits(fd1, cube_inc)]
     system = angles.assemble_system(cube, classes, cube_inc)
-    solution, witness = angles.feasible(system, cube_circuits)
+    _, witness = angles.feasible(system, cube_circuits)
+    assert set(witness.values.values()) == {Fraction(2, 3)}
     identity = list(range(len(cube_inc.edges)))
-    pulled, same = enumeration.pull_back(system, solution, witness, identity)
+    same = enumeration.pull_back(system, system, witness, identity)
     assert same.values == witness.values
     swaps = [(a, b) for a in classes[0] for b in classes[1]
              if set(cube_inc.edges[a]) & set(cube_inc.edges[b])]
-    assert swaps
+    assert len(swaps) == 16
     for a, b in swaps:
         perm = list(identity)
         perm[a], perm[b] = b, a
         with pytest.raises(AssertionError, match="pull-back failed"):
-            enumeration.pull_back(system, solution, witness, perm)
+            enumeration.pull_back(system, system, witness, perm)
+
+
+def test_pull_back_refuses_another_partitions_image(cube, cube_inc,
+                                                    cube_circuits, fd1, fd2):
+    # a genuine symmetry carries the partition's system onto its own image,
+    # and onto no other partition's system
+    classes = [set(o.edges) for o in pairings.edge_orbits(fd1, cube_inc)]
+    system = angles.assemble_system(cube, classes, cube_inc)
+    vmap = next(vmap for vmap, orient in pairings.symmetry_group(cube)
+                if orient and any(k != v for k, v in vmap.items()))
+    perm = [cube_inc.edge_id(*(vmap[v] for v in cube_inc.edges[eid]))
+            for eid in range(len(cube_inc.edges))]
+    image = angles.assemble_system(
+        cube, [{perm[e] for e in cl} for cl in classes], cube_inc)
+    _, witness = angles.feasible(image, cube_circuits)
+    pulled = enumeration.pull_back(system, image, witness, perm)
+    assert angles.satisfies(system, pulled.values)
+    other = angles.assemble_system(
+        cube, [set(o.edges) for o in pairings.edge_orbits(fd2, cube_inc)],
+        cube_inc)
+    _, other_witness = angles.feasible(other, cube_circuits)
+    with pytest.raises(AssertionError, match="pull-back failed"):
+        enumeration.pull_back(system, other, other_witness, perm)
 
 
 def test_classify_checks_report_counts(monkeypatch, tmp_path):

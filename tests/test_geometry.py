@@ -8,11 +8,12 @@ import types
 
 import pytest
 
-from hypdom import geometry, grouplab, pairings, polytope
+from hypdom import angles, geometry, grouplab, pairings, polytope
 from hypdom.geometry import MobiusMap, Z3i
 
 import float_mobius as fm
-from conftest import (SQRT3, Point3, ball_model_cube_realization, ball_to_uhs,
+from conftest import (FIVE_SEVEN_CLASSES, SQRT3, Point3,
+                      ball_model_cube_realization, ball_to_uhs, drawn,
                       inscribed_cube_vertices, reference_adjacent_generators,
                       reference_generators, verify_scheme)
 
@@ -330,11 +331,13 @@ def test_verify_candidates_on_cube(cube_report):
     assert confirmed == 3
 
 
-def test_verify_candidate_rejects_non_regular(cube, fd1):
-    # a stub candidate whose angle family misses the all-2/3 point
-    solution = types.SimpleNamespace(contains=lambda values: False)
-    stub = types.SimpleNamespace(scheme=fd1, solution=solution)
-    with pytest.raises(geometry.NotRealizableError):
+def test_verify_candidate_rejects_non_regular(cube, cube_inc, fd1):
+    # a stub candidate carrying a 5-7 angle system, whose solutions all pin
+    # an angle at 1 and so miss the all-2/3 point
+    system = angles.assemble_system(
+        cube, [drawn(cube_inc, cl) for cl in FIVE_SEVEN_CLASSES], cube_inc)
+    stub = types.SimpleNamespace(scheme=fd1, system=system)
+    with pytest.raises(geometry.NotRealizableError, match="regular"):
         geometry.verify_candidate(stub)
 
 

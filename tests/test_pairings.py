@@ -439,16 +439,12 @@ def test_canonicalize_rotation_invariance(cube, fd1):
     rot = next(vmap for vmap, orient in autos
                if orient and any(k != v for k, v in vmap.items()))
     rotated = conjugate_scheme(fd1, rot)
-    assert (canonicalize(fd1, "rotations", autos)
-            == canonicalize(rotated, "rotations", autos))
+    assert canonicalize(fd1, "rotations") == canonicalize(rotated, "rotations")
 
 
-def test_canonicalize_mirror_split(cube, fd1, fd1_mirror):
-    autos = pairings.symmetry_group(cube)
-    assert (canonicalize(fd1, "rotations", autos)
-            != canonicalize(fd1_mirror, "rotations", autos))
-    assert (canonicalize(fd1, "all", autos)
-            == canonicalize(fd1_mirror, "all", autos))
+def test_canonicalize_mirror_split(fd1, fd1_mirror):
+    assert canonicalize(fd1, "rotations") != canonicalize(fd1_mirror, "rotations")
+    assert canonicalize(fd1, "all") == canonicalize(fd1_mirror, "all")
 
 
 def conjugation_canonicalize(scheme, group, automorphisms):
@@ -474,7 +470,7 @@ def assert_keys_match_oracle(schemes, autos, actions):
 
 def test_canonical_keys_match_oracle_on_cube_schemes(cube):
     autos = pairings.symmetry_group(cube)
-    actions = pairings.automorphism_actions(cube, autos)
+    actions = pairings.automorphism_actions(cube)
     assert len(actions) == 48
     assert_keys_match_oracle(enumeration.enumerate_schemes(cube), autos,
                              actions)
@@ -484,7 +480,7 @@ def test_canonical_keys_match_oracle_on_octahedron_survivors(
         solids, octahedron_report):
     octahedron = solids["octahedron"]
     autos = pairings.symmetry_group(octahedron)
-    actions = pairings.automorphism_actions(octahedron, autos)
+    actions = pairings.automorphism_actions(octahedron)
     survivors = octahedron_report.survivors
     assert len(survivors) == 120
     assert_keys_match_oracle([c.scheme for c in survivors], autos, actions)

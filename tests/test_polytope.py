@@ -262,6 +262,26 @@ def test_tetrahedron_dual_three_circuits_facial(solids):
             assert facial
 
 
+def test_facial_tag_follows_vertex_rotation(solids):
+    # a circuit is tagged facial by its link set alone; on every bundled
+    # solid each such circuit walks its vertex's links in their facial
+    # cyclic order, one way round or the other, and there is one per vertex
+    total = 0
+    for poly in solids.values():
+        dual = polytope.build_dual(poly)
+        circuits = polytope.simple_circuits(dual)
+        total += len(circuits)
+        facial = [seq for seq, tag in circuits if tag]
+        assert len(facial) == poly.vertex_count()
+        for seq in facial:
+            cyc = next(c for c in dual.facial_cycles.values()
+                       if set(c) == set(seq))
+            turns = {way[i:] + way[:i] for way in (cyc, cyc[::-1])
+                     for i in range(len(cyc))}
+            assert seq in turns
+    assert total == 14144
+
+
 def test_circuit_cap(cube_dual):
     with pytest.raises(polytope.CircuitCapExceeded):
         polytope.simple_circuits(cube_dual, cap=5)
