@@ -83,14 +83,14 @@ def required_class_count(poly):
     return k
 
 
-def assemble_system(poly, classes, inc=None):
+def assemble_system(poly, classes):
     """Vertex rows plus one row per edge class.
 
     `classes` is a partition of the edge-id set; classes of size 1 or 2 are
     rejected up front (their interior angles would have to sum to 2*pi with
     too few strictly-positive terms, forcing an exterior angle sum of zero).
     """
-    inc = inc or polytope.build_incidence(poly)
+    inc = poly.incidence
     all_edges = set(range(len(inc.edges)))
     seen = set()
     for cl in classes:

@@ -60,12 +60,7 @@ def _write_run(report, doc, out):
 def cmd_enumerate(args):
     poly = polytope.load_polyhedron(args.polyhedron)
     report = enumeration.classify(poly)
-    doc = enumeration.report_to_json_dict(report)
-    if args.group == "rotations":
-        doc["families_requested_grouping"] = len(report.families_rotations)
-    else:
-        doc["families_requested_grouping"] = len(report.families_full)
-    _write_run(report, doc, args.out)
+    _write_run(report, enumeration.report_to_json_dict(report), args.out)
     return 0
 
 
@@ -176,7 +171,6 @@ def build_parser():
     options = {
         "--out-file": dict(default=None, help="write JSON here"),
         "--out": dict(default=None, help="directory for report + candidates"),
-        "--group": dict(choices=("rotations", "all"), default="all"),
         "--candidate": dict(default=None, help="candidate JSON document"),
     }
 
@@ -189,8 +183,7 @@ def build_parser():
             p.add_argument(flag, **options[flag])
 
     command("info", "census and required class count", ["--out-file"])
-    command("enumerate", "search pairing schemes",
-            ["--group", "--out"])
+    command("enumerate", "search pairing schemes", ["--out"])
     command("angles", "solve a candidate's angle system, check its witness",
             ["--out-file"], candidate=True)
     command("restrict", "relator-shape restriction report",
@@ -198,17 +191,17 @@ def build_parser():
     command("realize", "bundled regular ideal realization", ["--out-file"])
     command("verify", "verify a candidate's relators", ["--out-file"],
             candidate=True)
-    command("pipeline", "enumerate, solve, restrict, verify",
-            ["--out"])
+    command("pipeline", "enumerate, solve, restrict, verify", ["--out"])
     return parser
 
 
 INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 angles.PartitionError, angles.ClassCountError,
                 enumeration.EnumerationError, json.JSONDecodeError,
-                FileNotFoundError, enumeration.SchemeCapExceeded,
-                polytope.CircuitCapExceeded, geometry.NotRealizableError,
-                geometry.RealizationError)
+                UnicodeDecodeError, FileNotFoundError, IsADirectoryError,
+                NotADirectoryError, PermissionError,
+                enumeration.SchemeCapExceeded, polytope.CircuitCapExceeded,
+                geometry.NotRealizableError, geometry.RealizationError)
 
 
 _parser = None

@@ -9,9 +9,9 @@ class size), then runs the exact angle solve and the strict Rivin
 feasibility test once per canonical edge partition.  The canonical
 witness is permuted back to each partition once the symmetry is checked
 to carry every row of the partition's system onto a row of the canonical
-one.  A survivor carries that witness; its solution set is solved only
-when read.  Survivors are grouped into families under both the rotation
-subgroup and the full symmetry group.
+one.  A survivor carries that system and witness; its solution set is
+solved only when read.  Survivors are grouped into families under both
+the rotation subgroup and the full symmetry group.
 """
 
 import functools
@@ -36,11 +36,13 @@ DEFAULT_SCHEME_CAP = 200000
 
 @dataclass(frozen=True)
 class CandidateDomain:
+    """A surviving scheme with its edge orbits, its angle system (one class
+    row per orbit), a witness of that system and its canonical keys; the
+    rest is derived from the scheme and the orbits when read."""
     scheme: pairings.PairingScheme
     orbits: tuple
-    words: tuple
+    system: angles.LinearSystem
     witness: angles.AngleAssignment
-    census: pairings.QuotientCensus
     key_rotations: bytes
     key_full: bytes
 
@@ -49,10 +51,12 @@ class CandidateDomain:
         return tuple(sorted(o.size for o in self.orbits))
 
     @functools.cached_property
-    def system(self):
-        """The candidate's own angle system, one class row per orbit."""
-        return angles.assemble_system(
-            self.scheme.poly, [set(o.edges) for o in self.orbits])
+    def words(self):
+        return tuple(pairings.relator_word(o) for o in self.orbits)
+
+    @functools.cached_property
+    def census(self):
+        return pairings.quotient_census(self.scheme, self.orbits)
 
     @functools.cached_property
     def solution(self):
@@ -142,7 +146,7 @@ def _matchings(poly):
                for t, (f1, f2) in enumerate(matching)]
 
 
-def _compiled_pairs(poly, inc, per_pair):
+def _compiled_pairs(poly, per_pair):
     """The matching's non-elliptic pairings with their dart moves, as a
     list per pair of (pairing, moves).  The matching's coverage and symbols
     are checked once, and every pairing once; a pairing is elliptic when
@@ -153,7 +157,7 @@ def _compiled_pairs(poly, inc, per_pair):
         compiled = []
         for p in ps:
             pairings.validate_pairing(poly, p)
-            moves = pairings.pairing_moves(poly, p, inc)
+            moves = pairings.pairing_moves(poly, p)
             if all(dart != nxt for dart, (nxt, _) in moves.items()):
                 compiled.append((p, moves))
         kept.append(compiled)
@@ -163,8 +167,8 @@ def _compiled_pairs(poly, inc, per_pair):
 def classify(poly):
     """Run the full candidate pipeline and group survivors by symmetry; the
     report's rejections and survivors must sum to its total."""
-    inc = polytope.build_incidence(poly)
-    dual = polytope.build_dual(poly, inc)
+    inc = poly.incidence
+    dual = polytope.build_dual(poly)
     required = angles.required_class_count(poly)
     # face count and scheme cap first, before the costly set-up
     _check_scheme_space(poly)
@@ -192,7 +196,8 @@ def classify(poly):
     canon_cache = {}
 
     def angle_record(partition):
-        """(status, witness or None) of the partition's system."""
+        """(status, system, witness) of the partition: its own system and
+        a witness of it, both None when the Rivin region is empty."""
         if partition in partition_cache:
             return partition_cache[partition]
         # the strict-feasibility verdict is symmetry-invariant: decide it
@@ -201,16 +206,17 @@ def classify(poly):
         key, perm = canonical_partition(partition)
         if key not in canon_cache:
             canon_system = angles.assemble_system(
-                poly, [set(cl) for cl in key], inc)
+                poly, [set(cl) for cl in key])
             solution, witness = angles.feasible(canon_system, circuits)
             canon_cache[key] = (canon_system, solution.status, witness)
         canon_system, status, witness = canon_cache[key]
+        system = None
         if witness is not None:
             system = angles.assemble_system(
-                poly, [set(p) for p in sorted(partition, key=sorted)], inc)
+                poly, [set(p) for p in sorted(partition, key=sorted)])
             witness = pull_back(system, canon_system, witness, perm)
-        partition_cache[partition] = (status, witness)
-        return status, witness
+        partition_cache[partition] = (status, system, witness)
+        return status, system, witness
 
     report = EnumerationReport()
     rejected = report.rejected
@@ -221,7 +227,7 @@ def classify(poly):
         # a scheme is elliptic iff one of its pairings is: those pairings
         # are dropped before the product, and the schemes they took with
         # them counted in closed form
-        kept = _compiled_pairs(poly, inc, per_pair)
+        kept = _compiled_pairs(poly, per_pair)
         built = math.prod(len(ps) for ps in per_pair)
         report.total += built
         rejected["elliptic"] += built - math.prod(len(ps) for ps in kept)
@@ -230,7 +236,7 @@ def classify(poly):
             for _, table in choice:
                 moves.update(table)
             scheme = pairings.PairingScheme(poly, tuple(p for p, _ in choice))
-            orbits = pairings.edge_orbits(scheme, inc, moves)
+            orbits = pairings.edge_orbits(scheme, moves)
             if any(o.size == 1 for o in orbits):
                 raise AssertionError("an elliptic pairing passed the filter")
             if len(orbits) != required:
@@ -239,7 +245,7 @@ def classify(poly):
             if any(o.size < 3 for o in orbits):
                 rejected["class_size"] += 1
                 continue
-            status, witness = angle_record(
+            status, system, witness = angle_record(
                 frozenset(frozenset(o.edges) for o in orbits))
             if status == "infeasible":
                 rejected["system_infeasible"] += 1
@@ -249,14 +255,8 @@ def classify(poly):
                 continue
             key_rotations, key_full = pairings.canonical_keys(scheme, actions)
             report.survivors.append(CandidateDomain(
-                scheme=scheme,
-                orbits=tuple(orbits),
-                words=tuple(pairings.relator_word(o) for o in orbits),
-                witness=witness,
-                census=pairings.quotient_census(scheme, orbits, inc),
-                key_rotations=key_rotations,
-                key_full=key_full,
-            ))
+                scheme, tuple(orbits), system, witness,
+                key_rotations, key_full))
     if not report.counts_consistent():
         raise AssertionError("report counts do not sum to the total")
     report.survivors.sort(key=lambda c: (c.key_full, c.key_rotations))
@@ -327,31 +327,24 @@ def candidate_from_json_dict(poly, doc):
     The canonical keys are taken as persisted: no caller of a reloaded
     candidate groups it into families."""
     scheme = candidate_scheme(poly, doc)
-    inc = polytope.build_incidence(poly)
-    dual = polytope.build_dual(poly, inc)
-    orbits = pairings.edge_orbits(scheme, inc)
-    words = tuple(pairings.relator_word(o) for o in orbits)
-    system = angles.assemble_system(poly, [set(o.edges) for o in orbits], inc)
-    witness = _checked_witness(poly, inc, dual, system, doc.get("witness"))
+    orbits = tuple(pairings.edge_orbits(scheme))
+    system = angles.assemble_system(poly, [set(o.edges) for o in orbits])
+    witness = _checked_witness(poly, system, doc.get("witness"))
     keys = [doc.get(name) for name in ("key_rotations", "key_full")]
     if not all(isinstance(key, str) for key in keys):
         raise EnumerationError(
             "candidate has no string 'key_rotations' and 'key_full'")
-    census = pairings.quotient_census(scheme, orbits, inc)
-    return CandidateDomain(
-        scheme=scheme, orbits=tuple(orbits), words=words,
-        witness=witness, census=census,
-        key_rotations=keys[0].encode(), key_full=keys[1].encode(),
-    )
+    return CandidateDomain(scheme, orbits, system, witness,
+                           keys[0].encode(), keys[1].encode())
 
 
-def _checked_witness(poly, inc, dual, system, raw):
+def _checked_witness(poly, system, raw):
     """The persisted witness, if it is one: a value in (0, 1) on every edge
     id, a solution of the scheme's own angle system, and strictly inside
     every non-facial circuit inequality."""
     if not isinstance(raw, dict):
         raise EnumerationError("candidate has no persisted witness")
-    if set(raw) != {str(eid) for eid in range(len(inc.edges))}:
+    if set(raw) != {str(eid) for eid in range(poly.edge_count())}:
         raise EnumerationError("witness keys are not the edge ids")
     try:
         witness = angles.AngleAssignment.from_json_dict(raw)
@@ -359,7 +352,8 @@ def _checked_witness(poly, inc, dual, system, raw):
         raise EnumerationError(f"witness is not valid: {exc}") from exc
     if not angles.satisfies(system, witness.values):
         raise EnumerationError("witness does not solve the angle system")
-    ok, failures = angles.check_inequalities(poly, dual, witness)
+    ok, failures = angles.check_inequalities(
+        poly, polytope.build_dual(poly), witness)
     if not ok:
         kind, where, value = failures[0]
         raise EnumerationError(

@@ -8,7 +8,7 @@ bound that forces commuting generators.
 
 from dataclasses import dataclass
 
-from . import geometry, pairings, polytope
+from . import geometry, pairings
 
 
 @dataclass(frozen=True)
@@ -94,20 +94,19 @@ def parity_check(orbits, words, poly):
     return sizes_even and poly.edge_count() % 2 == 0 and poly.vertex_count() % 2 == 0
 
 
-def adjacent_identified_sharing_edge(scheme, inc=None):
+def adjacent_identified_sharing_edge(scheme):
     """Some pairing identifies two faces that share an edge."""
-    inc = inc or polytope.build_incidence(scheme.poly)
+    inc = scheme.poly.incidence
     for p in scheme.pairings:
         if set(inc.face_edge_cycle[p.source]) & set(inc.face_edge_cycle[p.target]):
             return True
     return False
 
 
-def restriction_report(scheme, generators=None, inc=None):
+def restriction_report(scheme, generators=None):
     """Full report for one scheme; generator commutation only with maps."""
     poly = scheme.poly
-    inc = inc or polytope.build_incidence(poly)
-    orbits = pairings.edge_orbits(scheme, inc)
+    orbits = pairings.edge_orbits(scheme)
     words = tuple(pairings.relator_word(o) for o in orbits)
     squared, witnesses = has_squared_term(words)
     verdict = y2z_class_link(orbits, words)
@@ -122,7 +121,7 @@ def restriction_report(scheme, generators=None, inc=None):
         has_size3_class=verdict.has_size3_orbit,
         has_y2z_relator=verdict.has_y2z_word,
         squared_term_relators=witnesses,
-        adjacent_identified_sharing_edge=adjacent_identified_sharing_edge(scheme, inc),
+        adjacent_identified_sharing_edge=adjacent_identified_sharing_edge(scheme),
         edge_bound_ok=edge_bound_check(poly),
         parity_ok=parity_check(orbits, words, poly),
         commuting_generator_pairs=tuple(commuting),

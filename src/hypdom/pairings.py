@@ -139,7 +139,7 @@ def validate_pairing(poly, p):
 
 def validate_matching(poly, pairings):
     """Check that the pairings cover every face exactly once under distinct
-    generator symbols; only their faces and symbols are read."""
+    string generator symbols; only their faces and symbols are read."""
     used = [fid for p in pairings for fid in (p.source, p.target)]
     if sorted(used) != list(range(poly.face_count())):
         raise SchemeError("pairings do not cover every face exactly once")
@@ -151,6 +151,8 @@ def validate_matching(poly, pairings):
                           ) from None
     if not distinct:
         raise SchemeError("generator symbols are not distinct")
+    if not all(isinstance(s, str) for s in symbols):
+        raise SchemeError(f"generator symbols {symbols} are not all strings")
 
 
 def validate_scheme(scheme):
@@ -161,7 +163,7 @@ def validate_scheme(scheme):
     return scheme
 
 
-def pairing_moves(poly, p, inc):
+def pairing_moves(poly, p):
     """The pairing's dart moves: dart -> (next dart, (edge id, face id,
     (gen symbol, sign))) for each dart of its source face (the map, sign
     +1) and of its target face (the inverse, sign -1).
@@ -176,7 +178,7 @@ def pairing_moves(poly, p, inc):
     moves = {}
     for fid, vmap, sign in ((p.source, p.mapping(), +1),
                             (p.target, p.inverse_mapping(), -1)):
-        face, cycle = poly.faces[fid], inc.face_edge_cycle[fid]
+        face, cycle = poly.faces[fid], poly.incidence.face_edge_cycle[fid]
         n = len(face)
         for i in range(n):
             u, v = face[i], face[(i + 1) % n]
@@ -184,7 +186,7 @@ def pairing_moves(poly, p, inc):
     return moves
 
 
-def edge_orbits(scheme, inc=None, moves=None):
+def edge_orbits(scheme, moves=None):
     """Edge classes by flag traversal, one orbit per class.
 
     `moves` is the scheme's dart-move table, the union of its pairings'
@@ -197,11 +199,11 @@ def edge_orbits(scheme, inc=None, moves=None):
     the move table means a pairing that does not reverse orientation: its
     moves are not a permutation, and it raises CensusError.
     """
-    inc = inc or polytope.build_incidence(scheme.poly)
+    inc = scheme.poly.incidence
     if moves is None:
         moves = {}
         for p in scheme.pairings:
-            moves.update(pairing_moves(scheme.poly, p, inc))
+            moves.update(pairing_moves(scheme.poly, p))
     reached = [False] * len(inc.edges)
     orbits = []
     bound = range(len(moves))  # no orbit is longer than the move table
@@ -255,10 +257,8 @@ def vertex_orbits(scheme):
     return sorted(groups.values())
 
 
-def quotient_census(scheme, orbits=None, inc=None):
+def quotient_census(scheme, orbits):
     poly = scheme.poly
-    inc = inc or polytope.build_incidence(poly)
-    orbits = orbits or edge_orbits(scheme, inc)
     v_bar, e_bar, f_bar = (poly.vertex_count(), poly.edge_count(),
                            poly.face_count())
     if v_bar - e_bar + f_bar != 2:
@@ -283,7 +283,7 @@ def symmetry_group(poly):
     fixes it.  Maps come in the lexicographic order of the images of the
     vertices taken by descending degree, stable in document order.
     """
-    darts = polytope.build_incidence(poly).darts
+    darts = poly.incidence.darts
     degree = collections.Counter(u for u, _ in darts)
     order = sorted(poly.vertices, key=lambda v: -degree[v])
     found = []
@@ -405,7 +405,7 @@ def twist_pairing(poly, gen, from_name, to_name, quarter_turns, sense="cw"):
     if source == target:
         raise SchemeError("cannot pair a face with itself")
     hinge = set(poly.faces[source]) & set(poly.faces[target])
-    darts = polytope.build_incidence(poly).darts
+    darts = poly.incidence.darts
     corrs = reversing_correspondences(poly, source, target)
     base = next(k for k, c in enumerate(corrs) if (
         all(c[v] == v for v in hinge) if hinge

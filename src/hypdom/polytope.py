@@ -6,6 +6,7 @@ structure are derived.  Face cycles are stored with the orientation given in
 the input document, read as counterclockwise seen from outside.
 """
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -37,6 +38,11 @@ class AbstractPolyhedron:
 
     def edge_count(self):
         return sum(len(f) for f in self.faces) // 2
+
+    @functools.cached_property
+    def incidence(self):
+        """The polyhedron's IncidenceData, built the first time it is read."""
+        return build_incidence(self)
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,9 @@ def load_polyhedron(source):
     if isinstance(source, dict):
         doc = source
     else:
-        text = source
-        if hasattr(source, "read"):
-            text = source.read()
-        text = str(text)
+        text = str(source)
         if not text.lstrip().startswith("{"):
-            with open(text) as fh:
+            with open(text, encoding="utf-8") as fh:
                 text = fh.read()
         try:
             doc = json.loads(text)
@@ -242,7 +245,7 @@ def _rotation_at_vertex(poly, inc, vertex):
 def build_dual(poly, inc=None):
     """Dual graph: one node per face, one link per edge, plus the facial-cycle
     index mapping each primal vertex to the cyclic link sequence around it."""
-    inc = inc or build_incidence(poly)
+    inc = inc or poly.incidence
     facial = {v: _rotation_at_vertex(poly, inc, v) for v in poly.vertices}
     return DualGraph(
         nodes=tuple(range(poly.face_count())),

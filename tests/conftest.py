@@ -24,7 +24,7 @@ def cube(solids):
 
 @pytest.fixture(scope="session")
 def cube_inc(cube):
-    return polytope.build_incidence(cube)
+    return cube.incidence
 
 
 @pytest.fixture(scope="session")
@@ -160,13 +160,13 @@ def canonicalize(scheme, group="all"):
     return key_full if group == "all" else key_rotations
 
 
-def detect_elliptic_generator(scheme, inc=None):
+def detect_elliptic_generator(scheme):
     """Pairings of adjacent faces whose correspondence maps the shared edge
     to itself (setwise): such a map rotates about that edge and has torsion.
 
     Oracle for the library's criterion, a size-1 edge class: it scans the
     shared edges directly instead of traversing flags."""
-    inc = inc or polytope.build_incidence(scheme.poly)
+    inc = scheme.poly.incidence
     offending = []
     for p in scheme.pairings:
         src_edges = set(inc.face_edge_cycle[p.source])

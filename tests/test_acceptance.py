@@ -149,16 +149,16 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         # partition has an edge that all exact solutions pin at angle 1
         five_seven = {}
         for scheme in enumeration.enumerate_schemes(cube):
-            orbits = pairings.edge_orbits(scheme, cube_inc)
+            orbits = pairings.edge_orbits(scheme)
             if sorted(o.size for o in orbits) == [5, 7]:
                 partition = frozenset(frozenset(o.edges) for o in orbits)
                 five_seven.setdefault(partition, []).append(scheme)
         assert len(five_seven) == 24, f"{len(five_seven)} 5-7 partitions"
         for partition, schemes in five_seven.items():
             assert len(schemes) == 1
-            assert not detect_elliptic_generator(schemes[0], cube_inc)
+            assert not detect_elliptic_generator(schemes[0])
             five, seven = sorted(partition, key=len)
-            system = angles.assemble_system(cube, [five, seven], cube_inc)
+            system = angles.assemble_system(cube, [five, seven])
             sol = angles.solve_exact(system)
             assert sol.status == "affine-family"
             pinned = {eid for i, eid in enumerate(sol.columns)
@@ -188,7 +188,7 @@ def test_criterion_3_unique_angle_solution(cube, cube_inc, cube_dual):
                   "4-parameter family holding a second strict point"):
         classes = [drawn(cube_inc, FD1_CLASSES[0]),
                    drawn(cube_inc, FD1_CLASSES[1])]
-        system = angles.assemble_system(cube, classes, cube_inc)
+        system = angles.assemble_system(cube, classes)
         sol = angles.solve_exact(system)
         regular = {eid: THIRD for eid in range(12)}
         assert angles.satisfies(system, regular)
@@ -226,7 +226,7 @@ def test_criterion_4_five_seven_assignment(cube, cube_inc, cube_dual):
     with _Line(4, "the drawn 5-7 angle assignment satisfies all constraints"):
         classes = [drawn(cube_inc, FIVE_SEVEN_CLASSES[0]),
                    drawn(cube_inc, FIVE_SEVEN_CLASSES[1])]
-        system = angles.assemble_system(cube, classes, cube_inc)
+        system = angles.assemble_system(cube, classes)
         rhs = sorted(r for (c, r), p in zip(system.rows, system.provenance)
                      if p[0] == "class")
         assert rhs == [3, 5]
@@ -295,11 +295,11 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
         y2z_exceptions = []
         disagreements = []
         for scheme in enumeration.enumerate_schemes(cube):
-            orbits = pairings.edge_orbits(scheme, cube_inc)
+            orbits = pairings.edge_orbits(scheme)
             words = tuple(pairings.relator_word(o) for o in orbits)
             squared, _ = grouplab.has_squared_term(words)
             adjacent = grouplab.adjacent_identified_sharing_edge(
-                scheme, cube_inc)
+                scheme)
             if squared != adjacent:
                 squared_exceptions.append(scheme)
             verdict = grouplab.y2z_class_link(orbits, words)
@@ -321,7 +321,7 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
         for scheme, verdict in y2z_exceptions:
             # a YYZ word always comes with a size-3 class, never the reverse
             assert verdict.has_size3_orbit and not verdict.has_y2z_word
-            assert not detect_elliptic_generator(scheme, cube_inc)
+            assert not detect_elliptic_generator(scheme)
         # by hand: the first scheme on the three opposite pairs has four
         # 3-classes, each reading three distinct letters
         fids = pairings.cube_face_ids(cube)
@@ -332,7 +332,7 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
                      if {(p.gen, p.source, p.target) for p in s.pairings}
                      == set(pairs))
         assert first in [s for s, _ in y2z_exceptions]
-        orbits = pairings.edge_orbits(first, cube_inc)
+        orbits = pairings.edge_orbits(first)
         assert {frozenset(o.edges) for o in orbits} == {
             frozenset(drawn(cube_inc, c))
             for c in ({1, 7, 12}, {2, 5, 11}, {3, 8, 9}, {4, 6, 10})}
@@ -364,7 +364,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
         for i, scheme in enumerate(enumeration.enumerate_schemes(cube)):
             if i % 11:
                 continue
-            orbits = pairings.edge_orbits(scheme, cube_inc)
+            orbits = pairings.edge_orbits(scheme)
             assert sorted(e for o in orbits for e in o.edges) == list(range(12))
         # census identity on every survivor
         for cand in cube_report.survivors:
@@ -408,7 +408,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
              drawn(cube_inc, {1, 3, 4, 6, 8, 10, 12})],
         ]
         for classes in partitions:
-            system = angles.assemble_system(cube, classes, cube_inc)
+            system = angles.assemble_system(cube, classes)
             sol, witness = angles.feasible(system, cube_circuits)
             if len(sol.basis) > 4:
                 continue

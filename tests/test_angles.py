@@ -39,7 +39,7 @@ def fd1_class_sets(inc):
 
 
 def test_assemble_fd1(cube, cube_inc):
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
     assert len(system.rows) == 10
     vertex_rows = [r for r, p in zip(system.rows, system.provenance)
                    if p[0] == "vertex"]
@@ -52,16 +52,16 @@ def test_assemble_fd1(cube, cube_inc):
         assert rhs == 4 and sum(coef) == 6
 
 
-def test_assemble_rejects_small_class(cube, cube_inc):
+def test_assemble_rejects_small_class(cube):
     bad = [{0, 1}, set(range(2, 12))]
     with pytest.raises(angles.PartitionError, match="size 2"):
-        angles.assemble_system(cube, bad, cube_inc)
+        angles.assemble_system(cube, bad)
 
 
 def test_assemble_five_seven_rhs(cube, cube_inc):
     classes = [drawn(cube_inc, FIVE_SEVEN_CLASSES[0]),
                drawn(cube_inc, FIVE_SEVEN_CLASSES[1])]
-    system = angles.assemble_system(cube, classes, cube_inc)
+    system = angles.assemble_system(cube, classes)
     rhs = sorted(r for (c, r), p in zip(system.rows, system.provenance)
                  if p[0] == "class")
     assert rhs == [3, 5]
@@ -71,7 +71,7 @@ def test_solve_fd1_family_contains_regular_point(cube, cube_inc):
     # The 10-row system is consistent but underdetermined: rank 8 with a
     # 4-dimensional family.  The all-2/3 point lies inside it, but so do
     # others, e.g. (5/6, 1/2, 1/2, 5/6, 2/3, ...) in drawing order.
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
     sol = angles.solve_exact(system)
     assert sol.status == "affine-family"
     assert sol.rank == 8
@@ -95,7 +95,7 @@ def test_solve_fd1_family_contains_regular_point(cube, cube_inc):
 
 
 def test_solve_substitute_back_exact(cube, cube_inc, cube_circuits):
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
     sol, witness = angles.feasible(system, cube_circuits)
     vals = witness.values
     for coef, rhs in system.rows:
@@ -116,7 +116,7 @@ def test_solve_infeasible_rows():
 def test_five_seven_assignment_satisfies_everything(cube, cube_inc, cube_dual):
     classes = [drawn(cube_inc, FIVE_SEVEN_CLASSES[0]),
                drawn(cube_inc, FIVE_SEVEN_CLASSES[1])]
-    system = angles.assemble_system(cube, classes, cube_inc)
+    system = angles.assemble_system(cube, classes)
     vals = {drawn(cube_inc, {n}).pop(): q for n, q in FIVE_SEVEN_ANGLES.items()}
     for coef, rhs in system.rows:
         assert sum(c * vals[eid] for c, eid in zip(coef, system.columns)) == rhs
@@ -158,7 +158,7 @@ def test_check_inequalities_waist_failure(cube, cube_inc, cube_dual):
 
 
 def test_feasible_fd1(cube, cube_inc, cube_dual, cube_circuits):
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
     sol, witness = angles.feasible(system, cube_circuits)
     assert witness is not None
     ok, _ = angles.check_inequalities(cube, cube_dual, witness)
@@ -170,7 +170,7 @@ def test_feasible_rejects_opposite_vertex_three_class(cube, cube_inc,
     # a 3-class spanning two opposite corners forces an angle >= 1
     three = drawn(cube_inc, {5, 9, 2})   # FTR-FTL-FBL-BBL path
     rest = set(range(12)) - three
-    system = angles.assemble_system(cube, [three, rest], cube_inc)
+    system = angles.assemble_system(cube, [three, rest])
     sol, witness = angles.feasible(system, cube_circuits)
     assert witness is None
 
@@ -224,7 +224,7 @@ def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual,
         [drawn(cube_inc, {1, 2, 7, 8, 9, 11}), drawn(cube_inc, {3, 4, 5, 6, 10, 12})],
     ]
     for classes in partitions:
-        system = angles.assemble_system(cube, classes, cube_inc)
+        system = angles.assemble_system(cube, classes)
         sol, witness = angles.feasible(system, cube_circuits)
         if sol.status == "infeasible":
             continue
@@ -262,7 +262,7 @@ def test_solution_angle_sum_equals_vertex_count(cube, cube_inc,
                                                  cube_circuits):
     # summing the vertex rows double-counts each edge, so any solution's
     # total angle equals the vertex count; per class the total is size-2
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
     sol, witness = angles.feasible(system, cube_circuits)
     assert sum(witness.values.values()) == cube.vertex_count()
     for cl in fd1_class_sets(cube_inc):
@@ -271,7 +271,7 @@ def test_solution_angle_sum_equals_vertex_count(cube, cube_inc,
 
 def test_rank_cross_checked_with_sympy(cube, cube_inc):
     sympy = pytest.importorskip("sympy")
-    system = angles.assemble_system(cube, fd1_class_sets(cube_inc), cube_inc)
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
     M = sympy.Matrix([[int(c) for c in coef] for coef, _ in system.rows])
     b = sympy.Matrix([sympy.Rational(r.numerator, r.denominator)
                       for _, r in system.rows])
@@ -288,7 +288,7 @@ def test_five_seven_orbit_partitions_force_degenerate_angle(cube, cube_inc):
     sympy = pytest.importorskip("sympy")
     five = drawn(cube_inc, {3, 5, 6, 10, 12})
     seven = set(range(12)) - five
-    system = angles.assemble_system(cube, [five, seven], cube_inc)
+    system = angles.assemble_system(cube, [five, seven])
     xs = sympy.symbols("x0:12")
     eqs = [sum(int(c) * xs[i] for i, c in enumerate(coef))
            - sympy.Rational(rhs.numerator, rhs.denominator)
@@ -368,27 +368,26 @@ def fourier_motzkin_feasible(system, circuits):
     return all(b > 0 for _, b in cur)
 
 
-def distinct_partitions(poly, inc):
+def distinct_partitions(poly):
     """Every distinct edge partition into orbits of the right count and of
     size at least 3, over all pairing schemes of `poly`."""
     required = angles.required_class_count(poly)
     found = set()
     for scheme in enumeration.enumerate_schemes(poly):
-        orbits = pairings.edge_orbits(scheme, inc)
+        orbits = pairings.edge_orbits(scheme)
         if len(orbits) == required and all(o.size >= 3 for o in orbits):
             found.add(frozenset(frozenset(o.edges) for o in orbits))
     return sorted(found, key=lambda p: sorted(sorted(cl) for cl in p))
 
 
-def test_feasible_agrees_with_fourier_motzkin_on_cube(cube, cube_inc,
-                                                     cube_dual,
+def test_feasible_agrees_with_fourier_motzkin_on_cube(cube, cube_dual,
                                                      cube_circuits):
-    partitions = distinct_partitions(cube, cube_inc)
+    partitions = distinct_partitions(cube)
     assert len(partitions) == 105
     n_feasible = 0
     for partition in partitions:
         system = angles.assemble_system(
-            cube, [set(cl) for cl in partition], cube_inc)
+            cube, [set(cl) for cl in partition])
         _, witness = angles.feasible(system, cube_circuits)
         assert ((witness is not None)
                 == fourier_motzkin_feasible(system, cube_circuits))
@@ -403,14 +402,13 @@ def test_octahedron_partitions_feasible_with_witness(solids):
     # checked by the witnesses: each must solve its own system exactly and
     # pass every strict inequality
     octa = solids["octahedron"]
-    inc = polytope.build_incidence(octa)
-    dual = polytope.build_dual(octa, inc)
+    dual = polytope.build_dual(octa)
     circuits = angles.nonfacial_circuits(dual)
-    partitions = distinct_partitions(octa, inc)
+    partitions = distinct_partitions(octa)
     assert len(partitions) == 96
     for partition in partitions:
         system = angles.assemble_system(
-            octa, [set(cl) for cl in partition], inc)
+            octa, [set(cl) for cl in partition])
         _, witness = angles.feasible(system, circuits)
         assert witness is not None
         assert angles.satisfies(system, witness.values)

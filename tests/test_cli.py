@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hypdom import angles, cli, geometry
+from hypdom import angles, cli, geometry, polytope
 
 
 def data_path(name):
@@ -57,6 +57,19 @@ def test_malformed_input_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "info", str(bad))
     assert code == 2
     assert "error" in err
+    # a directory where a document is expected, or a document that is not
+    # UTF-8, is bad input too
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"name": "w\xfcrfel"}'.encode("latin-1"))
+    cube = data_path("cube")
+    for argv in (["info", str(tmp_path)], ["info", str(latin)],
+                 ["enumerate", str(tmp_path)],
+                 ["verify", cube, str(tmp_path)], ["verify", cube, str(latin)],
+                 ["angles", cube, str(tmp_path)],
+                 ["restrict", cube, "--candidate", str(tmp_path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
 
 
 def test_invalid_polyhedron_exit_code(capsys, tmp_path):
@@ -160,6 +173,7 @@ def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
             ({**first, "from": 99}, "face id"),
             ({**first, "map": [1, 2]}, "'map'"),
             ({**first, "gen": ["A"]}, "not hashable"),
+            ({**first, "gen": 7}, "not all strings"),
             ({**sugar, "from": ["front"]}, "unknown cube face"),
             ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
             ({**sugar, "twist_quarter_turns": True}, "integer 0..3"))):
@@ -168,6 +182,9 @@ def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
         path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(broken))
         _rejected_by_angles_and_verify(capsys, path, message)
+        code, out, err = run(capsys, "restrict", data_path("cube"),
+                             "--candidate", str(path))
+        assert (code, out) == (2, "") and message in err
 
 
 def test_realize_command(capsys, tmp_path):
@@ -231,11 +248,16 @@ def test_pipeline_cube(capsys, tmp_path):
 
 
 def test_pipeline_rotation_grouping(capsys):
-    code, out, _ = run(capsys, "enumerate", data_path("cube"),
-                       "--group", "rotations")
+    # every report carries both groupings, so no option picks one
+    code, out, _ = run(capsys, "enumerate", data_path("cube"))
     assert code == 0
     doc = json.loads(out)
-    assert doc["families_requested_grouping"] == 5
+    assert doc["families_rotation_group"] == 5
+    assert len(doc["families_full_group"]) == 3
+    assert "families_requested_grouping" not in doc
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", data_path("cube"), "--group", "rotations"])
+    assert exc.value.code == 2
 
 
 def test_icosahedron_enumerate_guarded(capsys):
@@ -307,6 +329,34 @@ def test_only_angles_solves_on_reload(capsys, cube_run, monkeypatch):
     assert len(calls) == 30
     assert shapes == {("affine-family", 8, 4): 18,
                       ("affine-family", 7, 5): 12}
+
+
+def test_derived_data_built_once(capsys, cube_run, monkeypatch, tmp_path):
+    # the polyhedron builds its incidence once; a reload assembles the
+    # angle system once, to check the witness, and the candidate carries it
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    count(polytope, "build_incidence")
+    count(angles, "assemble_system")
+    code, text, _ = run(capsys, "verify", data_path("cube"),
+                        str(cube_run / "candidate_000.json"))
+    assert code == 0 and json.loads(text)["status"] == "CONFIRMED"
+    assert calls == {"build_incidence": 1, "assemble_system": 1}
+    calls.clear()
+    code, _, _ = run(capsys, "pipeline", data_path("cube"),
+                     "--out", str(tmp_path / "pipe"))
+    assert code == 0
+    # 8 canonical partitions solved and 10 feasible partitions; each of the
+    # 3 verified family representatives carries its partition's system
+    assert calls == {"build_incidence": 1, "assemble_system": 18}
 
 
 def test_parser_built_once(capsys, monkeypatch):

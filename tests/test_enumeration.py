@@ -88,42 +88,42 @@ def test_survivors_closed_under_symmetry(cube, cube_report):
             assert scheme_signature(image) in signatures
 
 
-def test_survivors_revalidate(cube, cube_inc, cube_dual, cube_circuits,
+def test_survivors_revalidate(cube, cube_dual, cube_circuits,
                               cube_report):
     required = angles.required_class_count(cube)
     for cand in cube_report.survivors:
         pairings.validate_scheme(cand.scheme)
-        assert not detect_elliptic_generator(cand.scheme, cube_inc)
-        orbits = pairings.edge_orbits(cand.scheme, cube_inc)
+        assert not detect_elliptic_generator(cand.scheme)
+        orbits = pairings.edge_orbits(cand.scheme)
         assert len(orbits) == required
         system = angles.assemble_system(
-            cube, [set(o.edges) for o in orbits], cube_inc)
+            cube, [set(o.edges) for o in orbits])
         sol, witness = angles.feasible(system, cube_circuits)
         assert witness is not None
         ok, _ = angles.check_inequalities(cube, cube_dual, cand.witness)
         assert ok
 
 
-def test_filter_order_irrelevant(cube, cube_inc, cube_circuits, cube_report):
+def test_filter_order_irrelevant(cube, cube_circuits, cube_report):
     # apply the filters independently, in a different order, and compare the
     # survivor set with classify's
     required = angles.required_class_count(cube)
     survivors = set()
     cache = {}
     for scheme in enumeration.enumerate_schemes(cube):
-        orbits = pairings.edge_orbits(scheme, cube_inc)
+        orbits = pairings.edge_orbits(scheme)
         partition = frozenset(frozenset(o.edges) for o in orbits)
         if len(orbits) == required and all(o.size >= 3 for o in orbits):
             if partition not in cache:
                 system = angles.assemble_system(
-                    cube, [set(p) for p in partition], cube_inc)
+                    cube, [set(p) for p in partition])
                 cache[partition] = angles.feasible(system, cube_circuits)[1]
             feasible_witness = cache[partition]
         else:
             feasible_witness = None
         if feasible_witness is None:
             continue
-        if detect_elliptic_generator(scheme, cube_inc):
+        if detect_elliptic_generator(scheme):
             continue
         survivors.add(scheme_signature(scheme))
     assert survivors == {scheme_signature(c.scheme)
@@ -206,23 +206,23 @@ def test_classify_tetrahedron(solids):
     assert report.rejected["class_count"] == 12
 
 
-def test_wrong_class_count_systems_infeasible(cube, cube_inc):
+def test_wrong_class_count_systems_infeasible(cube):
     # the angle system is consistent only when the partition has exactly
     # (E - V)/2 classes: any other class count contradicts the vertex rows
     seen = set()
     for scheme in enumeration.enumerate_schemes(cube):
-        orbits = pairings.edge_orbits(scheme, cube_inc)
+        orbits = pairings.edge_orbits(scheme)
         k = len(orbits)
         if k == 2 or k in seen or any(o.size < 3 for o in orbits):
             continue
         seen.add(k)
         system = angles.assemble_system(
-            cube, [set(o.edges) for o in orbits], cube_inc)
+            cube, [set(o.edges) for o in orbits])
         assert angles.solve_exact(system).status == "infeasible"
     assert seen
 
 
-def test_partition_ranks(cube, cube_inc, cube_report):
+def test_partition_ranks(cube, cube_report):
     # the two shapes of surviving systems: rank 8 (opposite-pair classes)
     # and rank 7 (adjacent-pair classes)
     ranks = set()
@@ -258,18 +258,17 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
     # it drops before the product, are the schemes the shared-edge oracle
     # flags; and no pairing the filter keeps is flagged
     poly = solids[name]
-    inc = polytope.build_incidence(poly)
     flagged = sum(1 for scheme in enumeration.enumerate_schemes(poly)
-                  if detect_elliptic_generator(scheme, inc))
+                  if detect_elliptic_generator(scheme))
     closed_form = 0
     for per_pair in enumeration._matchings(poly):
-        kept = enumeration._compiled_pairs(poly, inc, per_pair)
+        kept = enumeration._compiled_pairs(poly, per_pair)
         closed_form += (math.prod(len(ps) for ps in per_pair)
                         - math.prod(len(ps) for ps in kept))
         for ps in kept:
             for p, _ in ps:
                 alone = pairings.PairingScheme(poly, (p,))
-                assert not detect_elliptic_generator(alone, inc)
+                assert not detect_elliptic_generator(alone)
     assert closed_form == flagged == elliptic
 
 
@@ -281,8 +280,7 @@ def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
     for name, report, partitions in (("cube", cube_report, 10),
                                      ("octahedron", octahedron_report, 96)):
         poly = solids[name]
-        inc = polytope.build_incidence(poly)
-        dual = polytope.build_dual(poly, inc)
+        dual = polytope.build_dual(poly)
         seen = set()
         for cand in report.survivors:
             partition = frozenset(frozenset(o.edges) for o in cand.orbits)
@@ -290,7 +288,7 @@ def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
                 continue
             seen.add(partition)
             system = angles.assemble_system(
-                poly, [set(o.edges) for o in cand.orbits], inc)
+                poly, [set(o.edges) for o in cand.orbits])
             assert angles.satisfies(system, cand.witness.values)
             ok, failures = angles.check_inequalities(poly, dual, cand.witness)
             assert ok, failures
@@ -301,8 +299,8 @@ def test_pull_back_check_fires(cube, cube_inc, cube_circuits, fd1):
     # swapping two edges of different classes at a common vertex is no
     # symmetry of the angle system: the row check must refuse it, although
     # the witness, the regular point, is fixed by every such swap
-    classes = [set(o.edges) for o in pairings.edge_orbits(fd1, cube_inc)]
-    system = angles.assemble_system(cube, classes, cube_inc)
+    classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
+    system = angles.assemble_system(cube, classes)
     _, witness = angles.feasible(system, cube_circuits)
     assert set(witness.values.values()) == {Fraction(2, 3)}
     identity = list(range(len(cube_inc.edges)))
@@ -322,20 +320,19 @@ def test_pull_back_refuses_another_partitions_image(cube, cube_inc,
                                                     cube_circuits, fd1, fd2):
     # a genuine symmetry carries the partition's system onto its own image,
     # and onto no other partition's system
-    classes = [set(o.edges) for o in pairings.edge_orbits(fd1, cube_inc)]
-    system = angles.assemble_system(cube, classes, cube_inc)
+    classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
+    system = angles.assemble_system(cube, classes)
     vmap = next(vmap for vmap, orient in pairings.symmetry_group(cube)
                 if orient and any(k != v for k, v in vmap.items()))
     perm = [cube_inc.edge_id(*(vmap[v] for v in cube_inc.edges[eid]))
             for eid in range(len(cube_inc.edges))]
     image = angles.assemble_system(
-        cube, [{perm[e] for e in cl} for cl in classes], cube_inc)
+        cube, [{perm[e] for e in cl} for cl in classes])
     _, witness = angles.feasible(image, cube_circuits)
     pulled = enumeration.pull_back(system, image, witness, perm)
     assert angles.satisfies(system, pulled.values)
     other = angles.assemble_system(
-        cube, [set(o.edges) for o in pairings.edge_orbits(fd2, cube_inc)],
-        cube_inc)
+        cube, [set(o.edges) for o in pairings.edge_orbits(fd2)])
     _, other_witness = angles.feasible(other, cube_circuits)
     with pytest.raises(AssertionError, match="pull-back failed"):
         enumeration.pull_back(system, other, other_witness, perm)

@@ -335,7 +335,7 @@ def test_verify_candidate_rejects_non_regular(cube, cube_inc, fd1):
     # a stub candidate carrying a 5-7 angle system, whose solutions all pin
     # an angle at 1 and so miss the all-2/3 point
     system = angles.assemble_system(
-        cube, [drawn(cube_inc, cl) for cl in FIVE_SEVEN_CLASSES], cube_inc)
+        cube, [drawn(cube_inc, cl) for cl in FIVE_SEVEN_CLASSES])
     stub = types.SimpleNamespace(scheme=fd1, system=system)
     with pytest.raises(geometry.NotRealizableError, match="regular"):
         geometry.verify_candidate(stub)

@@ -10,15 +10,15 @@ import float_mobius as fm
 from conftest import detect_elliptic_generator
 
 
-def words_of(scheme, inc=None):
+def words_of(scheme):
     return tuple(pairings.relator_word(o)
-                 for o in pairings.edge_orbits(scheme, inc))
+                 for o in pairings.edge_orbits(scheme))
 
 
-def test_squared_term_examples(fd1, fd2, cube_inc):
-    flag, _ = grouplab.has_squared_term(words_of(fd1, cube_inc))
+def test_squared_term_examples(fd1, fd2):
+    flag, _ = grouplab.has_squared_term(words_of(fd1))
     assert not flag
-    flag, witnesses = grouplab.has_squared_term(words_of(fd2, cube_inc))
+    flag, witnesses = grouplab.has_squared_term(words_of(fd2))
     assert flag and witnesses
     flag, _ = grouplab.has_squared_term([(("Y", 1), ("Y", 1), ("Z", 1))])
     assert flag
@@ -29,14 +29,14 @@ def test_squared_term_cyclic_wraparound():
     assert flag  # positions 2 and 0 are cyclically adjacent
 
 
-def test_y2z_link_fd1(fd1, cube_inc):
-    orbits = pairings.edge_orbits(fd1, cube_inc)
-    verdict = grouplab.y2z_class_link(orbits, words_of(fd1, cube_inc))
+def test_y2z_link_fd1(fd1):
+    orbits = pairings.edge_orbits(fd1)
+    verdict = grouplab.y2z_class_link(orbits, words_of(fd1))
     assert verdict.consistent
     assert not verdict.has_size3_orbit and not verdict.has_y2z_word
 
 
-def test_y2z_link_five_seven_scheme(cube, cube_inc):
+def test_y2z_link_five_seven_scheme(cube):
     # a top-front / left-right / back-bottom scheme with classes 5 and 7:
     # no 3-orbit and no length-3 word, consistently
     fids = pairings.cube_face_ids(cube)
@@ -46,9 +46,9 @@ def test_y2z_link_five_seven_scheme(cube, cube_inc):
                   frozenset((fids["left"], fids["right"])),
                   frozenset((fids["back"], fids["bottom"]))}:
             continue
-        orbits = pairings.edge_orbits(scheme, cube_inc)
+        orbits = pairings.edge_orbits(scheme)
         if sorted(o.size for o in orbits) == [5, 7]:
-            verdict = grouplab.y2z_class_link(orbits, words_of(scheme, cube_inc))
+            verdict = grouplab.y2z_class_link(orbits, words_of(scheme))
             assert verdict.consistent
             assert not verdict.has_size3_orbit
             return
@@ -58,11 +58,11 @@ def test_y2z_link_five_seven_scheme(cube, cube_inc):
 def test_y2z_link_synthetic_three_orbit(cube, cube_inc):
     # adjacent identified faces sharing an edge of a 3-orbit: both sides true
     for scheme in enumeration.enumerate_schemes(cube):
-        if detect_elliptic_generator(scheme, cube_inc):
+        if detect_elliptic_generator(scheme):
             continue
-        if not grouplab.adjacent_identified_sharing_edge(scheme, cube_inc):
+        if not grouplab.adjacent_identified_sharing_edge(scheme):
             continue
-        orbits = pairings.edge_orbits(scheme, cube_inc)
+        orbits = pairings.edge_orbits(scheme)
         three = [o for o in orbits if o.size == 3]
         if not three:
             continue
@@ -71,7 +71,7 @@ def test_y2z_link_synthetic_three_orbit(cube, cube_inc):
                   & set(cube_inc.face_edge_cycle[p.target])}
         if not any(set(o.edges) & shared for o in three):
             continue
-        verdict = grouplab.y2z_class_link(orbits, words_of(scheme, cube_inc))
+        verdict = grouplab.y2z_class_link(orbits, words_of(scheme))
         if verdict.has_y2z_word:
             assert verdict.consistent
             return
@@ -90,14 +90,14 @@ def test_commute_affine_pair():
     assert not grouplab.commutes(double, shift)
 
 
-def test_fd1_generators_do_not_commute(realization, fd1, cube_inc):
+def test_fd1_generators_do_not_commute(realization, fd1):
     gens = geometry.face_pairing_maps(realization, fd1)
     pairs = list(itertools.combinations(sorted(gens), 2))
     verdicts = {p: grouplab.commutes(gens[p[0]], gens[p[1]])
                 for p in pairs}
     assert not any(verdicts.values())
     # with no commuting pair there should be no size-3 orbit, and there isn't
-    orbits = pairings.edge_orbits(fd1, cube_inc)
+    orbits = pairings.edge_orbits(fd1)
     assert not any(o.size == 3 for o in orbits)
 
 
@@ -133,14 +133,14 @@ def test_y2z_identity_product_forces_commuting():
             fm.from_exact(y), fm.from_exact(w))
 
 
-def test_y2z_realized_products_are_half_turns(cube, cube_inc, realization):
+def test_y2z_realized_products_are_half_turns(cube, realization):
     # on the regular ideal cube a 3-orbit always glues a total interior
     # angle of pi, so realized YYZ words multiply to an order-2 elliptic,
     # never the identity -- Y and Z then need not commute
     checked = 0
     saw_noncommuting = False
     for scheme in enumeration.enumerate_schemes(cube):
-        words = words_of(scheme, cube_inc)
+        words = words_of(scheme)
         if not any(len(w.letters) == 3 for w in words):
             continue
         gens = geometry.face_pairing_maps(realization, scheme)
@@ -171,17 +171,17 @@ def test_edge_bound(solids):
     assert grouplab.edge_bound_check(solids["octahedron"])       # 12 <= 12
 
 
-def test_parity_fd1(cube, fd1, cube_inc):
-    orbits = pairings.edge_orbits(fd1, cube_inc)
-    assert grouplab.parity_check(orbits, words_of(fd1, cube_inc), cube)
+def test_parity_fd1(cube, fd1):
+    orbits = pairings.edge_orbits(fd1)
+    assert grouplab.parity_check(orbits, words_of(fd1), cube)
 
 
-def test_parity_vacuous_with_squared_term(cube, fd2, cube_inc):
-    orbits = pairings.edge_orbits(fd2, cube_inc)
-    assert grouplab.parity_check(orbits, words_of(fd2, cube_inc), cube)
+def test_parity_vacuous_with_squared_term(cube, fd2):
+    orbits = pairings.edge_orbits(fd2)
+    assert grouplab.parity_check(orbits, words_of(fd2), cube)
 
 
-def test_five_seven_schemes_have_squared_terms(cube, cube_inc):
+def test_five_seven_schemes_have_squared_terms(cube):
     # odd class sizes force adjacent identified faces, which force a squared
     # term; check on every 5-7 scheme of the top-front matching
     fids = pairings.cube_face_ids(cube)
@@ -192,10 +192,10 @@ def test_five_seven_schemes_have_squared_terms(cube, cube_inc):
                   frozenset((fids["left"], fids["right"])),
                   frozenset((fids["back"], fids["bottom"]))}:
             continue
-        orbits = pairings.edge_orbits(scheme, cube_inc)
+        orbits = pairings.edge_orbits(scheme)
         if sorted(o.size for o in orbits) != [5, 7]:
             continue
-        flag, _ = grouplab.has_squared_term(words_of(scheme, cube_inc))
+        flag, _ = grouplab.has_squared_term(words_of(scheme))
         assert flag
         hits += 1
     assert hits
@@ -209,12 +209,12 @@ def test_candidate_parity_property(cube_report):
             assert all(o.size % 2 == 0 for o in cand.orbits)
 
 
-def test_prop63_exhaustive(cube, cube_inc):
+def test_prop63_exhaustive(cube):
     # squared term <=> some pairing identifies adjacent faces, over the
     # entire scheme population, with zero exceptions
     for scheme in enumeration.enumerate_schemes(cube):
-        squared, _ = grouplab.has_squared_term(words_of(scheme, cube_inc))
-        adjacent = grouplab.adjacent_identified_sharing_edge(scheme, cube_inc)
+        squared, _ = grouplab.has_squared_term(words_of(scheme))
+        adjacent = grouplab.adjacent_identified_sharing_edge(scheme)
         assert squared == adjacent
 
 

@@ -12,8 +12,8 @@ from conftest import (FD1_CLASSES, FD1_MIRROR_CLASSES, FD2_CLASSES,
                       detect_elliptic_generator, drawn, scheme_signature)
 
 
-def class_partition(scheme, inc):
-    return {frozenset(o.edges) for o in pairings.edge_orbits(scheme, inc)}
+def class_partition(scheme):
+    return {frozenset(o.edges) for o in pairings.edge_orbits(scheme)}
 
 
 def words_equivalent(w1, w2):
@@ -46,12 +46,13 @@ def words_equivalent(w1, w2):
     return n == 0
 
 
-def frozenset_edge_orbits(scheme, inc):
+def frozenset_edge_orbits(scheme):
     """Reference flag traversal on (edge id, side face) pairs: apply the
     side face's generator to the edge's vertex set, look the image edge up
     by that set, then flip to its face other than the generator's codomain.
     Both traversal directions of a class are walked; the reverse one is
     dropped."""
+    inc = scheme.poly.incidence
     lookup = {e: i for i, e in enumerate(inc.edges)}
     table = {}
     for p in scheme.pairings:
@@ -81,10 +82,10 @@ def frozenset_edge_orbits(scheme, inc):
     return orbits
 
 
-def size_one_letters(scheme, inc):
+def size_one_letters(scheme):
     """The generator letters of the size-1 edge classes: the library's
     elliptic criterion."""
-    return [o.steps[0][2] for o in pairings.edge_orbits(scheme, inc)
+    return [o.steps[0][2] for o in pairings.edge_orbits(scheme)
             if o.size == 1]
 
 
@@ -127,24 +128,24 @@ def test_length_mismatch_rejected():
 
 
 def test_fd1_orbits_match_drawing(fd1, cube_inc):
-    part = class_partition(fd1, cube_inc)
+    part = class_partition(fd1)
     assert part == {frozenset(drawn(cube_inc, FD1_CLASSES[0])),
                     frozenset(drawn(cube_inc, FD1_CLASSES[1]))}
 
 
 def test_fd1_mirror_orbits(fd1_mirror, cube_inc):
-    part = class_partition(fd1_mirror, cube_inc)
+    part = class_partition(fd1_mirror)
     assert part == {frozenset(drawn(cube_inc, FD1_MIRROR_CLASSES[0])),
                     frozenset(drawn(cube_inc, FD1_MIRROR_CLASSES[1]))}
 
 
 def test_fd2_orbits_match_drawing(fd2, cube_inc):
-    part = class_partition(fd2, cube_inc)
+    part = class_partition(fd2)
     assert part == {frozenset(drawn(cube_inc, FD2_CLASSES[0])),
                     frozenset(drawn(cube_inc, FD2_CLASSES[1]))}
 
 
-def test_five_seven_orbits_exist(cube, cube_inc):
+def test_five_seven_orbits_exist(cube):
     # the top-front / left-right / back-bottom matching admits schemes with
     # one class of 5 and one of 7 (they later fail the angle stage)
     fids = pairings.cube_face_ids(cube)
@@ -155,7 +156,7 @@ def test_five_seven_orbits_exist(cube, cube_inc):
                   frozenset((fids["left"], fids["right"])),
                   frozenset((fids["back"], fids["bottom"]))}:
             continue
-        sizes = tuple(sorted(o.size for o in pairings.edge_orbits(scheme, cube_inc)))
+        sizes = tuple(sorted(o.size for o in pairings.edge_orbits(scheme)))
         found.add(sizes)
     assert (5, 7) in found
 
@@ -166,7 +167,7 @@ def test_drawn_five_seven_split_is_not_an_orbit_partition(cube, cube_inc):
     target = {frozenset(drawn(cube_inc, FIVE_SEVEN_CLASSES[0])),
               frozenset(drawn(cube_inc, FIVE_SEVEN_CLASSES[1]))}
     for scheme in enumeration.enumerate_schemes(cube):
-        assert class_partition(scheme, cube_inc) != target
+        assert class_partition(scheme) != target
 
 
 def test_zero_twist_with_half_turn_completion_two_orbits(cube, cube_inc):
@@ -176,44 +177,44 @@ def test_zero_twist_with_half_turn_completion_two_orbits(cube, cube_inc):
         pairings.twist_pairing(cube, "C", "left", "right", 2),
     ))
     pairings.validate_scheme(scheme)
-    orbits = pairings.edge_orbits(scheme, cube_inc)
+    orbits = pairings.edge_orbits(scheme)
     twos = {frozenset(o.edges) for o in orbits if o.size == 2}
     assert twos == {frozenset(drawn(cube_inc, {2, 7})),
                     frozenset(drawn(cube_inc, {3, 6}))}
 
 
-def test_fd1_relator_word_shape(fd1, cube_inc):
-    words = [pairings.relator_word(o) for o in pairings.edge_orbits(fd1, cube_inc)]
+def test_fd1_relator_word_shape(fd1):
+    words = [pairings.relator_word(o) for o in pairings.edge_orbits(fd1)]
     reference = (("A", 1), ("B", -1), ("C", 1), ("A", -1), ("B", -1), ("C", -1))
     assert any(words_equivalent(w, reference) for w in words)
     reference2 = (("A", 1), ("B", 1), ("C", -1), ("A", -1), ("B", 1), ("C", 1))
     assert any(words_equivalent(w, reference2) for w in words)
 
 
-def test_fd2_relator_word_shapes(fd2, cube_inc):
-    words = [pairings.relator_word(o) for o in pairings.edge_orbits(fd2, cube_inc)]
+def test_fd2_relator_word_shapes(fd2):
+    words = [pairings.relator_word(o) for o in pairings.edge_orbits(fd2)]
     squared = (("P", 1), ("R", -1), ("R", -1), ("P", 1), ("Q", -1), ("Q", -1))
     mixed = (("P", 1), ("Q", 1), ("R", -1), ("P", -1), ("Q", -1), ("R", 1))
     assert any(words_equivalent(w, squared) for w in words)
     assert any(words_equivalent(w, mixed) for w in words)
 
 
-def test_words_cyclically_reduced_across_schemes(cube, cube_inc):
+def test_words_cyclically_reduced_across_schemes(cube):
     # every traversal word, over a deterministic slice of the scheme stream
     for i, scheme in enumerate(enumeration.enumerate_schemes(cube)):
         if i % 7:
             continue
-        for orbit in pairings.edge_orbits(scheme, cube_inc):
+        for orbit in pairings.edge_orbits(scheme):
             word = pairings.relator_word(orbit)
             assert word.cyclically_reduced()
             assert len(word) == orbit.size
 
 
-def test_orbits_partition_edges(cube, cube_inc):
+def test_orbits_partition_edges(cube):
     for i, scheme in enumerate(enumeration.enumerate_schemes(cube)):
         if i % 13:
             continue
-        orbits = pairings.edge_orbits(scheme, cube_inc)
+        orbits = pairings.edge_orbits(scheme)
         covered = sorted(e for o in orbits for e in o.edges)
         assert covered == list(range(12))
 
@@ -221,7 +222,7 @@ def test_orbits_partition_edges(cube, cube_inc):
 def test_vertex_orbits_and_census_fd1(fd1):
     vo = pairings.vertex_orbits(fd1)
     assert len(vo) == 2
-    census = pairings.quotient_census(fd1)
+    census = pairings.quotient_census(fd1, pairings.edge_orbits(fd1))
     assert census.edge_classes == 2
     assert census.face_classes == 3
     assert census.interiors == 1
@@ -229,7 +230,7 @@ def test_vertex_orbits_and_census_fd1(fd1):
 
 
 def test_census_fd2(fd2):
-    census = pairings.quotient_census(fd2)
+    census = pairings.quotient_census(fd2, pairings.edge_orbits(fd2))
     assert census.edge_classes == 2 and census.face_classes == 3
     assert census.vertex_classes - 2 + 3 - 1 == census.euler
     assert census.vertex_classes == census.euler
@@ -249,28 +250,28 @@ def test_detect_elliptic_fold(cube, cube_inc):
         pairings.twist_pairing(cube, "B", "right", "bottom", 1),
         pairings.twist_pairing(cube, "C", "front", "back", 1),
     ))
-    flagged = detect_elliptic_generator(scheme, cube_inc)
+    flagged = detect_elliptic_generator(scheme)
     assert [p.gen for p in flagged] == ["A"]
     # the hinge edge (drawing edge 6, top-left) is a class of its own
-    assert size_one_letters(scheme, cube_inc) == [("A", 1)]
-    assert [o.edges for o in pairings.edge_orbits(scheme, cube_inc)
+    assert size_one_letters(scheme) == [("A", 1)]
+    assert [o.edges for o in pairings.edge_orbits(scheme)
             if o.size == 1] == [tuple(drawn(cube_inc, {6}))]
 
 
-def test_detect_elliptic_back_bottom_zero_twist(cube, cube_inc):
+def test_detect_elliptic_back_bottom_zero_twist(cube):
     scheme = pairings.PairingScheme(cube, (
         pairings.twist_pairing(cube, "A", "back", "bottom", 0),
         pairings.twist_pairing(cube, "B", "top", "front", 1),
         pairings.twist_pairing(cube, "C", "left", "right", 1),
     ))
-    flagged = detect_elliptic_generator(scheme, cube_inc)
+    flagged = detect_elliptic_generator(scheme)
     assert [p.gen for p in flagged] == ["A"]
-    assert size_one_letters(scheme, cube_inc) == [("A", 1)]
+    assert size_one_letters(scheme) == [("A", 1)]
 
 
-def test_fd1_no_elliptic(fd1, cube_inc):
-    assert detect_elliptic_generator(fd1, cube_inc) == []
-    assert size_one_letters(fd1, cube_inc) == []
+def test_fd1_no_elliptic(fd1):
+    assert detect_elliptic_generator(fd1) == []
+    assert size_one_letters(fd1) == []
 
 
 @pytest.mark.parametrize("name, schemes, elliptic", [
@@ -280,12 +281,11 @@ def test_orbits_match_frozenset_traversal(solids, name, schemes, elliptic):
     # orbits (steps and order), and a class of size 1 exactly when the
     # shared-edge scan finds an elliptic generator
     poly = solids[name]
-    inc = polytope.build_incidence(poly)
     seen = flagged = 0
     for scheme in enumeration.enumerate_schemes(poly):
-        orbits = pairings.edge_orbits(scheme, inc)
-        assert orbits == frozenset_edge_orbits(scheme, inc)
-        elliptic_scan = bool(detect_elliptic_generator(scheme, inc))
+        orbits = pairings.edge_orbits(scheme)
+        assert orbits == frozenset_edge_orbits(scheme)
+        elliptic_scan = bool(detect_elliptic_generator(scheme))
         assert elliptic_scan == any(o.size == 1 for o in orbits)
         seen += 1
         flagged += elliptic_scan
@@ -540,6 +540,8 @@ def test_scheme_json_bad_types_named(cube, fd1):
     for pairing, message in (
             ({**doc["pairings"][0], "gen": ["A"]}, "not hashable"),
             ({**sugar, "gen": {"A": 1}}, "not hashable"),
+            ({**doc["pairings"][0], "gen": 7}, "not all strings"),
+            ({**sugar, "gen": None}, "not all strings"),
             ({**sugar, "from": ["front"]}, "unknown cube face"),
             ({**sugar, "to": {"back": 1}}, "unknown cube face"),
             ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
@@ -629,7 +631,7 @@ def test_twist_sugar_errors(cube, solids):
             pairings.scheme_from_json_dict(poly, doc)
 
 
-def test_edge_orbits_non_reversing_pairing_raises(cube, fd1, cube_inc):
+def test_edge_orbits_non_reversing_pairing_raises(cube, fd1):
     # the moves of a pairing that keeps orientation are not a permutation:
     # the walk must end with a named error, not loop
     first = fd1.pairings[0]
@@ -638,7 +640,7 @@ def test_edge_orbits_non_reversing_pairing_raises(cube, fd1, cube_inc):
         pairings.make_pairing(cube, first.gen, first.source, first.target,
                               keep), *fd1.pairings[1:]))
     with pytest.raises(pairings.CensusError, match="not a permutation"):
-        pairings.edge_orbits(scheme, cube_inc)
+        pairings.edge_orbits(scheme)
 
 
 def test_word_equivalence_predicate():
@@ -679,5 +681,5 @@ def test_orbits_match_closure_oracle(cube, cube_inc):
     from hypdom import enumeration
     for scheme in enumeration.enumerate_schemes(cube):
         traversal = {frozenset(o.edges)
-                     for o in pairings.edge_orbits(scheme, cube_inc)}
+                     for o in pairings.edge_orbits(scheme)}
         assert traversal == closure_partition(scheme, cube_inc)
