@@ -125,42 +125,36 @@ def assemble_system(poly, classes):
 
 
 def solve_exact(system):
-    """Gauss-Jordan over the rationals; everything returned is exact."""
-    rows = [([Fraction(x) for x in coef], Fraction(rhs))
+    """Gauss-Jordan over the rationals; everything returned is exact.  Each
+    row carries its right-hand side as its last entry."""
+    rows = [[Fraction(x) for x in coef] + [Fraction(rhs)]
             for coef, rhs in system.rows]
     ncol = len(system.columns)
     pivots = []
     r = 0
     for c in range(ncol):
-        p = next((i for i in range(r, len(rows)) if rows[i][0][c] != 0), None)
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        coef, rhs = rows[r]
-        inv = 1 / coef[c]
-        rows[r] = ([x * inv for x in coef], rhs * inv)
-        for i in range(len(rows)):
-            if i != r and rows[i][0][c] != 0:
-                f = rows[i][0][c]
-                rows[i] = ([a - f * b for a, b in zip(rows[i][0], rows[r][0])],
-                           rows[i][1] - f * rows[r][1])
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    for coef, rhs in rows[r:]:
-        if all(x == 0 for x in coef) and rhs != 0:
+    for row in rows[r:]:
+        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
             return SolutionSet("infeasible", None, (), r, system.columns)
     particular = {eid: Fraction(0) for eid in system.columns}
-    for (coef, rhs), c in zip(rows[:r], pivots):
-        particular[system.columns[c]] = rhs
+    for row, c in zip(rows, pivots):
+        particular[system.columns[c]] = row[-1]
     free = [c for c in range(ncol) if c not in pivots]
     basis = []
     for fcol in free:
         vec = [Fraction(0)] * ncol
         vec[fcol] = Fraction(1)
-        for (coef, rhs), c in zip(rows[:r], pivots):
-            vec[c] = -coef[fcol]
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[fcol]
         basis.append(tuple(vec))
     status = "unique" if not free else "affine-family"
     return SolutionSet(status, particular, tuple(basis), r, system.columns)
@@ -255,21 +249,13 @@ def _max_slack(rows, m):
     tab.append([Fraction(1)] * (n + 1) + unit[m] + [Fraction(1)])
     basis = [None] * m + [n]  # None: a zero-level row with no dual variable
 
-    def pivot(r, j):
-        inv = 1 / tab[r][j]
-        tab[r] = [x * inv for x in tab[r]]
-        for i, row in enumerate(tab):
-            f = row[j]
-            if i != r and f:
-                tab[i] = [x - f * y for x, y in zip(row, tab[r])]
-        basis[r] = j
-
     # the rows sum(y_i a_i) = 0 have right-hand side 0, so pivoting on any
     # nonzero entry keeps the basis feasible; a row with none is redundant
     for r in range(m):
         j = next((j for j in range(n) if tab[r][j]), None)
         if j is not None:
-            pivot(r, j)
+            _pivot(tab, r, j)
+            basis[r] = j
 
     def price(column):
         return sum(cost[b] * tab[i][column]
@@ -281,6 +267,18 @@ def _max_slack(rows, m):
             break
         r = min((i for i in range(m + 1) if tab[i][j] > 0),
                 key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
-        pivot(r, j)
+        _pivot(tab, r, j)
+        basis[r] = j
     u = [price(n + 1 + k) for k in range(m + 1)]
     return u[:m], u[m]
+
+
+def _pivot(tab, r, j):
+    """Scale row r so that entry j is 1, then clear column j in every other
+    row by subtracting multiples of row r."""
+    inv = 1 / tab[r][j]
+    tab[r] = [x * inv for x in tab[r]]
+    for i, row in enumerate(tab):
+        f = row[j]
+        if i != r and f:
+            tab[i] = [x - f * y for x, y in zip(row, tab[r])]

@@ -6,12 +6,13 @@ moves fix a flag rotates about an edge) before taking the product, and
 counts the schemes they remove in closed form.  It traverses each remaining
 scheme's edge classes once and filters on them (the class count, then the
 class size), then runs the exact angle solve and the strict Rivin
-feasibility test once per canonical edge partition.  The canonical
-witness is permuted back to each partition once the symmetry is checked
-to carry every row of the partition's system onto a row of the canonical
-one.  A survivor carries that system and witness; its solution set is
-solved only when read.  Survivors are grouped into families under both
-the rotation subgroup and the full symmetry group.
+feasibility test once per symmetry class of edge partitions.  A partition
+that a symmetry sends onto an already decided one takes that verdict, its
+witness pulled back through the symmetry's edge permutation once the
+symmetry is checked to carry every row of the partition's system onto a
+row of the decided one's.  A survivor carries that system and witness; its
+solution set is solved only when read.  Survivors are grouped into
+families under both the rotation subgroup and the full symmetry group.
 """
 
 import functools
@@ -167,56 +168,44 @@ def _compiled_pairs(poly, per_pair):
 def classify(poly):
     """Run the full candidate pipeline and group survivors by symmetry; the
     report's rejections and survivors must sum to its total."""
-    inc = poly.incidence
     dual = polytope.build_dual(poly)
     required = angles.required_class_count(poly)
     # face count and scheme cap first, before the costly set-up
     _check_scheme_space(poly)
     circuits = angles.nonfacial_circuits(dual)
     actions = pairings.automorphism_actions(poly)
-    # edge-id permutation per automorphism, to pool angle systems that are
-    # symmetry images of each other
-    edge_perms = []
-    for vmap, _, _ in actions:
-        perm = tuple(inc.edge_id(*(vmap[v] for v in inc.edges[eid]))
-                     for eid in range(len(inc.edges)))
-        edge_perms.append(perm)
+    records = {}
 
-    def canonical_partition(partition):
-        best = None
-        for perm in edge_perms:
-            image = frozenset(frozenset(perm[e] for e in cl)
-                              for cl in partition)
-            key = tuple(sorted(tuple(sorted(cl)) for cl in image))
-            if best is None or key < best[0]:
-                best = (key, perm)
-        return best
-
-    partition_cache = {}
-    canon_cache = {}
+    def own_system(partition):
+        return angles.assemble_system(
+            poly, [set(cl) for cl in sorted(partition, key=sorted)])
 
     def angle_record(partition):
         """(status, system, witness) of the partition: its own system and
         a witness of it, both None when the Rivin region is empty."""
-        if partition in partition_cache:
-            return partition_cache[partition]
-        # the strict-feasibility verdict is symmetry-invariant: decide it
-        # once per canonical partition and pull the witness back through
-        # the canonicalizing edge permutation
-        key, perm = canonical_partition(partition)
-        if key not in canon_cache:
-            canon_system = angles.assemble_system(
-                poly, [set(cl) for cl in key])
-            solution, witness = angles.feasible(canon_system, circuits)
-            canon_cache[key] = (canon_system, solution.status, witness)
-        canon_system, status, witness = canon_cache[key]
-        system = None
-        if witness is not None:
-            system = angles.assemble_system(
-                poly, [set(p) for p in sorted(partition, key=sorted)])
-            witness = pull_back(system, canon_system, witness, perm)
-        partition_cache[partition] = (status, system, witness)
-        return status, system, witness
+        if partition in records:
+            return records[partition]
+        # the strict-feasibility verdict is symmetry-invariant: a partition
+        # that a symmetry sends onto a recorded one takes its verdict, the
+        # witness pulled back through the symmetry's edge permutation
+        for _, _, _, perm in actions:
+            image = frozenset(frozenset(perm[e] for e in cl)
+                              for cl in partition)
+            if image in records:
+                status, image_system, witness = records[image]
+                system = None
+                if witness is not None:
+                    system = own_system(partition)
+                    witness = pull_back(system, image_system, witness, perm)
+                break
+        else:
+            system = own_system(partition)
+            solution, witness = angles.feasible(system, circuits)
+            status = solution.status
+            if witness is None:
+                system = None
+        records[partition] = (status, system, witness)
+        return records[partition]
 
     report = EnumerationReport()
     rejected = report.rejected

@@ -326,11 +326,14 @@ def _spread(poly, darts, image, sense):
 
 
 def automorphism_actions(poly):
-    """Each automorphism as (vertex map, rotation flag, face permutation),
-    with the face permutation worked out once per polyhedron."""
+    """Each automorphism as (vertex map, rotation flag, face permutation,
+    edge permutation), the permutations of face ids and of edge ids worked
+    out once per polyhedron."""
+    inc = poly.incidence
     face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
     return [(vmap, orient,
-             tuple(face_ids[frozenset(vmap[v] for v in f)] for f in poly.faces))
+             tuple(face_ids[frozenset(vmap[v] for v in f)] for f in poly.faces),
+             tuple(inc.edge_id(*(vmap[v] for v in e)) for e in inc.edges))
             for vmap, orient in symmetry_group(poly)]
 
 
@@ -343,7 +346,7 @@ def canonical_keys(scheme, actions):
     correspondence when the direction flips), and the pairs are sorted.
     """
     best_rotations = best_full = None
-    for vmap, rotation, face_perm in actions:
+    for vmap, rotation, face_perm, _ in actions:
         items = []
         for p in scheme.pairings:
             src, tgt = face_perm[p.source], face_perm[p.target]

@@ -72,18 +72,16 @@ def _face_pairs(face):
 
 
 def load_polyhedron(source):
-    """Parse and validate a polyhedron document (dict, JSON string, or path)."""
+    """Parse and validate a polyhedron document (a dict, or the path of a
+    JSON file)."""
     if isinstance(source, dict):
         doc = source
     else:
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PolyhedronError(f"not valid JSON: {exc}") from exc
+        with open(source, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise PolyhedronError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PolyhedronError("polyhedron document is not an object")
     for key in ("name", "vertices", "faces"):
@@ -295,4 +293,4 @@ def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
 def bundled(name):
     """Load one of the shipped Platonic solid documents by name."""
     ref = resources.files("hypdom.data").joinpath(f"{name}.json")
-    return load_polyhedron(ref.read_text())
+    return load_polyhedron(json.loads(ref.read_text()))

@@ -275,12 +275,16 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
 def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
                                                  octahedron_report):
     # every feasible partition is a survivor's partition; the witness pulled
-    # back to it from the canonical partition must solve the partition's
-    # own system, assembled afresh, and pass every strict inequality
+    # back to it from a symmetric partition must solve the partition's own
+    # system, assembled afresh, and pass every strict inequality.  It must
+    # also be the witness `feasible` finds on that system: the max-slack
+    # witness is symmetry-equivariant, so it does not depend on which
+    # member of a symmetry class the search meets first
     for name, report, partitions in (("cube", cube_report, 10),
                                      ("octahedron", octahedron_report, 96)):
         poly = solids[name]
         dual = polytope.build_dual(poly)
+        circuits = angles.nonfacial_circuits(dual)
         seen = set()
         for cand in report.survivors:
             partition = frozenset(frozenset(o.edges) for o in cand.orbits)
@@ -292,6 +296,7 @@ def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
             assert angles.satisfies(system, cand.witness.values)
             ok, failures = angles.check_inequalities(poly, dual, cand.witness)
             assert ok, failures
+            assert angles.feasible(system, circuits)[1] == cand.witness
         assert len(seen) == partitions
 
 

@@ -1,4 +1,5 @@
 import itertools
+from importlib import resources
 
 import pytest
 
@@ -18,9 +19,20 @@ def test_tetrahedron_counts(solids):
     assert (t.vertex_count(), t.edge_count(), t.face_count()) == (4, 6, 4)
 
 
+def test_path_starting_with_a_brace(tmp_path, monkeypatch, cube):
+    # a path is read as a file whatever its first character
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{cube}.json").write_text(
+        (resources.files("hypdom.data") / "cube.json").read_text())
+    loaded = polytope.load_polyhedron("{cube}.json")
+    assert (loaded.vertices, loaded.faces) == (cube.vertices, cube.faces)
+
+
 def test_parse_error(tmp_path, cube):
-    with pytest.raises(polytope.PolyhedronError):
-        polytope.load_polyhedron("{not json")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    with pytest.raises(polytope.PolyhedronError, match="not valid JSON"):
+        polytope.load_polyhedron(str(broken))
     five = tmp_path / "five.json"
     five.write_text("5")
     with pytest.raises(polytope.PolyhedronError, match="not an object"):
