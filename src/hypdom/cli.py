@@ -81,33 +81,26 @@ def cmd_angles(args):
 
 def cmd_restrict(args):
     poly = polytope.load_polyhedron(args.polyhedron)
-    if args.candidate:
-        cand_doc = json.loads(Path(args.candidate).read_text())
-        scheme = enumeration.candidate_scheme(poly, cand_doc)
-        gens = None
-        try:
-            realization = geometry.load_realization(poly)
-            gens = geometry.face_pairing_maps(realization, scheme)
-        except geometry.GeometryError:
-            pass
-        report = grouplab.restriction_report(scheme, gens)
-        doc = {
-            "has_size3_class": report.has_size3_class,
-            "has_y2z_relator": report.has_y2z_relator,
-            "squared_terms": len(report.squared_term_relators),
-            "adjacent_identified_sharing_edge":
-                report.adjacent_identified_sharing_edge,
-            "edge_bound_ok": report.edge_bound_ok,
-            "parity_ok": report.parity_ok,
-            "commuting_generator_pairs": None if gens is None else
-                [list(p) for p in report.commuting_generator_pairs],
-        }
-    else:
-        doc = {
-            "edge_bound_ok": grouplab.edge_bound_check(poly),
-            "edges": poly.edge_count(),
-            "vertices": poly.vertex_count(),
-        }
+    cand_doc = json.loads(Path(args.candidate).read_text())
+    scheme = enumeration.candidate_scheme(poly, cand_doc)
+    gens = None
+    try:
+        realization = geometry.load_realization(poly)
+        gens = geometry.face_pairing_maps(realization, scheme)
+    except geometry.GeometryError:
+        pass
+    report = grouplab.restriction_report(scheme, gens)
+    doc = {
+        "has_size3_class": report.has_size3_class,
+        "has_y2z_relator": report.has_y2z_relator,
+        "squared_terms": len(report.squared_term_relators),
+        "adjacent_identified_sharing_edge":
+            report.adjacent_identified_sharing_edge,
+        "edge_bound_ok": report.edge_bound_ok,
+        "parity_ok": report.parity_ok,
+        "commuting_generator_pairs": None if gens is None else
+            [list(p) for p in report.commuting_generator_pairs],
+    }
     _dump(doc, args.out_file)
     return 0
 
@@ -171,7 +164,6 @@ def build_parser():
     options = {
         "--out-file": dict(default=None, help="write JSON here"),
         "--out": dict(default=None, help="directory for report + candidates"),
-        "--candidate": dict(default=None, help="candidate JSON document"),
     }
 
     def command(name, help, flags, candidate=False):
@@ -186,8 +178,8 @@ def build_parser():
     command("enumerate", "search pairing schemes", ["--out"])
     command("angles", "solve a candidate's angle system, check its witness",
             ["--out-file"], candidate=True)
-    command("restrict", "relator-shape restriction report",
-            ["--out-file", "--candidate"])
+    command("restrict", "relator-shape restriction report", ["--out-file"],
+            candidate=True)
     command("realize", "bundled regular ideal realization", ["--out-file"])
     command("verify", "verify a candidate's relators", ["--out-file"],
             candidate=True)

@@ -1,18 +1,22 @@
 """Exhaustive face-pairing search and the torsion-free candidate pipeline.
 
-classify() works one face matching at a time: it builds, validates and
-compiles each pairing once, drops the elliptic ones (a pairing whose dart
-moves fix a flag rotates about an edge) before taking the product, and
-counts the schemes they remove in closed form.  It traverses each remaining
-scheme's edge classes once and filters on them (the class count, then the
-class size), then runs the exact angle solve and the strict Rivin
-feasibility test once per symmetry class of edge partitions.  A partition
-that a symmetry sends onto an already decided one takes that verdict, its
-witness pulled back through the symmetry's edge permutation once the
-symmetry is checked to carry every row of the partition's system onto a
-row of the decided one's.  A survivor carries that system and witness; its
-solution set is solved only when read.  Survivors are grouped into
-families under both the rotation subgroup and the full symmetry group.
+classify() answers an empty scheme space at once.  Otherwise it works one
+face matching at a time, and walks only the matchings of equal-length
+faces.  It builds each pairing once, from its face pair's reversing
+correspondences, so a pairing is valid by construction and nothing checks
+it again.  It compiles each pairing into dart moves, drops the elliptic
+ones (a pairing whose dart moves fix a flag rotates about an edge) before
+taking the product, and counts the schemes they remove in closed form.  It
+traverses each remaining scheme's edge classes once and filters on them
+(the class count, then the class size), then runs the exact angle solve
+and the strict Rivin feasibility test once per symmetry class of edge
+partitions.  A partition that a symmetry sends onto an already decided one
+takes that verdict, its witness pulled back through the symmetry's edge
+permutation once the symmetry is checked to carry every row of the
+partition's system onto a row of the decided one's.  A survivor carries
+that system and witness; its solution set is solved only when read.
+Survivors are grouped into families under both the rotation subgroup and
+the full symmetry group.
 """
 
 import functools
@@ -78,14 +82,18 @@ class EnumerationReport:
         return self.total == sum(self.rejected.values()) + len(self.survivors)
 
 
-def _perfect_matchings(items):
+def _perfect_matchings(items, length):
+    """Each perfect matching of `items` that pairs an item only with one of
+    the same `length[item]`, first item first."""
     if not items:
         yield []
         return
     first = items[0]
     for i in range(1, len(items)):
+        if length[items[i]] != length[first]:
+            continue
         rest = items[1:i] + items[i + 1:]
-        for rest_match in _perfect_matchings(rest):
+        for rest_match in _perfect_matchings(rest, length):
             yield [(first, items[i])] + rest_match
 
 
@@ -124,6 +132,7 @@ def _check_scheme_space(poly):
     if size > DEFAULT_SCHEME_CAP:
         raise SchemeCapExceeded(
             f"{size} schemes exceeds cap {DEFAULT_SCHEME_CAP}")
+    return size
 
 
 def _schemes(poly):
@@ -139,9 +148,7 @@ def _matchings(poly):
     the matching's schemes."""
     faces = list(range(poly.face_count()))
     symbols = string.ascii_uppercase
-    for matching in _perfect_matchings(faces):
-        if any(len(poly.faces[f1]) != len(poly.faces[f2]) for f1, f2 in matching):
-            continue
+    for matching in _perfect_matchings(faces, [len(f) for f in poly.faces]):
         yield [[pairings.make_pairing(poly, symbols[t], f1, f2, corr)
                 for corr in pairings.reversing_correspondences(poly, f1, f2)]
                for t, (f1, f2) in enumerate(matching)]
@@ -149,15 +156,12 @@ def _matchings(poly):
 
 def _compiled_pairs(poly, per_pair):
     """The matching's non-elliptic pairings with their dart moves, as a
-    list per pair of (pairing, moves).  The matching's coverage and symbols
-    are checked once, and every pairing once; a pairing is elliptic when
-    one of its moves fixes its dart."""
-    pairings.validate_matching(poly, [ps[0] for ps in per_pair])
+    list per pair of (pairing, moves); a pairing is elliptic when one of
+    its moves fixes its dart."""
     kept = []
     for ps in per_pair:
         compiled = []
         for p in ps:
-            pairings.validate_pairing(poly, p)
             moves = pairings.pairing_moves(poly, p)
             if all(dart != nxt for dart, (nxt, _) in moves.items()):
                 compiled.append((p, moves))
@@ -168,11 +172,17 @@ def _compiled_pairs(poly, per_pair):
 def classify(poly):
     """Run the full candidate pipeline and group survivors by symmetry; the
     report's rejections and survivors must sum to its total."""
-    dual = polytope.build_dual(poly)
     required = angles.required_class_count(poly)
-    # face count and scheme cap first, before the costly set-up
-    _check_scheme_space(poly)
-    circuits = angles.nonfacial_circuits(dual)
+    report = EnumerationReport()
+    rejected = report.rejected
+    for key in ("elliptic", "class_count", "class_size",
+                "system_infeasible", "rivin_infeasible"):
+        rejected[key] = 0
+    # class count, face count and scheme cap first, and an empty scheme
+    # space answered, before the costly set-up
+    if _check_scheme_space(poly) == 0:
+        return report
+    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
     actions = pairings.automorphism_actions(poly)
     records = {}
 
@@ -207,11 +217,6 @@ def classify(poly):
         records[partition] = (status, system, witness)
         return records[partition]
 
-    report = EnumerationReport()
-    rejected = report.rejected
-    for key in ("elliptic", "class_count", "class_size",
-                "system_infeasible", "rivin_infeasible"):
-        rejected[key] = 0
     for per_pair in _matchings(poly):
         # a scheme is elliptic iff one of its pairings is: those pairings
         # are dropped before the product, and the schemes they took with

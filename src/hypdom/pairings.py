@@ -3,14 +3,15 @@
 A scheme pairs the faces of a polyhedron into source/target pairs, each with
 an orientation-reversing boundary-vertex correspondence, one of the pair's
 `reversing_correspondences` (the cube's twist sugar picks one by face names
-and twist).  Each pairing is validated on its own (`validate_pairing`) and a
-scheme's pairings together (`validate_matching`: coverage, distinct
-symbols).  A pairing compiles into its dart moves (`pairing_moves`): from
-the flag (edge, side face) apply the signed generator attached to that face,
-land on the image edge on the generator's codomain face, then flip to the
-image edge's other side.  Edge classes are the cycles of a scheme's merged
-moves (`edge_orbits`); a move that fixes its flag makes the pairing, and
-every scheme using it, elliptic.  Words are the signed generator letters in
+and twist).  That list is the one definition of a valid correspondence: a
+scheme read from a document is checked against it (`validate_scheme`), and
+the search builds its pairings from it and checks nothing.  A pairing
+compiles into its dart moves (`pairing_moves`): from the flag (edge, side
+face) apply the signed generator attached to that face, land on the image
+edge on the generator's codomain face, then flip to the image edge's other
+side.  Edge classes are the cycles of a scheme's merged moves
+(`edge_orbits`); a move that fixes its flag makes the pairing, and every
+scheme using it, elliptic.  Words are the signed generator letters in
 traversal order.
 """
 
@@ -107,59 +108,31 @@ def reversing_correspondences(poly, f1, f2):
     return [{c1[i]: rev[(i + k) % n] for i in range(n)} for k in range(n)]
 
 
-def _cycle_maps_reversed(src_cycle, dst_cycle, mapping):
-    """mapping sends consecutive source vertices to consecutive vertices of
-    the reversed target cycle."""
-    n = len(src_cycle)
-    images = [mapping[v] for v in src_cycle]
-    rev = list(reversed(dst_cycle))
-    try:
-        k = rev.index(images[0])
-    except ValueError:
-        return False
-    return all(images[i] == rev[(k + i) % n] for i in range(n))
-
-
-def validate_pairing(poly, p):
-    """Check one pairing: no self-pairing, equal lengths, the correspondence
-    a bijection of the two faces' vertices that reverses orientation."""
-    if p.source == p.target:
-        raise SchemeError(f"pairing {p.gen} identifies face {p.source} with itself")
-    src, dst = poly.faces[p.source], poly.faces[p.target]
-    if len(src) != len(dst):
-        raise SchemeError(
-            f"pairing {p.gen}: faces of lengths {len(src)} and {len(dst)}")
-    m = p.mapping()
-    if set(m) != set(src) or set(m.values()) != set(dst):
-        raise SchemeError(f"pairing {p.gen}: correspondence domain mismatch")
-    if not _cycle_maps_reversed(src, dst, m):
-        raise SchemeError(
-            f"pairing {p.gen}: correspondence does not reverse orientation")
-
-
-def validate_matching(poly, pairings):
-    """Check that the pairings cover every face exactly once under distinct
-    string generator symbols; only their faces and symbols are read."""
-    used = [fid for p in pairings for fid in (p.source, p.target)]
-    if sorted(used) != list(range(poly.face_count())):
+def validate_scheme(scheme):
+    """The scheme, if each pairing joins two distinct faces of one length
+    by one of their `reversing_correspondences`, and the pairings cover
+    every face exactly once under distinct string symbols; otherwise a
+    SchemeError naming the first fault in that order."""
+    poly = scheme.poly
+    for p in scheme.pairings:
+        if p.source == p.target:
+            raise SchemeError(
+                f"pairing {p.gen} identifies face {p.source} with itself")
+        n1, n2 = len(poly.faces[p.source]), len(poly.faces[p.target])
+        if n1 != n2:
+            raise SchemeError(f"pairing {p.gen}: faces of lengths {n1} and {n2}")
+        if p.mapping() not in reversing_correspondences(poly, p.source,
+                                                        p.target):
+            raise SchemeError(f"pairing {p.gen}: correspondence does not "
+                              "reverse orientation")
+    used = sorted(fid for p in scheme.pairings for fid in (p.source, p.target))
+    if used != list(range(poly.face_count())):
         raise SchemeError("pairings do not cover every face exactly once")
-    symbols = [p.gen for p in pairings]
-    try:
-        distinct = len(set(symbols)) == len(symbols)
-    except TypeError as exc:
-        raise SchemeError(f"a generator symbol is not hashable ({exc})"
-                          ) from None
-    if not distinct:
-        raise SchemeError("generator symbols are not distinct")
+    symbols = [p.gen for p in scheme.pairings]
     if not all(isinstance(s, str) for s in symbols):
         raise SchemeError(f"generator symbols {symbols} are not all strings")
-
-
-def validate_scheme(scheme):
-    """Check every pairing, then their coverage and symbols."""
-    for p in scheme.pairings:
-        validate_pairing(scheme.poly, p)
-    validate_matching(scheme.poly, scheme.pairings)
+    if len(set(symbols)) != len(symbols):
+        raise SchemeError("generator symbols are not distinct")
     return scheme
 
 

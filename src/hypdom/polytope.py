@@ -90,12 +90,10 @@ def load_polyhedron(source):
         if key != "name" and not isinstance(doc[key], (list, tuple)):
             raise PolyhedronError(f"{key!r} is not a list")
     vertices = tuple(doc["vertices"])
-    try:
-        vset = set(vertices)
-    except TypeError as exc:
-        raise PolyhedronError(f"a vertex identifier is not hashable ({exc})"
-                              ) from None
-    if len(vset) != len(vertices):
+    for v in vertices:
+        if not isinstance(v, str):
+            raise PolyhedronError(f"vertex name {v!r} is not a string")
+    if len(set(vertices)) != len(vertices):
         raise PolyhedronError("duplicate vertex identifiers")
     faces = []
     for f in doc["faces"]:

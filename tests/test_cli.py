@@ -66,7 +66,7 @@ def test_malformed_input_exit_code(capsys, tmp_path):
                  ["enumerate", str(tmp_path)],
                  ["verify", cube, str(tmp_path)], ["verify", cube, str(latin)],
                  ["angles", cube, str(tmp_path)],
-                 ["restrict", cube, "--candidate", str(tmp_path)]):
+                 ["restrict", cube, str(tmp_path)]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
@@ -82,7 +82,25 @@ def test_invalid_polyhedron_exit_code(capsys, tmp_path):
     bad.write_text(json.dumps({
         "name": "x", "vertices": ["a", "b", "c", ["d"]], "faces": []}))
     code, _, err = run(capsys, "info", str(bad))
-    assert code == 2 and "not hashable" in err
+    assert code == 2 and "not a string" in err
+
+
+@pytest.mark.parametrize("rename", [
+    lambda v: int(v[1:]),                   # 0..5: every name an integer
+    lambda v: 0 if v == "v0" else v],       # one integer among strings
+    ids=["integers", "mixed"])
+def test_non_string_vertex_names_exit_code(capsys, tmp_path, rename):
+    # a name that JSON cannot key a candidate's vertex map by, or that does
+    # not sort with the others, is rejected when the document is loaded
+    doc = json.loads(Path(data_path("octahedron")).read_text())
+    doc["vertices"] = [rename(v) for v in doc["vertices"]]
+    doc["faces"] = [[rename(v) for v in f] for f in doc["faces"]]
+    path = tmp_path / "octahedron.json"
+    path.write_text(json.dumps(doc))
+    for command in ("info", "enumerate", "pipeline"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and "0 is not a string" in err
 
 
 def test_enumerate_writes_report_and_candidates(capsys, tmp_path):
@@ -150,8 +168,7 @@ def test_missing_witness_exit_code(capsys, cube_run, tmp_path):
     scheme_only.write_text(json.dumps({"scheme": doc["scheme"]}))
     _rejected_by_angles_and_verify(capsys, scheme_only, "no persisted witness")
     # restrict reads only the scheme
-    code, _, _ = run(capsys, "restrict", data_path("cube"),
-                     "--candidate", str(scheme_only))
+    code, _, _ = run(capsys, "restrict", data_path("cube"), str(scheme_only))
     assert code == 0
 
 
@@ -159,8 +176,7 @@ def test_candidate_without_scheme_exit_code(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     _rejected_by_angles_and_verify(capsys, empty, "'scheme'")
-    code, _, err = run(capsys, "restrict", data_path("cube"),
-                       "--candidate", str(empty))
+    code, _, err = run(capsys, "restrict", data_path("cube"), str(empty))
     assert code == 2 and "'scheme'" in err
 
 
@@ -172,7 +188,7 @@ def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
     for i, (pairing, message) in enumerate((
             ({**first, "from": 99}, "face id"),
             ({**first, "map": [1, 2]}, "'map'"),
-            ({**first, "gen": ["A"]}, "not hashable"),
+            ({**first, "gen": ["A"]}, "not all strings"),
             ({**first, "gen": 7}, "not all strings"),
             ({**sugar, "from": ["front"]}, "unknown cube face"),
             ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
@@ -182,8 +198,7 @@ def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
         path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(broken))
         _rejected_by_angles_and_verify(capsys, path, message)
-        code, out, err = run(capsys, "restrict", data_path("cube"),
-                             "--candidate", str(path))
+        code, out, err = run(capsys, "restrict", data_path("cube"), str(path))
         assert (code, out) == (2, "") and message in err
 
 
@@ -211,17 +226,17 @@ def test_realize_command(capsys, tmp_path):
     assert err.startswith("error: ") and "vertices" in err
 
 
-def test_restrict_command_icosahedron(capsys):
-    code, out, _ = run(capsys, "restrict", data_path("icosahedron"))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["edge_bound_ok"] is False
+def test_restrict_requires_candidate(capsys):
+    # the edge bound of a bare solid is `info`'s; restrict reads a candidate
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["restrict", data_path("icosahedron")])
+    assert exit_.value.code == 2
+    assert "candidate" in capsys.readouterr().err
 
 
 def test_restrict_command_candidate(capsys, cube_run, tmp_path):
     candidate = str(cube_run / "candidate_000.json")
-    code, text, _ = run(capsys, "restrict", data_path("cube"),
-                        "--candidate", candidate)
+    code, text, _ = run(capsys, "restrict", data_path("cube"), candidate)
     assert code == 0
     doc = json.loads(text)
     assert doc["edge_bound_ok"] is True
@@ -232,7 +247,7 @@ def test_restrict_command_candidate(capsys, cube_run, tmp_path):
     box = tmp_path / "box.json"
     box.write_text(json.dumps(
         dict(json.loads(Path(data_path("cube")).read_text()), name="box")))
-    code, text, _ = run(capsys, "restrict", str(box), "--candidate", candidate)
+    code, text, _ = run(capsys, "restrict", str(box), candidate)
     assert code == 0
     assert json.loads(text)["commuting_generator_pairs"] is None
 

@@ -50,6 +50,84 @@ def test_icosahedron_past_desk_scale(solids):
         list(enumeration.enumerate_schemes(solids["icosahedron"]))
 
 
+def prism(n):
+    """The n-gonal prism: top face a0..a(n-1) counterclockwise from above,
+    the bottom face under it, then the sides."""
+    top = [f"a{i}" for i in range(n)]
+    bottom = [f"b{i}" for i in range(n)]
+    sides = [[top[(i + 1) % n], top[i], bottom[i], bottom[(i + 1) % n]]
+             for i in range(n)]
+    return polytope.load_polyhedron({
+        "name": f"prism{n}", "vertices": top + bottom,
+        "faces": [top, bottom[::-1]] + sides})
+
+
+def truncated(poly, cut):
+    """The document of `poly` with each vertex of `cut` cut off.  A face
+    running a, v, b runs a, v>a, v>b, b instead; the new face at v runs
+    along the reverses of the new edges v>a -> v>b."""
+    faces, closing = [], {v: {} for v in cut}
+    for face in poly.faces:
+        n, new = len(face), []
+        for i, v in enumerate(face):
+            if v in cut:
+                a, b = face[i - 1], face[(i + 1) % n]
+                new += [f"{v}>{a}", f"{v}>{b}"]
+                closing[v][f"{v}>{b}"] = f"{v}>{a}"
+            else:
+                new.append(v)
+        faces.append(new)
+    for v in cut:
+        cycle = [min(closing[v])]
+        while closing[v][cycle[-1]] != cycle[0]:
+            cycle.append(closing[v][cycle[-1]])
+        faces.append(cycle)
+    return {"name": f"{poly.name}-truncated",
+            "vertices": list(dict.fromkeys(v for f in faces for v in f)),
+            "faces": faces}
+
+
+def test_empty_scheme_space_answered_at_once(cube, cube_report, monkeypatch):
+    # cut at two corners of its back face, the cube has faces of lengths
+    # 6, 5, 5, 5, 5, 4, 3, 3: the hexagon has no partner, so no scheme
+    poly = polytope.load_polyhedron(truncated(cube, ("BBL", "BTR")))
+    assert sorted(map(len, poly.faces)) == [3, 3, 4, 5, 5, 5, 5, 6]
+    assert angles.required_class_count(poly) == 3
+    calls = []
+    circuits = polytope.simple_circuits
+    monkeypatch.setattr(polytope, "simple_circuits",
+                        lambda *a: calls.append(a) or circuits(*a))
+    report = enumeration.classify(poly)
+    assert calls == []
+    doc = enumeration.report_to_json_dict(report)
+    full = enumeration.report_to_json_dict(cube_report)
+    assert doc == {"total_schemes": 0,
+                   "rejected": dict.fromkeys(full["rejected"], 0),
+                   "survivors": 0, "families_full_group": [],
+                   "families_rotation_group": 0}
+    assert doc.keys() == full.keys()
+
+
+def test_matchings_walk_equal_length_faces_in_order():
+    # oracle: every perfect matching of the face ids, each as its pairs
+    # (smaller face first) in order, sorted: the order of a walk that
+    # pairs the first free face with each later one in turn
+    poly = prism(6)
+    faces = range(poly.face_count())
+    everything = sorted({tuple(sorted(tuple(sorted(perm[i:i + 2]))
+                                      for i in range(0, len(perm), 2)))
+                         for perm in itertools.permutations(faces)})
+    equal = [list(m) for m in everything
+             if all(len(poly.faces[f]) == len(poly.faces[g]) for f, g in m)]
+    assert (len(everything), len(equal)) == (105, 15)
+    walked = list(enumeration._perfect_matchings(
+        list(faces), [len(f) for f in poly.faces]))
+    assert walked == equal
+    yielded = [[(ps[0].source, ps[0].target) for ps in per_pair]
+               for per_pair in enumeration._matchings(poly)]
+    assert yielded == equal
+
+
 def test_classify_counts(cube_report):
     assert cube_report.total == 960
     assert cube_report.counts_consistent()

@@ -89,6 +89,29 @@ def size_one_letters(scheme):
             if o.size == 1]
 
 
+def test_reversing_correspondences_match_dart_oracle(solids):
+    # a vertex bijection m of face f1 onto face f2 reverses orientation iff
+    # (m[v], m[u]) is a dart of f2 for each dart (u, v) of f1: of all the
+    # bijections, exactly the listed n pass
+    def darts(face):
+        return list(zip(face, face[1:] + face[:1]))
+
+    for poly in solids.values():
+        faces = enumerate(poly.faces)
+        for (f1, c1), (f2, c2) in itertools.product(faces, repeat=2):
+            if len(c1) != len(c2):
+                continue
+            passing = []
+            for image in itertools.permutations(c2):
+                m = dict(zip(c1, image))
+                if all((m[v], m[u]) in darts(c2) for u, v in darts(c1)):
+                    passing.append(m)
+            listed = pairings.reversing_correspondences(poly, f1, f2)
+            assert len(listed) == len(c1)
+            assert (sorted(sorted(m.items()) for m in passing)
+                    == sorted(sorted(m.items()) for m in listed))
+
+
 def test_fd1_valid(fd1):
     pairings.validate_scheme(fd1)
 
@@ -538,8 +561,8 @@ def test_scheme_json_bad_types_named(cube, fd1):
     sugar = {"gen": "A", "from": "front", "to": "back",
              "twist_quarter_turns": 1}
     for pairing, message in (
-            ({**doc["pairings"][0], "gen": ["A"]}, "not hashable"),
-            ({**sugar, "gen": {"A": 1}}, "not hashable"),
+            ({**doc["pairings"][0], "gen": ["A"]}, "not all strings"),
+            ({**sugar, "gen": {"A": 1}}, "not all strings"),
             ({**doc["pairings"][0], "gen": 7}, "not all strings"),
             ({**sugar, "gen": None}, "not all strings"),
             ({**sugar, "from": ["front"]}, "unknown cube face"),
