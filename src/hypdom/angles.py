@@ -6,10 +6,15 @@ system for a polyhedron with a chosen edge partition has one row per vertex
 (incident angles sum to 2) and one row per class (angles sum to size-2).
 Strict inequalities (0 < q < 1 per edge, sum > 2 over every non-facial
 simple circuit of the dual) are decided exactly by a max-slack linear
-program over the solution family, solved by the simplex method in Fraction
-arithmetic.
+program over the solution family, solved by the simplex method.
+
+Both the Gauss-Jordan solve and the simplex are fraction-free inside: a
+tableau row is a list of integers over one positive denominator, divided
+by its content after every pivot (Bareiss, Math. Comp. 1968; Edmonds,
+J. Res. NBS 1967).  Only the results are Fractions.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,36 +130,37 @@ def assemble_system(poly, classes):
 
 
 def solve_exact(system):
-    """Gauss-Jordan over the rationals; everything returned is exact.  Each
-    row carries its right-hand side as its last entry."""
-    rows = [[Fraction(x) for x in coef] + [Fraction(rhs)]
-            for coef, rhs in system.rows]
+    """Gauss-Jordan over the rationals, carried out on integer rows (see
+    _pivot); everything returned is exact.  Each row carries its
+    right-hand side as its last entry."""
+    tab, den = _tableau([*coef, rhs] for coef, rhs in system.rows)
     ncol = len(system.columns)
     pivots = []
     r = 0
     for c in range(ncol):
-        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        p = next((i for i in range(r, len(tab)) if tab[i][c]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        _pivot(rows, r, c)
+        tab[r], tab[p] = tab[p], tab[r]
+        den[r], den[p] = den[p], den[r]
+        _pivot(tab, den, r, c)
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == len(tab):
             break
-    for row in rows[r:]:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return SolutionSet("infeasible", None, (), r, system.columns)
-    particular = {eid: Fraction(0) for eid in system.columns}
-    for row, c in zip(rows, pivots):
-        particular[system.columns[c]] = row[-1]
+    # the rows past the rank are zero left of their right-hand side
+    if any(row[-1] for row in tab[r:]):
+        return SolutionSet("infeasible", None, (), r, system.columns)
+    particular = dict.fromkeys(system.columns, Fraction(0))
+    for row, d, c in zip(tab, den, pivots):
+        particular[system.columns[c]] = Fraction(row[-1], d)
     free = [c for c in range(ncol) if c not in pivots]
     basis = []
     for fcol in free:
         vec = [Fraction(0)] * ncol
         vec[fcol] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            vec[c] = -row[fcol]
+        for row, d, c in zip(tab, den, pivots):
+            vec[c] = Fraction(-row[fcol], d)
         basis.append(tuple(vec))
     status = "unique" if not free else "affine-family"
     return SolutionSet(status, particular, tuple(basis), r, system.columns)
@@ -199,35 +205,54 @@ def feasible(system, circuits):
     AngleAssignment satisfying every equation and every strict inequality, or
     None when the region is empty.
 
-    In the null-space coordinates t every strict condition reads a.t < b.
-    The exact linear program max s subject to a.t + s <= b and s <= 1 has
-    an optimum s* > 0 iff the open region is non-empty, and its optimal t
-    meets every condition with slack s*, so it is itself the witness.
+    Over the common denominator D of the particular solution and the basis
+    the family is q = P/D + B.t, with P and B integer and t the null-space
+    coordinates scaled by 1/D.  In t every strict condition reads a.t < b
+    with integer a and b in (1/D)Z.  The exact linear program max s subject
+    to a.t + s <= b and s <= 1 has an optimum s* > 0 iff the open region is
+    non-empty, and its optimal t meets every condition with slack s*, so it
+    is itself the witness.
     """
     sol = solve_exact(system)
     if sol.status == "infeasible":
         return sol, None
+    m = len(sol.basis)
+    particular = [sol.particular[eid] for eid in sol.columns]
+    den = math.lcm(*(q.denominator for q in particular),
+                   *(x.denominator for vec in sol.basis for x in vec))
+    p = [q.numerator * (den // q.denominator) for q in particular]
+    # coef[i] is row i of B.  Tuples are built from lists, not generators:
+    # a tuple built from a generator is allocated at a guessed length and
+    # resized, so it never reuses the free list of its final length, which
+    # it joins when freed; that list grew by every row of every call
+    # (50 KiB more heap at the peak of a cube pipeline)
+    coef = [tuple([vec[i].numerator * (den // vec[i].denominator)
+                   for vec in sol.basis]) for i in range(len(particular))]
     col = {eid: i for i, eid in enumerate(sol.columns)}
-    cons = {}  # a -> smallest b: of two rows with equal a only that one binds
+    cons = {}  # a -> smallest D*b: of two rows with equal a only it binds
 
-    def add(a, b):
-        a = tuple(a)
-        if a not in cons or b < cons[a]:
-            cons[a] = b
+    def add(a, rhs):
+        if a not in cons or rhs < cons[a]:
+            cons[a] = rhs
 
-    for i, eid in enumerate(sol.columns):
-        a = [vec[i] for vec in sol.basis]
-        add([-x for x in a], sol.particular[eid])       # q > 0
-        add(a, 1 - sol.particular[eid])                 # q < 1
+    for a, pi in zip(coef, p):
+        add(tuple([-x for x in a]), pi)                 # q > 0
+        add(a, den - pi)                                # q < 1
     for seq in circuits:
         idxs = [col[eid] for eid in seq]
-        a = [sum(vec[i] for i in idxs) for vec in sol.basis]
-        b = sum(sol.particular[sol.columns[i]] for i in idxs)
-        add([-x for x in a], b - 2)                     # sum > 2
-    t, slack = _max_slack(list(cons.items()), len(sol.basis))
+        add(tuple([-sum(coef[i][k] for i in idxs) for k in range(m)]),
+            sum(p[i] for i in idxs) - 2 * den)          # sum > 2
+    t, slack = _max_slack([(a, Fraction(rhs, den)) for a, rhs in cons.items()],
+                          m)
     if slack <= 0:
         return sol, None
-    return sol, AngleAssignment(sol.point(t))
+    # the witness q = P/D + B.t over the denominator D * lcm(t)
+    tden = math.lcm(*[x.denominator for x in t])
+    tnum = [x.numerator * (tden // x.denominator) for x in t]
+    return sol, AngleAssignment({
+        eid: Fraction(pi * tden + den * sum(x * y for x, y in zip(a, tnum)),
+                      den * tden)
+        for eid, pi, a in zip(sol.columns, p, coef)})
 
 
 def _max_slack(rows, m):
@@ -236,17 +261,22 @@ def _max_slack(rows, m):
 
     Solves the dual, min sum(b_i y_i) + w subject to sum(y_i a_i) = 0,
     sum(y_i) + w = 1 and y, w >= 0, by the simplex method on a dense
-    Fraction tableau with m + 1 rows.  Bland's rule (lowest index enters,
-    ties in the ratio test leave by lowest index) rules out cycling.  The
-    tableau carries B^-1 in m + 1 extra columns that start as the identity,
-    so the primal optimum (t, s) = c_B B^-1 is read from the final basis.
+    tableau of integer rows (see _pivot) with m + 1 constraint rows and a
+    reduced-cost row, pivoted with the others.  Bland's rule (lowest index
+    with negative reduced cost enters, ties in the ratio test leave by
+    lowest index) rules out cycling.  The tableau carries B^-1 in m + 1
+    extra columns that start as the identity, at cost 0, so the primal
+    optimum (t, s) = c_B B^-1 is the negated reduced costs of those columns
+    in the final basis.
     """
     n = len(rows)
-    cost = [b for _, b in rows] + [Fraction(1)]     # y_0 .. y_{n-1}, w
-    unit = [[Fraction(int(i == k)) for k in range(m + 1)] for i in range(m + 1)]
-    tab = [[a[i] for a, _ in rows] + [Fraction(0)] + unit[i] + [Fraction(0)]
-           for i in range(m)]
-    tab.append([Fraction(1)] * (n + 1) + unit[m] + [Fraction(1)])
+    unit = [[int(i == k) for k in range(m + 1)] for i in range(m + 1)]
+    tab, den = _tableau(
+        [[a[i] for a, _ in rows] + [0] + unit[i] + [0] for i in range(m)]
+        + [[1] * (n + 1) + unit[m] + [1],
+           # costs b_i for y_i and 1 for w, less the cost of the starting
+           # basis {w}: one times the row sum(y_i) + w = 1
+           [b - 1 for _, b in rows] + [0] * (m + 1) + [-1, -1]])
     basis = [None] * m + [n]  # None: a zero-level row with no dual variable
 
     # the rows sum(y_i a_i) = 0 have right-hand side 0, so pivoting on any
@@ -254,31 +284,63 @@ def _max_slack(rows, m):
     for r in range(m):
         j = next((j for j in range(n) if tab[r][j]), None)
         if j is not None:
-            _pivot(tab, r, j)
+            _pivot(tab, den, r, j)
             basis[r] = j
 
-    def price(column):
-        return sum(cost[b] * tab[i][column]
-                   for i, b in enumerate(basis) if b is not None)
-
     while True:
-        j = next((j for j in range(n + 1) if cost[j] < price(j)), None)
+        cost = tab[m + 1]
+        j = next((j for j in range(n + 1) if cost[j] < 0), None)
         if j is None:
             break
         r = min((i for i in range(m + 1) if tab[i][j] > 0),
-                key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
-        _pivot(tab, r, j)
+                key=lambda i: (Fraction(tab[i][-1], tab[i][j]), basis[i]))
+        _pivot(tab, den, r, j)
         basis[r] = j
-    u = [price(n + 1 + k) for k in range(m + 1)]
+    u = [Fraction(-x, den[m + 1]) for x in tab[m + 1][n + 1:n + 2 + m]]
     return u[:m], u[m]
 
 
-def _pivot(tab, r, j):
-    """Scale row r so that entry j is 1, then clear column j in every other
-    row by subtracting multiples of row r."""
-    inv = 1 / tab[r][j]
-    tab[r] = [x * inv for x in tab[r]]
-    for i, row in enumerate(tab):
-        f = row[j]
+def _tableau(rows):
+    """(integer rows, denominators) for the rational rows `rows`."""
+    tab, den = [], []
+    for values in rows:
+        row, d = _integer_row(values)
+        tab.append(row)
+        den.append(d)
+    return tab, den
+
+
+def _integer_row(values):
+    """The rational vector `values` as (integers, positive denominator) in
+    lowest terms."""
+    d = math.lcm(*[x.denominator for x in values])
+    return _lowest([x.numerator * (d // x.denominator) for x in values], d)
+
+
+def _lowest(row, d):
+    """(row, d) divided by their content, gcd(d, *row)."""
+    g = math.gcd(d, *row)
+    if g == 1:
+        return row, d
+    return [x // g for x in row], d // g
+
+
+def _pivot(tab, den, r, j):
+    """Pivot a tableau whose row i stands for tab[i] / den[i], den[i] > 0.
+
+    Row r is scaled so that entry j is 1, and column j is cleared in every
+    other row by subtracting a multiple of row r: all in integers, by cross
+    multiplication.  Each changed row is then divided by its content, the
+    gcd of its denominator and its entries, so every row stays in lowest
+    terms and the sign of an entry is the sign of its integer.
+    """
+    row, p = tab[r], tab[r][j]
+    if p < 0:
+        row, p = [-x for x in row], -p
+    tab[r], den[r] = _lowest(row, p)
+    row, p = tab[r], den[r]
+    for i, other in enumerate(tab):
+        f = other[j]
         if i != r and f:
-            tab[i] = [x - f * y for x, y in zip(row, tab[r])]
+            tab[i], den[i] = _lowest(
+                [x * p - f * y for x, y in zip(other, row)], den[i] * p)

@@ -203,7 +203,11 @@ def main(argv=None):
     global _parser
     if _parser is None:  # built once per process, not once per call
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:
+        # a usage error (2) or --help (0): argparse has printed the message
+        return exc.code
     try:
         # cmd_<name> is looked up at call time, so a wrapper put in its
         # place as a module attribute is honoured

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from hypdom import angles, enumeration, pairings, polytope
 
+import fraction_angles
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
                       drawn)
 
@@ -414,3 +416,141 @@ def test_octahedron_partitions_feasible_with_witness(solids):
         assert angles.satisfies(system, witness.values)
         ok, failures = angles.check_inequalities(octa, dual, witness)
         assert ok, failures
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free core against the Fraction oracle (tests/fraction_angles.py)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, count", [("cube", 105), ("octahedron", 96)])
+def test_integer_core_matches_fraction_oracle(solids, name, count):
+    # on every distinct structural partition: the same solution set, the
+    # same witness and the same max-slack optimum, also for the rows over
+    # the common denominator D that feasible builds, whose optimum has
+    # its t scaled by 1/D
+    poly = solids[name]
+    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    partitions = distinct_partitions(poly)
+    assert len(partitions) == count
+    rref_dens, witness_dens = set(), set()
+    for partition in partitions:
+        system = angles.assemble_system(poly, [set(cl) for cl in partition])
+        sol, witness = angles.feasible(system, circuits)
+        assert angles.solve_exact(system) == sol
+        oracle_sol, oracle_witness = fraction_angles.feasible(system,
+                                                              circuits)
+        assert sol == oracle_sol
+        assert witness == oracle_witness
+        if sol.status == "infeasible":
+            continue
+        m = len(sol.basis)
+        rows = fraction_angles.rivin_rows(sol, circuits)
+        t, s = fraction_angles._max_slack(rows, m)
+        assert angles._max_slack(rows, m) == (t, s)
+        den = math.lcm(*(q.denominator for q in sol.particular.values()),
+                       *(x.denominator for vec in sol.basis for x in vec))
+        scaled = [(tuple(int(x * den) for x in a), b) for a, b in rows]
+        assert angles._max_slack(scaled, m) == ([x / den for x in t], s)
+        rref_dens.add(den)
+        if witness is not None:
+            witness_dens |= {q.denominator for q in witness.values.values()}
+    if name == "octahedron":
+        assert max(rref_dens) > 1 and 7 in witness_dens
+
+
+def random_system(rng, kind):
+    """A small rational system of the given kind: "unique" (square, and
+    nonsingular unless the draw is), "deficient" (consistent, rank below
+    the column count) or "inconsistent" (a combination of the rows with its
+    right-hand side moved reads 0 = c with c != 0)."""
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    def dot(a, x):
+        return sum((u * v for u, v in zip(a, x)), Fraction(0))
+
+    ncol = rng.randint(1, 5)
+    point = [q() for _ in range(ncol)]
+    if kind == "unique":
+        nrow = rank = ncol
+    else:
+        rank = rng.randint(0, ncol - 1)
+        nrow = rng.randint(rank + 1, ncol + 2)
+    rows = [[q() for _ in range(ncol)] for _ in range(rank)]
+    while len(rows) < nrow:
+        mult = [q() for _ in range(rank)]
+        rows.append([dot(mult, col) for col in zip(*rows[:rank])]
+                    if rank else [Fraction(0)] * ncol)
+    rows = [(a, dot(a, point)) for a in rows]
+    if kind == "inconsistent":
+        a, b = rows[-1]
+        rows[-1] = (a, b + rng.choice([-2, -1, 1, 2]))
+    rng.shuffle(rows)
+    return angles.LinearSystem(
+        columns=tuple(range(10, 10 + ncol)),
+        rows=tuple((tuple(a), b) for a, b in rows),
+        provenance=tuple(("vertex", str(i)) for i in range(nrow)))
+
+
+@pytest.mark.parametrize("kind", ["unique", "deficient", "inconsistent"])
+def test_solve_exact_matches_fraction_oracle_on_random_systems(kind):
+    rng = random.Random(20261018)
+    statuses = set()
+    checked = 0
+    while checked < 60:
+        system = random_system(rng, kind)
+        ours = angles.solve_exact(system)
+        oracle = fraction_angles.solve_exact(system)
+        if kind == "unique" and oracle.rank < len(system.columns):
+            continue   # a singular draw
+        assert ours.status == oracle.status
+        assert ours.rank == oracle.rank
+        assert ours.particular == oracle.particular
+        assert ours.basis == oracle.basis
+        assert ours.columns == oracle.columns
+        if ours.particular is not None:
+            assert all(type(x) is Fraction
+                       for x in ours.particular.values())
+        statuses.add(ours.status)
+        checked += 1
+    expected = {"unique": {"unique"}, "deficient": {"affine-family"},
+                "inconsistent": {"infeasible"}}[kind]
+    assert statuses == expected
+
+
+def test_solve_exact_zero_rows():
+    # a zero row with a nonzero right-hand side is 0 = c; with 0 it is void
+    zero = (Fraction(0), Fraction(0))
+    for rhs, status in ((Fraction(3), "infeasible"),
+                        (Fraction(0), "affine-family")):
+        system = angles.LinearSystem(
+            columns=(0, 1),
+            rows=(((Fraction(1), Fraction(-1, 2)), Fraction(1, 3)),
+                  (zero, rhs)),
+            provenance=(("vertex", "u"), ("vertex", "w")))
+        ours = angles.solve_exact(system)
+        assert ours == fraction_angles.solve_exact(system)
+        assert ours.status == status and ours.rank == 1
+
+
+def test_pivot_keeps_rows_in_lowest_terms():
+    # after every pivot each row has a positive denominator and content 1,
+    # and stands for the same rational row as the Fraction oracle's
+    rng = random.Random(7)
+    for _ in range(40):
+        nrow, ncol = rng.randint(1, 4), rng.randint(2, 6)
+        rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(ncol)] for _ in range(nrow)]
+        tab, den = map(list, zip(*(angles._integer_row(row)
+                                   for row in rational)))
+        for _ in range(4):
+            entries = [(i, j) for i in range(nrow) for j in range(ncol)
+                       if rational[i][j]]
+            if not entries:
+                break
+            r, j = rng.choice(entries)
+            angles._pivot(tab, den, r, j)
+            fraction_angles._pivot(rational, r, j)
+            for row, d, exact in zip(tab, den, rational):
+                assert d > 0 and math.gcd(d, *row) == 1
+                assert [Fraction(x, d) for x in row] == exact

@@ -228,10 +228,18 @@ def test_realize_command(capsys, tmp_path):
 
 def test_restrict_requires_candidate(capsys):
     # the edge bound of a bare solid is `info`'s; restrict reads a candidate
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(["restrict", data_path("icosahedron")])
-    assert exit_.value.code == 2
+    assert cli.main(["restrict", data_path("icosahedron")]) == 2
     assert "candidate" in capsys.readouterr().err
+
+
+def test_usage_errors_return_exit_codes(capsys):
+    # argparse's exit is an exit code of main, not an escaping SystemExit
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and "usage:" in out and err == ""
+    code, out, err = run(capsys, "verify", data_path("cube"))
+    assert code == 2 and out == "" and "required" in err
+    code, out, err = run(capsys, "solve", data_path("cube"))
+    assert code == 2 and out == "" and "invalid choice" in err
 
 
 def test_restrict_command_candidate(capsys, cube_run, tmp_path):
@@ -270,9 +278,8 @@ def test_pipeline_rotation_grouping(capsys):
     assert doc["families_rotation_group"] == 5
     assert len(doc["families_full_group"]) == 3
     assert "families_requested_grouping" not in doc
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["enumerate", data_path("cube"), "--group", "rotations"])
-    assert exc.value.code == 2
+    assert cli.main(["enumerate", data_path("cube"),
+                     "--group", "rotations"]) == 2
 
 
 def test_icosahedron_enumerate_guarded(capsys):
@@ -316,9 +323,7 @@ def test_tolerance_options_are_gone(capsys, cube_run):
                  ["pipeline", data_path("cube"), "--tol-geo", "1e-9"],
                  ["enumerate", data_path("cube"), "--circuit-cap", "10"],
                  ["pipeline", data_path("cube"), "--circuit-cap", "10"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+        assert cli.main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
