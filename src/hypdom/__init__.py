@@ -7,11 +7,10 @@ from .angles import (AngleAssignment, LinearSystem, SolutionSet,
                      assemble_system, check_inequalities, feasible,
                      required_class_count, satisfies, solve_exact)
 from .pairings import (EdgeOrbit, FacePairing, PairingScheme, QuotientCensus,
-                       RelatorWord, SchemeError, canonical_keys, edge_orbits,
+                       RelatorWord, SchemeError, edge_orbits, image_keys,
                        quotient_census, relator_word, symmetry_group,
                        twist_pairing, validate_scheme, vertex_orbits)
-from .enumeration import (CandidateDomain, EnumerationReport, classify,
-                          enumerate_schemes)
+from .enumeration import CandidateDomain, EnumerationReport, classify
 from .geometry import (INF, GroupPresentation, MobiusMap, Z3i,
                        classify_element, face_pairing_maps, load_realization,
                        mobius_from_triples, relator_product,

@@ -67,14 +67,6 @@ class SolutionSet:
     rank: int
     columns: tuple
 
-    def point(self, coeffs):
-        """particular + sum coeffs[j]*basis[j], as an edge->value dict."""
-        vals = dict(self.particular)
-        for t, vec in zip(coeffs, self.basis):
-            for eid, x in zip(self.columns, vec):
-                vals[eid] += t * x
-        return vals
-
 
 def required_class_count(poly):
     """(edges - vertices) / 2; the only class count a torsion-free domain

@@ -16,7 +16,9 @@ permutation once the symmetry is checked to carry every row of the
 partition's system onto a row of the decided one's.  A survivor carries
 that system and witness; its solution set is solved only when read.
 Survivors are grouped into families under both the rotation subgroup and
-the full symmetry group.
+the full symmetry group: the first survivor of a family keys all its images
+in one pass over the group, and each later member looks its own signature
+up in that table.
 """
 
 import functools
@@ -119,26 +121,12 @@ def scheme_space_size(poly):
     return total
 
 
-def enumerate_schemes(poly):
-    """Every perfect matching of faces crossed with every orientation-
-    reversing boundary correspondence per pair, exactly once each; the face
-    count and the scheme cap are checked on the call, not on first use."""
-    _check_scheme_space(poly)
-    return _schemes(poly)
-
-
 def _check_scheme_space(poly):
     size = scheme_space_size(poly)
     if size > DEFAULT_SCHEME_CAP:
         raise SchemeCapExceeded(
             f"{size} schemes exceeds cap {DEFAULT_SCHEME_CAP}")
     return size
-
-
-def _schemes(poly):
-    for per_pair in _matchings(poly):
-        for ps in itertools.product(*per_pair):
-            yield pairings.PairingScheme(poly, ps)
 
 
 def _matchings(poly):
@@ -184,7 +172,8 @@ def classify(poly):
         return report
     circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
     actions = pairings.automorphism_actions(poly)
-    records = {}
+    identity = next(a for a in actions if all(u == v for u, v in a[0].items()))
+    records, keys = {}, {}
 
     def own_system(partition):
         return angles.assemble_system(
@@ -247,10 +236,13 @@ def classify(poly):
             if witness is None:
                 rejected["rivin_infeasible"] += 1
                 continue
-            key_rotations, key_full = pairings.canonical_keys(scheme, actions)
+            # the first survivor of a family keys every image of itself;
+            # the family's later members only look their signature up
+            sig = pairings.signature(scheme, identity)
+            if sig not in keys:
+                keys.update(pairings.image_keys(scheme, actions))
             report.survivors.append(CandidateDomain(
-                scheme, tuple(orbits), system, witness,
-                key_rotations, key_full))
+                scheme, tuple(orbits), system, witness, *keys[sig]))
     if not report.counts_consistent():
         raise AssertionError("report counts do not sum to the total")
     report.survivors.sort(key=lambda c: (c.key_full, c.key_rotations))

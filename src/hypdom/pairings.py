@@ -170,7 +170,9 @@ def edge_orbits(scheme, moves=None):
     of size 1 is a generator fixing an edge of a face it shares with its
     codomain: a rotation about that edge (elliptic).  A walk longer than
     the move table means a pairing that does not reverse orientation: its
-    moves are not a permutation, and it raises CensusError.
+    moves are not a permutation, and it raises CensusError.  So do orbits
+    that miss an edge or whose sizes sum past the edge count (an edge
+    walked twice, by pigeonhole): they do not partition the edge set.
     """
     inc = scheme.poly.incidence
     if moves is None:
@@ -178,7 +180,7 @@ def edge_orbits(scheme, moves=None):
         for p in scheme.pairings:
             moves.update(pairing_moves(scheme.poly, p))
     reached = [False] * len(inc.edges)
-    orbits = []
+    orbits, walked = [], 0
     bound = range(len(moves))  # no orbit is longer than the move table
     for eid, _, start in inc.flags:
         if reached[eid]:
@@ -193,10 +195,10 @@ def edge_orbits(scheme, moves=None):
             raise CensusError(f"the walk from flag {start} never returns: "
                               "the dart moves are not a permutation")
         orbits.append(EdgeOrbit(tuple(steps)))
+        walked += len(steps)
         for e, _, _ in steps:
             reached[e] = True
-    covered = sorted(e for o in orbits for e in o.edges)
-    if covered != list(range(len(inc.edges))):
+    if not all(reached) or walked != len(reached):
         raise CensusError("edge orbits do not partition the edge set")
     return orbits
 
@@ -310,31 +312,41 @@ def automorphism_actions(poly):
             for vmap, orient in symmetry_group(poly)]
 
 
-def canonical_keys(scheme, actions):
-    """(rotation-group key, full-group key) of the scheme, in one pass over
-    `actions` (from automorphism_actions).
+def signature(scheme, action):
+    """The symbol-free signature of the scheme's image under `action` (from
+    automorphism_actions): each image pair direction-normalized (lower face
+    id first, the inverse correspondence when the direction flips), and the
+    pairs sorted.  At the identity action it is the scheme's own."""
+    vmap, _, face_perm, _ = action
+    items = []
+    for p in scheme.pairings:
+        src, tgt = face_perm[p.source], face_perm[p.target]
+        if src < tgt:
+            corr = sorted((vmap[a], vmap[b]) for a, b in p.corr)
+        else:
+            src, tgt = tgt, src
+            corr = sorted((vmap[b], vmap[a]) for a, b in p.corr)
+        items.append((src, tgt, tuple(corr)))
+    return tuple(sorted(items))
 
-    A key is the minimal symbol-free signature of the scheme's images: each
-    image pair is direction-normalized (lower face id first, the inverse
-    correspondence when the direction flips), and the pairs are sorted.
+
+def image_keys(scheme, actions):
+    """The signature of every image g.S of the scheme, mapped to the image's
+    (rotation-group key, full-group key), in one pass over `actions`.
+
+    A key is the minimal signature over an orbit.  The full-group orbit of
+    g.S is every image.  The rotations are a subgroup of index at most 2,
+    so the rotation orbit of g.S is g's coset: the rotation images when g
+    is a rotation, the reflection images otherwise.  A family is one
+    full-group orbit, so one pass keys every member, and the members share
+    its key bytes.
     """
-    best_rotations = best_full = None
-    for vmap, rotation, face_perm, _ in actions:
-        items = []
-        for p in scheme.pairings:
-            src, tgt = face_perm[p.source], face_perm[p.target]
-            if src < tgt:
-                corr = sorted((vmap[a], vmap[b]) for a, b in p.corr)
-            else:
-                src, tgt = tgt, src
-                corr = sorted((vmap[b], vmap[a]) for a, b in p.corr)
-            items.append((src, tgt, tuple(corr)))
-        sig = tuple(sorted(items))
-        if best_full is None or sig < best_full:
-            best_full = sig
-        if rotation and (best_rotations is None or sig < best_rotations):
-            best_rotations = sig
-    return repr(best_rotations).encode(), repr(best_full).encode()
+    images = [(signature(scheme, action), action[1]) for action in actions]
+    full = repr(min(sig for sig, _ in images)).encode()
+    coset = {kind: repr(min(sig for sig, rotation in images
+                            if rotation == kind)).encode()
+             for kind in {rotation for _, rotation in images}}
+    return {sig: (coset[rotation], full) for sig, rotation in images}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -152,12 +153,44 @@ def verify_scheme(realization, scheme):
     return geometry.verify_words(realization, scheme, words)
 
 
+def enumerate_schemes(poly):
+    """Every scheme of the polyhedron, by brute force: each perfect matching
+    of equal-length faces crossed with every reversing correspondence per
+    pair, exactly once each, once the scheme space passes the library's
+    check.  Oracle for classify, which drops the elliptic pairings before
+    the product and counts the schemes they remove in closed form."""
+    enumeration._check_scheme_space(poly)
+    for per_pair in enumeration._matchings(poly):
+        for ps in itertools.product(*per_pair):
+            yield pairings.PairingScheme(poly, ps)
+
+
+def scheme_keys(scheme, actions):
+    """(rotation-group key, full-group key) of one scheme: its own entry in
+    the image table of pairings.image_keys."""
+    return pairings.image_keys(scheme, actions)[scheme_signature(scheme)]
+
+
 def canonicalize(scheme, group="all"):
     """The canonical key of the scheme over the chosen automorphism
-    subgroup, from pairings.canonical_keys."""
-    key_rotations, key_full = pairings.canonical_keys(
+    subgroup, from pairings.image_keys."""
+    key_rotations, key_full = scheme_keys(
         scheme, pairings.automorphism_actions(scheme.poly))
     return key_full if group == "all" else key_rotations
+
+
+def conjugation_canonicalize(scheme, group, automorphisms):
+    """The canonical key by conjugation: every image scheme is rebuilt in
+    full and serialized, one group at a time.  Oracle for the image table
+    of pairings.image_keys."""
+    best = None
+    for vmap, orient in automorphisms:
+        if group == "rotations" and not orient:
+            continue
+        sig = scheme_signature(conjugate_scheme(scheme, vmap))
+        if best is None or sig < best:
+            best = sig
+    return repr(best).encode()
 
 
 def detect_elliptic_generator(scheme):
@@ -184,8 +217,8 @@ def conjugate_scheme(scheme, vmap):
     """The scheme's image under a polyhedron automorphism, rebuilt as a
     scheme pairing by pairing.
 
-    Oracle for the conjugation that pairings.canonical_keys does on the
-    fly from precomputed face permutations."""
+    Oracle for the conjugation that pairings.signature does on the fly
+    from precomputed face permutations."""
     poly = scheme.poly
     face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
     images = []

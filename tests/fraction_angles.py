@@ -13,6 +13,16 @@ from fractions import Fraction
 from hypdom.angles import AngleAssignment, SolutionSet
 
 
+def solution_point(sol, coeffs):
+    """particular + sum coeffs[j]*basis[j] of a SolutionSet, as an
+    edge->value dict."""
+    vals = dict(sol.particular)
+    for t, vec in zip(coeffs, sol.basis):
+        for eid, x in zip(sol.columns, vec):
+            vals[eid] += t * x
+    return vals
+
+
 def solve_exact(system):
     """Gauss-Jordan over the rationals; everything returned is exact.  Each
     row carries its right-hand side as its last entry."""
@@ -81,7 +91,7 @@ def feasible(system, circuits):
     t, slack = _max_slack(rivin_rows(sol, circuits), len(sol.basis))
     if slack <= 0:
         return sol, None
-    return sol, AngleAssignment(sol.point(t))
+    return sol, AngleAssignment(solution_point(sol, t))
 
 
 def _max_slack(rows, m):

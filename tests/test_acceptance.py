@@ -37,9 +37,10 @@ from hypdom import (angles, enumeration, geometry, grouplab, pairings,
 
 import domains
 import float_mobius as fm
+from fraction_angles import solution_point
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
                       ball_to_uhs, canonicalize, detect_elliptic_generator,
-                      drawn, inscribed_cube_vertices,
+                      drawn, enumerate_schemes, inscribed_cube_vertices,
                       reference_adjacent_generators, reference_generators,
                       verify_scheme)
 
@@ -148,7 +149,7 @@ def test_criterion_2_cube_classification(cube, cube_inc, cube_report):
         # certificate, without the feasibility engine: every 5-7 orbit
         # partition has an edge that all exact solutions pin at angle 1
         five_seven = {}
-        for scheme in enumeration.enumerate_schemes(cube):
+        for scheme in enumerate_schemes(cube):
             orbits = pairings.edge_orbits(scheme)
             if sorted(o.size for o in orbits) == [5, 7]:
                 partition = frozenset(frozenset(o.edges) for o in orbits)
@@ -294,7 +295,7 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
         squared_exceptions = []
         y2z_exceptions = []
         disagreements = []
-        for scheme in enumeration.enumerate_schemes(cube):
+        for scheme in enumerate_schemes(cube):
             orbits = pairings.edge_orbits(scheme)
             words = tuple(pairings.relator_word(o) for o in orbits)
             squared, _ = grouplab.has_squared_term(words)
@@ -328,7 +329,7 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
         opposite = [("A", "front", "back"), ("B", "top", "bottom"),
                     ("C", "left", "right")]
         pairs = [(gen, fids[a], fids[b]) for gen, a, b in opposite]
-        first = next(s for s in enumeration.enumerate_schemes(cube)
+        first = next(s for s in enumerate_schemes(cube)
                      if {(p.gen, p.source, p.target) for p in s.pairings}
                      == set(pairs))
         assert first in [s for s, _ in y2z_exceptions]
@@ -361,7 +362,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
             assert sum(len(inc.vertex_edges[v]) for v in poly.vertices) == 2 * e
             assert sum(len(f) for f in poly.faces) == 2 * e
         # orbit partition property over a deterministic sample of schemes
-        for i, scheme in enumerate(enumeration.enumerate_schemes(cube)):
+        for i, scheme in enumerate(enumerate_schemes(cube)):
             if i % 11:
                 continue
             orbits = pairings.edge_orbits(scheme)
@@ -416,7 +417,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
             for _ in range(200):
                 coeffs = [Fraction(rng.randint(-6, 6), 12)
                           for _ in sol.basis]
-                point = sol.point(coeffs)
+                point = solution_point(sol, coeffs)
                 if all(0 < q < 1 for q in point.values()):
                     ok, _ = angles.check_inequalities(cube, cube_dual, point)
                     if ok:

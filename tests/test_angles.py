@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from hypdom import angles, enumeration, pairings, polytope
+from hypdom import angles, pairings, polytope
 
 import fraction_angles
+from fraction_angles import solution_point
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
-                      drawn)
+                      drawn, enumerate_schemes)
 
 THIRD = Fraction(2, 3)
 
@@ -82,8 +83,8 @@ def test_solve_fd1_family_contains_regular_point(cube, cube_inc):
     # step along the basis solve the rows, and rank + basis = 12 unknowns
     assert angles.satisfies(system, sol.particular)
     for k in range(4):
-        assert angles.satisfies(system, sol.point([int(j == k)
-                                                   for j in range(4)]))
+        assert angles.satisfies(system, solution_point(
+            sol, [int(j == k) for j in range(4)]))
     regular = {eid: THIRD for eid in range(12)}
     assert angles.satisfies(system, regular)
     second = {drawn(cube_inc, {n}).pop(): q for n, q in {
@@ -234,7 +235,7 @@ def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual,
         sampled_valid = False
         for _ in range(200):
             coeffs = [Fraction(rng.randint(-6, 6), 12) for _ in sol.basis]
-            point = sol.point(coeffs)
+            point = solution_point(sol, coeffs)
             if all(0 < q < 1 for q in point.values()):
                 ok, _ = angles.check_inequalities(
                     cube, cube_dual, point)
@@ -375,7 +376,7 @@ def distinct_partitions(poly):
     size at least 3, over all pairing schemes of `poly`."""
     required = angles.required_class_count(poly)
     found = set()
-    for scheme in enumeration.enumerate_schemes(poly):
+    for scheme in enumerate_schemes(poly):
         orbits = pairings.edge_orbits(scheme)
         if len(orbits) == required and all(o.size >= 3 for o in orbits):
             found.add(frozenset(frozenset(o.edges) for o in orbits))

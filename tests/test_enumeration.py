@@ -10,7 +10,7 @@ from hypdom import angles, cli, enumeration, pairings, polytope
 
 from conftest import (DRAWN_EDGES, FD2_CLASSES, canonicalize,
                       conjugate_scheme, detect_elliptic_generator, drawn,
-                      scheme_signature)
+                      enumerate_schemes, scheme_signature)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -23,13 +23,13 @@ BELT_AT_TWO = {**REGULAR, **{n: Fraction(1, 2) for n in (2, 3, 6, 7)},
 
 def test_scheme_count_cube(cube):
     assert enumeration.scheme_space_size(cube) == 960
-    assert sum(1 for _ in enumeration.enumerate_schemes(cube)) == 960
+    assert sum(1 for _ in enumerate_schemes(cube)) == 960
 
 
 def test_scheme_count_tetrahedron(solids):
     tet = solids["tetrahedron"]
     assert enumeration.scheme_space_size(tet) == 27
-    schemes = list(enumeration.enumerate_schemes(tet))
+    schemes = list(enumerate_schemes(tet))
     assert len(schemes) == 27
     assert len({scheme_signature(s) for s in schemes}) == 27
 
@@ -42,12 +42,12 @@ def test_odd_face_count_rejected():
                      ["c", "c2", "a2", "a"]]}
     prism = polytope.load_polyhedron(doc)
     with pytest.raises(enumeration.EnumerationError, match="odd"):
-        list(enumeration.enumerate_schemes(prism))
+        enumeration.scheme_space_size(prism)
 
 
 def test_icosahedron_past_desk_scale(solids):
     with pytest.raises(enumeration.SchemeCapExceeded):
-        list(enumeration.enumerate_schemes(solids["icosahedron"]))
+        enumeration.classify(solids["icosahedron"])
 
 
 def prism(n):
@@ -150,6 +150,23 @@ def test_classify_families(cube_report):
     assert len(cube_report.families_rotations) == 5
 
 
+@pytest.mark.parametrize("name, families", [("cube", 3), ("octahedron", 7)])
+def test_classify_keys_each_family_in_one_pass(solids, monkeypatch, name,
+                                               families):
+    # one pass over the group per full-group family, not per survivor: its
+    # members share the family's key bytes, one full-group key and one
+    # rotation key per coset
+    passes = []
+    image_keys = pairings.image_keys
+    monkeypatch.setattr(pairings, "image_keys",
+                        lambda *a: passes.append(a) or image_keys(*a))
+    report = enumeration.classify(solids[name])
+    assert len(passes) == len(report.families_full) == families
+    for members in report.families_full.values():
+        assert len({id(m.key_full) for m in members}) == 1
+        assert len({id(m.key_rotations) for m in members}) <= 2
+
+
 def test_all_survivors_six_six(cube_report):
     for cand in cube_report.survivors:
         assert cand.class_sizes == (6, 6)
@@ -188,7 +205,7 @@ def test_filter_order_irrelevant(cube, cube_circuits, cube_report):
     required = angles.required_class_count(cube)
     survivors = set()
     cache = {}
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         orbits = pairings.edge_orbits(scheme)
         partition = frozenset(frozenset(o.edges) for o in orbits)
         if len(orbits) == required and all(o.size >= 3 for o in orbits):
@@ -288,7 +305,7 @@ def test_wrong_class_count_systems_infeasible(cube):
     # the angle system is consistent only when the partition has exactly
     # (E - V)/2 classes: any other class count contradicts the vertex rows
     seen = set()
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         orbits = pairings.edge_orbits(scheme)
         k = len(orbits)
         if k == 2 or k in seen or any(o.size < 3 for o in orbits):
@@ -336,7 +353,7 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
     # it drops before the product, are the schemes the shared-edge oracle
     # flags; and no pairing the filter keeps is flagged
     poly = solids[name]
-    flagged = sum(1 for scheme in enumeration.enumerate_schemes(poly)
+    flagged = sum(1 for scheme in enumerate_schemes(poly)
                   if detect_elliptic_generator(scheme))
     closed_form = 0
     for per_pair in enumeration._matchings(poly):

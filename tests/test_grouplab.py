@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from hypdom import enumeration, geometry, grouplab, pairings, polytope
+from hypdom import geometry, grouplab, pairings, polytope
 from hypdom.geometry import MobiusMap, Z3i
 
 import float_mobius as fm
-from conftest import detect_elliptic_generator
+from conftest import detect_elliptic_generator, enumerate_schemes
 
 
 def words_of(scheme):
@@ -40,7 +40,7 @@ def test_y2z_link_five_seven_scheme(cube):
     # a top-front / left-right / back-bottom scheme with classes 5 and 7:
     # no 3-orbit and no length-3 word, consistently
     fids = pairings.cube_face_ids(cube)
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         ps = {frozenset((p.source, p.target)) for p in scheme.pairings}
         if ps != {frozenset((fids["top"], fids["front"])),
                   frozenset((fids["left"], fids["right"])),
@@ -57,7 +57,7 @@ def test_y2z_link_five_seven_scheme(cube):
 
 def test_y2z_link_synthetic_three_orbit(cube, cube_inc):
     # adjacent identified faces sharing an edge of a 3-orbit: both sides true
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         if detect_elliptic_generator(scheme):
             continue
         if not grouplab.adjacent_identified_sharing_edge(scheme):
@@ -139,7 +139,7 @@ def test_y2z_realized_products_are_half_turns(cube, realization):
     # never the identity -- Y and Z then need not commute
     checked = 0
     saw_noncommuting = False
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         words = words_of(scheme)
         if not any(len(w.letters) == 3 for w in words):
             continue
@@ -186,7 +186,7 @@ def test_five_seven_schemes_have_squared_terms(cube):
     # term; check on every 5-7 scheme of the top-front matching
     fids = pairings.cube_face_ids(cube)
     hits = 0
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         ps = {frozenset((p.source, p.target)) for p in scheme.pairings}
         if ps != {frozenset((fids["top"], fids["front"])),
                   frozenset((fids["left"], fids["right"])),
@@ -212,7 +212,7 @@ def test_candidate_parity_property(cube_report):
 def test_prop63_exhaustive(cube):
     # squared term <=> some pairing identifies adjacent faces, over the
     # entire scheme population, with zero exceptions
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         squared, _ = grouplab.has_squared_term(words_of(scheme))
         adjacent = grouplab.adjacent_identified_sharing_edge(scheme)
         assert squared == adjacent

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from hypdom import enumeration, pairings, polytope
+from hypdom import pairings, polytope
 
 from conftest import (FD1_CLASSES, FD1_MIRROR_CLASSES, FD2_CLASSES,
-                      FIVE_SEVEN_CLASSES, canonicalize, conjugate_scheme,
-                      detect_elliptic_generator, drawn, scheme_signature)
+                      FIVE_SEVEN_CLASSES, canonicalize,
+                      conjugation_canonicalize, conjugate_scheme,
+                      detect_elliptic_generator, drawn, enumerate_schemes,
+                      scheme_keys, scheme_signature)
 
 
 def class_partition(scheme):
@@ -173,7 +175,7 @@ def test_five_seven_orbits_exist(cube):
     # one class of 5 and one of 7 (they later fail the angle stage)
     fids = pairings.cube_face_ids(cube)
     found = set()
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         ps = {frozenset((p.source, p.target)) for p in scheme.pairings}
         if ps != {frozenset((fids["top"], fids["front"])),
                   frozenset((fids["left"], fids["right"])),
@@ -189,7 +191,7 @@ def test_drawn_five_seven_split_is_not_an_orbit_partition(cube, cube_inc):
     # unique scheme closing the 5-class splits the rest into 5 + 2.
     target = {frozenset(drawn(cube_inc, FIVE_SEVEN_CLASSES[0])),
               frozenset(drawn(cube_inc, FIVE_SEVEN_CLASSES[1]))}
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         assert class_partition(scheme) != target
 
 
@@ -224,7 +226,7 @@ def test_fd2_relator_word_shapes(fd2):
 
 def test_words_cyclically_reduced_across_schemes(cube):
     # every traversal word, over a deterministic slice of the scheme stream
-    for i, scheme in enumerate(enumeration.enumerate_schemes(cube)):
+    for i, scheme in enumerate(enumerate_schemes(cube)):
         if i % 7:
             continue
         for orbit in pairings.edge_orbits(scheme):
@@ -234,7 +236,7 @@ def test_words_cyclically_reduced_across_schemes(cube):
 
 
 def test_orbits_partition_edges(cube):
-    for i, scheme in enumerate(enumeration.enumerate_schemes(cube)):
+    for i, scheme in enumerate(enumerate_schemes(cube)):
         if i % 13:
             continue
         orbits = pairings.edge_orbits(scheme)
@@ -305,7 +307,7 @@ def test_orbits_match_frozenset_traversal(solids, name, schemes, elliptic):
     # shared-edge scan finds an elliptic generator
     poly = solids[name]
     seen = flagged = 0
-    for scheme in enumeration.enumerate_schemes(poly):
+    for scheme in enumerate_schemes(poly):
         orbits = pairings.edge_orbits(scheme)
         assert orbits == frozenset_edge_orbits(scheme)
         elliptic_scan = bool(detect_elliptic_generator(scheme))
@@ -470,46 +472,64 @@ def test_canonicalize_mirror_split(fd1, fd1_mirror):
     assert canonicalize(fd1, "all") == canonicalize(fd1_mirror, "all")
 
 
-def conjugation_canonicalize(scheme, group, automorphisms):
-    """The canonical key by conjugation: every image scheme is rebuilt in
-    full and serialized, one group at a time.  Oracle for the one-pass
-    pairings.canonical_keys."""
-    best = None
-    for vmap, orient in automorphisms:
-        if group == "rotations" and not orient:
-            continue
-        sig = scheme_signature(conjugate_scheme(scheme, vmap))
-        if best is None or sig < best:
-            best = sig
-    return repr(best).encode()
-
-
-def assert_keys_match_oracle(schemes, autos, actions):
-    for scheme in schemes:
-        expected = (conjugation_canonicalize(scheme, "rotations", autos),
-                    conjugation_canonicalize(scheme, "all", autos))
-        assert pairings.canonical_keys(scheme, actions) == expected
+def oracle_keys(scheme, autos):
+    return (conjugation_canonicalize(scheme, "rotations", autos),
+            conjugation_canonicalize(scheme, "all", autos))
 
 
 def test_canonical_keys_match_oracle_on_cube_schemes(cube):
+    # each scheme's own entry in its image table, on all 960 schemes
     autos = pairings.symmetry_group(cube)
     actions = pairings.automorphism_actions(cube)
     assert len(actions) == 48
-    assert_keys_match_oracle(enumeration.enumerate_schemes(cube), autos,
-                             actions)
+    for scheme in enumerate_schemes(cube):
+        assert scheme_keys(scheme, actions) == oracle_keys(scheme, autos)
+
+
+def assert_survivor_keys_match_oracle(poly, report, count):
+    """Each survivor's keys, read from the image table of the first
+    survivor of its family, are the one-scheme keys and the oracle's."""
+    autos = pairings.symmetry_group(poly)
+    actions = pairings.automorphism_actions(poly)
+    assert len(report.survivors) == count
+    for cand in report.survivors:
+        keys = (cand.key_rotations, cand.key_full)
+        assert keys == scheme_keys(cand.scheme, actions)
+        assert keys == oracle_keys(cand.scheme, autos)
 
 
 def test_canonical_keys_match_oracle_on_octahedron_survivors(
         solids, octahedron_report):
-    octahedron = solids["octahedron"]
-    autos = pairings.symmetry_group(octahedron)
-    actions = pairings.automorphism_actions(octahedron)
-    survivors = octahedron_report.survivors
-    assert len(survivors) == 120
-    assert_keys_match_oracle([c.scheme for c in survivors], autos, actions)
-    for cand in survivors:
-        assert ((cand.key_rotations, cand.key_full)
-                == pairings.canonical_keys(cand.scheme, actions))
+    assert_survivor_keys_match_oracle(solids["octahedron"],
+                                      octahedron_report, 120)
+
+
+def test_canonical_keys_match_oracle_on_cube_survivors(cube, cube_report):
+    assert_survivor_keys_match_oracle(cube, cube_report, 30)
+
+
+def test_image_table_matches_oracle_on_cube_survivors(cube, cube_report):
+    # for every survivor S and action g, the table's entry for g.S is the
+    # oracle's keys of g.S rebuilt by conjugation: a reflection g takes its
+    # rotation key from the reflection coset; the oracle is cached by
+    # signature, on which it depends alone
+    autos = pairings.symmetry_group(cube)
+    actions = pairings.automorphism_actions(cube)
+    oracle = {}
+    for cand in cube_report.survivors:
+        table = pairings.image_keys(cand.scheme, actions)
+        images = set()
+        for action in actions:
+            image = conjugate_scheme(cand.scheme, action[0])
+            sig = scheme_signature(image)
+            assert sig == pairings.signature(cand.scheme, action)
+            if sig not in oracle:
+                oracle[sig] = oracle_keys(image, autos)
+            assert table[sig] == oracle[sig]
+            images.add(sig)
+        assert set(table) == images
+    # the survivors are closed under symmetry: every image is one
+    assert len(oracle) == 30
 
 
 def test_scheme_json_roundtrip(cube, fd1):
@@ -666,6 +686,18 @@ def test_edge_orbits_non_reversing_pairing_raises(cube, fd1):
         pairings.edge_orbits(scheme)
 
 
+def test_edge_orbits_reject_a_walk_that_covers_its_edge_twice(cube, fd1):
+    # moves that send each dart to its twin across the same edge are a
+    # permutation, but every orbit then walks its edge twice: the orbits
+    # reach every edge and still do not partition the edge set
+    inc = cube.incidence
+    moves = {(u, v): ((v, u), (inc.edge_id(u, v), fid, ("A", 1)))
+             for (u, v), (fid, _) in inc.darts.items()}
+    with pytest.raises(pairings.CensusError,
+                       match="do not partition the edge set"):
+        pairings.edge_orbits(fd1, moves)
+
+
 def test_word_equivalence_predicate():
     w = (("A", 1), ("B", -1), ("C", 1))
     assert words_equivalent(w, (("B", -1), ("C", 1), ("A", 1)))
@@ -701,8 +733,7 @@ def closure_partition(scheme, inc):
 
 
 def test_orbits_match_closure_oracle(cube, cube_inc):
-    from hypdom import enumeration
-    for scheme in enumeration.enumerate_schemes(cube):
+    for scheme in enumerate_schemes(cube):
         traversal = {frozenset(o.edges)
                      for o in pairings.edge_orbits(scheme)}
         assert traversal == closure_partition(scheme, cube_inc)
