@@ -3,23 +3,78 @@
 Exit codes: 0 the command ran (also when the reader of its standard output
 closed the pipe early), 2 invalid input, 3 internal invariant breach.
 All outputs are deterministic JSON (sorted keys) so runs can be diffed.
+One writer, `_dump`, encodes every document: the bytes of json.dumps with
+indent=1 and sorted keys, without the pure-Python encoder that the indent
+would select.  Candidate documents are read as UTF-8, like polyhedra.
 """
 
 import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import angles, enumeration, geometry, grouplab, pairings, polytope
 
 
+def _encode(doc):
+    """`doc` as JSON text, byte for byte what json.dumps(doc, indent=1,
+    sort_keys=True) writes: dicts with string keys, lists, tuples,
+    strings, ints, booleans and None; anything else raises TypeError."""
+    parts = []
+    _write(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write(value, pad, out):
+    """Pass the JSON text of `value` to `out` piece by piece, `pad` the
+    newline and indent before its closing bracket."""
+    kind = type(value)
+    if kind is int:  # most values, so checked first
+        out(int.__repr__(value))
+    elif kind is str:
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True or value is False:
+        out("true" if value else "false")
+    elif isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("keys must be str")
+        inner = pad + " "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            out(sep)
+            out(encode_basestring_ascii(key))
+            out(": ")
+            _write(value[key], inner, out)
+            sep = comma
+        out(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = pad + " "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out(sep)
+            _write(item, inner, out)
+            sep = comma
+        out(pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
 def _dump(doc, path=None):
-    text = json.dumps(doc, indent=1, sort_keys=True)
+    text = _encode(doc)
     if path:
         Path(path).write_text(text + "\n")
     else:
         print(text)
+
+
+def _read_json(path):
+    """The JSON document in file `path`, read as UTF-8."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def cmd_info(args):
@@ -66,7 +121,7 @@ def cmd_enumerate(args):
 
 def cmd_angles(args):
     poly = polytope.load_polyhedron(args.polyhedron)
-    cand_doc = json.loads(Path(args.candidate).read_text())
+    cand_doc = _read_json(args.candidate)
     cand = enumeration.candidate_from_json_dict(poly, cand_doc)
     doc = {
         "status": cand.solution.status,
@@ -81,7 +136,7 @@ def cmd_angles(args):
 
 def cmd_restrict(args):
     poly = polytope.load_polyhedron(args.polyhedron)
-    cand_doc = json.loads(Path(args.candidate).read_text())
+    cand_doc = _read_json(args.candidate)
     scheme = enumeration.candidate_scheme(poly, cand_doc)
     gens = None
     try:
@@ -114,7 +169,7 @@ def cmd_realize(args):
 
 def cmd_verify(args):
     poly = polytope.load_polyhedron(args.polyhedron)
-    cand_doc = json.loads(Path(args.candidate).read_text())
+    cand_doc = _read_json(args.candidate)
     cand = enumeration.candidate_from_json_dict(poly, cand_doc)
     try:
         presentation = geometry.verify_candidate(cand)

@@ -4,11 +4,13 @@ classify() answers an empty scheme space at once.  Otherwise it works one
 face matching at a time, and walks only the matchings of equal-length
 faces.  It builds each pairing once, from its face pair's reversing
 correspondences, so a pairing is valid by construction and nothing checks
-it again.  It compiles each pairing into dart moves, drops the elliptic
-ones (a pairing whose dart moves fix a flag rotates about an edge) before
-taking the product, and counts the schemes they remove in closed form.  It
-traverses each remaining scheme's edge classes once and filters on them
-(the class count, then the class size), then runs the exact angle solve
+it again.  It compiles each pairing into the integer dart moves of its
+two faces, drops the elliptic ones (a pairing whose moves fix a dart
+rotates about an edge) before taking the product, and counts the schemes
+they remove in closed form.  For each remaining scheme it writes its
+pairings' move slices into one reused table, traverses the dart cycles
+once and filters on them (the class count, then the class size); only a
+scheme that passes gets its orbit steps.  Then it runs the exact angle solve
 and the strict Rivin feasibility test once per symmetry class of edge
 partitions.  A partition that a symmetry sends onto an already decided one
 takes that verdict, its witness pulled back through the symmetry's edge
@@ -142,17 +144,18 @@ def _matchings(poly):
                for t, (f1, f2) in enumerate(matching)]
 
 
-def _compiled_pairs(poly, per_pair):
+def _compiled_pairs(poly, table, per_pair):
     """The matching's non-elliptic pairings with their dart moves, as a
-    list per pair of (pairing, moves); a pairing is elliptic when one of
-    its moves fixes its dart."""
+    list per pair of (pairing, `pairings.pairing_darts`); a pairing is
+    elliptic when one of its moves fixes its dart."""
     kept = []
     for ps in per_pair:
         compiled = []
         for p in ps:
-            moves = pairings.pairing_moves(poly, p)
-            if all(dart != nxt for dart, (nxt, _) in moves.items()):
-                compiled.append((p, moves))
+            faces = pairings.pairing_darts(poly, table, p)
+            if all(nxt != dart for first, ids in faces
+                   for dart, nxt in enumerate(ids, first)):
+                compiled.append((p, faces))
         kept.append(compiled)
     return kept
 
@@ -206,28 +209,33 @@ def classify(poly):
         records[partition] = (status, system, witness)
         return records[partition]
 
+    table = pairings.dart_table(poly)
+    nxt = [None] * len(table.edge)  # the scheme's moves, one slice per face
     for per_pair in _matchings(poly):
         # a scheme is elliptic iff one of its pairings is: those pairings
         # are dropped before the product, and the schemes they took with
         # them counted in closed form
-        kept = _compiled_pairs(poly, per_pair)
+        kept = _compiled_pairs(poly, table, per_pair)
         built = math.prod(len(ps) for ps in per_pair)
         report.total += built
         rejected["elliptic"] += built - math.prod(len(ps) for ps in kept)
         for choice in itertools.product(*kept):
-            moves = {}
-            for _, table in choice:
-                moves.update(table)
-            scheme = pairings.PairingScheme(poly, tuple(p for p, _ in choice))
-            orbits = pairings.edge_orbits(scheme, moves)
-            if any(o.size == 1 for o in orbits):
+            for _, faces in choice:
+                for first, ids in faces:
+                    nxt[first:first + len(ids)] = ids
+            cycles = pairings.dart_cycles(table, nxt)
+            shortest = min(map(len, cycles))
+            if shortest == 1:
                 raise AssertionError("an elliptic pairing passed the filter")
-            if len(orbits) != required:
+            if len(cycles) != required:
                 rejected["class_count"] += 1
                 continue
-            if any(o.size < 3 for o in orbits):
+            if shortest < 3:
                 rejected["class_size"] += 1
                 continue
+            # only a scheme past the class filters gets its steps
+            chosen = tuple(p for p, _ in choice)
+            orbits = pairings.cycle_orbits(table, cycles, chosen)
             status, system, witness = angle_record(
                 frozenset(frozenset(o.edges) for o in orbits))
             if status == "infeasible":
@@ -238,6 +246,7 @@ def classify(poly):
                 continue
             # the first survivor of a family keys every image of itself;
             # the family's later members only look their signature up
+            scheme = pairings.PairingScheme(poly, chosen)
             sig = pairings.signature(scheme, identity)
             if sig not in keys:
                 keys.update(pairings.image_keys(scheme, actions))

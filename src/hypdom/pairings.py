@@ -5,14 +5,13 @@ an orientation-reversing boundary-vertex correspondence, one of the pair's
 `reversing_correspondences` (the cube's twist sugar picks one by face names
 and twist).  That list is the one definition of a valid correspondence: a
 scheme read from a document is checked against it (`validate_scheme`), and
-the search builds its pairings from it and checks nothing.  A pairing
-compiles into its dart moves (`pairing_moves`): from the flag (edge, side
-face) apply the signed generator attached to that face, land on the image
-edge on the generator's codomain face, then flip to the image edge's other
-side.  Edge classes are the cycles of a scheme's merged moves
-(`edge_orbits`); a move that fixes its flag makes the pairing, and every
-scheme using it, elliptic.  Words are the signed generator letters in
-traversal order.
+the search builds its pairings from it and checks nothing.  Darts (edge,
+side face) are numbered face by face (`dart_table`), and a pairing
+compiles into the next-dart slices of its two faces (`pairing_darts`).
+Edge classes are the cycles of a scheme's dart moves, walked by one
+traversal (`dart_cycles`); a move that fixes its dart makes the pairing,
+and every scheme using it, elliptic.  Words are the signed generator
+letters in traversal order.
 """
 
 import collections
@@ -136,71 +135,118 @@ def validate_scheme(scheme):
     return scheme
 
 
-def pairing_moves(poly, p):
-    """The pairing's dart moves: dart -> (next dart, (edge id, face id,
-    (gen symbol, sign))) for each dart of its source face (the map, sign
-    +1) and of its target face (the inverse, sign -1).
+@dataclass(frozen=True)
+class DartTable:
+    """Darts numbered face by face: face f's darts, in cycle order, are
+    first[f], first[f] + 1, ...; ids[u, v] numbers dart (u, v), edge[d] and
+    face[d] are dart d's edge and face ids, and starts lists the darts by
+    (edge id, face id)."""
+    first: tuple
+    ids: dict
+    edge: tuple
+    face: tuple
+    starts: tuple
 
-    A flag is a dart: the edge (u, v) on the side face whose cycle runs
-    u -> v.  The generator m on that face reverses orientation, so
-    (m[u], m[v]) runs against its codomain face and is already the dart
-    across the image edge.  A move that fixes its dart is a rotation about
-    an edge the two faces share: the pairing is elliptic, and so is every
-    scheme that uses it.
+
+def dart_table(poly):
+    inc = poly.incidence
+    first = tuple(itertools.accumulate(
+        (len(f) for f in poly.faces[:-1]), initial=0))
+    edge = tuple(e for cycle in inc.face_edge_cycle for e in cycle)
+    # a face's darts are numbered after those of every lower face id, so a
+    # stable sort by edge id orders each edge's two darts by face id
+    return DartTable(first,
+                     {dart: first[fid] + i
+                      for dart, (fid, i) in inc.darts.items()},
+                     edge,
+                     tuple(fid for fid, f in enumerate(poly.faces) for _ in f),
+                     tuple(sorted(range(len(edge)), key=edge.__getitem__)))
+
+
+def pairing_darts(poly, table, p):
+    """The pairing's dart moves as (first dart, next darts) for its source
+    face (the map) and its target face (the inverse): dart first + i moves
+    to dart next darts[i].
+
+    A dart is the edge (u, v) on the side face whose cycle runs u -> v.
+    The generator m on that face reverses orientation, so (m[u], m[v])
+    runs against its codomain face and is already the dart across the
+    image edge.  A move that fixes its dart (next darts[i] == first + i)
+    is a rotation about an edge the two faces share: the pairing is
+    elliptic, and so is every scheme that uses it.
     """
-    moves = {}
-    for fid, vmap, sign in ((p.source, p.mapping(), +1),
-                            (p.target, p.inverse_mapping(), -1)):
-        face, cycle = poly.faces[fid], poly.incidence.face_edge_cycle[fid]
-        n = len(face)
-        for i in range(n):
-            u, v = face[i], face[(i + 1) % n]
-            moves[u, v] = ((vmap[u], vmap[v]), (cycle[i], fid, (p.gen, sign)))
-    return moves
+    faces = []
+    for fid, vmap in ((p.source, p.mapping()),
+                      (p.target, p.inverse_mapping())):
+        images = [vmap[v] for v in poly.faces[fid]]
+        faces.append((table.first[fid], tuple(map(
+            table.ids.__getitem__, zip(images, images[1:] + images[:1])))))
+    return tuple(faces)
 
 
-def edge_orbits(scheme, moves=None):
-    """Edge classes by flag traversal, one orbit per class.
+def dart_cycles(table, nxt):
+    """Edge classes by dart traversal, one dart cycle per class: `nxt` is
+    the scheme's move table, nxt[d] the dart its generator sends dart d to.
 
-    `moves` is the scheme's dart-move table, the union of its pairings'
-    `pairing_moves`; it is built here when not given.  Each orbit starts at
-    the first flag of the incidence's sorted flags (edge id, face id, dart)
-    whose edge no orbit has reached, for determinism; the reverse traversal
-    of a class is not walked, its flags are dropped with the class.  A class
-    of size 1 is a generator fixing an edge of a face it shares with its
+    Each cycle starts at the first dart of `table.starts` whose edge no
+    cycle has reached, for determinism; the reverse traversal of a class
+    is not walked, its darts are dropped with the class.  A cycle of
+    length 1 is a generator fixing an edge of a face it shares with its
     codomain: a rotation about that edge (elliptic).  A walk longer than
-    the move table means a pairing that does not reverse orientation: its
-    moves are not a permutation, and it raises CensusError.  So do orbits
-    that miss an edge or whose sizes sum past the edge count (an edge
+    the table means a pairing that does not reverse orientation: its
+    moves are not a permutation, and it raises CensusError.  So do cycles
+    that miss an edge or whose lengths sum past the edge count (an edge
     walked twice, by pigeonhole): they do not partition the edge set.
     """
-    inc = scheme.poly.incidence
-    if moves is None:
-        moves = {}
-        for p in scheme.pairings:
-            moves.update(pairing_moves(scheme.poly, p))
-    reached = [False] * len(inc.edges)
-    orbits, walked = [], 0
-    bound = range(len(moves))  # no orbit is longer than the move table
-    for eid, _, start in inc.flags:
-        if reached[eid]:
+    edge = table.edge
+    reached = [False] * (len(edge) // 2)
+    cycles, walked = [], 0
+    bound = range(len(nxt))  # no cycle is longer than the move table
+    for start in table.starts:
+        if reached[edge[start]]:
             continue
-        dart, steps = start, []
+        cycle, dart = [], start
         for _ in bound:
-            dart, step = moves[dart]
-            steps.append(step)
+            cycle.append(dart)
+            reached[edge[dart]] = True
+            dart = nxt[dart]
             if dart == start:
                 break
         else:
-            raise CensusError(f"the walk from flag {start} never returns: "
+            raise CensusError(f"the walk from dart {start} never returns: "
                               "the dart moves are not a permutation")
-        orbits.append(EdgeOrbit(tuple(steps)))
-        walked += len(steps)
-        for e, _, _ in steps:
-            reached[e] = True
-    if not all(reached) or walked != len(reached):
+        cycles.append(cycle)
+        walked += len(cycle)
+    if walked != len(reached) or not all(reached):
         raise CensusError("edge orbits do not partition the edge set")
-    return orbits
+    return cycles
+
+
+def cycle_orbits(table, cycles, pairs):
+    """The EdgeOrbit of each dart cycle of a scheme with pairings `pairs`:
+    the step of dart d is (edge id, face id, (gen symbol, sign)), the sign
+    +1 on the source face of the pairing's generator, -1 on its target."""
+    letter = {}
+    for p in pairs:
+        letter[p.source], letter[p.target] = (p.gen, +1), (p.gen, -1)
+    edge, face = table.edge, table.face
+    return [EdgeOrbit(tuple([(edge[d], face[d], letter[face[d]])
+                             for d in cycle])) for cycle in cycles]
+
+
+def edge_orbits(scheme):
+    """Edge classes by dart traversal (`dart_cycles`), one orbit per
+    class, each orbit the steps of its cycle."""
+    poly = scheme.poly
+    table = dart_table(poly)
+    nxt = [None] * len(table.edge)
+    for p in scheme.pairings:
+        for first, ids in pairing_darts(poly, table, p):
+            nxt[first:first + len(ids)] = ids
+    if None in nxt:
+        raise CensusError("a face is in no pairing: the dart moves are not "
+                          "a permutation")
+    return cycle_orbits(table, dart_cycles(table, nxt), scheme.pairings)
 
 
 def relator_word(orbit):

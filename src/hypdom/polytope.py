@@ -52,7 +52,6 @@ class IncidenceData:
     vertex_edges: dict         # vertex name -> frozenset of edge ids
     face_edge_cycle: tuple     # face id -> tuple of edge ids around the face
     darts: dict                # (u, v) on a face cycle -> (face id, index of u)
-    flags: tuple               # (edge id, face id, dart) per dart, sorted
 
     def edge_id(self, u, v):
         fid, i = self.darts[u, v]
@@ -178,9 +177,7 @@ def build_incidence(poly):
 
     Edge ids are assigned in first-encounter order scanning faces in document
     order, so they are stable across runs for the same document.  Each edge
-    has two darts, one per side face, directed along that face's cycle;
-    the flags list each dart after its edge id and face id, sorted once
-    here for the orbit traversal's deterministic starts.
+    has two darts, one per side face, directed along that face's cycle.
     """
     edge_index = {}
     edges = []
@@ -210,8 +207,6 @@ def build_incidence(poly):
         vertex_edges={v: frozenset(s) for v, s in vertex_edges.items()},
         face_edge_cycle=tuple(face_cycles),
         darts=darts,
-        flags=tuple(sorted((face_cycles[fid][i], fid, dart)
-                           for dart, (fid, i) in darts.items())),
     )
 
 

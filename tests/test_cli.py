@@ -1,4 +1,5 @@
 import collections
+import gc
 import hashlib
 import json
 import math
@@ -455,3 +456,111 @@ def test_closed_pipe_exits_quietly():
     child.stderr.close()
     assert child.wait() == 0
     assert err == b""
+
+
+def test_candidates_are_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # a candidate written as UTF-8 reads the same under the C locale, as
+    # its polyhedron does: angles, restrict and verify do not fall back to
+    # the locale's encoding
+    cube = json.loads(Path(data_path("cube")).read_text())
+    doc = {"name": "w\xfcrfel",
+           "vertices": [v + "\xe9" for v in cube["vertices"]],
+           "faces": [[v + "\xe9" for v in f] for f in cube["faces"]]}
+    poly = tmp_path / "wuerfel.json"
+    poly.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["enumerate", str(poly), "--out", str(out)]) == 0
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps(json.loads(
+        (out / "candidate_000.json").read_text()), ensure_ascii=False),
+        encoding="utf-8")
+    assert "\xe9" in candidate.read_text(encoding="utf-8")
+    env = child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    for argv in (["info", str(poly)], ["angles", str(poly), str(candidate)],
+                 ["restrict", str(poly), str(candidate)],
+                 ["verify", str(poly), str(candidate)]):
+        child = subprocess.run([sys.executable, "-m", "hypdom.cli", *argv],
+                               env=env, capture_output=True)
+        assert (child.returncode, child.stderr) == (0, b""), argv
+
+
+def dumps(doc):
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def test_writer_matches_json_dumps_on_every_command(capsys, tmp_path,
+                                                    monkeypatch):
+    # every document a command writes, to a file or to stdout, is byte for
+    # byte what json.dumps(indent=1, sort_keys=True) makes of it
+    written = []
+    dump = cli._dump
+
+    def recording(doc, path=None):
+        written.append((doc, path))
+        dump(doc, path)
+
+    monkeypatch.setattr(cli, "_dump", recording)
+    checked = collections.Counter()
+
+    def check(command, *argv):
+        cli.main([command, *argv])
+        out = capsys.readouterr().out
+        for doc, path in written:
+            text = (Path(path).read_bytes().decode() if path else out)
+            assert text == dumps(doc) + "\n", (command, argv)
+            checked[command] += 1
+        written.clear()
+
+    solids = ("tetrahedron", "cube", "octahedron", "dodecahedron",
+              "icosahedron")
+    for solid in solids:
+        for command in ("info", "realize", "enumerate"):
+            check(command, data_path(solid))
+    for solid in ("cube", "octahedron"):
+        out = tmp_path / solid
+        check("pipeline", data_path(solid), "--out", str(out))
+        for candidate in sorted(out.glob("candidate_*.json")):
+            for command in ("angles", "verify", "restrict"):
+                check(command, data_path(solid), str(candidate),
+                      "--out-file", str(tmp_path / f"{command}.json"))
+    # realize: the cube and the octahedron; enumerate: all but the two
+    # solids past the scheme cap
+    assert checked == {"info": 5, "realize": 2, "enumerate": 3,
+                       "pipeline": 2 + 30 + 120, "angles": 150,
+                       "verify": 150, "restrict": 150}
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, [[{}]]]},
+    (1, (2, 3), [4, (5,)]), None, True, False, 0, -7, 10 ** 40, -(10 ** 40),
+    [None, True, False, -1, 2 ** 63],
+    "quote \" and backslash \\ and slash /",
+    "controls \x00\x01\x08\x09\x0a\x0c\x0d\x1f\x7f",
+    "non-ASCII \xe9 \xfc 漢   \U0001f600",
+    {"z": 1, "a": [None, True], "M": "x", "\xe9": "k", "": "empty key",
+     "a\"b": {"nested": [{"deep": ("tuple", -3)}]}},
+])
+def test_writer_matches_json_dumps_on_hand_made_documents(doc):
+    assert cli._encode(doc) == dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, Fraction(1, 3), [Fraction(2)], {"a": {"b": 0.5}}, {1: "a"},
+    {"a": 1, 2: "b"}, {("a",): 1}, {None: 1}, {"a"}, b"bytes",
+])
+def test_writer_rejects_what_it_does_not_cover(doc):
+    with pytest.raises(TypeError):
+        cli._encode(doc)
+
+
+def test_writer_leaves_no_cyclic_garbage(cube_run, tmp_path):
+    # encoding a candidate builds no reference cycle for the collector
+    doc = json.loads((cube_run / "candidate_000.json").read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        cli._dump(doc, tmp_path / "candidate.json")
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

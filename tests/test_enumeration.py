@@ -356,8 +356,9 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
     flagged = sum(1 for scheme in enumerate_schemes(poly)
                   if detect_elliptic_generator(scheme))
     closed_form = 0
+    table = pairings.dart_table(poly)
     for per_pair in enumeration._matchings(poly):
-        kept = enumeration._compiled_pairs(poly, per_pair)
+        kept = enumeration._compiled_pairs(poly, table, per_pair)
         closed_form += (math.prod(len(ps) for ps in per_pair)
                         - math.prod(len(ps) for ps in kept))
         for ps in kept:
@@ -365,6 +366,26 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
                 alone = pairings.PairingScheme(poly, (p,))
                 assert not detect_elliptic_generator(alone)
     assert closed_form == flagged == elliptic
+
+
+@pytest.mark.parametrize("name, traversals, orbit_schemes", [
+    ("cube", 496, 170), ("octahedron", 4656, 120)])
+def test_orbits_built_only_past_the_class_filters(solids, monkeypatch, name,
+                                                  traversals, orbit_schemes):
+    # classify walks the dart cycles of every non-elliptic scheme once, and
+    # builds orbit steps only for the schemes past the class count and class
+    # size filters; it never calls edge_orbits
+    calls = {}
+    for fn in ("dart_cycles", "cycle_orbits", "edge_orbits"):
+        def counted(*args, _fn=fn, _original=getattr(pairings, fn)):
+            calls[_fn] = calls.get(_fn, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(pairings, fn, counted)
+    report = enumeration.classify(solids[name])
+    assert calls == {"dart_cycles": traversals, "cycle_orbits": orbit_schemes}
+    assert (report.total - report.rejected["elliptic"] == traversals
+            and traversals - report.rejected["class_count"]
+            - report.rejected["class_size"] == orbit_schemes)
 
 
 def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,

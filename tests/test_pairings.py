@@ -686,16 +686,25 @@ def test_edge_orbits_non_reversing_pairing_raises(cube, fd1):
         pairings.edge_orbits(scheme)
 
 
-def test_edge_orbits_reject_a_walk_that_covers_its_edge_twice(cube, fd1):
+def test_edge_orbits_reject_a_walk_that_covers_its_edge_twice(cube):
     # moves that send each dart to its twin across the same edge are a
     # permutation, but every orbit then walks its edge twice: the orbits
     # reach every edge and still do not partition the edge set
-    inc = cube.incidence
-    moves = {(u, v): ((v, u), (inc.edge_id(u, v), fid, ("A", 1)))
-             for (u, v), (fid, _) in inc.darts.items()}
+    table = pairings.dart_table(cube)
+    twin = [None] * len(table.edge)
+    for (u, v), dart in table.ids.items():
+        twin[dart] = table.ids[v, u]
     with pytest.raises(pairings.CensusError,
                        match="do not partition the edge set"):
-        pairings.edge_orbits(fd1, moves)
+        pairings.dart_cycles(table, twin)
+
+
+def test_edge_orbits_reject_a_scheme_that_misses_a_face(cube, fd1):
+    # a face in no pairing has no moves: the walk must end with a named
+    # error, not a lookup error from inside it
+    scheme = pairings.PairingScheme(cube, fd1.pairings[1:])
+    with pytest.raises(pairings.CensusError, match="not a permutation"):
+        pairings.edge_orbits(scheme)
 
 
 def test_word_equivalence_predicate():
@@ -737,3 +746,16 @@ def test_orbits_match_closure_oracle(cube, cube_inc):
         traversal = {frozenset(o.edges)
                      for o in pairings.edge_orbits(scheme)}
         assert traversal == closure_partition(scheme, cube_inc)
+
+
+def test_survivor_orbits_match_edge_orbits_and_closure(cube_report,
+                                                      octahedron_report):
+    # the orbits classify builds from the dart cycles of its reused move
+    # table are the orbits edge_orbits walks on the survivor's own scheme,
+    # step for step, and their edge sets the closure oracle's classes
+    for report in (cube_report, octahedron_report):
+        for cand in report.survivors:
+            assert list(cand.orbits) == pairings.edge_orbits(cand.scheme)
+            assert ({frozenset(o.edges) for o in cand.orbits}
+                    == closure_partition(cand.scheme,
+                                         cand.scheme.poly.incidence))
