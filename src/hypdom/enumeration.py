@@ -144,7 +144,7 @@ def _matchings(poly):
                for t, (f1, f2) in enumerate(matching)]
 
 
-def _compiled_pairs(poly, table, per_pair):
+def _compiled_pairs(poly, per_pair):
     """The matching's non-elliptic pairings with their dart moves, as a
     list per pair of (pairing, `pairings.pairing_darts`); a pairing is
     elliptic when one of its moves fixes its dart."""
@@ -152,7 +152,7 @@ def _compiled_pairs(poly, table, per_pair):
     for ps in per_pair:
         compiled = []
         for p in ps:
-            faces = pairings.pairing_darts(poly, table, p)
+            faces = pairings.pairing_darts(poly, p)
             if all(nxt != dart for first, ids in faces
                    for dart, nxt in enumerate(ids, first)):
                 compiled.append((p, faces))
@@ -209,13 +209,12 @@ def classify(poly):
         records[partition] = (status, system, witness)
         return records[partition]
 
-    table = pairings.dart_table(poly)
-    nxt = [None] * len(table.edge)  # the scheme's moves, one slice per face
+    nxt = [None] * len(poly.incidence.dart_edge)  # the scheme's moves
     for per_pair in _matchings(poly):
         # a scheme is elliptic iff one of its pairings is: those pairings
         # are dropped before the product, and the schemes they took with
         # them counted in closed form
-        kept = _compiled_pairs(poly, table, per_pair)
+        kept = _compiled_pairs(poly, per_pair)
         built = math.prod(len(ps) for ps in per_pair)
         report.total += built
         rejected["elliptic"] += built - math.prod(len(ps) for ps in kept)
@@ -223,7 +222,7 @@ def classify(poly):
             for _, faces in choice:
                 for first, ids in faces:
                     nxt[first:first + len(ids)] = ids
-            cycles = pairings.dart_cycles(table, nxt)
+            cycles = pairings.dart_cycles(poly, nxt)
             shortest = min(map(len, cycles))
             if shortest == 1:
                 raise AssertionError("an elliptic pairing passed the filter")
@@ -235,7 +234,7 @@ def classify(poly):
                 continue
             # only a scheme past the class filters gets its steps
             chosen = tuple(p for p, _ in choice)
-            orbits = pairings.cycle_orbits(table, cycles, chosen)
+            orbits = pairings.cycle_orbits(poly, cycles, chosen)
             status, system, witness = angle_record(
                 frozenset(frozenset(o.edges) for o in orbits))
             if status == "infeasible":

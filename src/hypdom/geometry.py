@@ -16,6 +16,7 @@ bundled), loaded and validated by load_realization.
 """
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import angles, pairings
+from . import angles, pairings, polytope
 
 INF = "inf"
 
@@ -184,7 +185,9 @@ def load_realization(poly):
     bundled under `poly.name`, validated against `poly`.
 
     Raises NotRealizableError when no realization is bundled for the
-    solid, and RealizationError when the document does not fit it.
+    solid, and RealizationError when the document does not fit it: each
+    face of `poly` must be, up to rotation and reversal, a face of the
+    bundled polyhedron document of that name, whose vertices it places.
     """
     folder = resources.files("hypdom.data") / "realizations"
     filename = f"{poly.name}.json"
@@ -196,7 +199,25 @@ def load_realization(poly):
         raise RealizationError(f"the {poly.name!r} realization does not "
                                "name exactly the polyhedron's vertices")
     _regular_degree(poly)
-    return realization_from_json_dict(doc)
+    realization = realization_from_json_dict(doc)
+    bundled = _bundled_faces(poly.name)
+    for face in poly.faces:
+        if _edge_set(face) not in bundled:
+            raise RealizationError(
+                f"face {list(face)} is not a face of the bundled "
+                f"{poly.name!r}, whose vertices the realization places")
+    return realization
+
+
+def _edge_set(face):
+    """The edges of a face cycle, which fix it up to rotation and reversal."""
+    return frozenset(map(frozenset, zip(face, face[1:] + face[:1])))
+
+
+@functools.cache
+def _bundled_faces(name):
+    """The face edge sets of the bundled document `name`, read once."""
+    return {_edge_set(face) for face in polytope.bundled(name).faces}
 
 
 def _regular_degree(poly):

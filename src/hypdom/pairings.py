@@ -5,17 +5,16 @@ an orientation-reversing boundary-vertex correspondence, one of the pair's
 `reversing_correspondences` (the cube's twist sugar picks one by face names
 and twist).  That list is the one definition of a valid correspondence: a
 scheme read from a document is checked against it (`validate_scheme`), and
-the search builds its pairings from it and checks nothing.  Darts (edge,
-side face) are numbered face by face (`dart_table`), and a pairing
-compiles into the next-dart slices of its two faces (`pairing_darts`).
-Edge classes are the cycles of a scheme's dart moves, walked by one
-traversal (`dart_cycles`); a move that fixes its dart makes the pairing,
-and every scheme using it, elliptic.  Words are the signed generator
-letters in traversal order.
+the search builds its pairings from it and checks nothing.  A pairing
+compiles into the next-dart slices of its two faces (`pairing_darts`), in
+the one dart numbering of `poly.incidence`.  Edge classes are the cycles
+of a scheme's dart moves, walked by one traversal (`dart_cycles`); a move
+that fixes its dart makes the pairing, and every scheme using it,
+elliptic.  An automorphism is a dart map spread from one dart along twin
+and next.  Words are the signed generator letters in traversal order.
 """
 
 import collections
-import itertools
 from dataclasses import dataclass
 
 from . import polytope
@@ -135,38 +134,10 @@ def validate_scheme(scheme):
     return scheme
 
 
-@dataclass(frozen=True)
-class DartTable:
-    """Darts numbered face by face: face f's darts, in cycle order, are
-    first[f], first[f] + 1, ...; ids[u, v] numbers dart (u, v), edge[d] and
-    face[d] are dart d's edge and face ids, and starts lists the darts by
-    (edge id, face id)."""
-    first: tuple
-    ids: dict
-    edge: tuple
-    face: tuple
-    starts: tuple
-
-
-def dart_table(poly):
-    inc = poly.incidence
-    first = tuple(itertools.accumulate(
-        (len(f) for f in poly.faces[:-1]), initial=0))
-    edge = tuple(e for cycle in inc.face_edge_cycle for e in cycle)
-    # a face's darts are numbered after those of every lower face id, so a
-    # stable sort by edge id orders each edge's two darts by face id
-    return DartTable(first,
-                     {dart: first[fid] + i
-                      for dart, (fid, i) in inc.darts.items()},
-                     edge,
-                     tuple(fid for fid, f in enumerate(poly.faces) for _ in f),
-                     tuple(sorted(range(len(edge)), key=edge.__getitem__)))
-
-
-def pairing_darts(poly, table, p):
+def pairing_darts(poly, p):
     """The pairing's dart moves as (first dart, next darts) for its source
     face (the map) and its target face (the inverse): dart first + i moves
-    to dart next darts[i].
+    to dart next darts[i], in the dart numbering of `poly.incidence`.
 
     A dart is the edge (u, v) on the side face whose cycle runs u -> v.
     The generator m on that face reverses orientation, so (m[u], m[v])
@@ -175,34 +146,36 @@ def pairing_darts(poly, table, p):
     is a rotation about an edge the two faces share: the pairing is
     elliptic, and so is every scheme that uses it.
     """
+    inc = poly.incidence
     faces = []
     for fid, vmap in ((p.source, p.mapping()),
                       (p.target, p.inverse_mapping())):
         images = [vmap[v] for v in poly.faces[fid]]
-        faces.append((table.first[fid], tuple(map(
-            table.ids.__getitem__, zip(images, images[1:] + images[:1])))))
+        faces.append((inc.first[fid], tuple(map(
+            inc.darts.__getitem__, zip(images, images[1:] + images[:1])))))
     return tuple(faces)
 
 
-def dart_cycles(table, nxt):
+def dart_cycles(poly, nxt):
     """Edge classes by dart traversal, one dart cycle per class: `nxt` is
     the scheme's move table, nxt[d] the dart its generator sends dart d to.
 
-    Each cycle starts at the first dart of `table.starts` whose edge no
-    cycle has reached, for determinism; the reverse traversal of a class
-    is not walked, its darts are dropped with the class.  A cycle of
-    length 1 is a generator fixing an edge of a face it shares with its
-    codomain: a rotation about that edge (elliptic).  A walk longer than
-    the table means a pairing that does not reverse orientation: its
-    moves are not a permutation, and it raises CensusError.  So do cycles
-    that miss an edge or whose lengths sum past the edge count (an edge
-    walked twice, by pigeonhole): they do not partition the edge set.
+    Each cycle starts at the lower-face dart of the least edge no cycle
+    has reached, for determinism; the reverse traversal of a class is not
+    walked, its darts are dropped with the class.  A cycle of length 1 is
+    a generator fixing an edge of a face it shares with its codomain: a
+    rotation about that edge (elliptic).  A walk longer than the move
+    table means a pairing that does not reverse orientation: its moves are
+    not a permutation, and it raises CensusError.  So do cycles that miss
+    an edge or whose lengths sum past the edge count (an edge walked
+    twice, by pigeonhole): they do not partition the edge set.
     """
-    edge = table.edge
-    reached = [False] * (len(edge) // 2)
+    inc = poly.incidence
+    edge = inc.dart_edge
+    reached = [False] * len(inc.edge_dart)
     cycles, walked = [], 0
     bound = range(len(nxt))  # no cycle is longer than the move table
-    for start in table.starts:
+    for start in inc.edge_dart:
         if reached[edge[start]]:
             continue
         cycle, dart = [], start
@@ -222,14 +195,14 @@ def dart_cycles(table, nxt):
     return cycles
 
 
-def cycle_orbits(table, cycles, pairs):
+def cycle_orbits(poly, cycles, pairs):
     """The EdgeOrbit of each dart cycle of a scheme with pairings `pairs`:
     the step of dart d is (edge id, face id, (gen symbol, sign)), the sign
     +1 on the source face of the pairing's generator, -1 on its target."""
     letter = {}
     for p in pairs:
         letter[p.source], letter[p.target] = (p.gen, +1), (p.gen, -1)
-    edge, face = table.edge, table.face
+    edge, face = poly.incidence.dart_edge, poly.incidence.dart_face
     return [EdgeOrbit(tuple([(edge[d], face[d], letter[face[d]])
                              for d in cycle])) for cycle in cycles]
 
@@ -238,15 +211,14 @@ def edge_orbits(scheme):
     """Edge classes by dart traversal (`dart_cycles`), one orbit per
     class, each orbit the steps of its cycle."""
     poly = scheme.poly
-    table = dart_table(poly)
-    nxt = [None] * len(table.edge)
+    nxt = [None] * len(poly.incidence.dart_edge)
     for p in scheme.pairings:
-        for first, ids in pairing_darts(poly, table, p):
+        for first, ids in pairing_darts(poly, p):
             nxt[first:first + len(ids)] = ids
     if None in nxt:
         raise CensusError("a face is in no pairing: the dart moves are not "
                           "a permutation")
-    return cycle_orbits(table, dart_cycles(table, nxt), scheme.pairings)
+    return cycle_orbits(poly, dart_cycles(poly, nxt), scheme.pairings)
 
 
 def relator_word(orbit):
@@ -299,63 +271,67 @@ def symmetry_group(poly):
     """All combinatorial automorphisms, as (vertex map, orientation flag).
 
     The vertex graph is 3-connected, so its embedding is unique (Whitney):
-    an automorphism sends every face cycle onto a face cycle in one sense,
-    kept (a rotation, flag True) or reversed, and the image of one flag
-    fixes it.  Maps come in the lexicographic order of the images of the
+    an automorphism is a dart map that commutes with twin and sends next
+    to next (a rotation, flag True) or to previous, fixed by the image of
+    one dart.  Maps come in the lexicographic order of the images of the
     vertices taken by descending degree, stable in document order.
     """
-    darts = poly.incidence.darts
-    degree = collections.Counter(u for u, _ in darts)
+    inc = poly.incidence
+    tail, head = zip(*inc.darts)
+    degree = collections.Counter(tail)
     order = sorted(poly.vertices, key=lambda v: -degree[v])
+    outs = [tail.index(v) for v in order]  # a dart out of each vertex
+    prev = [None] * len(tail)
+    for dart, after in enumerate(inc.dart_next):
+        prev[after] = dart
     found = []
-    for image, sense in itertools.product(darts, (1, -1)):
-        vmap = _spread(poly, darts, image, sense)
-        if vmap is not None:
-            key = tuple(vmap[v] for v in order)
-            found.append((key, (dict(zip(order, key)), sense > 0)))
+    # a rotation sends a dart out of u to one out of vmap[u]; a reflection
+    # sends dart (u, v) to the dart (vmap[v], vmap[u]), into vmap[u]
+    for rotation, step, ends in ((True, inc.dart_next, tail),
+                                 (False, prev, head)):
+        for image in range(len(tail)):
+            dmap = _dart_map(inc, step, image)
+            if dmap is not None:
+                key = tuple(ends[dmap[d]] for d in outs)
+                found.append((key, (dict(zip(order, key)), rotation)))
     return [auto for _, auto in sorted(found)]
 
 
-def _spread(poly, darts, image, sense):
-    """The map sending the first edge of face 0 to the directed edge
-    `image`, spread across shared edges face by face with every face cycle
-    mapped in `sense` (+1 kept, -1 reversed); None on a face-length mismatch
-    or a conflicting vertex image.  A surviving map is a bijection: the
-    faces across the edges of an image face are images too."""
-    vmap, done = {}, set()
-    queue = [(poly.faces[0][:2], image)]
-    while queue:
-        edge, (a, b) = queue.pop()
-        fid, i = darts[edge]
-        if fid in done:
-            continue
-        done.add(fid)
-        gid, j = darts[(a, b) if sense > 0 else (b, a)]
-        f, g = poly.faces[fid], poly.faces[gid]
-        n = len(f)
-        if len(g) != n:
-            return None
-        j += sense < 0  # g[j] is the image of f[i]
-        for t in range(n):
-            x, y = f[(i + t) % n], g[(j + sense * t) % n]
-            if vmap.setdefault(x, y) != y:
+def _dart_map(inc, step, image):
+    """The dart map sending dart 0 to `image`, twin to twin and next to
+    `step`, or None on a conflict.  A surviving map is a bijection: its
+    image is closed under twin and `step`, which reach every dart."""
+    nxt, twin = inc.dart_next, inc.dart_twin
+    dmap = [None] * len(nxt)
+    dmap[0] = image
+    stack = [0]
+    while stack:
+        dart = stack.pop()
+        at = dmap[dart]
+        for src, dst in ((nxt[dart], step[at]), (twin[dart], twin[at])):
+            if dmap[src] is None:
+                dmap[src] = dst
+                stack.append(src)
+            elif dmap[src] != dst:
                 return None
-        for t in range(n):
-            x, y = f[(i + t) % n], f[(i + t + 1) % n]
-            queue.append(((y, x), (vmap[y], vmap[x])))
-    return vmap
+    return dmap
 
 
 def automorphism_actions(poly):
     """Each automorphism as (vertex map, rotation flag, face permutation,
-    edge permutation), the permutations of face ids and of edge ids worked
-    out once per polyhedron."""
+    edge permutation), the permutations of face ids and of edge ids read
+    off its dart map once per polyhedron."""
     inc = poly.incidence
-    face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
-    return [(vmap, orient,
-             tuple(face_ids[frozenset(vmap[v] for v in f)] for f in poly.faces),
-             tuple(inc.edge_id(*(vmap[v] for v in e)) for e in inc.edges))
-            for vmap, orient in symmetry_group(poly)]
+    actions = []
+    for vmap, rotation in symmetry_group(poly):
+        # a rotation sends dart (u, v) to (vmap[u], vmap[v]); a reflection
+        # reverses every face cycle, so to (vmap[v], vmap[u])
+        dmap = [inc.darts[(vmap[u], vmap[v]) if rotation
+                          else (vmap[v], vmap[u])] for u, v in inc.darts]
+        actions.append((vmap, rotation,
+                        tuple(inc.dart_face[dmap[d]] for d in inc.first),
+                        tuple(inc.dart_edge[dmap[d]] for d in inc.edge_dart)))
+    return actions
 
 
 def signature(scheme, action):

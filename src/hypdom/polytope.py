@@ -3,7 +3,9 @@
 Everything here is purely combinatorial.  A polyhedron is a sphere-like cell
 complex given by its faces as cyclic vertex lists; edges and all incidence
 structure are derived.  Face cycles are stored with the orientation given in
-the input document, read as counterclockwise seen from outside.
+the input document, read as counterclockwise seen from outside.  The
+darts (an edge on one of its faces) are numbered once, in integer arrays
+that the orbits, the symmetries and the dual all walk.
 """
 
 import functools
@@ -51,11 +53,16 @@ class IncidenceData:
     edge_faces: tuple          # edge id -> (face id, face id)
     vertex_edges: dict         # vertex name -> frozenset of edge ids
     face_edge_cycle: tuple     # face id -> tuple of edge ids around the face
-    darts: dict                # (u, v) on a face cycle -> (face id, index of u)
+    darts: dict                # (u, v) on a face cycle -> dart id, in id order
+    first: tuple               # face id -> id of its first dart
+    dart_edge: tuple           # dart id -> edge id
+    dart_face: tuple           # dart id -> face id
+    dart_next: tuple           # dart id -> the next dart along its face
+    dart_twin: tuple           # dart id -> the dart across its edge
+    edge_dart: tuple           # edge id -> its dart on the lower face id
 
     def edge_id(self, u, v):
-        fid, i = self.darts[u, v]
-        return self.face_edge_cycle[fid][i]
+        return self.dart_edge[self.darts[u, v]]
 
 
 @dataclass(frozen=True)
@@ -173,71 +180,60 @@ def _connected(adj, nodes):
 
 
 def build_incidence(poly):
-    """Derive edges and incidence maps.
+    """Derive edges, darts and incidence maps.
 
-    Edge ids are assigned in first-encounter order scanning faces in document
-    order, so they are stable across runs for the same document.  Each edge
-    has two darts, one per side face, directed along that face's cycle.
+    A dart is an edge on one of its faces, directed along the face's cycle.
+    Darts are numbered face by face in document order, edges in order of
+    first encounter, so both are stable for the same document, and an
+    edge's first dart lies on its lower face id.
     """
-    edge_index = {}
-    edges = []
-    edge_faces = {}
-    face_cycles = []
-    darts = {}
-    for fid, face in enumerate(poly.faces):
-        cycle = []
-        for i, (u, v) in enumerate(_face_pairs(face)):
-            darts[u, v] = (fid, i)
-            pair = frozenset((u, v))
-            if pair not in edge_index:
-                edge_index[pair] = len(edges)
-                edges.append(pair)
-                edge_faces[edge_index[pair]] = []
-            eid = edge_index[pair]
-            edge_faces[eid].append(fid)
-            cycle.append(eid)
-        face_cycles.append(tuple(cycle))
+    darts, first, dart_edge, edge_dart = {}, [], [], []
+    for face in poly.faces:
+        first.append(len(dart_edge))
+        for u, v in _face_pairs(face):
+            twin = darts.get((v, u))
+            if twin is None:  # a new edge, met first on this face
+                edge_dart.append(len(dart_edge))
+            darts[u, v] = len(dart_edge)
+            dart_edge.append(len(edge_dart) - 1 if twin is None
+                             else dart_edge[twin])
+    ends = list(darts)  # dart id -> (u, v)
+    twin = tuple(darts[v, u] for u, v in ends)
+    dart_face = tuple(fid for fid, face in enumerate(poly.faces) for _ in face)
     vertex_edges = {v: set() for v in poly.vertices}
-    for eid, pair in enumerate(edges):
-        for v in pair:
-            vertex_edges[v].add(eid)
+    for (u, _), eid in zip(ends, dart_edge):
+        vertex_edges[u].add(eid)
     return IncidenceData(
-        edges=tuple(edges),
-        edge_faces=tuple(tuple(edge_faces[i]) for i in range(len(edges))),
+        edges=tuple(frozenset(ends[d]) for d in edge_dart),
+        edge_faces=tuple((dart_face[d], dart_face[twin[d]])
+                         for d in edge_dart),
         vertex_edges={v: frozenset(s) for v, s in vertex_edges.items()},
-        face_edge_cycle=tuple(face_cycles),
+        face_edge_cycle=tuple(tuple(dart_edge[d:d + len(face)])
+                              for d, face in zip(first, poly.faces)),
         darts=darts,
+        first=tuple(first),
+        dart_edge=tuple(dart_edge),
+        dart_face=dart_face,
+        dart_next=tuple(d + (i + 1) % len(face)
+                        for d, face in zip(first, poly.faces)
+                        for i in range(len(face))),
+        dart_twin=twin,
+        edge_dart=tuple(edge_dart),
     )
-
-
-def _rotation_at_vertex(poly, inc, vertex):
-    """Cyclic order of the edges incident to `vertex`, walking face corners."""
-    succ = {}
-    for fid, face in enumerate(poly.faces):
-        n = len(face)
-        for i, v in enumerate(face):
-            if v != vertex:
-                continue
-            e_in = inc.edge_id(face[(i - 1) % n], v)
-            e_out = inc.edge_id(v, face[(i + 1) % n])
-            succ[e_in] = e_out
-    start = min(succ)
-    cyc = [start]
-    while True:
-        nxt = succ[cyc[-1]]
-        if nxt == start:
-            break
-        cyc.append(nxt)
-    if len(cyc) != len(inc.vertex_edges[vertex]):
-        raise PolyhedronError(f"edges around vertex {vertex} do not form one cycle")
-    return tuple(cyc)
 
 
 def build_dual(poly, inc=None):
     """Dual graph: one node per face, one link per edge, plus the facial-cycle
-    index mapping each primal vertex to the cyclic link sequence around it."""
+    index mapping each primal vertex to the cyclic link sequence around it,
+    walked from its least edge along d -> next[twin[d]] on the darts out."""
     inc = inc or poly.incidence
-    facial = {v: _rotation_at_vertex(poly, inc, v) for v in poly.vertices}
+    facial = {}
+    for v, star in inc.vertex_edges.items():
+        (w,) = inc.edges[min(star)] - {v}
+        around = [inc.darts[v, w]]
+        while len(around) < len(star):
+            around.append(inc.dart_next[inc.dart_twin[around[-1]]])
+        facial[v] = tuple(inc.dart_edge[d] for d in around)
     return DualGraph(
         nodes=tuple(range(poly.face_count())),
         links=inc.edge_faces,
@@ -262,25 +258,28 @@ def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
         adj[n].sort()
     found = {}
     order = {n: i for i, n in enumerate(dual.nodes)}
-
-    def dfs(start, cur, visited, epath):
-        if len(found) > cap:
-            raise CircuitCapExceeded(f"more than {cap} circuits")
-        for nb, lid in adj[cur]:
-            if nb == start and epath and lid != epath[0]:
-                key = frozenset(epath + [lid])
-                if key not in found:
-                    found[key] = tuple(epath + [lid])
-            elif nb not in visited and order[nb] > order[start]:
-                visited.add(nb)
-                dfs(start, nb, visited, epath + [lid])
-                visited.discard(nb)
-
     for s in dual.nodes:
-        dfs(s, s, {s}, [])
+        _extend_circuits(adj, order, found, cap, s, s, {s}, [])
     stars = {frozenset(cyc) for cyc in dual.facial_cycles.values()}
     return [(found[key], key in stars)
             for key in sorted(found, key=lambda k: (len(k), sorted(k)))]
+
+
+def _extend_circuits(adj, order, found, cap, start, cur, visited, epath):
+    """Record in `found` the circuits through `start` that extend the link
+    path `epath` (start to `cur`) over later nodes; no closure, no cycle."""
+    if len(found) > cap:
+        raise CircuitCapExceeded(f"more than {cap} circuits")
+    for nb, lid in adj[cur]:
+        if nb == start and epath and lid != epath[0]:
+            key = frozenset(epath + [lid])
+            if key not in found:
+                found[key] = tuple(epath + [lid])
+        elif nb not in visited and order[nb] > order[start]:
+            visited.add(nb)
+            _extend_circuits(adj, order, found, cap, start, nb, visited,
+                             epath + [lid])
+            visited.discard(nb)
 
 
 def bundled(name):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hypdom import angles, cli, geometry, polytope
+from hypdom import angles, cli, geometry, pairings, polytope
 
 
 def data_path(name):
@@ -269,6 +270,59 @@ def test_pipeline_cube(capsys, tmp_path):
     assert len(doc["families"]) == 3
     assert all(f["verification"] == "CONFIRMED" for f in doc["families"])
     assert sorted(f["rotation_classes"] for f in doc["families"]) == [1, 2, 2]
+
+
+def cube_variant(tmp_path, name, faces):
+    """The bundled cube document, still named "cube", with other faces."""
+    doc = json.loads(Path(data_path("cube")).read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(doc, faces=faces)))
+    return str(path)
+
+
+def test_relabelled_cube_is_not_verified(capsys, tmp_path):
+    # FTR and BBL swapped in every face: a valid cube named "cube", but its
+    # faces are not the bundled cube's, whose vertices the realization
+    # places, so no verdict is given on it
+    swap = {"FTR": "BBL", "BBL": "FTR"}
+    faces = polytope.bundled("cube").faces
+    path = cube_variant(tmp_path, "swapped",
+                        [[swap.get(v, v) for v in face] for face in faces])
+    with pytest.raises(geometry.RealizationError, match="not a face"):
+        geometry.load_realization(polytope.load_polyhedron(path))
+    code, out, _ = run(capsys, "pipeline", path, "--out", str(tmp_path / "run"))
+    assert code == 0
+    families = json.loads((tmp_path / "run" / "report.json").read_text())[
+        "families"]
+    assert len(families) == 3
+    for family in families:
+        assert family["verification"] == "error"
+        assert "is not a face of the bundled 'cube'" in family["reason"]
+    for name in ("candidate_000.json", "candidate_006.json"):
+        code, out, err = run(capsys, "verify", path,
+                             str(tmp_path / "run" / name))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: face ") and "not a face" in err, name
+
+
+@pytest.mark.parametrize("variant", ["mirrored", 1, 2, 3])
+def test_mirrored_and_rotated_cubes_confirm(capsys, tmp_path, variant):
+    # every cycle reversed, or the faces relabelled by a rotation drawn by
+    # a seed (face i becomes its image, vertex names kept): the same faces
+    # up to rotation and reversal, so all three families confirm
+    cube = polytope.bundled("cube")
+    if variant == "mirrored":
+        faces = [face[::-1] for face in cube.faces]
+    else:
+        sigma = random.Random(variant).choice(
+            [vmap for vmap, rotation in pairings.symmetry_group(cube)
+             if rotation and any(k != v for k, v in vmap.items())])
+        faces = [[sigma[v] for v in face] for face in cube.faces]
+    path = cube_variant(tmp_path, "variant", faces)
+    code, out, _ = run(capsys, "pipeline", path)
+    assert code == 0
+    assert [f["verification"] for f in json.loads(out)["families"]] == [
+        "CONFIRMED"] * 3
 
 
 def test_pipeline_rotation_grouping(capsys):
@@ -564,3 +618,23 @@ def test_writer_leaves_no_cyclic_garbage(cube_run, tmp_path):
     finally:
         gc.enable()
     assert left == 0
+
+
+def test_pipeline_and_verify_leave_no_cyclic_garbage(cube_run, tmp_path):
+    # a cube pipeline pass and a verify call build no reference cycle for
+    # the collector: the circuit search recurses through a module function,
+    # not through a closure that refers to itself
+    cube = data_path("cube")
+    calls = (["pipeline", cube, "--out", str(tmp_path / "run")],
+             ["verify", cube, str(cube_run / "candidate_000.json"),
+              "--out-file", str(tmp_path / "verify.json")])
+    gc.collect()
+    gc.disable()
+    try:
+        left = []
+        for argv in calls:
+            assert cli.main(argv) == 0
+            left.append(gc.collect())
+    finally:
+        gc.enable()
+    assert left == [0, 0]

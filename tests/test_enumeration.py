@@ -356,9 +356,8 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
     flagged = sum(1 for scheme in enumerate_schemes(poly)
                   if detect_elliptic_generator(scheme))
     closed_form = 0
-    table = pairings.dart_table(poly)
     for per_pair in enumeration._matchings(poly):
-        kept = enumeration._compiled_pairs(poly, table, per_pair)
+        kept = enumeration._compiled_pairs(poly, per_pair)
         closed_form += (math.prod(len(ps) for ps in per_pair)
                         - math.prod(len(ps) for ps in kept))
         for ps in kept:

@@ -459,6 +459,75 @@ def test_symmetry_group_dodecahedron(solids):
     assert keys == sorted(set(keys))
 
 
+DART_SOLIDS = ["tetrahedron", "cube", "octahedron", "dodecahedron",
+               "icosahedron", "lopsided"]
+
+
+def dart_solid(solids, name):
+    return (polytope.load_polyhedron(LOPSIDED) if name == "lopsided"
+            else solids[name])
+
+
+@pytest.mark.parametrize("name", DART_SOLIDS)
+def test_dart_arrays(solids, name):
+    poly = dart_solid(solids, name)
+    inc = poly.incidence
+    ends = list(inc.darts)
+    assert list(inc.darts.values()) == list(range(len(ends)))
+    # twin is a fixed-point-free involution that keeps the edge
+    for dart, twin in enumerate(inc.dart_twin):
+        assert twin != dart and inc.dart_twin[twin] == dart
+        assert inc.dart_edge[twin] == inc.dart_edge[dart]
+        assert ends[twin] == ends[dart][::-1]
+    # next cycles each face, from its first dart, along its vertex cycle
+    for fid, face in enumerate(poly.faces):
+        cycle = [inc.first[fid]]
+        for _ in face[1:]:
+            cycle.append(inc.dart_next[cycle[-1]])
+        assert inc.dart_next[cycle[-1]] == cycle[0]
+        assert [ends[d][0] for d in cycle] == list(face)
+        assert {inc.dart_face[d] for d in cycle} == {fid}
+        assert tuple(inc.dart_edge[d] for d in cycle) == inc.face_edge_cycle[fid]
+    # the orbits of next[twin[d]] are the vertex stars, one dart per edge
+    # at the vertex
+    stars, seen = {}, set()
+    for start in range(len(ends)):
+        if start in seen:
+            continue
+        orbit = [start]
+        while inc.dart_next[inc.dart_twin[orbit[-1]]] != start:
+            orbit.append(inc.dart_next[inc.dart_twin[orbit[-1]]])
+        seen.update(orbit)
+        (vertex,) = {ends[d][0] for d in orbit}
+        assert vertex not in stars
+        stars[vertex] = [inc.dart_edge[d] for d in orbit]
+    assert sorted(stars) == sorted(poly.vertices)
+    for vertex, edges in stars.items():
+        assert len(edges) == len(inc.vertex_edges[vertex])
+        assert set(edges) == inc.vertex_edges[vertex]
+    # each edge's first dart lies on its lower face
+    for eid, dart in enumerate(inc.edge_dart):
+        assert inc.dart_edge[dart] == eid
+        assert inc.dart_face[dart] == inc.edge_faces[eid][0] == min(
+            inc.edge_faces[eid])
+
+
+@pytest.mark.parametrize("name", DART_SOLIDS)
+def test_automorphism_actions_match_vertex_maps(solids, name):
+    # the permutations read off the dart maps are the ones each vertex map
+    # induces on the face vertex sets and on the edge end points
+    poly = dart_solid(solids, name)
+    inc = poly.incidence
+    face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
+    actions = pairings.automorphism_actions(poly)
+    assert [action[:2] for action in actions] == pairings.symmetry_group(poly)
+    for vmap, _, face_perm, edge_perm in actions:
+        assert face_perm == tuple(face_ids[frozenset(vmap[v] for v in f)]
+                                  for f in poly.faces)
+        assert edge_perm == tuple(inc.edge_id(*(vmap[v] for v in e))
+                                  for e in inc.edges)
+
+
 def test_canonicalize_rotation_invariance(cube, fd1):
     autos = pairings.symmetry_group(cube)
     rot = next(vmap for vmap, orient in autos
@@ -690,13 +759,11 @@ def test_edge_orbits_reject_a_walk_that_covers_its_edge_twice(cube):
     # moves that send each dart to its twin across the same edge are a
     # permutation, but every orbit then walks its edge twice: the orbits
     # reach every edge and still do not partition the edge set
-    table = pairings.dart_table(cube)
-    twin = [None] * len(table.edge)
-    for (u, v), dart in table.ids.items():
-        twin[dart] = table.ids[v, u]
+    darts = cube.incidence.darts
+    twin = [darts[v, u] for u, v in darts]
     with pytest.raises(pairings.CensusError,
                        match="do not partition the edge set"):
-        pairings.dart_cycles(table, twin)
+        pairings.dart_cycles(cube, twin)
 
 
 def test_edge_orbits_reject_a_scheme_that_misses_a_face(cube, fd1):
