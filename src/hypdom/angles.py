@@ -55,7 +55,7 @@ class AngleAssignment:
 @dataclass(frozen=True)
 class LinearSystem:
     columns: tuple     # edge ids, in column order
-    rows: tuple        # (coefficient tuple, rhs), all Fraction
+    rows: tuple        # (coefficient tuple, rhs), rational; int when assembled
     provenance: tuple  # ("vertex", name) or ("class", index) per row
 
 
@@ -103,21 +103,12 @@ def assemble_system(poly, classes):
     if seen != all_edges:
         raise PartitionError("classes do not cover the edge set")
     columns = tuple(sorted(all_edges))
-    col = {eid: i for i, eid in enumerate(columns)}
-    rows = []
-    provenance = []
-    for v in poly.vertices:
-        coef = [Fraction(0)] * len(columns)
-        for eid in inc.vertex_edges[v]:
-            coef[col[eid]] = Fraction(1)
-        rows.append((tuple(coef), Fraction(2)))
-        provenance.append(("vertex", v))
-    for i, cl in enumerate(classes):
-        coef = [Fraction(0)] * len(columns)
-        for eid in cl:
-            coef[col[eid]] = Fraction(1)
-        rows.append((tuple(coef), Fraction(len(cl) - 2)))
-        provenance.append(("class", i))
+    supports = [(inc.vertex_edges[v], 2, ("vertex", v)) for v in poly.vertices]
+    supports += [(cl, len(cl) - 2, ("class", i))
+                 for i, cl in enumerate(classes)]
+    rows = [(tuple([int(eid in support) for eid in columns]), rhs)
+            for support, rhs, _ in supports]
+    provenance = [origin for _, _, origin in supports]
     return LinearSystem(columns, tuple(rows), tuple(provenance))
 
 

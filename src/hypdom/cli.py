@@ -245,8 +245,8 @@ def build_parser():
 INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 angles.PartitionError, angles.ClassCountError,
                 enumeration.EnumerationError, json.JSONDecodeError,
-                UnicodeDecodeError, FileNotFoundError, IsADirectoryError,
-                NotADirectoryError, PermissionError,
+                UnicodeDecodeError, FileNotFoundError, FileExistsError,
+                IsADirectoryError, NotADirectoryError, PermissionError,
                 enumeration.SchemeCapExceeded, polytope.CircuitCapExceeded,
                 geometry.NotRealizableError, geometry.RealizationError)
 

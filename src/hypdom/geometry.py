@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import angles, pairings, polytope
+from . import angles, pairings
 
 INF = "inf"
 
@@ -216,8 +216,10 @@ def _edge_set(face):
 
 @functools.cache
 def _bundled_faces(name):
-    """The face edge sets of the bundled document `name`, read once."""
-    return {_edge_set(face) for face in polytope.bundled(name).faces}
+    """The face edge sets of the bundled document `name`, read once as
+    package data: loading it as a polyhedron would number its darts again."""
+    ref = resources.files("hypdom.data") / f"{name}.json"
+    return {_edge_set(face) for face in json.loads(ref.read_text())["faces"]}
 
 
 def _regular_degree(poly):

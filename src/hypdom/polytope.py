@@ -5,7 +5,9 @@ complex given by its faces as cyclic vertex lists; edges and all incidence
 structure are derived.  Face cycles are stored with the orientation given in
 the input document, read as counterclockwise seen from outside.  The
 darts (an edge on one of its faces) are numbered once, in integer arrays
-that the orbits, the symmetries and the dual all walk.
+that the orbits, the symmetries and the dual all walk.  Validation makes
+that numbering, which refuses an incoherent orientation, and decides
+3-connectivity by which vertices the faces share, without a graph search.
 """
 
 import functools
@@ -137,46 +139,45 @@ def _validate(poly):
     for f1, f2 in border.values():
         adj[f1].add(f2)
         adj[f2].add(f1)
-    if not _connected(adj, set(adj)):
+    if not _connected(adj):
         raise PolyhedronError("face-adjacency graph is disconnected")
     touched = {v for face in poly.faces for v in face}
     if touched != set(poly.vertices):
         missing = sorted(set(poly.vertices) - touched)
         raise PolyhedronError(f"vertices not used by any face: {missing}")
-    # coherent orientation: each directed edge is used by one face only
-    directed = set()
-    for face in poly.faces:
-        for u, v in _face_pairs(face):
-            if (u, v) in directed:
-                raise PolyhedronError(
-                    f"directed edge {u}->{v} is used by two faces; faces are "
-                    "not coherently oriented")
-            directed.add((u, v))
-    # Steinitz: the vertex graph of a convex polyhedron is 3-connected
-    nbrs = {u: set() for u in poly.vertices}
-    for u, w in border:
-        nbrs[u].add(w)
-        nbrs[w].add(u)
+    # coherent orientation: build_incidence refuses a directed edge met
+    # twice, and validation shares the numbering it makes with every reader
+    inc = poly.incidence
     if poly.vertex_count() < 4:
         raise PolyhedronError(f"{poly.vertex_count()} vertices: the vertex "
                               "graph is not 3-connected")
-    for cut in itertools.combinations(poly.vertices, 2):
-        if not _connected(nbrs, set(poly.vertices) - set(cut)):
-            raise PolyhedronError(
-                f"removing vertices {cut[0]} and {cut[1]} disconnects the "
-                "vertex graph: it is not 3-connected")
+    # Steinitz: the vertex graph of a convex polyhedron is 3-connected.  On
+    # a sphere map whose faces are simple cycles that holds iff any two
+    # faces meet in nothing, one vertex or one edge (Mohar & Thomassen): a
+    # loop through two faces that share any other pair meets the graph there
+    shared = {}  # (face id, later face id) -> common vertices so far
+    for v, star in inc.vertex_edges.items():
+        fids = sorted({fid for eid in star for fid in inc.edge_faces[eid]})
+        for pair in itertools.combinations(fids, 2):
+            common = shared.setdefault(pair, [])
+            for u in common:
+                if border.get(frozenset((u, v))) != list(pair):
+                    raise PolyhedronError(
+                        f"removing vertices {u} and {v} disconnects the "
+                        "vertex graph: it is not 3-connected")
+            common.append(v)
 
 
-def _connected(adj, nodes):
-    """Is the subgraph of `adj` induced on the set `nodes` connected?"""
-    stack = list(nodes)[:1]
+def _connected(adj):
+    """Is the graph of the adjacency map `adj` connected?"""
+    stack = list(adj)[:1]
     seen = set(stack)
     while stack:
         for nb in adj[stack.pop()]:
-            if nb in nodes and nb not in seen:
+            if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return seen == nodes
+    return len(seen) == len(adj)
 
 
 def build_incidence(poly):
@@ -185,12 +186,17 @@ def build_incidence(poly):
     A dart is an edge on one of its faces, directed along the face's cycle.
     Darts are numbered face by face in document order, edges in order of
     first encounter, so both are stable for the same document, and an
-    edge's first dart lies on its lower face id.
+    edge's first dart lies on its lower face id.  A directed edge met twice
+    means the faces are not coherently oriented: PolyhedronError.
     """
     darts, first, dart_edge, edge_dart = {}, [], [], []
     for face in poly.faces:
         first.append(len(dart_edge))
         for u, v in _face_pairs(face):
+            if (u, v) in darts:
+                raise PolyhedronError(
+                    f"directed edge {u}->{v} is used by two faces; faces are "
+                    "not coherently oriented")
             twin = darts.get((v, u))
             if twin is None:  # a new edge, met first on this face
                 edge_dart.append(len(dart_edge))

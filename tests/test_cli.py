@@ -74,6 +74,18 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+def test_out_naming_a_file_exit_code(capsys, tmp_path):
+    # --out names a directory; an existing file there is bad input
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for command in ("enumerate", "pipeline"):
+        code, out, err = run(capsys, command, data_path("tetrahedron"),
+                             "--out", str(taken))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: "), command
+    assert taken.read_text() == "keep"
+
+
 def test_invalid_polyhedron_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

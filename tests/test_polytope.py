@@ -1,4 +1,7 @@
 import itertools
+import json
+import random
+import re
 from importlib import resources
 
 import pytest
@@ -333,3 +336,140 @@ def test_not_three_connected_rejected():
                         ["n", "c", "s", "a"]]}
     with pytest.raises(polytope.PolyhedronError, match="n and s"):
         polytope.load_polyhedron(pillow)
+
+
+def test_load_numbers_the_darts_once(monkeypatch):
+    # validation reads the incidence, so the orientation check and every
+    # later reader share one dart numbering
+    calls = []
+    build = polytope.build_incidence
+    monkeypatch.setattr(polytope, "build_incidence",
+                        lambda poly: calls.append(poly.name) or build(poly))
+    cube = polytope.bundled("cube")
+    assert calls == ["cube"]
+    assert cube.incidence is cube.incidence
+    assert calls == ["cube"]
+
+
+# ---------------------------------------------------------------------------
+# 3-connectivity: the face-pair rule against a vertex-cut search
+# ---------------------------------------------------------------------------
+
+def _disconnects(doc, cut):
+    """Does removing the vertices `cut` disconnect the vertex graph?"""
+    rest = set(doc["vertices"]) - set(cut)
+    nbrs = {u: set() for u in rest}
+    for face in doc["faces"]:
+        for u, w in zip(face, face[1:] + face[:1]):
+            if u in rest and w in rest:
+                nbrs[u].add(w)
+                nbrs[w].add(u)
+    stack = list(rest)[:1]
+    seen = set(stack)
+    while stack:
+        for nb in nbrs[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    return seen != rest
+
+
+def _oracle_cut(doc):
+    """The first pair of vertices, in document order, whose removal
+    disconnects the vertex graph, or None when it is 3-connected (given at
+    least 4 vertices): an O(V^2 (V + E)) search that knows no faces."""
+    return next((cut for cut in itertools.combinations(doc["vertices"], 2)
+                 if _disconnects(doc, cut)), None)
+
+
+def _bundled_doc(name):
+    return json.loads((resources.files("hypdom.data") / f"{name}.json")
+                      .read_text())
+
+
+def _subdivided(doc):
+    """`doc` with a new vertex "mid" on the first edge of its first face."""
+    u, v = doc["faces"][0][:2]
+    faces = []
+    for face in doc["faces"]:
+        n = len(face)
+        at = next((i for i in range(n) if {face[i], face[(i + 1) % n]}
+                   == {u, v}), None)
+        faces.append(face if at is None
+                     else face[:at + 1] + ["mid"] + face[at + 1:])
+    return {"name": doc["name"] + "+mid", "vertices": doc["vertices"]
+            + ["mid"], "faces": faces}
+
+
+def _pillow(k):
+    """k quadrilateral lunes between the poles n and s."""
+    eq = [f"e{i}" for i in range(k)]
+    return {"name": f"pillow{k}", "vertices": ["n", "s"] + eq,
+            "faces": [["n", eq[i], "s", eq[(i + 1) % k]] for i in range(k)]}
+
+
+def _prism(n, flip):
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    faces = [a[::-1], b] + [[a[i], a[(i + 1) % n], b[(i + 1) % n], b[i]]
+                            for i in range(n)]
+    return {"name": f"prism{n}", "vertices": a + b,
+            "faces": [f[::-1] for f in faces] if flip else faces}
+
+
+def _bipyramid(n):
+    c = [f"c{i}" for i in range(n)]
+    return {"name": f"bipyramid{n}", "vertices": ["p", "q"] + c,
+            "faces": [["p", c[i], c[(i + 1) % n]] for i in range(n)]
+            + [["q", c[(i + 1) % n], c[i]] for i in range(n)]}
+
+
+# two diamonds u-x1-v-x2 with diagonal x1-x2, side by side: {u, v} is a
+# 2-cut although every vertex has degree 3 or more
+TWO_DIAMONDS = {"name": "two diamonds",
+                "vertices": ["u", "a1", "a2", "b1", "b2", "v"],
+                "faces": [["u", "a1", "a2"], ["a1", "v", "a2"],
+                          ["u", "a2", "v", "b1"], ["u", "b1", "b2"],
+                          ["b1", "v", "b2"], ["u", "b2", "v", "a1"]]}
+
+SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
+CUT_CASES = [
+    *(pytest.param(_bundled_doc(s), True, id=s) for s in SOLIDS),
+    *(pytest.param(_subdivided(_bundled_doc(s)), False, id=f"{s}+mid")
+      for s in SOLIDS),
+    *(pytest.param(_pillow(k), False, id=f"pillow{k}") for k in range(2, 7)),
+    *(pytest.param(_prism(n, flip), True, id=f"prism{n}{'-flipped' * flip}")
+      for n in range(3, 8) for flip in (False, True)),
+    *(pytest.param(_bipyramid(n), True, id=f"bipyramid{n}")
+      for n in range(3, 8)),
+    pytest.param(TWO_DIAMONDS, False, id="two-diamonds"),
+]
+
+
+def _relabelled(doc, seed):
+    """`doc` with its vertices renamed and listed in a seeded order."""
+    rng = random.Random(seed)
+    names = [f"w{i}" for i in range(len(doc["vertices"]))]
+    rng.shuffle(names)
+    rename = dict(zip(doc["vertices"], names))
+    rng.shuffle(names)
+    return {"name": doc["name"], "vertices": names,
+            "faces": [[rename[v] for v in face] for face in doc["faces"]]}
+
+
+@pytest.mark.parametrize("doc, three_connected", CUT_CASES)
+def test_face_pair_rule_matches_vertex_cut_search(doc, three_connected):
+    # on a sphere map whose faces are simple cycles, 3-connectivity holds
+    # exactly when any two faces meet in nothing, one vertex or one edge;
+    # each rejection names a cut, in document order, that the search confirms
+    for variant in [doc] + [_relabelled(doc, seed) for seed in range(3)]:
+        assert (_oracle_cut(variant) is None) == three_connected
+        if three_connected:
+            polytope.load_polyhedron(variant)
+            continue
+        with pytest.raises(polytope.PolyhedronError,
+                           match="not 3-connected") as err:
+            polytope.load_polyhedron(variant)
+        u, v = re.match(r"removing vertices (\S+) and (\S+) disconnects",
+                        str(err.value)).groups()
+        order = variant["vertices"]
+        assert order.index(u) < order.index(v)
+        assert _disconnects(variant, (u, v))
