@@ -83,14 +83,18 @@ def required_class_count(poly):
 def assemble_system(poly, classes):
     """Vertex rows plus one row per edge class.
 
-    `classes` is a partition of the edge-id set; classes of size 1 or 2 are
-    rejected up front (their interior angles would have to sum to 2*pi with
-    too few strictly-positive terms, forcing an exterior angle sum of zero).
+    `classes` is a partition of the edge-id set, no edge listed twice; classes
+    of size 1 or 2 are rejected up front (their interior angles would have to
+    sum to 2*pi with too few strictly-positive terms, forcing an exterior
+    angle sum of zero).
     """
     inc = poly.incidence
     all_edges = set(range(len(inc.edges)))
     seen = set()
     for cl in classes:
+        if len(set(cl)) != len(cl):
+            again = next(e for i, e in enumerate(cl) if e in cl[:i])
+            raise PartitionError(f"a class lists edge {again} more than once")
         cl = set(cl)
         if cl & seen:
             raise PartitionError("classes overlap")

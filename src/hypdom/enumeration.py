@@ -1,31 +1,15 @@
 """Exhaustive face-pairing search and the torsion-free candidate pipeline.
 
-classify() answers an empty scheme space at once.  Otherwise it works one
-face matching at a time, and walks only the matchings of equal-length
-faces.  It builds each pairing once, from its face pair's reversing
-correspondences, so a pairing is valid by construction and nothing checks
-it again.  It compiles each pairing into the integer dart moves of its
-two faces, drops the elliptic ones (a pairing whose moves fix a dart
-rotates about an edge) before taking the product, and counts the schemes
-they remove in closed form.  For each remaining scheme it writes its
-pairings' move slices into one reused table, traverses the dart cycles
-once and filters on them (the class count, then the class size); only a
-scheme that passes gets its orbit steps.  Then it runs the exact angle solve
-and the strict Rivin feasibility test once per symmetry class of edge
-partitions.  A partition that a symmetry sends onto an already decided one
-takes that verdict, its witness pulled back through the symmetry's edge
-permutation once the symmetry is checked to carry every row of the
-partition's system onto a row of the decided one's.  A survivor carries
-that system and witness; its solution set is solved only when read.
-Survivors are grouped into families under both the rotation subgroup and
-the full symmetry group: the first survivor of a family keys all its images
-in one pass over the group, and each later member looks its own signature
-up in that table.
+classify() composes three stages: the structural stream of schemes
+(`scheme_stream`), the angle verdict per edge partition (`angle_record`)
+and the family keys of each survivor (`family_keys`).
 """
 
+import collections
 import functools
 import itertools
 import math
+import operator
 import string
 from dataclasses import dataclass, field
 
@@ -74,10 +58,15 @@ class CandidateDomain:
         return angles.solve_exact(self.system)
 
 
+REJECTIONS = ("elliptic", "class_count", "class_size", "system_infeasible",
+              "rivin_infeasible")
+
+
 @dataclass
 class EnumerationReport:
     total: int = 0
-    rejected: dict = field(default_factory=dict)
+    rejected: dict = field(
+        default_factory=functools.partial(dict.fromkeys, REJECTIONS, 0))
     survivors: list = field(default_factory=list)
     families_full: dict = field(default_factory=dict)
     families_rotations: dict = field(default_factory=dict)
@@ -105,22 +94,13 @@ def scheme_space_size(poly):
     """Closed-form count: faces can only pair within equal-length groups;
     a group of n same-length L faces contributes (n-1)!! matchings with L
     orientation-reversing correspondences per pair."""
-    faces = list(range(poly.face_count()))
-    if len(faces) % 2 != 0:
-        raise EnumerationError(f"odd face count {len(faces)}")
-    groups = {}
-    for fid in faces:
-        groups.setdefault(len(poly.faces[fid]), []).append(fid)
-    total = 1
-    for length, members in groups.items():
-        n = len(members)
-        if n % 2 != 0:
-            return 0
-        double_fact = 1
-        for k in range(n - 1, 0, -2):
-            double_fact *= k
-        total *= double_fact * length ** (n // 2)
-    return total
+    if poly.face_count() % 2 != 0:
+        raise EnumerationError(f"odd face count {poly.face_count()}")
+    groups = collections.Counter(map(len, poly.faces))
+    if any(n % 2 for n in groups.values()):
+        return 0
+    return math.prod(math.prod(range(n - 1, 0, -2)) * length ** (n // 2)
+                     for length, n in groups.items())
 
 
 def _check_scheme_space(poly):
@@ -160,60 +140,21 @@ def _compiled_pairs(poly, per_pair):
     return kept
 
 
-def classify(poly):
-    """Run the full candidate pipeline and group survivors by symmetry; the
-    report's rejections and survivors must sum to its total."""
+def scheme_stream(poly, report):
+    """Each scheme past the structural filters, as (chosen pairings, edge
+    orbits) in `_matchings` order; `report.total` and the elliptic,
+    class-count and class-size rejections are counted as it goes.
+
+    Elliptic pairings (a dart move fixes its dart: a rotation about an
+    edge) are dropped before the product, the schemes they remove counted
+    in closed form.  Each other scheme's moves go into one reused table,
+    whose dart cycles are walked once and filtered on (the class count,
+    then the class size); only a scheme that passes gets orbit steps.
+    """
     required = angles.required_class_count(poly)
-    report = EnumerationReport()
     rejected = report.rejected
-    for key in ("elliptic", "class_count", "class_size",
-                "system_infeasible", "rivin_infeasible"):
-        rejected[key] = 0
-    # class count, face count and scheme cap first, and an empty scheme
-    # space answered, before the costly set-up
-    if _check_scheme_space(poly) == 0:
-        return report
-    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
-    actions = pairings.automorphism_actions(poly)
-    identity = next(a for a in actions if all(u == v for u, v in a[0].items()))
-    records, keys = {}, {}
-
-    def own_system(partition):
-        return angles.assemble_system(
-            poly, [set(cl) for cl in sorted(partition, key=sorted)])
-
-    def angle_record(partition):
-        """(status, system, witness) of the partition: its own system and
-        a witness of it, both None when the Rivin region is empty."""
-        if partition in records:
-            return records[partition]
-        # the strict-feasibility verdict is symmetry-invariant: a partition
-        # that a symmetry sends onto a recorded one takes its verdict, the
-        # witness pulled back through the symmetry's edge permutation
-        for _, _, _, perm in actions:
-            image = frozenset(frozenset(perm[e] for e in cl)
-                              for cl in partition)
-            if image in records:
-                status, image_system, witness = records[image]
-                system = None
-                if witness is not None:
-                    system = own_system(partition)
-                    witness = pull_back(system, image_system, witness, perm)
-                break
-        else:
-            system = own_system(partition)
-            solution, witness = angles.feasible(system, circuits)
-            status = solution.status
-            if witness is None:
-                system = None
-        records[partition] = (status, system, witness)
-        return records[partition]
-
     nxt = [None] * len(poly.incidence.dart_edge)  # the scheme's moves
     for per_pair in _matchings(poly):
-        # a scheme is elliptic iff one of its pairings is: those pairings
-        # are dropped before the product, and the schemes they took with
-        # them counted in closed form
         kept = _compiled_pairs(poly, per_pair)
         built = math.prod(len(ps) for ps in per_pair)
         report.total += built
@@ -232,28 +173,80 @@ def classify(poly):
             if shortest < 3:
                 rejected["class_size"] += 1
                 continue
-            # only a scheme past the class filters gets its steps
             chosen = tuple(p for p, _ in choice)
-            orbits = pairings.cycle_orbits(poly, cycles, chosen)
-            status, system, witness = angle_record(
-                frozenset(frozenset(o.edges) for o in orbits))
-            if status == "infeasible":
-                rejected["system_infeasible"] += 1
-                continue
-            if witness is None:
-                rejected["rivin_infeasible"] += 1
-                continue
-            # the first survivor of a family keys every image of itself;
-            # the family's later members only look their signature up
-            scheme = pairings.PairingScheme(poly, chosen)
-            sig = pairings.signature(scheme, identity)
-            if sig not in keys:
-                keys.update(pairings.image_keys(scheme, actions))
-            report.survivors.append(CandidateDomain(
-                scheme, tuple(orbits), system, witness, *keys[sig]))
+            yield chosen, pairings.cycle_orbits(poly, cycles, chosen)
+
+
+def angle_record(poly, circuits, actions, records, partition):
+    """(status, system, witness) of an edge partition: its own angle system
+    and a strict witness, both None when the Rivin region is empty, kept
+    in `records` (partition -> triple).  The verdict is symmetry-invariant:
+    a partition that an edge permutation of `actions` sends onto a recorded
+    one takes its verdict, the witness pulled back (`pull_back` checks that
+    the permutation carries one system's rows onto the other's); only a
+    partition with no recorded image runs `angles.feasible`.
+    """
+    if partition in records:
+        return records[partition]
+    classes = [set(cl) for cl in sorted(partition, key=sorted)]
+    for _, _, _, perm in actions:
+        image = frozenset(frozenset(perm[e] for e in cl) for cl in partition)
+        if image in records:
+            status, image_system, witness = records[image]
+            system = None
+            if witness is not None:
+                system = angles.assemble_system(poly, classes)
+                witness = pull_back(system, image_system, witness, perm)
+            break
+    else:
+        system = angles.assemble_system(poly, classes)
+        solution, witness = angles.feasible(system, circuits)
+        status = solution.status
+        if witness is None:
+            system = None
+    records[partition] = (status, system, witness)
+    return records[partition]
+
+
+def family_keys(scheme, actions, identity, keys):
+    """(rotation-group key, full-group key) of a survivor from `keys`, the
+    image table (signature -> keys) of the families seen: a family's first
+    survivor adds all its images in one `pairings.image_keys` pass, and
+    later members look up their own signature at the `identity` action."""
+    sig = pairings.signature(scheme, identity)
+    if sig not in keys:
+        keys.update(pairings.image_keys(scheme, actions))
+    return keys[sig]
+
+
+def classify(poly):
+    """The three stages composed, the survivors grouped into families under
+    the rotations and the full symmetry group; the counts must sum up."""
+    # class count, face count and scheme cap first, and an empty scheme
+    # space answered, before the costly set-up
+    angles.required_class_count(poly)
+    report = EnumerationReport()
+    if _check_scheme_space(poly) == 0:
+        return report
+    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    actions = pairings.automorphism_actions(poly)
+    identity = next(a for a in actions if all(u == v for u, v in a[0].items()))
+    records, keys = {}, {}
+    for chosen, orbits in scheme_stream(poly, report):
+        status, system, witness = angle_record(
+            poly, circuits, actions, records,
+            frozenset(frozenset(o.edges) for o in orbits))
+        if witness is None:
+            report.rejected["system_infeasible" if status == "infeasible"
+                            else "rivin_infeasible"] += 1
+            continue
+        scheme = pairings.PairingScheme(poly, chosen)
+        report.survivors.append(CandidateDomain(
+            scheme, tuple(orbits), system, witness,
+            *family_keys(scheme, actions, identity, keys)))
     if not report.counts_consistent():
         raise AssertionError("report counts do not sum to the total")
-    report.survivors.sort(key=lambda c: (c.key_full, c.key_rotations))
+    report.survivors.sort(key=operator.attrgetter("key_full", "key_rotations"))
     for cand in report.survivors:
         report.families_full.setdefault(cand.key_full, []).append(cand)
         report.families_rotations.setdefault(cand.key_rotations, []).append(cand)
@@ -357,13 +350,11 @@ def _checked_witness(poly, system, raw):
 
 
 def report_to_json_dict(report):
-    families_full = []
-    for key, members in sorted(report.families_full.items()):
-        families_full.append({
-            "size": len(members),
-            "class_sizes": list(members[0].class_sizes),
-            "rotation_classes": len({m.key_rotations for m in members}),
-        })
+    families_full = [{
+        "size": len(members),
+        "class_sizes": list(members[0].class_sizes),
+        "rotation_classes": len({m.key_rotations for m in members}),
+    } for _, members in sorted(report.families_full.items())]
     return {
         "total_schemes": report.total,
         "rejected": dict(sorted(report.rejected.items())),

@@ -354,8 +354,13 @@ def verify_candidate(candidate):
     regular ideal realization.
 
     The candidate's angle system must admit the regular point, exterior
-    angle 2/d on every edge (2/3 on the cube, 1/2 on the octahedron);
-    anything else is not realizable here.
+    angle 2/d on every edge; anything else is not realizable here.  It
+    solves a class row of k edges iff k = 2d/(d - 2): 6 on the cube, 4 on
+    the octahedron.  So the verdict is known (the regular-symmetry lemma):
+    every pairing is an isometry of regular ideal faces, so each edge cycle
+    fixes a point of its axis and a relator is the identity exactly when
+    its class has 2d/(d - 2) edges, elliptic otherwise; every cusp keeps
+    a horosphere.  The Mobius check certifies that answer.
     """
     scheme = candidate.scheme
     realization = load_realization(scheme.poly)

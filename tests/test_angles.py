@@ -61,6 +61,13 @@ def test_assemble_rejects_small_class(cube):
         angles.assemble_system(cube, bad)
 
 
+def test_assemble_rejects_repeated_edge(cube):
+    # a class listing an edge twice would get a right-hand side counted
+    # from its length (5), not from its 6 distinct edges (4)
+    with pytest.raises(angles.PartitionError, match="edge 0 more than once"):
+        angles.assemble_system(cube, [[0, 0, 1, 2, 3, 4, 5], list(range(6, 12))])
+
+
 def test_assemble_five_seven_rhs(cube, cube_inc):
     classes = [drawn(cube_inc, FIVE_SEVEN_CLASSES[0]),
                drawn(cube_inc, FIVE_SEVEN_CLASSES[1])]

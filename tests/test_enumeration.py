@@ -1,6 +1,8 @@
+import collections
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 from importlib import resources
 
@@ -10,7 +12,7 @@ from hypdom import angles, cli, enumeration, pairings, polytope
 
 from conftest import (DRAWN_EDGES, FD2_CLASSES, canonicalize,
                       conjugate_scheme, detect_elliptic_generator, drawn,
-                      enumerate_schemes, scheme_signature)
+                      enumerate_schemes, scheme_keys, scheme_signature)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -165,6 +167,123 @@ def test_classify_keys_each_family_in_one_pass(solids, monkeypatch, name,
     for members in report.families_full.values():
         assert len({id(m.key_full) for m in members}) == 1
         assert len({id(m.key_rotations) for m in members}) <= 2
+
+
+@pytest.mark.parametrize("name, schemes, rejected", [
+    ("cube", 170, (960, 464, 302, 24)),
+    ("octahedron", 120, (8505, 3849, 4014, 522))])
+def test_scheme_stream(solids, name, schemes, rejected):
+    # the structural stage alone: it counts the total and the structural
+    # rejections, and yields each scheme past them with its edge orbits
+    poly = solids[name]
+    report = enumeration.EnumerationReport()
+    stream = list(enumeration.scheme_stream(poly, report))
+    assert len(stream) == schemes
+    assert (report.total, report.rejected["elliptic"],
+            report.rejected["class_count"],
+            report.rejected["class_size"]) == rejected
+    assert report.rejected["system_infeasible"] == 0
+    assert report.rejected["rivin_infeasible"] == 0
+    assert report.survivors == []
+    for chosen, orbits in stream:
+        scheme = pairings.PairingScheme(poly, chosen)
+        assert ([o.steps for o in orbits]
+                == [o.steps for o in pairings.edge_orbits(scheme)])
+        assert min(o.size for o in orbits) >= 3
+
+
+@pytest.mark.parametrize("name, partitions, decided, empty, witnessed", [
+    ("cube", 105, 8, 140, 30), ("octahedron", 96, 6, 0, 120)])
+def test_angle_stage(solids, monkeypatch, name, partitions, decided, empty,
+                     witnessed):
+    # the angle stage over the stream: `feasible` runs once per symmetry
+    # class of partitions, and each witness solves its partition's own
+    # system, which the stage returns with it
+    poly = solids[name]
+    stream = list(enumeration.scheme_stream(
+        poly, enumeration.EnumerationReport()))
+    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    actions = pairings.automorphism_actions(poly)
+    calls = []
+    feasible = angles.feasible
+    monkeypatch.setattr(angles, "feasible",
+                        lambda *a: calls.append(a) or feasible(*a))
+    records = {}
+    verdicts = collections.Counter()
+    for _, orbits in stream:
+        partition = frozenset(frozenset(o.edges) for o in orbits)
+        status, system, witness = enumeration.angle_record(
+            poly, circuits, actions, records, partition)
+        verdicts[witness is not None] += 1
+        if witness is None:
+            assert status == "affine-family" and system is None
+            continue
+        assert system == angles.assemble_system(
+            poly, [set(cl) for cl in sorted(partition, key=sorted)])
+        assert angles.satisfies(system, witness.values)
+    assert len(records) == partitions
+    assert len(calls) == decided
+    assert (verdicts[False], verdicts[True]) == (empty, witnessed)
+
+
+def test_angle_stage_records_an_inconsistent_partition(cube, monkeypatch):
+    # no scheme of a bundled solid reaches the system_infeasible branch:
+    # a class of the three edges at one cube vertex sums to 1 by its row
+    # and to 2 by the vertex's; each symmetric image of it takes the
+    # recorded verdict, and classify counts it under system_infeasible
+    inc = cube.incidence
+    star = frozenset(inc.vertex_edges["FTR"])
+    partition = frozenset([star, frozenset(range(12)) - star])
+    assert star == {0, 1, 8}
+    circuits = angles.nonfacial_circuits(polytope.build_dual(cube))
+    actions = pairings.automorphism_actions(cube)
+    calls = []
+    feasible = angles.feasible
+    monkeypatch.setattr(angles, "feasible",
+                        lambda *a: calls.append(a) or feasible(*a))
+    records = {}
+    verdict = enumeration.angle_record(cube, circuits, actions, records,
+                                       partition)
+    assert verdict == ("infeasible", None, None) and len(calls) == 1
+    images = {frozenset(frozenset(perm[e] for e in cl) for cl in partition)
+              for *_, perm in actions}
+    assert len(images) == 8
+    image = min(images - {partition}, key=lambda p: sorted(map(sorted, p)))
+    assert enumeration.angle_record(cube, circuits, actions, records,
+                                    image) == verdict
+    assert len(calls) == 1 and records[image] == verdict
+
+    def stream(poly, report):
+        report.total += 2
+        for p in (partition, image):
+            yield None, [types.SimpleNamespace(edges=cl) for cl in p]
+
+    monkeypatch.setattr(enumeration, "scheme_stream", stream)
+    report = enumeration.classify(cube)
+    assert report.rejected == dict.fromkeys(enumeration.REJECTIONS, 0) | {
+        "system_infeasible": 2}
+    assert report.survivors == [] and len(calls) == 2
+
+
+def test_family_keys(cube, cube_report, monkeypatch):
+    # the keyer: one image_keys pass per family, each survivor's keys its
+    # own entry in the table of its family's first survivor
+    actions = pairings.automorphism_actions(cube)
+    identity = next(a for a in actions
+                    if all(u == v for u, v in a[0].items()))
+    passes = []
+    image_keys = pairings.image_keys
+    monkeypatch.setattr(pairings, "image_keys",
+                        lambda *a: passes.append(a) or image_keys(*a))
+    keys = {}
+    found = [enumeration.family_keys(cand.scheme, actions, identity, keys)
+             for cand in cube_report.survivors]
+    assert len(passes) == 3
+    monkeypatch.setattr(pairings, "image_keys", image_keys)
+    assert found == [scheme_keys(cand.scheme, actions)
+                     for cand in cube_report.survivors]
+    assert found == [(c.key_rotations, c.key_full)
+                     for c in cube_report.survivors]
 
 
 def test_all_survivors_six_six(cube_report):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -358,6 +359,57 @@ def test_verify_candidates_on_octahedron(octahedron_report):
                                                            "parabolic"}
             confirmed += 1
     assert confirmed == 24
+
+
+def test_regular_relators_identity_exactly_at_regular_class_size(
+        solids, cube_report, octahedron_report):
+    # the regular-symmetry lemma, read off the Mobius matrices without
+    # verify_candidate's scope test: on the regular ideal cube (d = 3) and
+    # octahedron (d = 4), every survivor's relator is the identity when its
+    # edge class has n = 2d/(d - 2) edges and elliptic otherwise, so a
+    # survivor is CONFIRMED exactly when the regular point solves its system
+    relators = 0
+    for name, report, d in (("cube", cube_report, 3),
+                            ("octahedron", octahedron_report, 4)):
+        n = 2 * d // (d - 2)
+        realization = geometry.load_realization(solids[name])
+        regular = dict.fromkeys(range(solids[name].edge_count()),
+                                Fraction(2, d))
+        for cand in report.survivors:
+            presentation = geometry.verify_words(realization, cand.scheme,
+                                                 cand.words)
+            assert presentation.verification == tuple(
+                "identity" if o.size == n else "elliptic"
+                for o in cand.orbits)
+            assert presentation.confirmed() == angles.satisfies(cand.system,
+                                                                regular)
+            relators += len(cand.words)
+    assert relators == 2 * 30 + 3 * 120
+
+
+@pytest.mark.parametrize("name, size", [
+    ("tetrahedron", 6), ("cube", 6), ("octahedron", 4), ("dodecahedron", 6),
+    ("icosahedron", None)])
+def test_regular_point_solves_one_class_size(solids, name, size):
+    # the regular point, exterior angle 2/d on every edge, solves the row
+    # of a class of k edges (their angles sum to k - 2) exactly when
+    # k = 2d/(d - 2); on the icosahedron that is 10/3, so no class fits
+    poly = solids[name]
+    inc = poly.incidence
+    (d,) = {len(inc.vertex_edges[v]) for v in poly.vertices}
+    e = poly.edge_count()
+    fits = []
+    for k in range(3, e + 1):
+        if e - k in (1, 2):  # no partition has a class of this size
+            continue
+        system = angles.assemble_system(
+            poly, [range(k)] + ([range(k, e)] if k < e else []))
+        coef, rhs = system.rows[system.provenance.index(("class", 0))]
+        if sum(coef) * Fraction(2, d) == rhs:
+            fits.append(k)
+    n = Fraction(2 * d, d - 2)
+    assert fits == ([n] if n.denominator == 1 else [])
+    assert fits == ([size] if size else [])
 
 
 def test_load_realization_rejects(solids, monkeypatch, tmp_path):
