@@ -6,7 +6,11 @@ system for a polyhedron with a chosen edge partition has one row per vertex
 (incident angles sum to 2) and one row per class (angles sum to size-2).
 Strict inequalities (0 < q < 1 per edge, sum > 2 over every non-facial
 simple circuit of the dual) are decided exactly by a max-slack linear
-program over the solution family, solved by the simplex method.
+program over the solution family, solved by the simplex method.  The
+circuits are never listed: the program's circuit rows are generated by a
+search of the dual for the circuits lighter than a bound (`light_cycles`),
+which also checks a stored witness.  `check_inequalities` checks a point
+against the full list of circuits, as an independent oracle.
 
 Both the Gauss-Jordan solve and the simplex are fraction-free inside: a
 tableau row is a list of integers over one positive denominator, divided
@@ -14,6 +18,7 @@ by its content after every pivot (Bareiss, Math. Comp. 1968; Edmonds,
 J. Res. NBS 1967).  Only the results are Fractions.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,10 +159,14 @@ def solve_exact(system):
 
 
 def satisfies(system, values):
-    """Does the edge -> Fraction map `values` solve every row of `system`,
-    by exact substitution?"""
-    return all(sum(c * values[eid] for c, eid in zip(coef, system.columns)
-                   if c) == rhs
+    """Does the edge -> rational map `values` solve every row of `system`,
+    by exact substitution?  The values are put over their common
+    denominator D once, and each row's sum compared with D times its
+    right-hand side."""
+    den = math.lcm(*[values[eid].denominator for eid in system.columns])
+    scaled = [values[eid].numerator * (den // values[eid].denominator)
+              for eid in system.columns]
+    return all(sum([c * x for c, x in zip(coef, scaled) if c]) == rhs * den
                for coef, rhs in system.rows)
 
 
@@ -184,13 +193,70 @@ def check_inequalities(poly, dual, assignment):
     return (not failures), failures
 
 
-def feasible(system, circuits):
+def light_cycles(dual, weight, bound):
+    """The non-facial simple circuits of `dual` lighter than `bound`: those
+    whose link weights weight[lid], positive integers, sum to less.
+
+    Each comes once, as a link-id tuple, in the order of nonfacial_circuits
+    and written as it writes it.  The search is the walk of
+    polytope.simple_circuits, from each start node over later nodes only,
+    pruned where the path's weight plus the exact distance back to the
+    start over those nodes (Dijkstra) reaches `bound`.  No path of a
+    circuit lighter than `bound` is pruned, in either direction.  Every
+    weight is positive, so the pruning ends every path.
+    """
+    adj = polytope.dual_adjacency(dual)
+    found = {}
+    for start in dual.nodes:
+        room = {n: bound - d
+                for n, d in _distances(adj, weight, start).items()}
+        _extend_light(adj, weight, room, found, start, start, 0, {start}, [])
+    stars = {frozenset(cyc) for cyc in dual.facial_cycles.values()}
+    return [found[key]
+            for key in sorted(found, key=lambda k: (len(k), sorted(k)))
+            if key not in stars]
+
+
+def _distances(adj, weight, start):
+    """node -> least weight of a path from `start` over later nodes."""
+    dist = {start: 0}
+    heap = [(0, start)]
+    while heap:
+        d, cur = heapq.heappop(heap)
+        if d > dist[cur]:
+            continue  # a stale entry
+        for nb, lid in adj[cur]:
+            if nb > start and (nb not in dist or d + weight[lid] < dist[nb]):
+                dist[nb] = d + weight[lid]
+                heapq.heappush(heap, (dist[nb], nb))
+    return dist
+
+
+def _extend_light(adj, weight, room, found, start, cur, total, visited, path):
+    """Record in `found` the circuits through `start` that extend the link
+    path `path` (start to `cur`, of weight `total`) over later nodes and
+    stay lighter than the bound: a path may reach node n only with weight
+    below room[n], the bound less n's distance back to `start`."""
+    for nb, lid in adj[cur]:
+        reach = total + weight[lid]
+        if nb == start:
+            if path and lid != path[0] and reach < room[start]:
+                found.setdefault(frozenset(path + [lid]), tuple(path + [lid]))
+        elif nb > start and nb not in visited and reach < room[nb]:
+            visited.add(nb)
+            _extend_light(adj, weight, room, found, start, nb, reach, visited,
+                          path + [lid])
+            visited.discard(nb)
+
+
+def feasible(system, dual):
     """Decide whether the open Rivin polytope meets the solution family.
 
-    `circuits` are the non-facial simple circuits of the dual, as returned by
-    nonfacial_circuits.  Returns (solution_set, witness) where witness is an
-    AngleAssignment satisfying every equation and every strict inequality, or
-    None when the region is empty.
+    `dual` is the dual graph of the system's polyhedron, whose non-facial
+    simple circuits carry the inequalities sum > 2.  Returns
+    (solution_set, witness) where witness is an AngleAssignment satisfying
+    every equation and every strict inequality, or None when the region is
+    empty.
 
     Over the common denominator D of the particular solution and the basis
     the family is q = P/D + B.t, with P and B integer and t the null-space
@@ -199,6 +265,14 @@ def feasible(system, circuits):
     to a.t + s <= b and s <= 1 has an optimum s* > 0 iff the open region is
     non-empty, and its optimal t meets every condition with slack s*, so it
     is itself the witness.
+
+    The circuit rows are generated, not listed (the cutting-plane form of
+    separation; Grotschel, Lovasz and Schrijver, Combinatorica 1981): the
+    program starts from the edge bounds alone, and at each optimum (t, s)
+    the circuits lighter than 2 + s (`light_cycles`) join it as rows.  An
+    optimum s <= 0 shows the region empty, since a relaxation already is;
+    an optimum with no light circuit meets every row of the full program,
+    so it is that program's optimum, and the witness.
     """
     sol = solve_exact(system)
     if sol.status == "infeasible":
@@ -225,21 +299,26 @@ def feasible(system, circuits):
     for a, pi in zip(coef, p):
         add(tuple([-x for x in a]), pi)                 # q > 0
         add(a, den - pi)                                # q < 1
-    for seq in circuits:
-        idxs = [col[eid] for eid in seq]
-        add(tuple([-sum(coef[i][k] for i in idxs) for k in range(m)]),
-            sum(p[i] for i in idxs) - 2 * den)          # sum > 2
-    t, slack = _max_slack([(a, Fraction(rhs, den)) for a, rhs in cons.items()],
-                          m)
-    if slack <= 0:
-        return sol, None
-    # the witness q = P/D + B.t over the denominator D * lcm(t)
-    tden = math.lcm(*[x.denominator for x in t])
-    tnum = [x.numerator * (tden // x.denominator) for x in t]
-    return sol, AngleAssignment({
-        eid: Fraction(pi * tden + den * sum(x * y for x, y in zip(a, tnum)),
-                      den * tden)
-        for eid, pi, a in zip(sol.columns, p, coef)})
+    while True:
+        t, slack = _max_slack(
+            [(a, Fraction(rhs, den)) for a, rhs in cons.items()], m)
+        if slack <= 0:
+            return sol, None
+        # q = P/D + B.t and s over the denominator D * lcm(t, s)
+        tden = math.lcm(slack.denominator, *[x.denominator for x in t])
+        tnum = [x.numerator * (tden // x.denominator) for x in t]
+        weight = {eid: pi * tden + den * sum(x * y for x, y in zip(a, tnum))
+                  for eid, pi, a in zip(sol.columns, p, coef)}
+        light = light_cycles(
+            dual, weight,
+            den * (2 * tden + slack.numerator * (tden // slack.denominator)))
+        if not light:
+            return sol, AngleAssignment(
+                {eid: Fraction(w, den * tden) for eid, w in weight.items()})
+        for seq in light:
+            idxs = [col[eid] for eid in seq]
+            add(tuple([-sum(coef[i][k] for i in idxs) for k in range(m)]),
+                sum(p[i] for i in idxs) - 2 * den)      # sum > 2
 
 
 def _max_slack(rows, m):

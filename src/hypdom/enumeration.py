@@ -12,6 +12,7 @@ import math
 import operator
 import string
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import angles, pairings, polytope
 
@@ -177,14 +178,15 @@ def scheme_stream(poly, report):
             yield chosen, pairings.cycle_orbits(poly, cycles, chosen)
 
 
-def angle_record(poly, circuits, actions, records, partition):
+def angle_record(poly, dual, actions, records, partition):
     """(status, system, witness) of an edge partition: its own angle system
     and a strict witness, both None when the Rivin region is empty, kept
     in `records` (partition -> triple).  The verdict is symmetry-invariant:
     a partition that an edge permutation of `actions` sends onto a recorded
     one takes its verdict, the witness pulled back (`pull_back` checks that
     the permutation carries one system's rows onto the other's); only a
-    partition with no recorded image runs `angles.feasible`.
+    partition with no recorded image runs `angles.feasible` on the dual
+    graph `dual` of `poly`.
     """
     if partition in records:
         return records[partition]
@@ -200,7 +202,7 @@ def angle_record(poly, circuits, actions, records, partition):
             break
     else:
         system = angles.assemble_system(poly, classes)
-        solution, witness = angles.feasible(system, circuits)
+        solution, witness = angles.feasible(system, dual)
         status = solution.status
         if witness is None:
             system = None
@@ -221,20 +223,22 @@ def family_keys(scheme, actions, identity, keys):
 
 def classify(poly):
     """The three stages composed, the survivors grouped into families under
-    the rotations and the full symmetry group; the counts must sum up."""
+    the rotations and the full symmetry group; the counts must sum up.  The
+    dual graph is built once, for every `angles.feasible` call; no circuit
+    list is built."""
     # class count, face count and scheme cap first, and an empty scheme
-    # space answered, before the costly set-up
+    # space answered, before the dual and the symmetries are built
     angles.required_class_count(poly)
     report = EnumerationReport()
     if _check_scheme_space(poly) == 0:
         return report
-    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    dual = polytope.build_dual(poly)
     actions = pairings.automorphism_actions(poly)
     identity = next(a for a in actions if all(u == v for u, v in a[0].items()))
     records, keys = {}, {}
     for chosen, orbits in scheme_stream(poly, report):
         status, system, witness = angle_record(
-            poly, circuits, actions, records,
+            poly, dual, actions, records,
             frozenset(frozenset(o.edges) for o in orbits))
         if witness is None:
             report.rejected["system_infeasible" if status == "infeasible"
@@ -328,7 +332,9 @@ def candidate_from_json_dict(poly, doc):
 def _checked_witness(poly, system, raw):
     """The persisted witness, if it is one: a value in (0, 1) on every edge
     id, a solution of the scheme's own angle system, and strictly inside
-    every non-facial circuit inequality."""
+    every non-facial circuit inequality.  The last is checked over the
+    witness's common denominator D: a circuit whose D-scaled sum is below
+    2D + 1 (`angles.light_cycles`) sums to at most 2."""
     if not isinstance(raw, dict):
         raise EnumerationError("candidate has no persisted witness")
     if set(raw) != {str(eid) for eid in range(poly.edge_count())}:
@@ -339,13 +345,14 @@ def _checked_witness(poly, system, raw):
         raise EnumerationError(f"witness is not valid: {exc}") from exc
     if not angles.satisfies(system, witness.values):
         raise EnumerationError("witness does not solve the angle system")
-    ok, failures = angles.check_inequalities(
-        poly, polytope.build_dual(poly), witness)
-    if not ok:
-        kind, where, value = failures[0]
-        raise EnumerationError(
-            f"witness fails the strict Rivin {kind} inequality at {where}: "
-            f"{value}")
+    den = math.lcm(*[q.denominator for q in witness.values.values()])
+    weight = {eid: q.numerator * (den // q.denominator)
+              for eid, q in witness.values.items()}
+    light = angles.light_cycles(polytope.build_dual(poly), weight, 2 * den + 1)
+    if light:
+        total = Fraction(sum(weight[eid] for eid in light[0]), den)
+        raise EnumerationError("witness fails the strict Rivin circuit "
+                               f"inequality at {light[0]}: {total}")
     return witness
 
 

@@ -247,6 +247,17 @@ def build_dual(poly, inc=None):
     )
 
 
+def dual_adjacency(dual):
+    """node -> its (neighbour, link id) pairs, sorted."""
+    adj = {n: [] for n in dual.nodes}
+    for lid, (f1, f2) in enumerate(dual.links):
+        adj[f1].append((f2, lid))
+        adj[f2].append((f1, lid))
+    for n in adj:
+        adj[n].sort()
+    return adj
+
+
 def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
     """All simple circuits of the dual graph, each tagged facial or not.
 
@@ -256,12 +267,7 @@ def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
     are exactly one primal vertex's incident edges: a simple circuit is
     fixed by its link set.
     """
-    adj = {n: [] for n in dual.nodes}
-    for lid, (f1, f2) in enumerate(dual.links):
-        adj[f1].append((f2, lid))
-        adj[f2].append((f1, lid))
-    for n in adj:
-        adj[n].sort()
+    adj = dual_adjacency(dual)
     found = {}
     order = {n: i for i, n in enumerate(dual.nodes)}
     for s in dual.nodes:

@@ -352,7 +352,7 @@ def test_criterion_8_icosahedron_bound(solids):
 
 
 def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
-                                     cube_circuits, cube_report):
+                                     cube_report):
     with _Line(9, "property suites"):
         # Euler identities
         for poly in solids.values():
@@ -410,7 +410,7 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
         ]
         for classes in partitions:
             system = angles.assemble_system(cube, classes)
-            sol, witness = angles.feasible(system, cube_circuits)
+            sol, witness = angles.feasible(system, cube_dual)
             if len(sol.basis) > 4:
                 continue
             sampled = False

@@ -1,10 +1,12 @@
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from hypdom import angles, pairings, polytope
+from hypdom import angles, enumeration, pairings, polytope
 
 import fraction_angles
 from fraction_angles import solution_point
@@ -12,6 +14,7 @@ from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
                       drawn, enumerate_schemes)
 
 THIRD = Fraction(2, 3)
+NO_DUAL = polytope.DualGraph((), (), {})  # no circuit rows, for toy systems
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +107,49 @@ def test_solve_fd1_family_contains_regular_point(cube, cube_inc):
     assert not angles.satisfies(system, off)
 
 
-def test_solve_substitute_back_exact(cube, cube_inc, cube_circuits):
+def fraction_substitution(system, values):
+    """satisfies by Fraction arithmetic, row by row."""
+    return all(sum((Fraction(c) * values[eid]
+                    for c, eid in zip(coef, system.columns)), Fraction(0))
+               == rhs for coef, rhs in system.rows)
+
+
+def test_satisfies_matches_fraction_substitution(cube, cube_inc):
+    # seeded rational points of the fd1 family, some moved off it, and
+    # random rational systems with Fraction coefficients and right-hand
+    # sides, each with a point that solves it and one that does not
+    rng = random.Random(20261019)
     system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
-    sol, witness = angles.feasible(system, cube_circuits)
+    sol = angles.solve_exact(system)
+    verdicts = collections.Counter()
+    for _ in range(200):
+        point = solution_point(sol, [Fraction(rng.randint(-9, 9),
+                                              rng.randint(1, 12))
+                                     for _ in sol.basis])
+        if rng.random() < 0.5:
+            eid = rng.choice(system.columns)
+            point[eid] += Fraction(rng.choice([-1, 1]), rng.randint(1, 30))
+        verdict = angles.satisfies(system, point)
+        assert verdict == fraction_substitution(system, point)
+        verdicts[verdict] += 1
+    assert min(verdicts[True], verdicts[False]) > 50
+    for kind in ("unique", "deficient"):
+        for _ in range(40):
+            rational = random_system(rng, kind)
+            oracle = fraction_angles.solve_exact(rational)
+            if oracle.status == "infeasible":
+                continue
+            point = solution_point(oracle, [Fraction(rng.randint(-5, 5), 7)
+                                            for _ in oracle.basis])
+            assert angles.satisfies(rational, point)
+            point[rational.columns[0]] += Fraction(1, 3)
+            assert (angles.satisfies(rational, point)
+                    == fraction_substitution(rational, point))
+
+
+def test_solve_substitute_back_exact(cube, cube_inc, cube_dual):
+    system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
+    sol, witness = angles.feasible(system, cube_dual)
     vals = witness.values
     for coef, rhs in system.rows:
         assert sum(c * vals[eid] for c, eid in zip(coef, system.columns)) == rhs
@@ -167,21 +210,21 @@ def test_check_inequalities_waist_failure(cube, cube_inc, cube_dual):
     assert any(set(f[1]) == waist and f[2] == 2 for f in circuit_failures)
 
 
-def test_feasible_fd1(cube, cube_inc, cube_dual, cube_circuits):
+def test_feasible_fd1(cube, cube_inc, cube_dual):
     system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
-    sol, witness = angles.feasible(system, cube_circuits)
+    sol, witness = angles.feasible(system, cube_dual)
     assert witness is not None
     ok, _ = angles.check_inequalities(cube, cube_dual, witness)
     assert ok
 
 
 def test_feasible_rejects_opposite_vertex_three_class(cube, cube_inc,
-                                                      cube_circuits):
+                                                      cube_dual):
     # a 3-class spanning two opposite corners forces an angle >= 1
     three = drawn(cube_inc, {5, 9, 2})   # FTR-FTL-FBL-BBL path
     rest = set(range(12)) - three
     system = angles.assemble_system(cube, [three, rest])
-    sol, witness = angles.feasible(system, cube_circuits)
+    sol, witness = angles.feasible(system, cube_dual)
     assert witness is None
 
 
@@ -192,7 +235,7 @@ def test_feasible_toy_system_matches_grid_oracle():
         columns=(0, 1, 2),
         rows=(((Fraction(1), Fraction(1), Fraction(1)), Fraction(2)),),
         provenance=(("vertex", "v"),))
-    sol, witness = angles.feasible(system, [])
+    sol, witness = angles.feasible(system, NO_DUAL)
     assert witness is not None
     vals = witness.values
     assert sum(vals.values()) == 2
@@ -213,14 +256,13 @@ def test_feasible_nine_free_variables():
         system = angles.LinearSystem(
             columns=tuple(range(10)), rows=((ones, Fraction(rhs)),),
             provenance=(("vertex", "v"),))
-        sol, witnesses[rhs] = angles.feasible(system, [])
+        sol, witnesses[rhs] = angles.feasible(system, NO_DUAL)
         assert len(sol.basis) == 9
     assert witnesses[10] is None
     assert sum(witnesses[2].values.values()) == 2
 
 
-def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual,
-                                                 cube_circuits):
+def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual):
     # For several partitions compare the feasibility verdict against seeded
     # rational sampling of the solution family (soundness in both directions:
     # every sampled valid point implies feasibility; the witness must
@@ -235,7 +277,7 @@ def test_feasibility_agrees_with_seeded_sampling(cube, cube_inc, cube_dual,
     ]
     for classes in partitions:
         system = angles.assemble_system(cube, classes)
-        sol, witness = angles.feasible(system, cube_circuits)
+        sol, witness = angles.feasible(system, cube_dual)
         if sol.status == "infeasible":
             continue
         assert len(sol.basis) <= 5
@@ -268,12 +310,11 @@ def test_angle_assignment_range():
         angles.AngleAssignment({0: Fraction(1)})
 
 
-def test_solution_angle_sum_equals_vertex_count(cube, cube_inc,
-                                                 cube_circuits):
+def test_solution_angle_sum_equals_vertex_count(cube, cube_inc, cube_dual):
     # summing the vertex rows double-counts each edge, so any solution's
     # total angle equals the vertex count; per class the total is size-2
     system = angles.assemble_system(cube, fd1_class_sets(cube_inc))
-    sol, witness = angles.feasible(system, cube_circuits)
+    sol, witness = angles.feasible(system, cube_dual)
     assert sum(witness.values.values()) == cube.vertex_count()
     for cl in fd1_class_sets(cube_inc):
         assert sum(witness.values[e] for e in cl) == len(cl) - 2
@@ -398,7 +439,7 @@ def test_feasible_agrees_with_fourier_motzkin_on_cube(cube, cube_dual,
     for partition in partitions:
         system = angles.assemble_system(
             cube, [set(cl) for cl in partition])
-        _, witness = angles.feasible(system, cube_circuits)
+        _, witness = angles.feasible(system, cube_dual)
         assert ((witness is not None)
                 == fourier_motzkin_feasible(system, cube_circuits))
         if witness is not None:
@@ -413,13 +454,12 @@ def test_octahedron_partitions_feasible_with_witness(solids):
     # pass every strict inequality
     octa = solids["octahedron"]
     dual = polytope.build_dual(octa)
-    circuits = angles.nonfacial_circuits(dual)
     partitions = distinct_partitions(octa)
     assert len(partitions) == 96
     for partition in partitions:
         system = angles.assemble_system(
             octa, [set(cl) for cl in partition])
-        _, witness = angles.feasible(system, circuits)
+        _, witness = angles.feasible(system, dual)
         assert witness is not None
         assert angles.satisfies(system, witness.values)
         ok, failures = angles.check_inequalities(octa, dual, witness)
@@ -437,13 +477,14 @@ def test_integer_core_matches_fraction_oracle(solids, name, count):
     # the common denominator D that feasible builds, whose optimum has
     # its t scaled by 1/D
     poly = solids[name]
-    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    dual = polytope.build_dual(poly)
+    circuits = angles.nonfacial_circuits(dual)
     partitions = distinct_partitions(poly)
     assert len(partitions) == count
     rref_dens, witness_dens = set(), set()
     for partition in partitions:
         system = angles.assemble_system(poly, [set(cl) for cl in partition])
-        sol, witness = angles.feasible(system, circuits)
+        sol, witness = angles.feasible(system, dual)
         assert angles.solve_exact(system) == sol
         oracle_sol, oracle_witness = fraction_angles.feasible(system,
                                                               circuits)
@@ -562,3 +603,134 @@ def test_pivot_keeps_rows_in_lowest_terms():
             for row, d, exact in zip(tab, den, rational):
                 assert d > 0 and math.gcd(d, *row) == 1
                 assert [Fraction(x, d) for x in row] == exact
+
+
+# ---------------------------------------------------------------------------
+# Row generation: the light-cycle search, and feasible against the program
+# over every circuit row
+# ---------------------------------------------------------------------------
+
+def test_light_cycles_match_circuit_list(solids):
+    # against the list of every non-facial circuit on all five duals:
+    # seeded random positive weights, and weights near the regular point
+    # (exterior angle 2/d at vertex degree d, over the denominator 60),
+    # each with a bound drawn among the circuit sums, so that it cuts
+    # through them; a bound at the lightest sum leaves nothing
+    rng = random.Random(20261019)
+    for name, poly in sorted(solids.items()):
+        dual = polytope.build_dual(poly)
+        circuits = angles.nonfacial_circuits(dual)
+        regular = 120 * poly.vertex_count() // (2 * poly.edge_count())
+        cut = 0
+        for trial in range(12):
+            weight = [rng.randint(1, 20) if trial % 2
+                      else regular + rng.randint(-6, 6) for _ in dual.links]
+            sums = [sum(weight[lid] for lid in seq) for seq in circuits]
+            bound = rng.choice(sums) + rng.randint(0, 1)
+            light = angles.light_cycles(dual, weight, bound)
+            assert light == [seq for seq, total in zip(circuits, sums)
+                             if total < bound]
+            cut += 0 < len(light) < len(circuits)
+            assert angles.light_cycles(dual, weight, min(sums)) == []
+            assert len(angles.light_cycles(dual, weight, min(sums) + 1)) > 0
+        assert cut > 0
+
+
+def matching_partitions(poly, k, monkeypatch):
+    """The distinct edge partitions of the schemes of the k-th matching of
+    enumeration._matchings that pass the structural filters, in stream
+    order."""
+    matchings = enumeration._matchings
+    monkeypatch.setattr(enumeration, "_matchings",
+                        lambda p: itertools.islice(matchings(p), k, k + 1))
+    partitions = dict.fromkeys(
+        frozenset(frozenset(o.edges) for o in orbits)
+        for _, orbits in enumeration.scheme_stream(
+            poly, enumeration.EnumerationReport()))
+    monkeypatch.setattr(enumeration, "_matchings", matchings)
+    return list(partitions)
+
+
+def scaled_rivin_rows(sol, circuits):
+    """fraction_angles.rivin_rows(sol, circuits) with each a scaled by the
+    common denominator D of the family, as the fraction-oracle test scales
+    them, but summed in integers: the Fraction sums take seconds over the
+    dodecahedron's 12,858 circuits."""
+    den = math.lcm(*(q.denominator for q in sol.particular.values()),
+                   *(x.denominator for vec in sol.basis for x in vec))
+    p = [int(sol.particular[eid] * den) for eid in sol.columns]
+    coef = [[int(vec[i] * den) for vec in sol.basis]
+            for i in range(len(sol.columns))]
+    col = {eid: i for i, eid in enumerate(sol.columns)}
+    cons = {}
+
+    def add(a, b):
+        a = tuple(a)
+        if a not in cons or b < cons[a]:
+            cons[a] = b
+
+    for a, pi in zip(coef, p):
+        add([-x for x in a], Fraction(pi, den))            # q > 0
+        add(a, 1 - Fraction(pi, den))                      # q < 1
+    for seq in circuits:
+        idxs = [col[eid] for eid in seq]
+        add([-sum(column) for column in zip(*[coef[i] for i in idxs])],
+            Fraction(sum(p[i] for i in idxs) - 2 * den, den))  # sum > 2
+    return den, list(cons.items())
+
+
+def test_feasible_matches_full_list_program_on_dodecahedron(solids,
+                                                           monkeypatch):
+    # the first feasible and the first Rivin-empty partition of the first
+    # matching, which the edge bounds decide, the first feasible one of the
+    # eleventh matching that takes a circuit row, and the first
+    # system_infeasible one of the sixteenth: the verdict and the witness
+    # are those of the max-slack program over all 12,858 circuit rows, and
+    # every witness passes check_inequalities
+    poly = solids["dodecahedron"]
+    dual = polytope.build_dual(poly)
+    circuits = angles.nonfacial_circuits(dual)
+    assert len(circuits) == 12858
+    found = []
+    light_cycles = angles.light_cycles
+    monkeypatch.setattr(angles, "light_cycles",
+                        lambda *a: found.append(light_cycles(*a)) or found[-1])
+
+    def decided(k):
+        for partition in matching_partitions(poly, k, monkeypatch):
+            system = angles.assemble_system(
+                poly, [set(cl) for cl in sorted(partition, key=sorted)])
+            found.clear()
+            sol, witness = angles.feasible(system, dual)
+            yield system, sol, witness, len(found)
+
+    first = list(decided(0))
+    assert len(first) == 33
+    assert sum(witness is not None for *_, witness, _ in first) == 6
+    assert all(rounds <= 1 for *_, rounds in first)
+    chosen = [next(d for d in first if d[2] is not None),
+              next(d for d in first
+                   if d[2] is None and d[1].status != "infeasible"),
+              next(d for d in decided(10) if d[3] == 2)]
+    assert chosen[2][2] is not None
+    sol = chosen[0][1]
+    den, rows = scaled_rivin_rows(sol, circuits[:400])
+    assert rows == [(tuple(int(x * den) for x in a), b) for a, b
+                    in fraction_angles.rivin_rows(sol, circuits[:400])]
+    for _, sol, witness, _ in chosen:
+        den, rows = scaled_rivin_rows(sol, circuits)
+        t, s = angles._max_slack(rows, len(sol.basis))
+        assert (witness is not None) == (s > 0)
+        if witness is not None:
+            assert witness.values == solution_point(sol, [x * den for x in t])
+            assert angles.check_inequalities(poly, dual, witness)[0]
+    system = next(
+        system for system in (
+            angles.assemble_system(
+                poly, [set(cl) for cl in sorted(partition, key=sorted)])
+            for partition in matching_partitions(poly, 15, monkeypatch))
+        if angles.solve_exact(system).status == "infeasible")
+    assert fraction_angles.solve_exact(system).status == "infeasible"
+    found.clear()
+    sol, witness = angles.feasible(system, dual)
+    assert sol.status == "infeasible" and witness is None and not found

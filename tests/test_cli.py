@@ -350,7 +350,7 @@ def test_pipeline_rotation_grouping(capsys):
 
 
 def test_icosahedron_enumerate_guarded(capsys):
-    # the scheme cap is checked before circuits or automorphisms are built
+    # the scheme cap is checked before the dual or automorphisms are built
     for name in ("icosahedron", "dodecahedron"):
         code, _, err = run(capsys, "enumerate", data_path(name))
         assert code == 2
@@ -416,6 +416,32 @@ def test_only_angles_solves_on_reload(capsys, cube_run, monkeypatch):
     assert len(calls) == 30
     assert shapes == {("affine-family", 8, 4): 18,
                       ("affine-family", 7, 5): 12}
+
+
+def test_no_circuit_list_on_reload_or_pipeline(capsys, cube_run, monkeypatch,
+                                               tmp_path):
+    # a reload checks the witness with a light-cycle search and the
+    # pipeline generates its circuit rows, so neither lists the circuits
+    # (at the parent: one list per `verify` or `angles` call, 30 each over
+    # the cube's candidates, and one per pipeline)
+    calls = []
+    circuits = polytope.simple_circuits
+    monkeypatch.setattr(polytope, "simple_circuits",
+                        lambda *a: calls.append(a) or circuits(*a))
+    candidates = sorted(cube_run.glob("candidate_*.json"))
+    assert len(candidates) == 30
+    for path in candidates:
+        code, text, _ = run(capsys, "verify", data_path("cube"), str(path))
+        assert code == 0 and json.loads(text)["status"] == "CONFIRMED"
+        code, _, _ = run(capsys, "angles", data_path("cube"), str(path))
+        assert code == 0
+    assert calls == []
+    for name, survivors in (("cube", 30), ("octahedron", 120)):
+        code, _, _ = run(capsys, "pipeline", data_path(name),
+                         "--out", str(tmp_path / name))
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert code == 0 and report["survivors"] == survivors
+    assert calls == []
 
 
 def test_derived_data_built_once(capsys, cube_run, monkeypatch, tmp_path):

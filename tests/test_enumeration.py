@@ -96,9 +96,11 @@ def test_empty_scheme_space_answered_at_once(cube, cube_report, monkeypatch):
     assert sorted(map(len, poly.faces)) == [3, 3, 4, 5, 5, 5, 5, 6]
     assert angles.required_class_count(poly) == 3
     calls = []
-    circuits = polytope.simple_circuits
-    monkeypatch.setattr(polytope, "simple_circuits",
-                        lambda *a: calls.append(a) or circuits(*a))
+    for module, name in ((pairings, "automorphism_actions"),
+                         (polytope, "build_dual")):
+        monkeypatch.setattr(module, name,
+                            lambda *a, f=getattr(module, name):
+                            calls.append(a) or f(*a))
     report = enumeration.classify(poly)
     assert calls == []
     doc = enumeration.report_to_json_dict(report)
@@ -202,7 +204,7 @@ def test_angle_stage(solids, monkeypatch, name, partitions, decided, empty,
     poly = solids[name]
     stream = list(enumeration.scheme_stream(
         poly, enumeration.EnumerationReport()))
-    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    dual = polytope.build_dual(poly)
     actions = pairings.automorphism_actions(poly)
     calls = []
     feasible = angles.feasible
@@ -213,7 +215,7 @@ def test_angle_stage(solids, monkeypatch, name, partitions, decided, empty,
     for _, orbits in stream:
         partition = frozenset(frozenset(o.edges) for o in orbits)
         status, system, witness = enumeration.angle_record(
-            poly, circuits, actions, records, partition)
+            poly, dual, actions, records, partition)
         verdicts[witness is not None] += 1
         if witness is None:
             assert status == "affine-family" and system is None
@@ -235,21 +237,21 @@ def test_angle_stage_records_an_inconsistent_partition(cube, monkeypatch):
     star = frozenset(inc.vertex_edges["FTR"])
     partition = frozenset([star, frozenset(range(12)) - star])
     assert star == {0, 1, 8}
-    circuits = angles.nonfacial_circuits(polytope.build_dual(cube))
+    dual = polytope.build_dual(cube)
     actions = pairings.automorphism_actions(cube)
     calls = []
     feasible = angles.feasible
     monkeypatch.setattr(angles, "feasible",
                         lambda *a: calls.append(a) or feasible(*a))
     records = {}
-    verdict = enumeration.angle_record(cube, circuits, actions, records,
+    verdict = enumeration.angle_record(cube, dual, actions, records,
                                        partition)
     assert verdict == ("infeasible", None, None) and len(calls) == 1
     images = {frozenset(frozenset(perm[e] for e in cl) for cl in partition)
               for *_, perm in actions}
     assert len(images) == 8
     image = min(images - {partition}, key=lambda p: sorted(map(sorted, p)))
-    assert enumeration.angle_record(cube, circuits, actions, records,
+    assert enumeration.angle_record(cube, dual, actions, records,
                                     image) == verdict
     assert len(calls) == 1 and records[image] == verdict
 
@@ -302,8 +304,7 @@ def test_survivors_closed_under_symmetry(cube, cube_report):
             assert scheme_signature(image) in signatures
 
 
-def test_survivors_revalidate(cube, cube_dual, cube_circuits,
-                              cube_report):
+def test_survivors_revalidate(cube, cube_dual, cube_report):
     required = angles.required_class_count(cube)
     for cand in cube_report.survivors:
         pairings.validate_scheme(cand.scheme)
@@ -312,13 +313,13 @@ def test_survivors_revalidate(cube, cube_dual, cube_circuits,
         assert len(orbits) == required
         system = angles.assemble_system(
             cube, [set(o.edges) for o in orbits])
-        sol, witness = angles.feasible(system, cube_circuits)
+        sol, witness = angles.feasible(system, cube_dual)
         assert witness is not None
         ok, _ = angles.check_inequalities(cube, cube_dual, cand.witness)
         assert ok
 
 
-def test_filter_order_irrelevant(cube, cube_circuits, cube_report):
+def test_filter_order_irrelevant(cube, cube_dual, cube_report):
     # apply the filters independently, in a different order, and compare the
     # survivor set with classify's
     required = angles.required_class_count(cube)
@@ -331,7 +332,7 @@ def test_filter_order_irrelevant(cube, cube_circuits, cube_report):
             if partition not in cache:
                 system = angles.assemble_system(
                     cube, [set(p) for p in partition])
-                cache[partition] = angles.feasible(system, cube_circuits)[1]
+                cache[partition] = angles.feasible(system, cube_dual)[1]
             feasible_witness = cache[partition]
         else:
             feasible_witness = None
@@ -518,7 +519,6 @@ def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
                                      ("octahedron", octahedron_report, 96)):
         poly = solids[name]
         dual = polytope.build_dual(poly)
-        circuits = angles.nonfacial_circuits(dual)
         seen = set()
         for cand in report.survivors:
             partition = frozenset(frozenset(o.edges) for o in cand.orbits)
@@ -530,17 +530,17 @@ def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
             assert angles.satisfies(system, cand.witness.values)
             ok, failures = angles.check_inequalities(poly, dual, cand.witness)
             assert ok, failures
-            assert angles.feasible(system, circuits)[1] == cand.witness
+            assert angles.feasible(system, dual)[1] == cand.witness
         assert len(seen) == partitions
 
 
-def test_pull_back_check_fires(cube, cube_inc, cube_circuits, fd1):
+def test_pull_back_check_fires(cube, cube_inc, cube_dual, fd1):
     # swapping two edges of different classes at a common vertex is no
     # symmetry of the angle system: the row check must refuse it, although
     # the witness, the regular point, is fixed by every such swap
     classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
     system = angles.assemble_system(cube, classes)
-    _, witness = angles.feasible(system, cube_circuits)
+    _, witness = angles.feasible(system, cube_dual)
     assert set(witness.values.values()) == {Fraction(2, 3)}
     identity = list(range(len(cube_inc.edges)))
     same = enumeration.pull_back(system, system, witness, identity)
@@ -556,7 +556,7 @@ def test_pull_back_check_fires(cube, cube_inc, cube_circuits, fd1):
 
 
 def test_pull_back_refuses_another_partitions_image(cube, cube_inc,
-                                                    cube_circuits, fd1, fd2):
+                                                    cube_dual, fd1, fd2):
     # a genuine symmetry carries the partition's system onto its own image,
     # and onto no other partition's system
     classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
@@ -567,12 +567,12 @@ def test_pull_back_refuses_another_partitions_image(cube, cube_inc,
             for eid in range(len(cube_inc.edges))]
     image = angles.assemble_system(
         cube, [{perm[e] for e in cl} for cl in classes])
-    _, witness = angles.feasible(image, cube_circuits)
+    _, witness = angles.feasible(image, cube_dual)
     pulled = enumeration.pull_back(system, image, witness, perm)
     assert angles.satisfies(system, pulled.values)
     other = angles.assemble_system(
         cube, [set(o.edges) for o in pairings.edge_orbits(fd2)])
-    _, other_witness = angles.feasible(other, cube_circuits)
+    _, other_witness = angles.feasible(other, cube_dual)
     with pytest.raises(AssertionError, match="pull-back failed"):
         enumeration.pull_back(system, other, other_witness, perm)
 
