@@ -15,7 +15,8 @@ against the full list of circuits, as an independent oracle.
 Both the Gauss-Jordan solve and the simplex are fraction-free inside: a
 tableau row is a list of integers over one positive denominator, divided
 by its content after every pivot (Bareiss, Math. Comp. 1968; Edmonds,
-J. Res. NBS 1967).  Only the results are Fractions.
+J. Res. NBS 1967).  Only the results are Fractions.  Every rational point
+goes over its least common denominator in one place, `common_denominator`.
 """
 
 import heapq
@@ -163,9 +164,7 @@ def satisfies(system, values):
     by exact substitution?  The values are put over their common
     denominator D once, and each row's sum compared with D times its
     right-hand side."""
-    den = math.lcm(*[values[eid].denominator for eid in system.columns])
-    scaled = [values[eid].numerator * (den // values[eid].denominator)
-              for eid in system.columns]
+    scaled, den = common_denominator([values[eid] for eid in system.columns])
     return all(sum([c * x for c, x in zip(coef, scaled) if c]) == rhs * den
                for coef, rhs in system.rows)
 
@@ -277,48 +276,40 @@ def feasible(system, dual):
     sol = solve_exact(system)
     if sol.status == "infeasible":
         return sol, None
-    m = len(sol.basis)
-    particular = [sol.particular[eid] for eid in sol.columns]
-    den = math.lcm(*(q.denominator for q in particular),
-                   *(x.denominator for vec in sol.basis for x in vec))
-    p = [q.numerator * (den // q.denominator) for q in particular]
+    n, m = len(sol.columns), len(sol.basis)
+    scaled, den = common_denominator(
+        [sol.particular[eid] for eid in sol.columns]
+        + [x for vec in sol.basis for x in vec])
+    p = scaled[:n]
     # coef[i] is row i of B.  Tuples are built from lists, not generators:
     # a tuple built from a generator is allocated at a guessed length and
     # resized, so it never reuses the free list of its final length, which
     # it joins when freed; that list grew by every row of every call
     # (50 KiB more heap at the peak of a cube pipeline)
-    coef = [tuple([vec[i].numerator * (den // vec[i].denominator)
-                   for vec in sol.basis]) for i in range(len(particular))]
+    coef = [tuple(scaled[n + i::n]) for i in range(n)]
     col = {eid: i for i, eid in enumerate(sol.columns)}
     cons = {}  # a -> smallest D*b: of two rows with equal a only it binds
-
-    def add(a, rhs):
-        if a not in cons or rhs < cons[a]:
-            cons[a] = rhs
-
     for a, pi in zip(coef, p):
-        add(tuple([-x for x in a]), pi)                 # q > 0
-        add(a, den - pi)                                # q < 1
+        for row, rhs in ((tuple([-x for x in a]), pi), (a, den - pi)):
+            cons[row] = min(cons.get(row, rhs), rhs)    # q > 0, q < 1
     while True:
         t, slack = _max_slack(
             [(a, Fraction(rhs, den)) for a, rhs in cons.items()], m)
         if slack <= 0:
             return sol, None
         # q = P/D + B.t and s over the denominator D * lcm(t, s)
-        tden = math.lcm(slack.denominator, *[x.denominator for x in t])
-        tnum = [x.numerator * (tden // x.denominator) for x in t]
+        (snum, *tnum), tden = common_denominator([slack, *t])
         weight = {eid: pi * tden + den * sum(x * y for x, y in zip(a, tnum))
                   for eid, pi, a in zip(sol.columns, p, coef)}
-        light = light_cycles(
-            dual, weight,
-            den * (2 * tden + slack.numerator * (tden // slack.denominator)))
+        light = light_cycles(dual, weight, den * (2 * tden + snum))
         if not light:
             return sol, AngleAssignment(
                 {eid: Fraction(w, den * tden) for eid, w in weight.items()})
         for seq in light:
             idxs = [col[eid] for eid in seq]
-            add(tuple([-sum(coef[i][k] for i in idxs) for k in range(m)]),
-                sum(p[i] for i in idxs) - 2 * den)      # sum > 2
+            a = tuple([-sum(coef[i][k] for i in idxs) for k in range(m)])
+            rhs = sum(p[i] for i in idxs) - 2 * den     # sum > 2
+            cons[a] = min(cons.get(a, rhs), rhs)
 
 
 def _max_slack(rows, m):
@@ -370,17 +361,19 @@ def _tableau(rows):
     """(integer rows, denominators) for the rational rows `rows`."""
     tab, den = [], []
     for values in rows:
-        row, d = _integer_row(values)
+        row, d = common_denominator(values)
         tab.append(row)
         den.append(d)
     return tab, den
 
 
-def _integer_row(values):
-    """The rational vector `values` as (integers, positive denominator) in
-    lowest terms."""
+def common_denominator(values):
+    """(integers, D) with values[i] == integers[i] / D for the rationals
+    `values`, D the lcm of their denominators.  That is lowest terms,
+    gcd(D, *integers) == 1: a prime's highest power in D divides some
+    value's own denominator, so it does not divide that value's integer."""
     d = math.lcm(*[x.denominator for x in values])
-    return _lowest([x.numerator * (d // x.denominator) for x in values], d)
+    return [x.numerator * (d // x.denominator) for x in values], d
 
 
 def _lowest(row, d):

@@ -247,8 +247,8 @@ INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 enumeration.EnumerationError, json.JSONDecodeError,
                 UnicodeDecodeError, FileNotFoundError, FileExistsError,
                 IsADirectoryError, NotADirectoryError, PermissionError,
-                enumeration.SchemeCapExceeded, polytope.CircuitCapExceeded,
-                geometry.NotRealizableError, geometry.RealizationError)
+                enumeration.SchemeCapExceeded, geometry.NotRealizableError,
+                geometry.RealizationError)
 
 
 _parser = None

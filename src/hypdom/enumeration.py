@@ -120,7 +120,7 @@ def _matchings(poly):
     faces = list(range(poly.face_count()))
     symbols = string.ascii_uppercase
     for matching in _perfect_matchings(faces, [len(f) for f in poly.faces]):
-        yield [[pairings.make_pairing(poly, symbols[t], f1, f2, corr)
+        yield [[pairings.make_pairing(symbols[t], f1, f2, corr)
                 for corr in pairings.reversing_correspondences(poly, f1, f2)]
                for t, (f1, f2) in enumerate(matching)]
 
@@ -345,9 +345,8 @@ def _checked_witness(poly, system, raw):
         raise EnumerationError(f"witness is not valid: {exc}") from exc
     if not angles.satisfies(system, witness.values):
         raise EnumerationError("witness does not solve the angle system")
-    den = math.lcm(*[q.denominator for q in witness.values.values()])
-    weight = {eid: q.numerator * (den // q.denominator)
-              for eid, q in witness.values.items()}
+    scaled, den = angles.common_denominator(witness.values.values())
+    weight = dict(zip(witness.values, scaled))
     light = angles.light_cycles(polytope.build_dual(poly), weight, 2 * den + 1)
     if light:
         total = Fraction(sum(weight[eid] for eid in light[0]), den)

@@ -93,7 +93,7 @@ class QuotientCensus:
                 + self.face_classes - self.interiors)
 
 
-def make_pairing(poly, gen, source, target, mapping):
+def make_pairing(gen, source, target, mapping):
     return FacePairing(gen, source, target, tuple(sorted(mapping.items())))
 
 
@@ -268,7 +268,14 @@ def quotient_census(scheme, orbits):
 
 
 def symmetry_group(poly):
-    """All combinatorial automorphisms, as (vertex map, orientation flag).
+    """All combinatorial automorphisms, as (vertex map, orientation flag),
+    in the order of `automorphism_actions`."""
+    return [action[:2] for action in automorphism_actions(poly)]
+
+
+def automorphism_actions(poly):
+    """All combinatorial automorphisms, each as (vertex map, rotation flag,
+    face permutation, edge permutation), all read off its dart map.
 
     The vertex graph is 3-connected, so its embedding is unique (Whitney):
     an automorphism is a dart map that commutes with twin and sends next
@@ -293,8 +300,11 @@ def symmetry_group(poly):
             dmap = _dart_map(inc, step, image)
             if dmap is not None:
                 key = tuple(ends[dmap[d]] for d in outs)
-                found.append((key, (dict(zip(order, key)), rotation)))
-    return [auto for _, auto in sorted(found)]
+                found.append((key, (
+                    dict(zip(order, key)), rotation,
+                    tuple(inc.dart_face[dmap[d]] for d in inc.first),
+                    tuple(inc.dart_edge[dmap[d]] for d in inc.edge_dart))))
+    return [action for _, action in sorted(found)]
 
 
 def _dart_map(inc, step, image):
@@ -315,23 +325,6 @@ def _dart_map(inc, step, image):
             elif dmap[src] != dst:
                 return None
     return dmap
-
-
-def automorphism_actions(poly):
-    """Each automorphism as (vertex map, rotation flag, face permutation,
-    edge permutation), the permutations of face ids and of edge ids read
-    off its dart map once per polyhedron."""
-    inc = poly.incidence
-    actions = []
-    for vmap, rotation in symmetry_group(poly):
-        # a rotation sends dart (u, v) to (vmap[u], vmap[v]); a reflection
-        # reverses every face cycle, so to (vmap[v], vmap[u])
-        dmap = [inc.darts[(vmap[u], vmap[v]) if rotation
-                          else (vmap[v], vmap[u])] for u, v in inc.darts]
-        actions.append((vmap, rotation,
-                        tuple(inc.dart_face[dmap[d]] for d in inc.first),
-                        tuple(inc.dart_edge[dmap[d]] for d in inc.edge_dart)))
-    return actions
 
 
 def signature(scheme, action):
@@ -422,7 +415,7 @@ def twist_pairing(poly, gen, from_name, to_name, quarter_turns, sense="cw"):
         else all(pair in darts for pair in c.items())))
     # one step forward along the target cycle is one entry back in the list
     turns = quarter_turns if sense == "cw" else -quarter_turns
-    return make_pairing(poly, gen, source, target, corrs[(base - turns) % 4])
+    return make_pairing(gen, source, target, corrs[(base - turns) % 4])
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +454,7 @@ def scheme_from_json_dict(poly, doc):
                     for v in (*mapping, *mapping.values()))):
                 raise SchemeError(f"pairing {item['gen']!r}: 'map' is not a "
                                   "mapping of vertex names to vertex names")
-            pairings.append(make_pairing(
-                poly, item["gen"], source, target, mapping))
+            pairings.append(make_pairing(item["gen"], source, target, mapping))
         else:
             pairings.append(twist_pairing(
                 poly, item["gen"], item["from"], item["to"],

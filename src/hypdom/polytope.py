@@ -8,6 +8,8 @@ darts (an edge on one of its faces) are numbered once, in integer arrays
 that the orbits, the symmetries and the dual all walk.  Validation makes
 that numbering, which refuses an incoherent orientation, and decides
 3-connectivity by which vertices the faces share, without a graph search.
+The dual's simple circuits are listed in full, uncapped, only as the
+oracle of the light-cycle search in `angles`; no library path lists them.
 """
 
 import functools
@@ -19,13 +21,6 @@ from importlib import resources
 
 class PolyhedronError(ValueError):
     """Raised when a document fails polyhedron validation."""
-
-
-class CircuitCapExceeded(RuntimeError):
-    """Raised when circuit enumeration exceeds the configured cap."""
-
-
-DEFAULT_CIRCUIT_CAP = 100000
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,7 @@ def dual_adjacency(dual):
     return adj
 
 
-def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
+def simple_circuits(dual):
     """All simple circuits of the dual graph, each tagged facial or not.
 
     A circuit is a closed node walk with no repeated node, recorded as the
@@ -269,28 +264,24 @@ def simple_circuits(dual, cap=DEFAULT_CIRCUIT_CAP):
     """
     adj = dual_adjacency(dual)
     found = {}
-    order = {n: i for i, n in enumerate(dual.nodes)}
     for s in dual.nodes:
-        _extend_circuits(adj, order, found, cap, s, s, {s}, [])
+        _extend_circuits(adj, found, s, s, {s}, [])
     stars = {frozenset(cyc) for cyc in dual.facial_cycles.values()}
     return [(found[key], key in stars)
             for key in sorted(found, key=lambda k: (len(k), sorted(k)))]
 
 
-def _extend_circuits(adj, order, found, cap, start, cur, visited, epath):
+def _extend_circuits(adj, found, start, cur, visited, epath):
     """Record in `found` the circuits through `start` that extend the link
     path `epath` (start to `cur`) over later nodes; no closure, no cycle."""
-    if len(found) > cap:
-        raise CircuitCapExceeded(f"more than {cap} circuits")
     for nb, lid in adj[cur]:
         if nb == start and epath and lid != epath[0]:
             key = frozenset(epath + [lid])
             if key not in found:
                 found[key] = tuple(epath + [lid])
-        elif nb not in visited and order[nb] > order[start]:
+        elif nb > start and nb not in visited:
             visited.add(nb)
-            _extend_circuits(adj, order, found, cap, start, nb, visited,
-                             epath + [lid])
+            _extend_circuits(adj, found, start, nb, visited, epath + [lid])
             visited.discard(nb)
 
 

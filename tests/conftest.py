@@ -226,7 +226,7 @@ def conjugate_scheme(scheme, vmap):
         nsrc = face_ids[frozenset(vmap[v] for v in poly.faces[p.source])]
         ntgt = face_ids[frozenset(vmap[v] for v in poly.faces[p.target])]
         corr = {vmap[a]: vmap[b] for a, b in p.corr}
-        images.append(pairings.make_pairing(poly, p.gen, nsrc, ntgt, corr))
+        images.append(pairings.make_pairing(p.gen, nsrc, ntgt, corr))
     return pairings.PairingScheme(poly, tuple(images))
 
 

@@ -582,6 +582,20 @@ def test_solve_exact_zero_rows():
         assert ours.status == status and ours.rank == 1
 
 
+def test_common_denominator_is_lowest_terms():
+    # D is the lcm of the denominators, and the integers over it are already
+    # in lowest terms: dividing by gcd(D, *integers) would change nothing
+    rng = random.Random(11)
+    for _ in range(2000):
+        values = [rng.choice([0, rng.randint(-9, 9), Fraction(
+                      rng.randint(-30, 30), rng.randint(1, 36))])
+                  for _ in range(rng.randint(1, 8))]
+        ints, d = angles.common_denominator(values)
+        assert d == math.lcm(*[Fraction(x).denominator for x in values])
+        assert math.gcd(d, *ints) == 1
+        assert [Fraction(x, d) for x in ints] == values
+
+
 def test_pivot_keeps_rows_in_lowest_terms():
     # after every pivot each row has a positive denominator and content 1,
     # and stands for the same rational row as the Fraction oracle's
@@ -590,7 +604,7 @@ def test_pivot_keeps_rows_in_lowest_terms():
         nrow, ncol = rng.randint(1, 4), rng.randint(2, 6)
         rational = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(ncol)] for _ in range(nrow)]
-        tab, den = map(list, zip(*(angles._integer_row(row)
+        tab, den = map(list, zip(*(angles.common_denominator(row)
                                    for row in rational)))
         for _ in range(4):
             entries = [(i, j) for i in range(nrow) for j in range(ncol)

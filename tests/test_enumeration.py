@@ -377,8 +377,8 @@ def test_reload_takes_persisted_keys(cube, cube_report, monkeypatch):
     # a reload builds no automorphism group: both canonical keys come from
     # the document, and a document without them is refused by name
     calls = []
-    group = pairings.symmetry_group
-    monkeypatch.setattr(pairings, "symmetry_group",
+    group = pairings.automorphism_actions
+    monkeypatch.setattr(pairings, "automorphism_actions",
                         lambda poly: calls.append(poly) or group(poly))
     docs = [enumeration.candidate_to_json_dict(c)
             for c in cube_report.survivors]

@@ -121,7 +121,7 @@ def test_fd1_valid(fd1):
 def test_self_pairing_rejected(cube):
     fids = pairings.cube_face_ids(cube)
     front = cube.faces[fids["front"]]
-    p = pairings.make_pairing(cube, "A", fids["front"], fids["front"],
+    p = pairings.make_pairing("A", fids["front"], fids["front"],
                               {v: v for v in front})
     with pytest.raises(pairings.SchemeError, match="itself"):
         pairings.validate_scheme(pairings.PairingScheme(cube, (p,)))
@@ -132,7 +132,7 @@ def test_orientation_preserving_correspondence_rejected(cube, fd1):
     front, back = cube.faces[fids["front"]], cube.faces[fids["back"]]
     # map front cycle to back cycle with the same cyclic order
     bad = {front[i]: back[i] for i in range(4)}
-    ps = (pairings.make_pairing(cube, "A", fids["front"], fids["back"], bad),
+    ps = (pairings.make_pairing("A", fids["front"], fids["back"], bad),
           fd1.pairings[1], fd1.pairings[2])
     with pytest.raises(pairings.SchemeError, match="reverse"):
         pairings.validate_scheme(pairings.PairingScheme(cube, ps))
@@ -146,7 +146,7 @@ def test_length_mismatch_rejected():
                      ["c", "c2", "a2", "a"]]}
     prism = polytope.load_polyhedron(doc)
     mapping = {"a": "a", "b": "a2", "c": "b2"}
-    p = pairings.make_pairing(prism, "A", 0, 2, mapping)
+    p = pairings.make_pairing("A", 0, 2, mapping)
     scheme = pairings.PairingScheme(prism, (p,))
     with pytest.raises(pairings.SchemeError, match="length"):
         pairings.validate_scheme(scheme)
@@ -749,8 +749,8 @@ def test_edge_orbits_non_reversing_pairing_raises(cube, fd1):
     first = fd1.pairings[0]
     keep = dict(zip(cube.faces[first.source], cube.faces[first.target]))
     scheme = pairings.PairingScheme(cube, (
-        pairings.make_pairing(cube, first.gen, first.source, first.target,
-                              keep), *fd1.pairings[1:]))
+        pairings.make_pairing(first.gen, first.source, first.target, keep),
+        *fd1.pairings[1:]))
     with pytest.raises(pairings.CensusError, match="not a permutation"):
         pairings.edge_orbits(scheme)
 

@@ -297,11 +297,6 @@ def test_facial_tag_follows_vertex_rotation(solids):
     assert total == 14144
 
 
-def test_circuit_cap(cube_dual):
-    with pytest.raises(polytope.CircuitCapExceeded):
-        polytope.simple_circuits(cube_dual, cap=5)
-
-
 def test_drawn_edges_all_present(cube_inc):
     ids = {cube_inc.edge_id(u, v) for u, v in DRAWN_EDGES.values()}
     assert ids == set(range(12))
