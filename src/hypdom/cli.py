@@ -1,5 +1,8 @@
 """Command line front end.
 
+Each `cmd_<name>(poly, args)` builds its command's document and returns it;
+`main` loads the polyhedron, writes the document and returns the exit code.
+`enumerate` and `pipeline` write their runs through `_write_run` instead.
 Exit codes: 0 the command ran (also when the reader of its standard output
 closed the pipe early), 2 invalid input, 3 internal invariant breach.
 All outputs are deterministic JSON (sorted keys) so runs can be diffed.
@@ -77,8 +80,7 @@ def _read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def cmd_info(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
+def cmd_info(poly, args):
     doc = {
         "name": poly.name,
         "vertices": poly.vertex_count(),
@@ -94,8 +96,7 @@ def cmd_info(args):
     if not doc["edge_bound_ok"]:
         doc["warning"] = ("edge count exceeds twice the vertex count; any "
                           "torsion-free domain needs commuting generators")
-    _dump(doc, args.out_file)
-    return 0
+    return doc
 
 
 def _write_run(report, doc, out):
@@ -112,81 +113,61 @@ def _write_run(report, doc, out):
               outdir / f"candidate_{i:03d}.json")
 
 
-def cmd_enumerate(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
+def cmd_enumerate(poly, args):
     report = enumeration.classify(poly)
     _write_run(report, enumeration.report_to_json_dict(report), args.out)
-    return 0
 
 
-def cmd_angles(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
-    cand_doc = _read_json(args.candidate)
-    cand = enumeration.candidate_from_json_dict(poly, cand_doc)
-    doc = {
+def _candidate(poly, args):
+    """The candidate in file `args.candidate`, its witness checked."""
+    return enumeration.candidate_from_json_dict(poly,
+                                                _read_json(args.candidate))
+
+
+def _verdict(presentation):
+    return "CONFIRMED" if presentation.confirmed() else "REJECTED"
+
+
+def cmd_angles(poly, args):
+    cand = _candidate(poly, args)
+    return {
         "status": cand.solution.status,
         "rank": cand.solution.rank,
         "free_variables": len(cand.solution.basis),
         "witness": cand.witness.to_json_dict(),
         "class_sizes": list(cand.class_sizes),
     }
-    _dump(doc, args.out_file)
-    return 0
 
 
-def cmd_restrict(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
-    cand_doc = _read_json(args.candidate)
-    scheme = enumeration.candidate_scheme(poly, cand_doc)
-    gens = None
+def cmd_restrict(poly, args):
+    scheme = enumeration.candidate_scheme(poly, _read_json(args.candidate))
     try:
-        realization = geometry.load_realization(poly)
-        gens = geometry.face_pairing_maps(realization, scheme)
+        gens = geometry.face_pairing_maps(geometry.load_realization(poly),
+                                          scheme)
     except geometry.GeometryError:
-        pass
-    report = grouplab.restriction_report(scheme, gens)
-    doc = {
-        "has_size3_class": report.has_size3_class,
-        "has_y2z_relator": report.has_y2z_relator,
-        "squared_terms": len(report.squared_term_relators),
-        "adjacent_identified_sharing_edge":
-            report.adjacent_identified_sharing_edge,
-        "edge_bound_ok": report.edge_bound_ok,
-        "parity_ok": report.parity_ok,
-        "commuting_generator_pairs": None if gens is None else
-            [list(p) for p in report.commuting_generator_pairs],
-    }
-    _dump(doc, args.out_file)
-    return 0
+        gens = None
+    return grouplab.restriction_report(scheme, gens)
 
 
-def cmd_realize(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
-    realization = geometry.load_realization(poly)
-    _dump(geometry.realization_to_json_dict(realization), args.out_file)
-    return 0
+def cmd_realize(poly, args):
+    return geometry.realization_to_json_dict(geometry.load_realization(poly))
 
 
-def cmd_verify(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
-    cand_doc = _read_json(args.candidate)
-    cand = enumeration.candidate_from_json_dict(poly, cand_doc)
+def cmd_verify(poly, args):
+    cand = _candidate(poly, args)
     try:
         presentation = geometry.verify_candidate(cand)
     except geometry.NotRealizableError as exc:
-        _dump({"status": "not-attempted", "reason": str(exc)}, args.out_file)
-        return 0
+        return {"status": "not-attempted", "reason": str(exc)}
     doc = geometry.presentation_to_json_dict(presentation)
-    doc["status"] = "CONFIRMED" if presentation.confirmed() else "REJECTED"
+    doc["status"] = _verdict(presentation)
     doc["generator_types"] = {
         sym: geometry.classify_element(m)
         for sym, m in sorted(presentation.generators.items())}
-    _dump(doc, args.out_file)
-    return 0
+    return doc
 
 
-def cmd_pipeline(args):
-    poly = polytope.load_polyhedron(args.polyhedron)
+def cmd_pipeline(poly, args):
     report = enumeration.classify(poly)
     doc = enumeration.report_to_json_dict(report)
     families = []
@@ -195,9 +176,7 @@ def cmd_pipeline(args):
         entry = dict(summary)
         entry["schemes"] = entry.pop("size")
         try:
-            presentation = geometry.verify_candidate(rep)
-            entry["verification"] = ("CONFIRMED" if presentation.confirmed()
-                                     else "REJECTED")
+            entry["verification"] = _verdict(geometry.verify_candidate(rep))
         except geometry.NotRealizableError as exc:
             entry["verification"] = "out-of-scope"
             entry["reason"] = str(exc)
@@ -207,7 +186,6 @@ def cmd_pipeline(args):
         families.append(entry)
     doc["families"] = families
     _write_run(report, doc, args.out)
-    return 0
 
 
 def build_parser():
@@ -264,11 +242,14 @@ def main(argv=None):
         # a usage error (2) or --help (0): argparse has printed the message
         return exc.code
     try:
+        poly = polytope.load_polyhedron(args.polyhedron)
         # cmd_<name> is looked up at call time, so a wrapper put in its
         # place as a module attribute is honoured
-        code = globals()[f"cmd_{args.command}"](args)
+        doc = globals()[f"cmd_{args.command}"](poly, args)
+        if doc is not None:  # enumerate and pipeline write their own runs
+            _dump(doc, args.out_file)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # the reader stopped early: what is left goes nowhere, quietly
         devnull = os.open(os.devnull, os.O_WRONLY)

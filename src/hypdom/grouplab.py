@@ -3,23 +3,14 @@
 These are the machine-checkable shadows of the group-theoretic restrictions:
 squared terms in relators against adjacent identified faces, size-3 classes
 against short relators, the exact commutation test, and the edge-count
-bound that forces commuting generators.
+bound that forces commuting generators.  `restriction_report` gathers them
+for one scheme into the document that `hypdom restrict` writes as it is.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import geometry, pairings
-
-
-@dataclass(frozen=True)
-class RestrictionReport:
-    has_size3_class: bool
-    has_y2z_relator: bool
-    squared_term_relators: tuple
-    adjacent_identified_sharing_edge: bool
-    edge_bound_ok: bool
-    parity_ok: bool
-    commuting_generator_pairs: tuple  # filled only when maps are available
 
 
 def has_squared_term(words):
@@ -104,25 +95,27 @@ def adjacent_identified_sharing_edge(scheme):
 
 
 def restriction_report(scheme, generators=None):
-    """Full report for one scheme; generator commutation only with maps."""
+    """The `hypdom restrict` document of one scheme: its size-3 class,
+    YYZ relator, squared-term count, adjacent-identification, edge-bound
+    and parity verdicts, and, given the generator maps (symbol ->
+    MobiusMap), each commuting pair of symbols in sorted order
+    (`commuting_generator_pairs`, None without the maps)."""
     poly = scheme.poly
     orbits = pairings.edge_orbits(scheme)
     words = tuple(pairings.relator_word(o) for o in orbits)
-    squared, witnesses = has_squared_term(words)
     verdict = y2z_class_link(orbits, words)
-    commuting = []
-    if generators:
-        symbols = sorted(generators)
-        for i, s1 in enumerate(symbols):
-            for s2 in symbols[i + 1:]:
-                if commutes(generators[s1], generators[s2]):
-                    commuting.append((s1, s2))
-    return RestrictionReport(
-        has_size3_class=verdict.has_size3_orbit,
-        has_y2z_relator=verdict.has_y2z_word,
-        squared_term_relators=witnesses,
-        adjacent_identified_sharing_edge=adjacent_identified_sharing_edge(scheme),
-        edge_bound_ok=edge_bound_check(poly),
-        parity_ok=parity_check(orbits, words, poly),
-        commuting_generator_pairs=tuple(commuting),
-    )
+    commuting = None
+    if generators is not None:
+        commuting = [[s, t] for s, t in
+                     itertools.combinations(sorted(generators), 2)
+                     if commutes(generators[s], generators[t])]
+    return {
+        "has_size3_class": verdict.has_size3_orbit,
+        "has_y2z_relator": verdict.has_y2z_word,
+        "squared_terms": len(has_squared_term(words)[1]),
+        "adjacent_identified_sharing_edge":
+            adjacent_identified_sharing_edge(scheme),
+        "edge_bound_ok": edge_bound_check(poly),
+        "parity_ok": parity_check(orbits, words, poly),
+        "commuting_generator_pairs": commuting,
+    }

@@ -67,13 +67,6 @@ def fd2(cube):
 
 
 @pytest.fixture(scope="session")
-def fd3u(cube):
-    """The third surviving family: uniform quarter twists on the adjacent
-    matching."""
-    return domains.adjacent_uniform_twist(cube)
-
-
-@pytest.fixture(scope="session")
 def realization(cube):
     return geometry.load_realization(cube)
 
@@ -239,11 +232,6 @@ def scheme_signature(scheme):
             src, tgt, corr = tgt, src, p.inverse_mapping()
         items.append((src, tgt, tuple(sorted(corr.items()))))
     return tuple(sorted(items))
-
-
-def classes_by_pairs(inc, pairs):
-    """Set of edge ids from a list of vertex-name pairs."""
-    return {inc.edge_id(u, v) for u, v in pairs}
 
 
 # The standard drawing's edge numbering, as vertex pairs: 1 front-bottom,

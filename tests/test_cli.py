@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from hypdom import angles, cli, geometry, pairings, polytope
+from hypdom import (angles, cli, enumeration, geometry, grouplab, pairings,
+                    polytope)
 
 
 def data_path(name):
@@ -272,6 +273,32 @@ def test_restrict_command_candidate(capsys, cube_run, tmp_path):
     code, text, _ = run(capsys, "restrict", str(box), candidate)
     assert code == 0
     assert json.loads(text)["commuting_generator_pairs"] is None
+
+
+def test_restrict_prints_the_library_document(capsys, tmp_path):
+    # `hypdom restrict` writes grouplab.restriction_report's document as it
+    # is, on every cube and octahedron candidate; without generator maps
+    # the commuting pairs are None, and with no generators an empty list
+    checked = 0
+    for solid in ("cube", "octahedron"):
+        out = tmp_path / solid
+        assert cli.main(["enumerate", data_path(solid), "--out", str(out)]) == 0
+        capsys.readouterr()
+        poly = polytope.load_polyhedron(data_path(solid))
+        realization = geometry.load_realization(poly)
+        for path in sorted(out.glob("candidate_*.json")):
+            scheme = enumeration.candidate_scheme(
+                poly, json.loads(path.read_text()))
+            gens = geometry.face_pairing_maps(realization, scheme)
+            code, text, _ = run(capsys, "restrict", data_path(solid),
+                                str(path))
+            doc = grouplab.restriction_report(scheme, gens)
+            assert code == 0 and json.loads(text) == doc
+            for generators, pairs in ((None, None), ({}, [])):
+                assert grouplab.restriction_report(scheme, generators) == dict(
+                    doc, commuting_generator_pairs=pairs)
+            checked += 1
+    assert checked == 150
 
 
 def test_pipeline_cube(capsys, tmp_path):

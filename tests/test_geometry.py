@@ -489,10 +489,10 @@ def test_exact_verdicts_agree_with_float_oracle(solids, cube_report,
             assert ({s: geometry.classify_element(m) for s, m in gens.items()}
                     == {s: fm.classify_element(m) for s, m in oracle.items()})
             pairs = grouplab.restriction_report(
-                cand.scheme, gens).commuting_generator_pairs
-            assert pairs == tuple(
-                (s, t) for s, t in itertools.combinations(sorted(oracle), 2)
-                if fm.commutes(oracle[s], oracle[t]))
+                cand.scheme, gens)["commuting_generator_pairs"]
+            assert pairs == [
+                [s, t] for s, t in itertools.combinations(sorted(oracle), 2)
+                if fm.commutes(oracle[s], oracle[t])]
             confirmed += verdicts == ["identity"] * len(verdicts)
             commuting += bool(pairs)
     assert (confirmed, commuting) == (54, 12)
