@@ -76,18 +76,18 @@ class EnumerationReport:
         return self.total == sum(self.rejected.values()) + len(self.survivors)
 
 
-def _perfect_matchings(items, length):
-    """Each perfect matching of `items` that pairs an item only with one of
-    the same `length[item]`, first item first."""
+def _perfect_matchings(items, moves):
+    """Each perfect matching of `items` whose every pair (item, later item)
+    is a key of `moves`, first item first."""
     if not items:
         yield []
         return
     first = items[0]
     for i in range(1, len(items)):
-        if length[items[i]] != length[first]:
+        if (first, items[i]) not in moves:
             continue
         rest = items[1:i] + items[i + 1:]
-        for rest_match in _perfect_matchings(rest, length):
+        for rest_match in _perfect_matchings(rest, moves):
             yield [(first, items[i])] + rest_match
 
 
@@ -112,57 +112,51 @@ def _check_scheme_space(poly):
     return size
 
 
-def _matchings(poly):
-    """Each perfect matching of equal-length faces, one at a time, as the
-    list per pair of its FacePairings, one per orientation-reversing
-    correspondence; each pairing is built once per matching and shared by
-    the matching's schemes."""
-    faces = list(range(poly.face_count()))
-    symbols = string.ascii_uppercase
-    for matching in _perfect_matchings(faces, [len(f) for f in poly.faces]):
-        yield [[pairings.make_pairing(symbols[t], f1, f2, corr)
-                for corr in pairings.reversing_correspondences(poly, f1, f2)]
-               for t, (f1, f2) in enumerate(matching)]
-
-
-def _compiled_pairs(poly, per_pair):
-    """The matching's non-elliptic pairings with their dart moves, as a
-    list per pair of (pairing, `pairings.pairing_darts`); a pairing is
-    elliptic when one of its moves fixes its dart."""
-    kept = []
-    for ps in per_pair:
-        compiled = []
-        for p in ps:
-            faces = pairings.pairing_darts(poly, p)
-            if all(nxt != dart for first, ids in faces
+def _pairing_table(poly):
+    """Each pair of equal-length faces (f1, f2), f1 < f2, with the list of
+    its non-elliptic correspondences as (corr, `pairings.pairing_darts`
+    moves); a correspondence is elliptic when one of its moves fixes its
+    dart.  A pair's moves do not depend on the matching, so each pairing
+    is compiled once per polyhedron."""
+    table = {}
+    for f1, f2 in itertools.combinations(range(poly.face_count()), 2):
+        if len(poly.faces[f1]) != len(poly.faces[f2]):
+            continue
+        kept = table[f1, f2] = []
+        for corr in pairings.reversing_correspondences(poly, f1, f2):
+            p = pairings.make_pairing(None, f1, f2, corr)
+            moves = pairings.pairing_darts(poly, p)
+            if all(nxt != dart for first, ids in moves
                    for dart, nxt in enumerate(ids, first)):
-                compiled.append((p, faces))
-        kept.append(compiled)
-    return kept
+                kept.append((p.corr, moves))
+    return table
 
 
 def scheme_stream(poly, report):
     """Each scheme past the structural filters, as (chosen pairings, edge
-    orbits) in `_matchings` order; `report.total` and the elliptic,
-    class-count and class-size rejections are counted as it goes.
+    orbits), matching by matching in `_perfect_matchings` order, the pairs
+    of a matching named A, B, C, ... in turn; `report.total` and the
+    elliptic, class-count and class-size rejections are counted as it goes.
 
     Elliptic pairings (a dart move fixes its dart: a rotation about an
-    edge) are dropped before the product, the schemes they remove counted
-    in closed form.  Each other scheme's moves go into one reused table,
-    whose dart cycles are walked once and filtered on (the class count,
-    then the class size); only a scheme that passes gets orbit steps.
+    edge) are dropped from the pairing table before the product, the
+    schemes they remove counted in closed form.  Each other scheme's moves
+    go into one reused table, whose dart cycles are walked once and
+    filtered on (the class count, then the class size); only a scheme that
+    passes gets named pairings and orbit steps.
     """
     required = angles.required_class_count(poly)
     rejected = report.rejected
+    table = _pairing_table(poly)
     nxt = [None] * len(poly.incidence.dart_edge)  # the scheme's moves
-    for per_pair in _matchings(poly):
-        kept = _compiled_pairs(poly, per_pair)
-        built = math.prod(len(ps) for ps in per_pair)
+    for matching in _perfect_matchings(list(range(poly.face_count())), table):
+        kept = [table[pair] for pair in matching]
+        built = math.prod(len(poly.faces[f1]) for f1, _ in matching)
         report.total += built
-        rejected["elliptic"] += built - math.prod(len(ps) for ps in kept)
+        rejected["elliptic"] += built - math.prod(map(len, kept))
         for choice in itertools.product(*kept):
-            for _, faces in choice:
-                for first, ids in faces:
+            for _, moves in choice:
+                for first, ids in moves:
                     nxt[first:first + len(ids)] = ids
             cycles = pairings.dart_cycles(poly, nxt)
             shortest = min(map(len, cycles))
@@ -174,7 +168,10 @@ def scheme_stream(poly, report):
             if shortest < 3:
                 rejected["class_size"] += 1
                 continue
-            chosen = tuple(p for p, _ in choice)
+            chosen = tuple(
+                pairings.FacePairing(symbol, f1, f2, corr)
+                for symbol, (f1, f2), (corr, _)
+                in zip(string.ascii_uppercase, matching, choice))
             yield chosen, pairings.cycle_orbits(poly, cycles, chosen)
 
 

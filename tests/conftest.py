@@ -1,5 +1,6 @@
 import collections
 import itertools
+import string
 from fractions import Fraction
 
 import pytest
@@ -151,9 +152,17 @@ def enumerate_schemes(poly):
     of equal-length faces crossed with every reversing correspondence per
     pair, exactly once each, once the scheme space passes the library's
     check.  Oracle for classify, which drops the elliptic pairings before
-    the product and counts the schemes they remove in closed form."""
+    the product and counts the schemes they remove in closed form.  Only
+    the matching walk is the library's; the pairings are built here."""
     enumeration._check_scheme_space(poly)
-    for per_pair in enumeration._matchings(poly):
+    faces = range(poly.face_count())
+    equal = {(f1, f2) for f1, f2 in itertools.combinations(faces, 2)
+             if len(poly.faces[f1]) == len(poly.faces[f2])}
+    for matching in enumeration._perfect_matchings(list(faces), equal):
+        per_pair = [
+            [pairings.make_pairing(symbol, f1, f2, corr)
+             for corr in pairings.reversing_correspondences(poly, f1, f2)]
+            for symbol, (f1, f2) in zip(string.ascii_uppercase, matching)]
         for ps in itertools.product(*per_pair):
             yield pairings.PairingScheme(poly, ps)
 

@@ -652,16 +652,19 @@ def test_light_cycles_match_circuit_list(solids):
 
 def matching_partitions(poly, k, monkeypatch):
     """The distinct edge partitions of the schemes of the k-th matching of
-    enumeration._matchings that pass the structural filters, in stream
-    order."""
-    matchings = enumeration._matchings
-    monkeypatch.setattr(enumeration, "_matchings",
-                        lambda p: itertools.islice(matchings(p), k, k + 1))
-    partitions = dict.fromkeys(
-        frozenset(frozenset(o.edges) for o in orbits)
-        for _, orbits in enumeration.scheme_stream(
-            poly, enumeration.EnumerationReport()))
-    monkeypatch.setattr(enumeration, "_matchings", matchings)
+    enumeration._perfect_matchings that pass the structural filters, in
+    stream order.  The matching is taken before the walk is patched: the
+    walk recurses through the module attribute."""
+    matching = next(itertools.islice(enumeration._perfect_matchings(
+        list(range(poly.face_count())), enumeration._pairing_table(poly)),
+        k, None))
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_perfect_matchings",
+                      lambda items, moves: iter([matching]))
+        partitions = dict.fromkeys(
+            frozenset(frozenset(o.edges) for o in orbits)
+            for _, orbits in enumeration.scheme_stream(
+                poly, enumeration.EnumerationReport()))
     return list(partitions)
 
 

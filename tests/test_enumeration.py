@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import math
+import string
 import types
 from fractions import Fraction
 from importlib import resources
@@ -124,12 +125,10 @@ def test_matchings_walk_equal_length_faces_in_order():
     equal = [list(m) for m in everything
              if all(len(poly.faces[f]) == len(poly.faces[g]) for f, g in m)]
     assert (len(everything), len(equal)) == (105, 15)
-    walked = list(enumeration._perfect_matchings(
-        list(faces), [len(f) for f in poly.faces]))
-    assert walked == equal
-    yielded = [[(ps[0].source, ps[0].target) for ps in per_pair]
-               for per_pair in enumeration._matchings(poly)]
-    assert yielded == equal
+    table = enumeration._pairing_table(poly)
+    assert set(table) == {(f, g) for f, g in itertools.combinations(faces, 2)
+                          if len(poly.faces[f]) == len(poly.faces[g])}
+    assert list(enumeration._perfect_matchings(list(faces), table)) == equal
 
 
 def test_classify_counts(cube_report):
@@ -187,11 +186,39 @@ def test_scheme_stream(solids, name, schemes, rejected):
     assert report.rejected["system_infeasible"] == 0
     assert report.rejected["rivin_infeasible"] == 0
     assert report.survivors == []
+    # pairings are named A, B, C, ... in the walk's pair order, each from
+    # its smaller face, and the matchings come in the walk's order
+    walk = list(enumeration._perfect_matchings(
+        list(range(poly.face_count())), enumeration._pairing_table(poly)))
+    position = []
     for chosen, orbits in stream:
-        scheme = pairings.PairingScheme(poly, chosen)
+        scheme = pairings.validate_scheme(pairings.PairingScheme(poly, chosen))
+        matching = [(p.source, p.target) for p in chosen]
+        assert [p.gen for p in chosen] == list(
+            string.ascii_uppercase[:len(chosen)])
+        assert all(f < g for f, g in matching)
+        assert matching == sorted(matching)
+        position.append(walk.index(matching))
         assert ([o.steps for o in orbits]
                 == [o.steps for o in pairings.edge_orbits(scheme)])
         assert min(o.size for o in orbits) >= 3
+    assert position == sorted(position)
+
+
+@pytest.mark.parametrize("name, compiled", [
+    ("tetrahedron", 18), ("cube", 60), ("octahedron", 84)])
+def test_classify_compiles_each_pairing_once(solids, monkeypatch, name,
+                                             compiled):
+    # one pairing_darts call per correspondence of each equal-length face
+    # pair, not one per matching that contains the pair
+    poly = solids[name]
+    calls = []
+    pairing_darts = pairings.pairing_darts
+    monkeypatch.setattr(pairings, "pairing_darts",
+                        lambda *a: calls.append(a) or pairing_darts(*a))
+    enumeration.classify(poly)
+    assert len(calls) == compiled
+    assert len({(p.source, p.target, p.corr) for _, p in calls}) == compiled
 
 
 @pytest.mark.parametrize("name, partitions, decided, empty, witnessed", [
@@ -475,15 +502,18 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
     poly = solids[name]
     flagged = sum(1 for scheme in enumerate_schemes(poly)
                   if detect_elliptic_generator(scheme))
-    closed_form = 0
-    for per_pair in enumeration._matchings(poly):
-        kept = enumeration._compiled_pairs(poly, per_pair)
-        closed_form += (math.prod(len(ps) for ps in per_pair)
-                        - math.prod(len(ps) for ps in kept))
-        for ps in kept:
-            for p, _ in ps:
-                alone = pairings.PairingScheme(poly, (p,))
-                assert not detect_elliptic_generator(alone)
+    table = enumeration._pairing_table(poly)
+    closed_form = sum(
+        math.prod(len(poly.faces[f]) for f, _ in matching)
+        - math.prod(len(table[pair]) for pair in matching)
+        for matching in enumeration._perfect_matchings(
+            list(range(poly.face_count())), table))
+    for (f1, f2), kept in table.items():
+        corrs = [corr for corr, _ in kept]
+        for mapping in pairings.reversing_correspondences(poly, f1, f2):
+            p = pairings.make_pairing("A", f1, f2, mapping)
+            alone = pairings.PairingScheme(poly, (p,))
+            assert (p.corr in corrs) != bool(detect_elliptic_generator(alone))
     assert closed_form == flagged == elliptic
 
 
