@@ -6,9 +6,8 @@ from .polytope import (AbstractPolyhedron, DualGraph, IncidenceData,
 from .angles import (AngleAssignment, LinearSystem, SolutionSet,
                      assemble_system, check_inequalities, feasible,
                      required_class_count, satisfies, solve_exact)
-from .pairings import (EdgeOrbit, FacePairing, PairingScheme, QuotientCensus,
-                       RelatorWord, SchemeError, edge_orbits, image_keys,
-                       quotient_census, relator_word, symmetry_group,
+from .pairings import (EdgeOrbit, FacePairing, PairingScheme, SchemeError,
+                       edge_orbits, image_keys, quotient_census, relator_word,
                        twist_pairing, validate_scheme, vertex_orbits)
 from .enumeration import CandidateDomain, EnumerationReport, classify
 from .geometry import (INF, GroupPresentation, MobiusMap, Z3i,
@@ -16,6 +15,6 @@ from .geometry import (INF, GroupPresentation, MobiusMap, Z3i,
                        mobius_from_triples, relator_product,
                        verify_candidate, verify_words)
 from .grouplab import (commutes, edge_bound_check, has_squared_term,
-                       parity_check, restriction_report, y2z_class_link)
+                       parity_check, restriction_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -55,6 +55,12 @@ class AngleAssignment:
 
     @classmethod
     def from_json_dict(cls, doc):
+        """The assignment `to_json_dict` writes: each value a string such
+        as "2/3".  Any other value is a ValueError, so a JSON number (an
+        infinite one among them) never enters the exact path."""
+        for v in doc.values():
+            if not isinstance(v, str):
+                raise ValueError(f"angle {v!r} is not a string")
         return cls({int(k): Fraction(v) for k, v in doc.items()})
 
 

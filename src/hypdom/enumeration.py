@@ -287,16 +287,10 @@ def candidate_to_json_dict(candidate):
         "scheme": pairings.scheme_to_json_dict(candidate.scheme),
         "orbits": [[list(step[:2]) + [list(step[2])] for step in o.steps]
                    for o in candidate.orbits],
-        "words": [[[g, s] for g, s in w.letters] for w in candidate.words],
+        "words": [[[g, s] for g, s in w] for w in candidate.words],
         "class_sizes": list(candidate.class_sizes),
         "witness": candidate.witness.to_json_dict(),
-        "census": {
-            "V": candidate.census.vertex_classes,
-            "E": candidate.census.edge_classes,
-            "F": candidate.census.face_classes,
-            "P": candidate.census.interiors,
-            "q": candidate.census.euler,
-        },
+        "census": candidate.census,
         "key_rotations": candidate.key_rotations.decode(),
         "key_full": candidate.key_full.decode(),
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from . import angles, pairings
+from . import angles
 
 INF = "inf"
 
@@ -324,7 +324,7 @@ def relator_product(generators, word):
     """Evaluate a traversal word: the first letter acts first, so the matrix
     product is taken with the last letter leftmost."""
     m = IDENTITY
-    for gen, sign in word.letters if isinstance(word, pairings.RelatorWord) else word:
+    for gen, sign in word:
         g = generators[gen]
         g = g if sign > 0 else g.inverse()
         m = g.compose(m)
@@ -334,7 +334,7 @@ def relator_product(generators, word):
 @dataclass(frozen=True)
 class GroupPresentation:
     generators: dict   # symbol -> MobiusMap
-    relators: tuple    # RelatorWord
+    relators: tuple    # words: tuples of (gen symbol, +1|-1) letters
     verification: tuple  # per-relator classification string
 
     def confirmed(self):
@@ -379,7 +379,7 @@ def presentation_to_json_dict(presentation):
         "generators": {sym: [ring_to_json(e) for e in m.entries()]
                        for sym, m in sorted(presentation.generators.items())},
         "relators": [
-            {"word": [[g, s] for g, s in w.letters], "product": verdict}
+            {"word": [[g, s] for g, s in w], "product": verdict}
             for w, verdict in zip(presentation.relators,
                                   presentation.verification)],
         "confirmed": presentation.confirmed(),

@@ -8,7 +8,6 @@ for one scheme into the document that `hypdom restrict` writes as it is.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from . import geometry, pairings
 
@@ -16,14 +15,8 @@ from . import geometry, pairings
 def has_squared_term(words):
     """(flag, witnesses): some cyclic word repeats a signed letter adjacently."""
     witnesses = []
-    for w in words:
-        letters = w.letters if isinstance(w, pairings.RelatorWord) else tuple(w)
+    for letters in words:
         n = len(letters)
-        if n == 0:
-            continue
-        if n == 1:
-            witnesses.append((letters, 0))
-            continue
         for i in range(n):
             if letters[i] == letters[(i + 1) % n]:
                 witnesses.append((letters, i))
@@ -39,28 +32,6 @@ def _is_y2z(letters):
         if a == b and c != a:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class Y2ZVerdict:
-    consistent: bool
-    has_size3_orbit: bool
-    has_y2z_word: bool
-    orbit_witness: tuple
-    word_witness: tuple
-
-
-def y2z_class_link(orbits, words):
-    """Compare 'some orbit has size 3' with 'some word has shape YYZ'.
-
-    The two sides can genuinely disagree (a 3-orbit can read three distinct
-    letters), so the result is a verdict rather than an exception.
-    """
-    orbit_witness = tuple(o.edges for o in orbits if o.size == 3)
-    word_witness = tuple(w.letters for w in words if _is_y2z(w.letters))
-    has3 = bool(orbit_witness)
-    hasy = bool(word_witness)
-    return Y2ZVerdict(has3 == hasy, has3, hasy, orbit_witness, word_witness)
 
 
 def commutes(g1, g2):
@@ -99,19 +70,22 @@ def restriction_report(scheme, generators=None):
     YYZ relator, squared-term count, adjacent-identification, edge-bound
     and parity verdicts, and, given the generator maps (symbol ->
     MobiusMap), each commuting pair of symbols in sorted order
-    (`commuting_generator_pairs`, None without the maps)."""
+    (`commuting_generator_pairs`, None without the maps).
+
+    'Some class has size 3' and 'some relator has shape YYZ' are two
+    flags, not one: they can genuinely disagree, since a 3-class can read
+    three distinct letters."""
     poly = scheme.poly
     orbits = pairings.edge_orbits(scheme)
     words = tuple(pairings.relator_word(o) for o in orbits)
-    verdict = y2z_class_link(orbits, words)
     commuting = None
     if generators is not None:
         commuting = [[s, t] for s, t in
                      itertools.combinations(sorted(generators), 2)
                      if commutes(generators[s], generators[t])]
     return {
-        "has_size3_class": verdict.has_size3_orbit,
-        "has_y2z_relator": verdict.has_y2z_word,
+        "has_size3_class": any(o.size == 3 for o in orbits),
+        "has_y2z_relator": any(_is_y2z(w) for w in words),
         "squared_terms": len(has_squared_term(words)[1]),
         "adjacent_identified_sharing_edge":
             adjacent_identified_sharing_edge(scheme),

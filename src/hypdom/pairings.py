@@ -61,38 +61,6 @@ class EdgeOrbit:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class RelatorWord:
-    letters: tuple  # (gen symbol, +1|-1) in traversal order
-
-    def __len__(self):
-        return len(self.letters)
-
-    def cyclically_reduced(self):
-        n = len(self.letters)
-        if n < 2:
-            return True
-        for i in range(n):
-            g1, s1 = self.letters[i]
-            g2, s2 = self.letters[(i + 1) % n]
-            if g1 == g2 and s1 == -s2:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class QuotientCensus:
-    vertex_classes: int
-    edge_classes: int
-    face_classes: int
-    interiors: int
-
-    @property
-    def euler(self):
-        return (self.vertex_classes - self.edge_classes
-                + self.face_classes - self.interiors)
-
-
 def make_pairing(gen, source, target, mapping):
     return FacePairing(gen, source, target, tuple(sorted(mapping.items())))
 
@@ -222,9 +190,11 @@ def edge_orbits(scheme):
 
 
 def relator_word(orbit):
-    word = RelatorWord(tuple(letter for _, _, letter in orbit.steps))
-    if not word.cyclically_reduced():
-        raise CensusError(f"traversal produced a reducible word: {word.letters}")
+    """The orbit's word: its (gen symbol, +1|-1) letters in traversal
+    order, checked to be cyclically reduced."""
+    word = tuple(letter for _, _, letter in orbit.steps)
+    if any(word[i - 1] == (gen, -sign) for i, (gen, sign) in enumerate(word)):
+        raise CensusError(f"traversal produced a reducible word: {word}")
     return word
 
 
@@ -251,6 +221,8 @@ def vertex_orbits(scheme):
 
 
 def quotient_census(scheme, orbits):
+    """The quotient's cell counts: vertex, edge and face classes V, E, F,
+    one interior P, and its Euler number q = V - E + F - P."""
     poly = scheme.poly
     v_bar, e_bar, f_bar = (poly.vertex_count(), poly.edge_count(),
                            poly.face_count())
@@ -258,19 +230,8 @@ def quotient_census(scheme, orbits):
         raise CensusError("polyhedron lost its Euler identity")
     if sum(o.size for o in orbits) != e_bar:
         raise CensusError("orbit sizes do not sum to the edge count")
-    census = QuotientCensus(
-        vertex_classes=len(vertex_orbits(scheme)),
-        edge_classes=len(orbits),
-        face_classes=f_bar // 2,
-        interiors=1,
-    )
-    return census
-
-
-def symmetry_group(poly):
-    """All combinatorial automorphisms, as (vertex map, orientation flag),
-    in the order of `automorphism_actions`."""
-    return [action[:2] for action in automorphism_actions(poly)]
+    v, e, f = len(vertex_orbits(scheme)), len(orbits), f_bar // 2
+    return {"V": v, "E": e, "F": f, "P": 1, "q": v - e + f - 1}
 
 
 def automorphism_actions(poly):

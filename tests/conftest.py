@@ -173,6 +173,12 @@ def scheme_keys(scheme, actions):
     return pairings.image_keys(scheme, actions)[scheme_signature(scheme)]
 
 
+def symmetry_group(poly):
+    """Every automorphism as (vertex map, rotation flag), in the order of
+    pairings.automorphism_actions."""
+    return [action[:2] for action in pairings.automorphism_actions(poly)]
+
+
 def canonicalize(scheme, group="all"):
     """The canonical key of the scheme over the chosen automorphism
     subgroup, from pairings.image_keys."""

@@ -11,7 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from hypdom import geometry, pairings
+from hypdom import geometry
 
 SQRT3 = math.sqrt(3.0)
 
@@ -199,8 +199,7 @@ def face_pairing_maps(realization, scheme, tol=EPS_GEO):
 def relator_product(generators, word):
     """The first letter acts first: the last letter is leftmost."""
     m = IDENTITY
-    for gen, sign in (word.letters if isinstance(word, pairings.RelatorWord)
-                      else word):
+    for gen, sign in word:
         g = generators[gen]
         m = (g if sign > 0 else g.inverse()).compose(m)
     return m.normalized()

@@ -20,8 +20,9 @@ not go through the code path under test:
   #7  squared terms occur exactly when identified faces share an edge,
       while a size-3 class need not read a YYZ word (34 schemes, none
       elliptic).  Certificate: the verdict recomputed from union-find edge
-      classes agrees with grouplab.y2z_class_link on all 960 schemes, and
-      one exception is pinned edge by edge.
+      classes agrees with the size-3 and YYZ flags of
+      grouplab.restriction_report on all 960 schemes, and one exception is
+      pinned edge by edge.
 """
 
 import itertools
@@ -303,25 +304,26 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
                 scheme)
             if squared != adjacent:
                 squared_exceptions.append(scheme)
-            verdict = grouplab.y2z_class_link(orbits, words)
-            if not verdict.consistent:
-                y2z_exceptions.append((scheme, verdict))
+            report = grouplab.restriction_report(scheme)
+            flags = (report["has_size3_class"], report["has_y2z_relator"])
+            if flags[0] != flags[1]:
+                y2z_exceptions.append((scheme, flags))
             # a YYZ class is a size-3 class touched by exactly two generators
             size3 = [gens for cl, gens in _union_find_classes(scheme)
                      if len(cl) == 3]
             recomputed = (bool(size3), any(len(g) == 2 for g in size3))
-            if recomputed != (verdict.has_size3_orbit, verdict.has_y2z_word):
+            if recomputed != flags:
                 disagreements.append(scheme)
         elapsed = time.time() - start
         assert elapsed < 60.0
         assert len(squared_exceptions) == 0
         assert not disagreements, (
-            f"union-find and y2z_class_link disagree on {len(disagreements)} "
-            "schemes")
+            "union-find and restriction_report disagree on "
+            f"{len(disagreements)} schemes")
         assert len(y2z_exceptions) == 34, f"{len(y2z_exceptions)} exceptions"
-        for scheme, verdict in y2z_exceptions:
+        for scheme, (has_size3, has_y2z) in y2z_exceptions:
             # a YYZ word always comes with a size-3 class, never the reverse
-            assert verdict.has_size3_orbit and not verdict.has_y2z_word
+            assert has_size3 and not has_y2z
             assert not detect_elliptic_generator(scheme)
         # by hand: the first scheme on the three opposite pairs has four
         # 3-classes, each reading three distinct letters
@@ -338,7 +340,7 @@ def test_criterion_7_word_shape_equivalences(cube, cube_inc):
             frozenset(drawn(cube_inc, c))
             for c in ({1, 7, 12}, {2, 5, 11}, {3, 8, 9}, {4, 6, 10})}
         for orbit in orbits:
-            letters = pairings.relator_word(orbit).letters
+            letters = pairings.relator_word(orbit)
             assert len({gen for gen, _ in letters}) == 3, letters
         assert all(len(cl) == 3 and gens == {"A", "B", "C"}
                    for cl, gens in _union_find_classes(first))
@@ -370,9 +372,8 @@ def test_criterion_9_property_suites(solids, cube, cube_inc, cube_dual,
         # census identity on every survivor
         for cand in cube_report.survivors:
             c = cand.census
-            assert (c.vertex_classes - c.edge_classes + c.face_classes
-                    - c.interiors == c.euler)
-            assert c.vertex_classes == c.euler
+            assert c["V"] - c["E"] + c["F"] - c["P"] == c["q"]
+            assert c["V"] == c["q"]
         # cross-ratio invariance under 100 seeded random unit-determinant
         # maps, in the float oracle
         rng = random.Random(20260808)

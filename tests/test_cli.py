@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from hypdom import (angles, cli, enumeration, geometry, grouplab, pairings,
-                    polytope)
+from hypdom import angles, cli, enumeration, geometry, grouplab, polytope
+
+from conftest import symmetry_group
 
 
 def data_path(name):
@@ -175,6 +176,17 @@ def test_changed_witness_exit_code(capsys, cube_run, tmp_path):
     changed = tmp_path / "changed.json"
     changed.write_text(json.dumps(doc))
     _rejected_by_angles_and_verify(capsys, changed, "does not solve")
+
+
+@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "1e400"])
+def test_infinite_witness_exit_code(capsys, cube_run, tmp_path, raw):
+    # an infinite JSON number as an angle is invalid input, not a crash:
+    # the witness values are the strings `angles` writes
+    doc = json.loads((cube_run / "candidate_000.json").read_text())
+    doc["witness"]["0"] = "angle"
+    numeric = tmp_path / "numeric.json"
+    numeric.write_text(json.dumps(doc).replace('"angle"', raw))
+    _rejected_by_angles_and_verify(capsys, numeric, "witness is not valid")
 
 
 def test_missing_witness_exit_code(capsys, cube_run, tmp_path):
@@ -354,7 +366,7 @@ def test_mirrored_and_rotated_cubes_confirm(capsys, tmp_path, variant):
         faces = [face[::-1] for face in cube.faces]
     else:
         sigma = random.Random(variant).choice(
-            [vmap for vmap, rotation in pairings.symmetry_group(cube)
+            [vmap for vmap, rotation in symmetry_group(cube)
              if rotation and any(k != v for k, v in vmap.items())])
         faces = [[sigma[v] for v in face] for face in cube.faces]
     path = cube_variant(tmp_path, "variant", faces)

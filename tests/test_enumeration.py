@@ -13,7 +13,8 @@ from hypdom import angles, cli, enumeration, pairings, polytope
 
 from conftest import (DRAWN_EDGES, FD2_CLASSES, canonicalize,
                       conjugate_scheme, detect_elliptic_generator, drawn,
-                      enumerate_schemes, scheme_keys, scheme_signature)
+                      enumerate_schemes, scheme_keys, scheme_signature,
+                      symmetry_group)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -322,7 +323,7 @@ def test_all_survivors_six_six(cube_report):
 
 
 def test_survivors_closed_under_symmetry(cube, cube_report):
-    autos = pairings.symmetry_group(cube)
+    autos = symmetry_group(cube)
     signatures = {scheme_signature(c.scheme)
                   for c in cube_report.survivors}
     for cand in cube_report.survivors:
@@ -429,11 +430,20 @@ def test_reload_takes_persisted_keys(cube, cube_report, monkeypatch):
     ({**REGULAR, 1: "1/0"}, "not valid"),
     ({**REGULAR, 1: Fraction(1, 2)}, "does not solve"),
     (BELT_AT_TWO, "circuit inequality"),
+    # JSON numbers as parsed: only the strings that to_json_dict writes are
+    # read, so no number, infinite or not, reaches the exact path
+    ({**REGULAR, 1: math.inf}, "not valid"),
+    ({**REGULAR, 1: -math.inf}, "not valid"),
+    ({**REGULAR, 1: json.loads("1e400")}, "not valid"),
+    ({**REGULAR, 1: math.nan}, "not valid"),
+    ({**REGULAR, 1: 0.5}, "not valid"),
 ], ids=["missing", "keys", "range", "unparsable", "zero-denominator",
-        "changed", "circuit"])
+        "changed", "circuit", "infinity", "minus-infinity", "overflow",
+        "nan", "number"])
 def test_candidate_witness_checked(cube, cube_inc, fd1, values, message):
     witness = None if values is None else {
-        str(cube_inc.edge_id(*DRAWN_EDGES[n])): str(q)
+        str(cube_inc.edge_id(*DRAWN_EDGES[n])):
+            str(q) if isinstance(q, Fraction) else q
         for n, q in values.items()}
     doc = {"scheme": pairings.scheme_to_json_dict(fd1), "witness": witness}
     with pytest.raises(enumeration.EnumerationError, match=message):
@@ -591,7 +601,7 @@ def test_pull_back_refuses_another_partitions_image(cube, cube_inc,
     # and onto no other partition's system
     classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
     system = angles.assemble_system(cube, classes)
-    vmap = next(vmap for vmap, orient in pairings.symmetry_group(cube)
+    vmap = next(vmap for vmap, orient in symmetry_group(cube)
                 if orient and any(k != v for k, v in vmap.items()))
     perm = [cube_inc.edge_id(*(vmap[v] for v in cube_inc.edges[eid]))
             for eid in range(len(cube_inc.edges))]

@@ -282,8 +282,7 @@ def test_relator_empty_word():
 
 def test_relator_word_times_inverse(realization, fd1):
     gens = geometry.face_pairing_maps(realization, fd1)
-    word = tuple(pairings.relator_word(
-        pairings.edge_orbits(fd1)[0]).letters)
+    word = pairings.relator_word(pairings.edge_orbits(fd1)[0])
     inverse = tuple((g, -s) for g, s in reversed(word))
     product = geometry.relator_product(gens, word + inverse)
     assert geometry.classify_element(product) == "identity"

@@ -30,10 +30,9 @@ def test_squared_term_cyclic_wraparound():
 
 
 def test_y2z_link_fd1(fd1):
-    orbits = pairings.edge_orbits(fd1)
-    verdict = grouplab.y2z_class_link(orbits, words_of(fd1))
-    assert verdict.consistent
-    assert not verdict.has_size3_orbit and not verdict.has_y2z_word
+    report = grouplab.restriction_report(fd1)
+    assert report["has_size3_class"] == report["has_y2z_relator"]
+    assert not report["has_size3_class"] and not report["has_y2z_relator"]
 
 
 def test_y2z_link_five_seven_scheme(cube):
@@ -48,9 +47,9 @@ def test_y2z_link_five_seven_scheme(cube):
             continue
         orbits = pairings.edge_orbits(scheme)
         if sorted(o.size for o in orbits) == [5, 7]:
-            verdict = grouplab.y2z_class_link(orbits, words_of(scheme))
-            assert verdict.consistent
-            assert not verdict.has_size3_orbit
+            report = grouplab.restriction_report(scheme)
+            assert report["has_size3_class"] == report["has_y2z_relator"]
+            assert not report["has_size3_class"]
             return
     pytest.fail("no 5-7 scheme found")
 
@@ -71,9 +70,9 @@ def test_y2z_link_synthetic_three_orbit(cube, cube_inc):
                   & set(cube_inc.face_edge_cycle[p.target])}
         if not any(set(o.edges) & shared for o in three):
             continue
-        verdict = grouplab.y2z_class_link(orbits, words_of(scheme))
-        if verdict.has_y2z_word:
-            assert verdict.consistent
+        report = grouplab.restriction_report(scheme)
+        if report["has_y2z_relator"]:
+            assert report["has_size3_class"] == report["has_y2z_relator"]
             return
     pytest.fail("no suitable scheme found")
 
@@ -141,15 +140,14 @@ def test_y2z_realized_products_are_half_turns(cube, realization):
     saw_noncommuting = False
     for scheme in enumerate_schemes(cube):
         words = words_of(scheme)
-        if not any(len(w.letters) == 3 for w in words):
+        if not any(len(w) == 3 for w in words):
             continue
         gens = geometry.face_pairing_maps(realization, scheme)
         for w in words:
-            if len(w.letters) != 3:
+            if len(w) != 3:
                 continue
-            letters = w.letters
-            doubles = [l for l in set(letters) if letters.count(l) == 2]
-            singles = [l for l in set(letters) if letters.count(l) == 1]
+            doubles = [l for l in set(w) if w.count(l) == 2]
+            singles = [l for l in set(w) if w.count(l) == 1]
             product = geometry.relator_product(gens, w)
             assert geometry.classify_element(product) == "elliptic"
             assert not product.trace  # rotation by pi

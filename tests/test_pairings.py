@@ -11,7 +11,7 @@ from conftest import (FD1_CLASSES, FD1_MIRROR_CLASSES, FD2_CLASSES,
                       FIVE_SEVEN_CLASSES, canonicalize,
                       conjugation_canonicalize, conjugate_scheme,
                       detect_elliptic_generator, drawn, enumerate_schemes,
-                      scheme_keys, scheme_signature)
+                      scheme_keys, scheme_signature, symmetry_group)
 
 
 def class_partition(scheme):
@@ -21,8 +21,7 @@ def class_partition(scheme):
 def words_equivalent(w1, w2):
     """Equality up to cyclic rotation, formal inversion, and a consistent
     renaming (bijection) of the generator symbols."""
-    a = w1.letters if isinstance(w1, pairings.RelatorWord) else tuple(w1)
-    b = w2.letters if isinstance(w2, pairings.RelatorWord) else tuple(w2)
+    a, b = tuple(w1), tuple(w2)
     if len(a) != len(b):
         return False
 
@@ -224,6 +223,13 @@ def test_fd2_relator_word_shapes(fd2):
     assert any(words_equivalent(w, mixed) for w in words)
 
 
+def cyclically_reduced(word):
+    """No letter is followed, cyclically, by its inverse."""
+    n = len(word)
+    return all(word[i][0] != word[(i + 1) % n][0]
+               or word[i][1] != -word[(i + 1) % n][1] for i in range(n))
+
+
 def test_words_cyclically_reduced_across_schemes(cube):
     # every traversal word, over a deterministic slice of the scheme stream
     for i, scheme in enumerate(enumerate_schemes(cube)):
@@ -231,8 +237,26 @@ def test_words_cyclically_reduced_across_schemes(cube):
             continue
         for orbit in pairings.edge_orbits(scheme):
             word = pairings.relator_word(orbit)
-            assert word.cyclically_reduced()
+            assert cyclically_reduced(word)
             assert len(word) == orbit.size
+
+
+@pytest.mark.parametrize("letters, reducible", [
+    ((("A", 1), ("A", -1), ("B", 1)), True),
+    ((("A", 1), ("B", 1), ("A", -1)), True),
+    ((("A", 1), ("B", -1), ("A", 1), ("B", -1)), False),
+    ((("A", -1),), False),
+], ids=["adjacent", "wrap-around", "alternating", "length-1"])
+def test_relator_word_refuses_reducible_traversal(letters, reducible):
+    # a synthetic orbit, since no scheme's traversal reads a reducible word
+    orbit = pairings.EdgeOrbit(tuple((eid, 0, letter)
+                                     for eid, letter in enumerate(letters)))
+    assert cyclically_reduced(letters) is not reducible
+    if reducible:
+        with pytest.raises(pairings.CensusError, match="reducible"):
+            pairings.relator_word(orbit)
+    else:
+        assert pairings.relator_word(orbit) == letters
 
 
 def test_orbits_partition_edges(cube):
@@ -248,24 +272,24 @@ def test_vertex_orbits_and_census_fd1(fd1):
     vo = pairings.vertex_orbits(fd1)
     assert len(vo) == 2
     census = pairings.quotient_census(fd1, pairings.edge_orbits(fd1))
-    assert census.edge_classes == 2
-    assert census.face_classes == 3
-    assert census.interiors == 1
-    assert census.euler == census.vertex_classes
+    assert census["E"] == 2
+    assert census["F"] == 3
+    assert census["P"] == 1
+    assert census["q"] == census["V"]
 
 
 def test_census_fd2(fd2):
     census = pairings.quotient_census(fd2, pairings.edge_orbits(fd2))
-    assert census.edge_classes == 2 and census.face_classes == 3
-    assert census.vertex_classes - 2 + 3 - 1 == census.euler
-    assert census.vertex_classes == census.euler
+    assert census["E"] == 2 and census["F"] == 3
+    assert census["V"] - 2 + 3 - 1 == census["q"]
+    assert census["V"] == census["q"]
 
 
 def test_census_identity_over_candidates(cube_report):
     for cand in cube_report.survivors:
         c = cand.census
-        assert c.vertex_classes - c.edge_classes + c.face_classes - 1 == c.euler
-        assert c.vertex_classes == c.euler
+        assert c["V"] - c["E"] + c["F"] - 1 == c["q"]
+        assert c["V"] == c["q"]
 
 
 def test_detect_elliptic_fold(cube, cube_inc):
@@ -318,13 +342,13 @@ def test_orbits_match_frozenset_traversal(solids, name, schemes, elliptic):
 
 
 def test_symmetry_group_cube(cube):
-    autos = pairings.symmetry_group(cube)
+    autos = symmetry_group(cube)
     assert len(autos) == 48
     assert sum(1 for _, orient in autos if orient) == 24
 
 
 def test_symmetry_group_tetrahedron(solids):
-    autos = pairings.symmetry_group(solids["tetrahedron"])
+    autos = symmetry_group(solids["tetrahedron"])
     assert len(autos) == 24
     assert sum(1 for _, orient in autos if orient) == 12
 
@@ -346,7 +370,7 @@ LOPSIDED = {"name": "lopsided", "vertices":
 
 def test_symmetry_group_asymmetric_solid():
     poly = polytope.load_polyhedron(LOPSIDED)
-    autos = pairings.symmetry_group(poly)
+    autos = symmetry_group(poly)
     assert len(autos) == 1
     vmap, orient = autos[0]
     assert orient and all(k == v for k, v in vmap.items())
@@ -417,7 +441,7 @@ def test_symmetry_group_matches_backtracking(solids, name):
     # same maps, flags and emission order
     poly = (polytope.load_polyhedron(LOPSIDED) if name == "lopsided"
             else solids[name])
-    assert pairings.symmetry_group(poly) == backtracking_symmetry_group(poly)
+    assert symmetry_group(poly) == backtracking_symmetry_group(poly)
 
 
 def test_symmetry_group_matches_backtracking_relabeled(solids):
@@ -437,14 +461,14 @@ def test_symmetry_group_matches_backtracking_relabeled(solids):
             relabeled = polytope.load_polyhedron({
                 "name": name, "faces": faces,
                 "vertices": rng.sample(list(rename.values()), len(names))})
-            assert (pairings.symmetry_group(relabeled)
+            assert (symmetry_group(relabeled)
                     == backtracking_symmetry_group(relabeled))
 
 
 def test_symmetry_group_dodecahedron(solids):
     # the reference search takes about 19 s here, so check the maps directly
     poly = solids["dodecahedron"]
-    autos = pairings.symmetry_group(poly)
+    autos = symmetry_group(poly)
     assert len(autos) == 120
     assert sum(1 for _, orient in autos if orient) == 60
     cycles = {f[i:] + f[:i] for f in poly.faces for i in range(len(f))}
@@ -520,7 +544,7 @@ def test_automorphism_actions_match_vertex_maps(solids, name):
     inc = poly.incidence
     face_ids = {frozenset(f): i for i, f in enumerate(poly.faces)}
     actions = pairings.automorphism_actions(poly)
-    assert [action[:2] for action in actions] == pairings.symmetry_group(poly)
+    assert [action[:2] for action in actions] == symmetry_group(poly)
     for vmap, _, face_perm, edge_perm in actions:
         assert face_perm == tuple(face_ids[frozenset(vmap[v] for v in f)]
                                   for f in poly.faces)
@@ -529,7 +553,7 @@ def test_automorphism_actions_match_vertex_maps(solids, name):
 
 
 def test_canonicalize_rotation_invariance(cube, fd1):
-    autos = pairings.symmetry_group(cube)
+    autos = symmetry_group(cube)
     rot = next(vmap for vmap, orient in autos
                if orient and any(k != v for k, v in vmap.items()))
     rotated = conjugate_scheme(fd1, rot)
@@ -548,7 +572,7 @@ def oracle_keys(scheme, autos):
 
 def test_canonical_keys_match_oracle_on_cube_schemes(cube):
     # each scheme's own entry in its image table, on all 960 schemes
-    autos = pairings.symmetry_group(cube)
+    autos = symmetry_group(cube)
     actions = pairings.automorphism_actions(cube)
     assert len(actions) == 48
     for scheme in enumerate_schemes(cube):
@@ -558,7 +582,7 @@ def test_canonical_keys_match_oracle_on_cube_schemes(cube):
 def assert_survivor_keys_match_oracle(poly, report, count):
     """Each survivor's keys, read from the image table of the first
     survivor of its family, are the one-scheme keys and the oracle's."""
-    autos = pairings.symmetry_group(poly)
+    autos = symmetry_group(poly)
     actions = pairings.automorphism_actions(poly)
     assert len(report.survivors) == count
     for cand in report.survivors:
@@ -582,7 +606,7 @@ def test_image_table_matches_oracle_on_cube_survivors(cube, cube_report):
     # oracle's keys of g.S rebuilt by conjugation: a reflection g takes its
     # rotation key from the reflection coset; the oracle is cached by
     # signature, on which it depends alone
-    autos = pairings.symmetry_group(cube)
+    autos = symmetry_group(cube)
     actions = pairings.automorphism_actions(cube)
     oracle = {}
     for cand in cube_report.survivors:
