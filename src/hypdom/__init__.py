@@ -10,8 +10,8 @@ from .pairings import (EdgeOrbit, FacePairing, PairingScheme, SchemeError,
                        edge_orbits, image_keys, quotient_census, relator_word,
                        twist_pairing, validate_scheme, vertex_orbits)
 from .enumeration import CandidateDomain, EnumerationReport, classify
-from .geometry import (INF, GroupPresentation, MobiusMap, Z3i,
-                       classify_element, face_pairing_maps, load_realization,
+from .geometry import (INF, MobiusMap, Z3i, classify_element,
+                       face_pairing_maps, load_realization,
                        mobius_from_triples, relator_product,
                        verify_candidate, verify_words)
 from .grouplab import (commutes, edge_bound_check, has_squared_term,

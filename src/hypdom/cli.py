@@ -124,16 +124,13 @@ def _candidate(poly, args):
                                                 _read_json(args.candidate))
 
 
-def _verdict(presentation):
-    return "CONFIRMED" if presentation.confirmed() else "REJECTED"
-
-
 def cmd_angles(poly, args):
     cand = _candidate(poly, args)
+    solution = angles.solve_exact(cand.system)
     return {
-        "status": cand.solution.status,
-        "rank": cand.solution.rank,
-        "free_variables": len(cand.solution.basis),
+        "status": solution.status,
+        "rank": solution.rank,
+        "free_variables": len(solution.basis),
         "witness": cand.witness.to_json_dict(),
         "class_sizes": list(cand.class_sizes),
     }
@@ -156,15 +153,9 @@ def cmd_realize(poly, args):
 def cmd_verify(poly, args):
     cand = _candidate(poly, args)
     try:
-        presentation = geometry.verify_candidate(cand)
+        return geometry.verify_candidate(cand)
     except geometry.NotRealizableError as exc:
         return {"status": "not-attempted", "reason": str(exc)}
-    doc = geometry.presentation_to_json_dict(presentation)
-    doc["status"] = _verdict(presentation)
-    doc["generator_types"] = {
-        sym: geometry.classify_element(m)
-        for sym, m in sorted(presentation.generators.items())}
-    return doc
 
 
 def cmd_pipeline(poly, args):
@@ -176,7 +167,7 @@ def cmd_pipeline(poly, args):
         entry = dict(summary)
         entry["schemes"] = entry.pop("size")
         try:
-            entry["verification"] = _verdict(geometry.verify_candidate(rep))
+            entry["verification"] = geometry.verify_candidate(rep)["status"]
         except geometry.NotRealizableError as exc:
             entry["verification"] = "out-of-scope"
             entry["reason"] = str(exc)

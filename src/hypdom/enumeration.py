@@ -52,12 +52,6 @@ class CandidateDomain:
     def census(self):
         return pairings.quotient_census(self.scheme, self.orbits)
 
-    @functools.cached_property
-    def solution(self):
-        """The exact solution set of the candidate's system, solved the
-        first time it is read."""
-        return angles.solve_exact(self.system)
-
 
 REJECTIONS = ("elliptic", "class_count", "class_size", "system_infeasible",
               "rivin_infeasible")

@@ -331,27 +331,30 @@ def relator_product(generators, word):
     return m
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    generators: dict   # symbol -> MobiusMap
-    relators: tuple    # words: tuples of (gen symbol, +1|-1) letters
-    verification: tuple  # per-relator classification string
-
-    def confirmed(self):
-        return all(v == "identity" for v in self.verification)
-
-
 def verify_words(realization, scheme, words):
-    """Build generators and classify the product of each relator word."""
+    """The `verify` document of the relator words on the realization: each
+    generator's exact entries a, b, c, d (each written as by ring_to_json,
+    the 16 integers without a common factor) and type, each word with the
+    type of its product, and the verdict, CONFIRMED when every product is
+    the identity and REJECTED otherwise."""
     gens = face_pairing_maps(realization, scheme)
-    verdicts = tuple(
-        classify_element(relator_product(gens, w)) for w in words)
-    return GroupPresentation(gens, words, verdicts)
+    products = [classify_element(relator_product(gens, w)) for w in words]
+    confirmed = all(p == "identity" for p in products)
+    return {
+        "generators": {sym: [ring_to_json(e) for e in m.entries()]
+                       for sym, m in gens.items()},
+        "generator_types": {sym: classify_element(m)
+                            for sym, m in gens.items()},
+        "relators": [{"word": [[g, s] for g, s in w], "product": product}
+                     for w, product in zip(words, products)],
+        "confirmed": confirmed,
+        "status": "CONFIRMED" if confirmed else "REJECTED",
+    }
 
 
 def verify_candidate(candidate):
-    """Verification of an enumeration survivor on its solid's bundled
-    regular ideal realization.
+    """The `verify` document (see verify_words) of an enumeration survivor
+    on its solid's bundled regular ideal realization.
 
     The candidate's angle system must admit the regular point, exterior
     angle 2/d on every edge; anything else is not realizable here.  It
@@ -370,17 +373,3 @@ def verify_candidate(candidate):
         raise NotRealizableError(
             f"angle system does not admit the regular all-{angle} solution")
     return verify_words(realization, scheme, candidate.words)
-
-
-def presentation_to_json_dict(presentation):
-    """Generators as their exact entries a, b, c, d (each written as by
-    ring_to_json, the 16 integers without a common factor) plus verdicts."""
-    return {
-        "generators": {sym: [ring_to_json(e) for e in m.entries()]
-                       for sym, m in sorted(presentation.generators.items())},
-        "relators": [
-            {"word": [[g, s] for g, s in w], "product": verdict}
-            for w, verdict in zip(presentation.relators,
-                                  presentation.verification)],
-        "confirmed": presentation.confirmed(),
-    }

@@ -260,9 +260,10 @@ def test_criterion_5_generator_reproduction(cube, realization, fd1):
 
 def test_criterion_6_relator_identity(cube, realization, fd1, fd1_mirror, fd2):
     with _Line(6, "relator products are exactly +-identity"):
-        pres1 = verify_scheme(realization, fd1)
-        assert pres1.verification == ("identity", "identity")
-        assert len(pres1.relators) == 2
+        doc1 = verify_scheme(realization, fd1)
+        assert [r["product"] for r in doc1["relators"]] == ["identity",
+                                                            "identity"]
+        assert len(doc1["relators"]) == 2
         refs = reference_adjacent_generators()
         for word in ((("P", 1), ("R", -1), ("R", -1), ("P", 1),
                       ("Q", -1), ("Q", -1)),

@@ -37,6 +37,16 @@ def cube_run(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def octahedron_run(tmp_path_factory):
+    """One `hypdom enumerate octahedron.json --out DIR`, shared like
+    cube_run."""
+    out = tmp_path_factory.mktemp("run")
+    assert cli.main(["enumerate", data_path("octahedron"),
+                     "--out", str(out)]) == 0
+    return out
+
+
 def test_info_cube(capsys):
     code, out, _ = run(capsys, "info", data_path("cube"))
     assert code == 0
@@ -311,6 +321,45 @@ def test_restrict_prints_the_library_document(capsys, tmp_path):
                     doc, commuting_generator_pairs=pairs)
             checked += 1
     assert checked == 150
+
+
+def test_verify_prints_the_library_document(capsys, cube_run,
+                                            octahedron_run):
+    # `hypdom verify` writes geometry.verify_candidate's document as it is
+    # on every cube and octahedron candidate the regular realization
+    # covers, and the not-attempted document with the scope test's
+    # message on every other one
+    checked = in_scope = 0
+    for solid, out in (("cube", cube_run), ("octahedron", octahedron_run)):
+        poly = polytope.load_polyhedron(data_path(solid))
+        for path in sorted(out.glob("candidate_*.json")):
+            cand = enumeration.candidate_from_json_dict(
+                poly, json.loads(path.read_text()))
+            code, text, _ = run(capsys, "verify", data_path(solid), str(path))
+            assert code == 0
+            try:
+                doc = geometry.verify_candidate(cand)
+            except geometry.NotRealizableError as exc:
+                doc = {"status": "not-attempted", "reason": str(exc)}
+            else:
+                in_scope += 1
+            assert text == cli._encode(doc) + "\n"
+            checked += 1
+    assert (checked, in_scope) == (150, 54)
+
+
+def test_verify_out_of_scope_is_not_attempted(capsys, octahedron_run):
+    # a 3-4-5 octahedron candidate misses the regular all-1/2 point: verify
+    # says it did not try, and exits 0 since the command ran
+    path = next(p for p in sorted(octahedron_run.glob("candidate_*.json"))
+                if json.loads(p.read_text())["class_sizes"] == [3, 4, 5])
+    code, text, err = run(capsys, "verify", data_path("octahedron"),
+                          str(path))
+    assert code == 0 and err == ""
+    doc = json.loads(text)
+    assert set(doc) == {"status", "reason"}
+    assert doc["status"] == "not-attempted"
+    assert "all-1/2" in doc["reason"]
 
 
 def test_pipeline_cube(capsys, tmp_path):

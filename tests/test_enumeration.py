@@ -479,7 +479,8 @@ def test_partition_ranks(cube, cube_report):
     # and rank 7 (adjacent-pair classes)
     ranks = set()
     for cand in cube_report.survivors:
-        ranks.add((cand.solution.rank, len(cand.solution.basis)))
+        solution = angles.solve_exact(cand.system)
+        ranks.add((solution.rank, len(solution.basis)))
     assert ranks == {(8, 4), (7, 5)}
 
 

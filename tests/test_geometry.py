@@ -261,8 +261,8 @@ def test_fourth_vertex_error(realization, fd1):
 
 
 def test_relator_products_fd1(realization, fd1):
-    presentation = verify_scheme(realization, fd1)
-    assert presentation.verification == ("identity", "identity")
+    doc = verify_scheme(realization, fd1)
+    assert [r["product"] for r in doc["relators"]] == ["identity", "identity"]
 
 
 def test_relator_products_fd2_reference_matrices():
@@ -323,10 +323,10 @@ def test_classify_element_det_guard():
 def test_verify_candidates_on_cube(cube_report):
     confirmed = 0
     for key, members in cube_report.families_full.items():
-        presentation = geometry.verify_candidate(members[0])
-        assert presentation.confirmed()
-        for sym, m in presentation.generators.items():
-            assert geometry.classify_element(m) == "loxodromic"
+        doc = geometry.verify_candidate(members[0])
+        assert doc["confirmed"]
+        for kind in doc["generator_types"].values():
+            assert kind == "loxodromic"
         confirmed += 1
     assert confirmed == 3
 
@@ -351,13 +351,27 @@ def test_verify_candidates_on_octahedron(octahedron_report):
                 geometry.verify_candidate(members[0])
             continue
         for member in members:
-            presentation = geometry.verify_candidate(member)
-            assert presentation.confirmed()
-            assert {geometry.classify_element(m) for m in
-                    presentation.generators.values()} <= {"loxodromic",
-                                                           "parabolic"}
+            doc = geometry.verify_candidate(member)
+            assert doc["confirmed"]
+            assert set(doc["generator_types"].values()) <= {"loxodromic",
+                                                            "parabolic"}
             confirmed += 1
     assert confirmed == 24
+
+
+def test_verify_words_rejects_a_3_4_5_survivor(solids, octahedron_report):
+    # a 3-4-5 survivor's words on the regular ideal octahedron, without
+    # verify_candidate's scope test: by the regular-symmetry lemma only the
+    # size-4 class closes up, the other two cycles are elliptic
+    cand = next(c for c in octahedron_report.survivors
+                if c.class_sizes == (3, 4, 5))
+    realization = geometry.load_realization(solids["octahedron"])
+    doc = geometry.verify_words(realization, cand.scheme, cand.words)
+    assert doc["confirmed"] is False
+    assert doc["status"] == "REJECTED"
+    products = {o.size: r["product"]
+                for o, r in zip(cand.orbits, doc["relators"])}
+    assert products == {3: "elliptic", 4: "identity", 5: "elliptic"}
 
 
 def test_regular_relators_identity_exactly_at_regular_class_size(
@@ -375,13 +389,12 @@ def test_regular_relators_identity_exactly_at_regular_class_size(
         regular = dict.fromkeys(range(solids[name].edge_count()),
                                 Fraction(2, d))
         for cand in report.survivors:
-            presentation = geometry.verify_words(realization, cand.scheme,
-                                                 cand.words)
-            assert presentation.verification == tuple(
+            doc = geometry.verify_words(realization, cand.scheme,
+                                        cand.words)
+            assert [r["product"] for r in doc["relators"]] == [
                 "identity" if o.size == n else "elliptic"
-                for o in cand.orbits)
-            assert presentation.confirmed() == angles.satisfies(cand.system,
-                                                                regular)
+                for o in cand.orbits]
+            assert doc["confirmed"] == angles.satisfies(cand.system, regular)
             relators += len(cand.words)
     assert relators == 2 * 30 + 3 * 120
 
