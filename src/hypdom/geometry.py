@@ -7,7 +7,9 @@ bundled realizations lie in that ring: each cube coordinate is
 +-(sqrt3 - 1) or +-(sqrt3 + 1), and the octahedron sits at inf, 0, +-1 and
 +-i.  Mobius maps are 2x2 matrices over the ring acting as
 z -> (az+b)/(cz+d), identified projectively, so every verdict below is an
-equality of ring elements: there is no tolerance anywhere.
+equality of ring elements: there is no tolerance anywhere.  Products run
+on integer parts through one formula, _ring_product, and only a map built
+from outside data has its determinant checked (see MobiusMap).
 
 A realization places each vertex of a solid on the boundary.  The regular
 ideal ones are data: one document per solid under data/realizations, named
@@ -20,6 +22,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -50,6 +53,17 @@ def is_infinity(z):
     return isinstance(z, str) and z == INF
 
 
+def _ring_product(x, y):
+    """The parts of the product of two ring elements given by their parts
+    (a, b, c, d), for a + b sqrt3 + i (c + d sqrt3): the one place where
+    sqrt3^2 = 3 and i^2 = -1 enter the arithmetic."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e + 3 * b * f - c * g - 3 * d * h,
+            a * f + b * e - c * h - d * g,
+            a * g + 3 * b * h + c * e + 3 * d * f,
+            a * h + b * g + c * f + d * e)
+
+
 @dataclass(frozen=True, slots=True)
 class Z3i:
     """a + b sqrt3 + i (c + d sqrt3), with integers a, b, c, d."""
@@ -68,13 +82,7 @@ class Z3i:
         return Z3i(-self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, o):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        # (x + iy)(u + iv) with x, y, u, v in Z[sqrt3], where sqrt3^2 = 3
-        return Z3i(a * e + 3 * b * f - c * g - 3 * d * h,
-                   a * f + b * e - c * h - d * g,
-                   a * g + 3 * b * h + c * e + 3 * d * f,
-                   a * h + b * g + c * f + d * e)
+        return Z3i(*_ring_product(self.parts(), o.parts()))
 
     def __bool__(self):
         return bool(self.a or self.b or self.c or self.d)
@@ -96,6 +104,9 @@ class Z3i:
 
 @dataclass(frozen=True)
 class MobiusMap:
+    """[[a, b], [c, d]] over the ring; a singular one raises GeometryError.
+    compose and inverse skip the check: products and inverses of invertible
+    matrices are invertible, so only maps built from outside data need it."""
     a: Z3i  # an int entry n is read as Z3i(n)
     b: Z3i
     c: Z3i
@@ -126,16 +137,26 @@ class MobiusMap:
     def compose(self, other):
         """self after other (matrix product self * other), divided by the
         gcd of its 16 integers so that entries stay small."""
-        entries = (self.a * other.a + self.b * other.c,
-                   self.a * other.b + self.b * other.d,
-                   self.c * other.a + self.d * other.c,
-                   self.c * other.b + self.d * other.d)
-        g = math.gcd(*(x for e in entries for x in e.parts()))
-        return MobiusMap(*(Z3i(*(x // g for x in e.parts()))
-                           for e in entries))
+        a, b, c, d = map(Z3i.parts, self.entries())
+        e, f, g, h = map(Z3i.parts, other.entries())
+        parts = [*map(operator.add, _ring_product(a, e), _ring_product(b, g)),
+                 *map(operator.add, _ring_product(a, f), _ring_product(b, h)),
+                 *map(operator.add, _ring_product(c, e), _ring_product(d, g)),
+                 *map(operator.add, _ring_product(c, f), _ring_product(d, h))]
+        n = math.gcd(*parts)
+        quotients = iter([x // n for x in parts])
+        return MobiusMap._invertible(*map(Z3i, *[quotients] * 4))
 
     def inverse(self):
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
+        return MobiusMap._invertible(self.d, -self.b, -self.c, self.a)
+
+    @classmethod
+    def _invertible(cls, a, b, c, d):
+        """A map of Z3i entries known to be invertible, built unchecked."""
+        m = object.__new__(cls)
+        for name, entry in zip("abcd", (a, b, c, d)):
+            object.__setattr__(m, name, entry)
+        return m
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -189,12 +210,12 @@ def load_realization(poly):
     face of `poly` must be, up to rotation and reversal, a face of the
     bundled polyhedron document of that name, whose vertices it places.
     """
-    folder = resources.files("hypdom.data") / "realizations"
     filename = f"{poly.name}.json"
-    if filename not in {p.name for p in folder.iterdir()}:
+    path = resources.files("hypdom.data") / "realizations" / filename
+    if path.name != filename or not path.is_file():  # a separator in name
         raise NotRealizableError(
             f"no regular ideal realization is bundled for {poly.name!r}")
-    doc = json.loads((folder / filename).read_text())
+    doc = json.loads(path.read_text())
     if not isinstance(doc, dict) or set(doc) != set(poly.vertices):
         raise RealizationError(f"the {poly.name!r} realization does not "
                                "name exactly the polyhedron's vertices")
@@ -326,8 +347,7 @@ def relator_product(generators, word):
     m = IDENTITY
     for gen, sign in word:
         g = generators[gen]
-        g = g if sign > 0 else g.inverse()
-        m = g.compose(m)
+        m = (g if sign > 0 else g.inverse()).compose(m)
     return m
 
 

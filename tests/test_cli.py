@@ -297,15 +297,13 @@ def test_restrict_command_candidate(capsys, cube_run, tmp_path):
     assert json.loads(text)["commuting_generator_pairs"] is None
 
 
-def test_restrict_prints_the_library_document(capsys, tmp_path):
+def test_restrict_prints_the_library_document(capsys, cube_run,
+                                              octahedron_run):
     # `hypdom restrict` writes grouplab.restriction_report's document as it
     # is, on every cube and octahedron candidate; without generator maps
     # the commuting pairs are None, and with no generators an empty list
     checked = 0
-    for solid in ("cube", "octahedron"):
-        out = tmp_path / solid
-        assert cli.main(["enumerate", data_path(solid), "--out", str(out)]) == 0
-        capsys.readouterr()
+    for solid, out in (("cube", cube_run), ("octahedron", octahedron_run)):
         poly = polytope.load_polyhedron(data_path(solid))
         realization = geometry.load_realization(poly)
         for path in sorted(out.glob("candidate_*.json")):
@@ -346,6 +344,24 @@ def test_verify_prints_the_library_document(capsys, cube_run,
             assert text == cli._encode(doc) + "\n"
             checked += 1
     assert (checked, in_scope) == (150, 54)
+
+
+def test_verify_output_bytes_pinned(capsys, cube_run, octahedron_run):
+    # the `verify` stdout of every cube and octahedron candidate, byte for
+    # byte: a change to the exact Mobius arithmetic that alters an entry, a
+    # type or a verdict shows here
+    h = hashlib.sha256()
+    documents = confirmed = 0
+    for solid, out in (("cube", cube_run), ("octahedron", octahedron_run)):
+        for path in sorted(out.glob("candidate_*.json")):
+            code, text, _ = run(capsys, "verify", data_path(solid), str(path))
+            assert code == 0
+            h.update(text.encode())
+            documents += 1
+            confirmed += json.loads(text)["status"] == "CONFIRMED"
+    assert (documents, confirmed) == (150, 54)
+    assert h.hexdigest() == (
+        "1d85c4d5992d61d8b203e12dc071d90c2eb4de44045459c7b79ce0a968fa8d5d")
 
 
 def test_verify_out_of_scope_is_not_attempted(capsys, octahedron_run):

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -314,10 +315,50 @@ def test_classify_element_standard_forms():
 
 
 def test_classify_element_det_guard():
-    with pytest.raises(geometry.GeometryError, match="singular"):
-        MobiusMap(1, 2, 2, 4)
-    with pytest.raises(geometry.GeometryError, match="singular"):
-        MobiusMap(Z3i(1, 1), 2, 1, Z3i(-1, 1))  # det (sqrt3+1)(sqrt3-1) - 2
+    # the public constructor checks the determinant of maps built from
+    # outside data; only products and inverses skip it
+    for entries in ((1, 2, 2, 4), (1, 1, 1, 1),
+                    (Z3i(1, 1), 2, 1, Z3i(-1, 1)),  # (sqrt3+1)(sqrt3-1) - 2
+                    (Z3i(0, 1), 3, 1, Z3i(0, 1))):  # sqrt3 sqrt3 - 3
+        with pytest.raises(geometry.GeometryError, match="singular"):
+            MobiusMap(*entries)
+
+
+def product_oracle(m, n):
+    """m.compose(n) written with the ring's * and +, divided by the gcd of
+    the 16 integers of the product."""
+    entries = (m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+               m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+    g = math.gcd(*(x for e in entries for x in e.parts()))
+    return MobiusMap(*(Z3i(*(x // g for x in e.parts())) for e in entries))
+
+
+def test_compose_matches_ring_oracle(solids):
+    # products formed on integer parts and built without the determinant
+    # check are the checked products of the ring's own arithmetic, on
+    # random small entries and on the bundled realizations' points
+    rng = random.Random(28)
+    pool = [z for name in ("cube", "octahedron") for z in
+            geometry.load_realization(solids[name]).values()
+            if not geometry.is_infinity(z)]
+
+    def entry():
+        if rng.random() < 0.25:
+            return rng.choice(pool)
+        return Z3i(*(rng.randint(-4, 4) for _ in range(4)))
+
+    maps = []
+    while len(maps) < 300:
+        entries = [entry() for _ in range(4)]
+        if entries[0] * entries[3] - entries[1] * entries[2]:
+            maps.append(MobiusMap(*entries))
+    for m, n in zip(maps, maps[1:] + maps[:1]):
+        product = m.compose(n)
+        assert product == product_oracle(m, n)
+        assert all(type(e) is Z3i for e in product.entries())
+        assert m.inverse() == MobiusMap(m.d, -m.b, -m.c, m.a)
+        assert geometry.projective_distance(
+            m.inverse().compose(m), geometry.IDENTITY) == 0
 
 
 def test_verify_candidates_on_cube(cube_report):
@@ -454,6 +495,14 @@ def test_load_realization_rejects(solids, monkeypatch, tmp_path):
             json.dumps({**bundled, **change}))
         with pytest.raises(geometry.RealizationError, match=message):
             geometry.load_realization(solids["octahedron"])
+
+
+def test_load_realization_reads_only_its_own_folder(cube):
+    # a name that leads out of data/realizations names no bundled
+    # realization, although the file it would reach exists
+    for name in ("../cube", "../realizations/cube"):
+        with pytest.raises(geometry.NotRealizableError, match="bundled"):
+            geometry.load_realization(dataclasses.replace(cube, name=name))
 
 
 def test_realization_json_roundtrip(realization):
