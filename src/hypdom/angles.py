@@ -12,11 +12,12 @@ search of the dual for the circuits lighter than a bound (`light_cycles`),
 which also checks a stored witness.  `check_inequalities` checks a point
 against the full list of circuits, as an independent oracle.
 
-Both the Gauss-Jordan solve and the simplex are fraction-free inside: a
-tableau row is a list of integers over one positive denominator, divided
-by its content after every pivot (Bareiss, Math. Comp. 1968; Edmonds,
-J. Res. NBS 1967).  Only the results are Fractions.  Every rational point
-goes over its least common denominator in one place, `common_denominator`.
+Both the Gauss-Jordan solve and the simplex are fraction-free: a tableau
+row is a list of integers over one positive denominator, divided by its
+content after every pivot (Bareiss, Math. Comp. 1968; Edmonds, J. Res. NBS
+1967).  Rows go in and optima come out as integers; only the solution set
+and the witness are Fractions.  Every rational point goes over its least
+common denominator in one place, `common_denominator`.
 """
 
 import heapq
@@ -67,7 +68,7 @@ class AngleAssignment:
 @dataclass(frozen=True)
 class LinearSystem:
     columns: tuple     # edge ids, in column order
-    rows: tuple        # (coefficient tuple, rhs), rational; int when assembled
+    rows: tuple        # (coefficient tuple, rhs), integers
     provenance: tuple  # ("vertex", name) or ("class", index) per row
 
 
@@ -132,7 +133,8 @@ def solve_exact(system):
     """Gauss-Jordan over the rationals, carried out on integer rows (see
     _pivot); everything returned is exact.  Each row carries its
     right-hand side as its last entry."""
-    tab, den = _tableau([*coef, rhs] for coef, rhs in system.rows)
+    tab = [[*coef, rhs] for coef, rhs in system.rows]
+    den = [1] * len(tab)
     ncol = len(system.columns)
     pivots = []
     r = 0
@@ -266,10 +268,11 @@ def feasible(system, dual):
     Over the common denominator D of the particular solution and the basis
     the family is q = P/D + B.t, with P and B integer and t the null-space
     coordinates scaled by 1/D.  In t every strict condition reads a.t < b
-    with integer a and b in (1/D)Z.  The exact linear program max s subject
-    to a.t + s <= b and s <= 1 has an optimum s* > 0 iff the open region is
-    non-empty, and its optimal t meets every condition with slack s*, so it
-    is itself the witness.
+    with integer a and b in (1/D)Z, kept as the integer pair (a, D*b).  The
+    exact linear program max s subject to a.t + s <= b and s <= 1 has an
+    optimum s* > 0 iff the open region is non-empty, and its optimal t,
+    integers over one denominator, meets every condition with slack s*, so
+    it is itself the witness.
 
     The circuit rows are generated, not listed (the cutting-plane form of
     separation; Grotschel, Lovasz and Schrijver, Combinatorica 1981): the
@@ -299,12 +302,10 @@ def feasible(system, dual):
         for row, rhs in ((tuple([-x for x in a]), pi), (a, den - pi)):
             cons[row] = min(cons.get(row, rhs), rhs)    # q > 0, q < 1
     while True:
-        t, slack = _max_slack(
-            [(a, Fraction(rhs, den)) for a, rhs in cons.items()], m)
-        if slack <= 0:
+        tnum, snum, tden = _max_slack(cons.items(), den, m)
+        if snum <= 0:
             return sol, None
-        # q = P/D + B.t and s over the denominator D * lcm(t, s)
-        (snum, *tnum), tden = common_denominator([slack, *t])
+        # q = P/D + B.t and s over the denominator D * tden
         weight = {eid: pi * tden + den * sum(x * y for x, y in zip(a, tnum))
                   for eid, pi, a in zip(sol.columns, p, coef)}
         light = light_cycles(dual, weight, den * (2 * tden + snum))
@@ -318,28 +319,29 @@ def feasible(system, dual):
             cons[a] = min(cons.get(a, rhs), rhs)
 
 
-def _max_slack(rows, m):
-    """(t, s) maximizing s subject to a.t + s <= b for each (a, b) in rows
-    and s <= 1, with t of length m.
+def _max_slack(rows, den, m):
+    """(t numerators, s numerator, d) for the (t, s) maximizing s subject to
+    a.t + s <= b/den for each integer pair (a, b) in rows and s <= 1, with
+    t of length m and t, s over the one positive denominator d.
 
-    Solves the dual, min sum(b_i y_i) + w subject to sum(y_i a_i) = 0,
+    Solves the dual, min sum(b_i y_i)/den + w subject to sum(y_i a_i) = 0,
     sum(y_i) + w = 1 and y, w >= 0, by the simplex method on a dense
-    tableau of integer rows (see _pivot) with m + 1 constraint rows and a
-    reduced-cost row, pivoted with the others.  Bland's rule (lowest index
-    with negative reduced cost enters, ties in the ratio test leave by
-    lowest index) rules out cycling.  The tableau carries B^-1 in m + 1
-    extra columns that start as the identity, at cost 0, so the primal
-    optimum (t, s) = c_B B^-1 is the negated reduced costs of those columns
-    in the final basis.
+    tableau of integer rows (see _pivot) with m + 1 constraint rows over 1
+    and a reduced-cost row over den, pivoted with the others.  Bland's rule
+    (lowest index with negative reduced cost enters, ties in the ratio test
+    leave by lowest index) rules out cycling.  The tableau carries B^-1 in
+    m + 1 extra columns that start as the identity, at cost 0, so the
+    primal optimum (t, s) = c_B B^-1 is the negated reduced costs of those
+    columns in the final basis.
     """
     n = len(rows)
     unit = [[int(i == k) for k in range(m + 1)] for i in range(m + 1)]
-    tab, den = _tableau(
-        [[a[i] for a, _ in rows] + [0] + unit[i] + [0] for i in range(m)]
-        + [[1] * (n + 1) + unit[m] + [1],
-           # costs b_i for y_i and 1 for w, less the cost of the starting
-           # basis {w}: one times the row sum(y_i) + w = 1
-           [b - 1 for _, b in rows] + [0] * (m + 1) + [-1, -1]])
+    tab = ([[a[i] for a, _ in rows] + [0] + unit[i] + [0] for i in range(m)]
+           + [[1] * (n + 1) + unit[m] + [1],
+              # costs b_i/den for y_i and 1 for w, less the cost of the
+              # starting basis {w}: one times the row sum(y_i) + w = 1
+              [b - den for _, b in rows] + [0] * (m + 1) + [-den, -den]])
+    dens = [1] * (m + 1) + [den]
     basis = [None] * m + [n]  # None: a zero-level row with no dual variable
 
     # the rows sum(y_i a_i) = 0 have right-hand side 0, so pivoting on any
@@ -347,7 +349,7 @@ def _max_slack(rows, m):
     for r in range(m):
         j = next((j for j in range(n) if tab[r][j]), None)
         if j is not None:
-            _pivot(tab, den, r, j)
+            _pivot(tab, dens, r, j)
             basis[r] = j
 
     while True:
@@ -355,22 +357,16 @@ def _max_slack(rows, m):
         j = next((j for j in range(n + 1) if cost[j] < 0), None)
         if j is None:
             break
-        r = min((i for i in range(m + 1) if tab[i][j] > 0),
-                key=lambda i: (Fraction(tab[i][-1], tab[i][j]), basis[i]))
-        _pivot(tab, den, r, j)
+        r = None  # the least ratio rhs / entry, by cross multiplication
+        for i in range(m + 1):
+            if tab[i][j] > 0 and (r is None or (
+                    (tab[i][-1] * tab[r][j], basis[i])
+                    < (tab[r][-1] * tab[i][j], basis[r]))):
+                r = i
+        _pivot(tab, dens, r, j)
         basis[r] = j
-    u = [Fraction(-x, den[m + 1]) for x in tab[m + 1][n + 1:n + 2 + m]]
-    return u[:m], u[m]
-
-
-def _tableau(rows):
-    """(integer rows, denominators) for the rational rows `rows`."""
-    tab, den = [], []
-    for values in rows:
-        row, d = common_denominator(values)
-        tab.append(row)
-        den.append(d)
-    return tab, den
+    u = [-x for x in tab[m + 1][n + 1:n + 2 + m]]
+    return u[:m], u[m], dens[m + 1]
 
 
 def common_denominator(values):
@@ -396,8 +392,8 @@ def _pivot(tab, den, r, j):
     Row r is scaled so that entry j is 1, and column j is cleared in every
     other row by subtracting a multiple of row r: all in integers, by cross
     multiplication.  Each changed row is then divided by its content, the
-    gcd of its denominator and its entries, so every row stays in lowest
-    terms and the sign of an entry is the sign of its integer.
+    gcd of its denominator and its entries, so it is in lowest terms, and
+    the sign of an entry is always the sign of its integer.
     """
     row, p = tab[r], tab[r][j]
     if p < 0:

@@ -214,10 +214,8 @@ def build_parser():
 INPUT_ERRORS = (polytope.PolyhedronError, pairings.SchemeError,
                 angles.PartitionError, angles.ClassCountError,
                 enumeration.EnumerationError, json.JSONDecodeError,
-                UnicodeDecodeError, FileNotFoundError, FileExistsError,
-                IsADirectoryError, NotADirectoryError, PermissionError,
-                enumeration.SchemeCapExceeded, geometry.NotRealizableError,
-                geometry.RealizationError)
+                UnicodeDecodeError, OSError, enumeration.SchemeCapExceeded,
+                geometry.NotRealizableError, geometry.RealizationError)
 
 
 _parser = None

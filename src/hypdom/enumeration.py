@@ -37,8 +37,8 @@ class CandidateDomain:
     orbits: tuple
     system: angles.LinearSystem
     witness: angles.AngleAssignment
-    key_rotations: bytes
-    key_full: bytes
+    key_rotations: str
+    key_full: str
 
     @property
     def class_sizes(self):
@@ -285,8 +285,8 @@ def candidate_to_json_dict(candidate):
         "class_sizes": list(candidate.class_sizes),
         "witness": candidate.witness.to_json_dict(),
         "census": candidate.census,
-        "key_rotations": candidate.key_rotations.decode(),
-        "key_full": candidate.key_full.decode(),
+        "key_rotations": candidate.key_rotations,
+        "key_full": candidate.key_full,
     }
 
 
@@ -310,8 +310,7 @@ def candidate_from_json_dict(poly, doc):
     if not all(isinstance(key, str) for key in keys):
         raise EnumerationError(
             "candidate has no string 'key_rotations' and 'key_full'")
-    return CandidateDomain(scheme, orbits, system, witness,
-                           keys[0].encode(), keys[1].encode())
+    return CandidateDomain(scheme, orbits, system, witness, *keys)
 
 
 def _checked_witness(poly, system, raw):

@@ -212,7 +212,11 @@ def load_realization(poly):
     """
     filename = f"{poly.name}.json"
     path = resources.files("hypdom.data") / "realizations" / filename
-    if path.name != filename or not path.is_file():  # a separator in name
+    try:  # no file has a name with a separator, or one too long for any
+        bundled = path.name == filename and path.is_file()
+    except OSError:
+        bundled = False
+    if not bundled:
         raise NotRealizableError(
             f"no regular ideal realization is bundled for {poly.name!r}")
     doc = json.loads(path.read_text())

@@ -315,12 +315,12 @@ def image_keys(scheme, actions):
     so the rotation orbit of g.S is g's coset: the rotation images when g
     is a rotation, the reflection images otherwise.  A family is one
     full-group orbit, so one pass keys every member, and the members share
-    its key bytes.
+    its key strings.
     """
     images = [(signature(scheme, action), action[1]) for action in actions]
-    full = repr(min(sig for sig, _ in images)).encode()
+    full = repr(min(sig for sig, _ in images))
     coset = {kind: repr(min(sig for sig, rotation in images
-                            if rotation == kind)).encode()
+                            if rotation == kind))
              for kind in {rotation for _, rotation in images}}
     return {sig: (coset[rotation], full) for sig, rotation in images}
 

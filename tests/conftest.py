@@ -198,7 +198,7 @@ def conjugation_canonicalize(scheme, group, automorphisms):
         sig = scheme_signature(conjugate_scheme(scheme, vmap))
         if best is None or sig < best:
             best = sig
-    return repr(best).encode()
+    return repr(best)
 
 
 def detect_elliptic_generator(scheme):

@@ -159,8 +159,7 @@ def test_solve_infeasible_rows():
     # x0 + x1 = 2 and x0 + x1 = 3 cannot both hold
     system = angles.LinearSystem(
         columns=(0, 1),
-        rows=(((Fraction(1), Fraction(1)), Fraction(2)),
-              ((Fraction(1), Fraction(1)), Fraction(3))),
+        rows=(((1, 1), 2), ((1, 1), 3)),
         provenance=(("vertex", "u"), ("vertex", "w")))
     sol = angles.solve_exact(system)
     assert sol.status == "infeasible"
@@ -233,7 +232,7 @@ def test_feasible_toy_system_matches_grid_oracle():
     # grid search over rational points confirms feasibility and the witness
     system = angles.LinearSystem(
         columns=(0, 1, 2),
-        rows=(((Fraction(1), Fraction(1), Fraction(1)), Fraction(2)),),
+        rows=(((1, 1, 1), 2),),
         provenance=(("vertex", "v"),))
     sol, witness = angles.feasible(system, NO_DUAL)
     assert witness is not None
@@ -250,11 +249,11 @@ def test_feasible_toy_system_matches_grid_oracle():
 def test_feasible_nine_free_variables():
     # x0 + ... + x9 = r over ten columns leaves nine free variables; r = 2
     # has interior points, r = 10 would need every angle at 1
-    ones = (Fraction(1),) * 10
+    ones = (1,) * 10
     witnesses = {}
     for rhs in (2, 10):
         system = angles.LinearSystem(
-            columns=tuple(range(10)), rows=((ones, Fraction(rhs)),),
+            columns=tuple(range(10)), rows=((ones, rhs),),
             provenance=(("vertex", "v"),))
         sol, witnesses[rhs] = angles.feasible(system, NO_DUAL)
         assert len(sol.basis) == 9
@@ -473,9 +472,9 @@ def test_octahedron_partitions_feasible_with_witness(solids):
 @pytest.mark.parametrize("name, count", [("cube", 105), ("octahedron", 96)])
 def test_integer_core_matches_fraction_oracle(solids, name, count):
     # on every distinct structural partition: the same solution set, the
-    # same witness and the same max-slack optimum, also for the rows over
-    # the common denominator D that feasible builds, whose optimum has
-    # its t scaled by 1/D
+    # same witness and the same max-slack optimum, for the integer rows
+    # (D*a, D*b) over the common denominator D that feasible builds, whose
+    # optimum has its t scaled by 1/D
     poly = solids[name]
     dual = polytope.build_dual(poly)
     circuits = angles.nonfacial_circuits(dual)
@@ -495,11 +494,14 @@ def test_integer_core_matches_fraction_oracle(solids, name, count):
         m = len(sol.basis)
         rows = fraction_angles.rivin_rows(sol, circuits)
         t, s = fraction_angles._max_slack(rows, m)
-        assert angles._max_slack(rows, m) == (t, s)
         den = math.lcm(*(q.denominator for q in sol.particular.values()),
                        *(x.denominator for vec in sol.basis for x in vec))
-        scaled = [(tuple(int(x * den) for x in a), b) for a, b in rows]
-        assert angles._max_slack(scaled, m) == ([x / den for x in t], s)
+        scaled = [(tuple(int(x * den) for x in a), int(b * den))
+                  for a, b in rows]
+        tnum, snum, d = angles._max_slack(scaled, den, m)
+        assert all(type(x) is int for x in (*tnum, snum, d))
+        assert [Fraction(x, d) for x in tnum] == [x / den for x in t]
+        assert Fraction(snum, d) == s
         rref_dens.add(den)
         if witness is not None:
             witness_dens |= {q.denominator for q in witness.values.values()}
@@ -507,11 +509,40 @@ def test_integer_core_matches_fraction_oracle(solids, name, count):
         assert max(rref_dens) > 1 and 7 in witness_dens
 
 
+@pytest.mark.parametrize("name, count", [("cube", 105), ("octahedron", 96)])
+def test_max_slack_builds_no_fraction(solids, name, count, monkeypatch):
+    # the simplex takes and returns integers: with angles.Fraction a stub
+    # that raises, it still finds the Fraction oracle's optimum on every
+    # distinct partition's rows over the family's denominator
+    poly = solids[name]
+    circuits = angles.nonfacial_circuits(polytope.build_dual(poly))
+    systems = [angles.assemble_system(poly, [set(cl) for cl in partition])
+               for partition in distinct_partitions(poly)]
+    assert len(systems) == count
+    programs = [(sol, *scaled_rivin_rows(sol, circuits))
+                for sol in map(angles.solve_exact, systems)
+                if sol.status != "infeasible"]
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(angles, "Fraction", no_fraction)
+    for sol, den, rows in programs:
+        m = len(sol.basis)
+        tnum, snum, d = angles._max_slack(rows, den, m)
+        t, s = fraction_angles._max_slack(
+            fraction_angles.rivin_rows(sol, circuits), m)
+        assert [Fraction(x, d) for x in tnum] == [x / den for x in t]
+        assert Fraction(snum, d) == s
+
+
 def random_system(rng, kind):
     """A small rational system of the given kind: "unique" (square, and
     nonsingular unless the draw is), "deficient" (consistent, rank below
     the column count) or "inconsistent" (a combination of the rows with its
-    right-hand side moved reads 0 = c with c != 0)."""
+    right-hand side moved reads 0 = c with c != 0).  Each row is scaled by
+    the lcm of its denominators, so the system is in integers and has the
+    same solutions."""
     def q():
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
@@ -535,9 +566,11 @@ def random_system(rng, kind):
         a, b = rows[-1]
         rows[-1] = (a, b + rng.choice([-2, -1, 1, 2]))
     rng.shuffle(rows)
+    scales = [math.lcm(*[x.denominator for x in (*a, b)]) for a, b in rows]
     return angles.LinearSystem(
         columns=tuple(range(10, 10 + ncol)),
-        rows=tuple((tuple(a), b) for a, b in rows),
+        rows=tuple((tuple([int(x * k) for x in a]), int(b * k))
+                   for (a, b), k in zip(rows, scales)),
         provenance=tuple(("vertex", str(i)) for i in range(nrow)))
 
 
@@ -569,13 +602,11 @@ def test_solve_exact_matches_fraction_oracle_on_random_systems(kind):
 
 def test_solve_exact_zero_rows():
     # a zero row with a nonzero right-hand side is 0 = c; with 0 it is void
-    zero = (Fraction(0), Fraction(0))
-    for rhs, status in ((Fraction(3), "infeasible"),
-                        (Fraction(0), "affine-family")):
+    # (the first row is x0 - x1/2 = 1/3, over 6)
+    for rhs, status in ((3, "infeasible"), (0, "affine-family")):
         system = angles.LinearSystem(
             columns=(0, 1),
-            rows=(((Fraction(1), Fraction(-1, 2)), Fraction(1, 3)),
-                  (zero, rhs)),
+            rows=(((6, -3), 2), ((0, 0), rhs)),
             provenance=(("vertex", "u"), ("vertex", "w")))
         ours = angles.solve_exact(system)
         assert ours == fraction_angles.solve_exact(system)
@@ -669,10 +700,10 @@ def matching_partitions(poly, k, monkeypatch):
 
 
 def scaled_rivin_rows(sol, circuits):
-    """fraction_angles.rivin_rows(sol, circuits) with each a scaled by the
-    common denominator D of the family, as the fraction-oracle test scales
-    them, but summed in integers: the Fraction sums take seconds over the
-    dodecahedron's 12,858 circuits."""
+    """(D, rows): fraction_angles.rivin_rows(sol, circuits) with each a
+    and b scaled by the common denominator D of the family, as the
+    fraction-oracle test scales them, but summed in integers: the Fraction
+    sums take seconds over the dodecahedron's 12,858 circuits."""
     den = math.lcm(*(q.denominator for q in sol.particular.values()),
                    *(x.denominator for vec in sol.basis for x in vec))
     p = [int(sol.particular[eid] * den) for eid in sol.columns]
@@ -687,12 +718,12 @@ def scaled_rivin_rows(sol, circuits):
             cons[a] = b
 
     for a, pi in zip(coef, p):
-        add([-x for x in a], Fraction(pi, den))            # q > 0
-        add(a, 1 - Fraction(pi, den))                      # q < 1
+        add([-x for x in a], pi)                           # q > 0
+        add(a, den - pi)                                   # q < 1
     for seq in circuits:
         idxs = [col[eid] for eid in seq]
         add([-sum(column) for column in zip(*[coef[i] for i in idxs])],
-            Fraction(sum(p[i] for i in idxs) - 2 * den, den))  # sum > 2
+            sum(p[i] for i in idxs) - 2 * den)             # sum > 2
     return den, list(cons.items())
 
 
@@ -732,14 +763,15 @@ def test_feasible_matches_full_list_program_on_dodecahedron(solids,
     assert chosen[2][2] is not None
     sol = chosen[0][1]
     den, rows = scaled_rivin_rows(sol, circuits[:400])
-    assert rows == [(tuple(int(x * den) for x in a), b) for a, b
+    assert rows == [(tuple(int(x * den) for x in a), b * den) for a, b
                     in fraction_angles.rivin_rows(sol, circuits[:400])]
     for _, sol, witness, _ in chosen:
         den, rows = scaled_rivin_rows(sol, circuits)
-        t, s = angles._max_slack(rows, len(sol.basis))
-        assert (witness is not None) == (s > 0)
+        tnum, snum, d = angles._max_slack(rows, den, len(sol.basis))
+        assert (witness is not None) == (snum > 0)
         if witness is not None:
-            assert witness.values == solution_point(sol, [x * den for x in t])
+            assert witness.values == solution_point(
+                sol, [Fraction(x * den, d) for x in tnum])
             assert angles.check_inequalities(poly, dual, witness)[0]
     system = next(
         system for system in (

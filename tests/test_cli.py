@@ -86,6 +86,17 @@ def test_malformed_input_exit_code(capsys, tmp_path):
         assert err.startswith("error: "), argv
 
 
+def test_overlong_path_exit_code(capsys, tmp_path):
+    # a file name longer than the file system allows is bad input too, as
+    # the polyhedron and as the candidate
+    long_name = str(tmp_path / ("b" * 300 + ".json"))
+    for argv in (["info", long_name],
+                 ["angles", data_path("cube"), long_name]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+
+
 def test_out_naming_a_file_exit_code(capsys, tmp_path):
     # --out names a directory; an existing file there is bad input
     taken = tmp_path / "taken"
@@ -295,6 +306,30 @@ def test_restrict_command_candidate(capsys, cube_run, tmp_path):
     code, text, _ = run(capsys, "restrict", str(box), candidate)
     assert code == 0
     assert json.loads(text)["commuting_generator_pairs"] is None
+
+
+def test_overlong_name_is_not_realizable(capsys, cube_run, tmp_path):
+    # the bundled cube under a name too long for a file name: no
+    # realization is bundled under it, and every command says so as for
+    # any other unknown name
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(
+        dict(json.loads(Path(data_path("cube")).read_text()), name="a" * 300)))
+    with pytest.raises(geometry.NotRealizableError, match="no regular"):
+        geometry.load_realization(polytope.load_polyhedron(str(path)))
+    code, out, err = run(capsys, "realize", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no regular ideal realization is bundled")
+    candidate = str(cube_run / "candidate_000.json")
+    code, out, _ = run(capsys, "verify", str(path), candidate)
+    assert code == 0 and json.loads(out)["status"] == "not-attempted"
+    code, out, _ = run(capsys, "restrict", str(path), candidate)
+    assert code == 0
+    assert json.loads(out)["commuting_generator_pairs"] is None
+    code, out, _ = run(capsys, "pipeline", str(path))
+    families = json.loads(out)["families"]
+    assert code == 0 and len(families) == 3
+    assert all(f["verification"] == "out-of-scope" for f in families)
 
 
 def test_restrict_prints_the_library_document(capsys, cube_run,

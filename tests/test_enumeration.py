@@ -158,7 +158,7 @@ def test_classify_families(cube_report):
 def test_classify_keys_each_family_in_one_pass(solids, monkeypatch, name,
                                                families):
     # one pass over the group per full-group family, not per survivor: its
-    # members share the family's key bytes, one full-group key and one
+    # members share the family's key strings, one full-group key and one
     # rotation key per coset
     passes = []
     image_keys = pairings.image_keys
