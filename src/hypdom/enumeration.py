@@ -30,12 +30,12 @@ DEFAULT_SCHEME_CAP = 200000
 
 @dataclass(frozen=True)
 class CandidateDomain:
-    """A surviving scheme with its edge orbits, its angle system (one class
-    row per orbit), a witness of that system and its canonical keys; the
-    rest is derived from the scheme and the orbits when read."""
+    """A surviving scheme with its edge orbits, a strict witness of its
+    angle system and its canonical keys; the rest, the angle system (one
+    class row per orbit) among it, is derived from the scheme and the
+    orbits when read."""
     scheme: pairings.PairingScheme
     orbits: tuple
-    system: angles.LinearSystem
     witness: angles.AngleAssignment
     key_rotations: str
     key_full: str
@@ -43,6 +43,11 @@ class CandidateDomain:
     @property
     def class_sizes(self):
         return tuple(sorted(o.size for o in self.orbits))
+
+    @functools.cached_property
+    def system(self):
+        return angles.assemble_system(self.scheme.poly,
+                                      [set(o.edges) for o in self.orbits])
 
     @functools.cached_property
     def words(self):
@@ -170,34 +175,30 @@ def scheme_stream(poly, report):
 
 
 def angle_record(poly, dual, actions, records, partition):
-    """(status, system, witness) of an edge partition: its own angle system
-    and a strict witness, both None when the Rivin region is empty, kept
-    in `records` (partition -> triple).  The verdict is symmetry-invariant:
-    a partition that an edge permutation of `actions` sends onto a recorded
-    one takes its verdict, the witness pulled back (`pull_back` checks that
-    the permutation carries one system's rows onto the other's); only a
-    partition with no recorded image runs `angles.feasible` on the dual
-    graph `dual` of `poly`.
+    """(status, witness) of an edge partition, the strict witness None when
+    the Rivin region is empty, kept in `records` (partition -> pair).  The
+    verdict is symmetry-invariant: a partition that an edge permutation
+    perm of `actions` (each checked by `classify` to carry the vertex
+    stars onto themselves) sends onto a recorded one takes its status,
+    the witness read through perm, edge e taking the angle of perm[e];
+    only a partition with no recorded image runs `angles.feasible` on its
+    own system and the dual graph `dual` of `poly`.
     """
     if partition in records:
         return records[partition]
-    classes = [set(cl) for cl in sorted(partition, key=sorted)]
     for _, _, _, perm in actions:
         image = frozenset(frozenset(perm[e] for e in cl) for cl in partition)
         if image in records:
-            status, image_system, witness = records[image]
-            system = None
+            status, witness = records[image]
             if witness is not None:
-                system = angles.assemble_system(poly, classes)
-                witness = pull_back(system, image_system, witness, perm)
+                witness = angles.AngleAssignment(
+                    {e: witness.values[perm[e]] for e in range(len(perm))})
             break
     else:
-        system = angles.assemble_system(poly, classes)
-        solution, witness = angles.feasible(system, dual)
+        solution, witness = angles.feasible(angles.assemble_system(
+            poly, [set(cl) for cl in sorted(partition, key=sorted)]), dual)
         status = solution.status
-        if witness is None:
-            system = None
-    records[partition] = (status, system, witness)
+    records[partition] = (status, witness)
     return records[partition]
 
 
@@ -216,7 +217,10 @@ def classify(poly):
     """The three stages composed, the survivors grouped into families under
     the rotations and the full symmetry group; the counts must sum up.  The
     dual graph is built once, for every `angles.feasible` call; no circuit
-    list is built."""
+    list is built.  Each action's edge permutation must carry the set of
+    vertex stars onto itself, so that it carries every partition's vertex
+    rows, class rows and dual circuits onto its image's and `angle_record`
+    may read a witness through it."""
     # class count, face count and scheme cap first, and an empty scheme
     # space answered, before the dual and the symmetries are built
     angles.required_class_count(poly)
@@ -226,9 +230,14 @@ def classify(poly):
     dual = polytope.build_dual(poly)
     actions = pairings.automorphism_actions(poly)
     identity = next(a for a in actions if all(u == v for u, v in a[0].items()))
+    stars = set(poly.incidence.vertex_edges.values())
+    for _, _, _, perm in actions:
+        if {frozenset(perm[e] for e in star) for star in stars} != stars:
+            raise AssertionError("an action does not carry the vertex stars "
+                                 "onto themselves")
     records, keys = {}, {}
     for chosen, orbits in scheme_stream(poly, report):
-        status, system, witness = angle_record(
+        status, witness = angle_record(
             poly, dual, actions, records,
             frozenset(frozenset(o.edges) for o in orbits))
         if witness is None:
@@ -237,7 +246,7 @@ def classify(poly):
             continue
         scheme = pairings.PairingScheme(poly, chosen)
         report.survivors.append(CandidateDomain(
-            scheme, tuple(orbits), system, witness,
+            scheme, tuple(orbits), witness,
             *family_keys(scheme, actions, identity, keys)))
     if not report.counts_consistent():
         raise AssertionError("report counts do not sum to the total")
@@ -246,30 +255,6 @@ def classify(poly):
         report.families_full.setdefault(cand.key_full, []).append(cand)
         report.families_rotations.setdefault(cand.key_rotations, []).append(cand)
     return report
-
-
-def pull_back(system, image, witness, perm):
-    """The witness of `system`, read off `witness` of its symmetry image
-    `image`, in which edge e is edge perm[e].
-
-    perm must carry every row of `system` onto a row of `image`: both are
-    compared as sorted lists of (relabelled support with its coefficients,
-    rhs).  Then the two systems have the same solutions up to perm, so the
-    permuted witness solves `system` exactly as `witness` solves `image`.
-    """
-    if _row_list(system, perm) != _row_list(image, range(len(perm))):
-        raise AssertionError("witness pull-back failed: the permutation "
-                             "does not carry the system onto its image")
-    return angles.AngleAssignment(
-        {eid: witness.values[perm[eid]] for eid in system.columns})
-
-
-def _row_list(system, relabel):
-    """The rows of `system` with edge e renamed relabel[e], order-free."""
-    return sorted(
-        (tuple(sorted((relabel[eid], c)
-                      for eid, c in zip(system.columns, coef) if c)), rhs)
-        for coef, rhs in system.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,43 +285,52 @@ def candidate_scheme(poly, doc):
 def candidate_from_json_dict(poly, doc):
     """Rebuild a candidate from its persisted scheme, re-deriving the rest,
     and check its persisted witness exactly instead of searching again.
-    The canonical keys are taken as persisted: no caller of a reloaded
+    The check reads the candidate's own angle system, so that system is
+    assembled once, here, and kept for `angles` and `verify`.  The
+    canonical keys are taken as persisted: no caller of a reloaded
     candidate groups it into families."""
     scheme = candidate_scheme(poly, doc)
-    orbits = tuple(pairings.edge_orbits(scheme))
-    system = angles.assemble_system(poly, [set(o.edges) for o in orbits])
-    witness = _checked_witness(poly, system, doc.get("witness"))
+    witness = _parsed_witness(poly, doc.get("witness"))
     keys = [doc.get(name) for name in ("key_rotations", "key_full")]
+    cand = CandidateDomain(scheme, tuple(pairings.edge_orbits(scheme)),
+                           witness, *keys)
+    _check_witness(cand)
     if not all(isinstance(key, str) for key in keys):
         raise EnumerationError(
             "candidate has no string 'key_rotations' and 'key_full'")
-    return CandidateDomain(scheme, orbits, system, witness, *keys)
+    return cand
 
 
-def _checked_witness(poly, system, raw):
+def _parsed_witness(poly, raw):
     """The persisted witness, if it is one: a value in (0, 1) on every edge
-    id, a solution of the scheme's own angle system, and strictly inside
-    every non-facial circuit inequality.  The last is checked over the
-    witness's common denominator D: a circuit whose D-scaled sum is below
-    2D + 1 (`angles.light_cycles`) sums to at most 2."""
+    id."""
     if not isinstance(raw, dict):
         raise EnumerationError("candidate has no persisted witness")
     if set(raw) != {str(eid) for eid in range(poly.edge_count())}:
         raise EnumerationError("witness keys are not the edge ids")
     try:
-        witness = angles.AngleAssignment.from_json_dict(raw)
+        return angles.AngleAssignment.from_json_dict(raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise EnumerationError(f"witness is not valid: {exc}") from exc
-    if not angles.satisfies(system, witness.values):
+
+
+def _check_witness(cand):
+    """Check that the candidate's witness solves its own angle system and
+    lies strictly inside every non-facial circuit inequality.  The last is
+    checked over the witness's common denominator D: a circuit whose
+    D-scaled sum is below 2D + 1 (`angles.light_cycles`) sums to at most
+    2."""
+    values = cand.witness.values
+    if not angles.satisfies(cand.system, values):
         raise EnumerationError("witness does not solve the angle system")
-    scaled, den = angles.common_denominator(witness.values.values())
-    weight = dict(zip(witness.values, scaled))
-    light = angles.light_cycles(polytope.build_dual(poly), weight, 2 * den + 1)
+    scaled, den = angles.common_denominator(values.values())
+    weight = dict(zip(values, scaled))
+    light = angles.light_cycles(polytope.build_dual(cand.scheme.poly), weight,
+                                2 * den + 1)
     if light:
         total = Fraction(sum(weight[eid] for eid in light[0]), den)
         raise EnumerationError("witness fails the strict Rivin circuit "
                                f"inequality at {light[0]}: {total}")
-    return witness
 
 
 def report_to_json_dict(report):

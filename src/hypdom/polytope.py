@@ -87,11 +87,13 @@ def load_polyhedron(source):
                 raise PolyhedronError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PolyhedronError("polyhedron document is not an object")
-    for key in ("name", "vertices", "faces"):
+    for key, kind, what in (("name", str, "a string"),
+                            ("vertices", (list, tuple), "a list"),
+                            ("faces", (list, tuple), "a list")):
         if key not in doc:
             raise PolyhedronError(f"missing key {key!r}")
-        if key != "name" and not isinstance(doc[key], (list, tuple)):
-            raise PolyhedronError(f"{key!r} is not a list")
+        if not isinstance(doc[key], kind):
+            raise PolyhedronError(f"{key!r} is not {what}")
     vertices = tuple(doc["vertices"])
     for v in vertices:
         if not isinstance(v, str):
@@ -111,7 +113,7 @@ def load_polyhedron(source):
         if len(set(cyc)) != len(cyc):
             raise PolyhedronError(f"repeated vertex within face {cyc}")
         faces.append(cyc)
-    poly = AbstractPolyhedron(str(doc["name"]), vertices, tuple(faces))
+    poly = AbstractPolyhedron(doc["name"], vertices, tuple(faces))
     _validate(poly)
     return poly
 

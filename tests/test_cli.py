@@ -140,6 +140,19 @@ def test_non_string_vertex_names_exit_code(capsys, tmp_path, rename):
         assert err.startswith("error: ") and "0 is not a string" in err
 
 
+@pytest.mark.parametrize("name", [None, ["cube"], 6],
+                         ids=["null", "list", "number"])
+def test_non_string_polyhedron_name_exit_code(capsys, tmp_path, name):
+    # a name is a string: null is not read as "None", nor a list as its repr
+    doc = json.loads(Path(data_path("cube")).read_text())
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({**doc, "name": name}))
+    for command in ("info", "enumerate", "pipeline"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and "'name' is not a string" in err
+
+
 def test_enumerate_writes_report_and_candidates(capsys, tmp_path):
     out = tmp_path / "run"
     code, _, _ = run(capsys, "enumerate", data_path("cube"), "--out", str(out))
@@ -585,7 +598,8 @@ def test_no_circuit_list_on_reload_or_pipeline(capsys, cube_run, monkeypatch,
 
 def test_derived_data_built_once(capsys, cube_run, monkeypatch, tmp_path):
     # the polyhedron builds its incidence once; a reload assembles the
-    # angle system once, to check the witness, and the candidate carries it
+    # angle system once, to check the witness, and `verify` and `angles`
+    # read it again from the candidate
     calls = collections.Counter()
 
     def count(module, name):
@@ -603,14 +617,20 @@ def test_derived_data_built_once(capsys, cube_run, monkeypatch, tmp_path):
     assert code == 0 and json.loads(text)["status"] == "CONFIRMED"
     assert calls == {"build_incidence": 1, "assemble_system": 1}
     calls.clear()
-    code, _, _ = run(capsys, "pipeline", data_path("cube"),
-                     "--out", str(tmp_path / "pipe"))
-    assert code == 0
-    # 16 = the own systems of the 10 feasible partitions (the first of each
-    # of the 2 feasible classes is decided on its own) plus one per empty
-    # class, 6 decided once each; each of the 3 verified family
-    # representatives carries its partition's system
-    assert calls == {"build_incidence": 1, "assemble_system": 16}
+    code, text, _ = run(capsys, "angles", data_path("cube"),
+                        str(cube_run / "candidate_000.json"))
+    assert code == 0 and json.loads(text)["status"] == "affine-family"
+    assert calls == {"build_incidence": 1, "assemble_system": 1}
+    # a pipeline assembles one system per `feasible` call (8 on the cube, 6
+    # on the octahedron: one per symmetry class of partitions, none for a
+    # partition whose witness is read through a symmetry) and one per
+    # verified family representative (3 and 7)
+    for name, assembled in (("cube", 11), ("octahedron", 13)):
+        calls.clear()
+        code, _, _ = run(capsys, "pipeline", data_path(name),
+                         "--out", str(tmp_path / name))
+        assert code == 0
+        assert calls == {"build_incidence": 1, "assemble_system": assembled}
 
 
 def test_parser_built_once(capsys, monkeypatch):

@@ -227,32 +227,34 @@ def test_classify_compiles_each_pairing_once(solids, monkeypatch, name,
 def test_angle_stage(solids, monkeypatch, name, partitions, decided, empty,
                      witnessed):
     # the angle stage over the stream: `feasible` runs once per symmetry
-    # class of partitions, and each witness solves its partition's own
-    # system, which the stage returns with it
+    # class of partitions, on the only systems the stage assembles, and
+    # each witness, read through a symmetry or not, solves its partition's
+    # own system
     poly = solids[name]
     stream = list(enumeration.scheme_stream(
         poly, enumeration.EnumerationReport()))
     dual = polytope.build_dual(poly)
     actions = pairings.automorphism_actions(poly)
-    calls = []
-    feasible = angles.feasible
+    calls, assembled = [], []
+    feasible, assemble = angles.feasible, angles.assemble_system
     monkeypatch.setattr(angles, "feasible",
                         lambda *a: calls.append(a) or feasible(*a))
+    monkeypatch.setattr(angles, "assemble_system",
+                        lambda *a: assembled.append(a) or assemble(*a))
     records = {}
     verdicts = collections.Counter()
     for _, orbits in stream:
         partition = frozenset(frozenset(o.edges) for o in orbits)
-        status, system, witness = enumeration.angle_record(
+        status, witness = enumeration.angle_record(
             poly, dual, actions, records, partition)
         verdicts[witness is not None] += 1
         if witness is None:
-            assert status == "affine-family" and system is None
+            assert status == "affine-family"
             continue
-        assert system == angles.assemble_system(
-            poly, [set(cl) for cl in sorted(partition, key=sorted)])
+        system = assemble(poly, [set(cl) for cl in partition])
         assert angles.satisfies(system, witness.values)
     assert len(records) == partitions
-    assert len(calls) == decided
+    assert len(calls) == len(assembled) == decided
     assert (verdicts[False], verdicts[True]) == (empty, witnessed)
 
 
@@ -274,7 +276,7 @@ def test_angle_stage_records_an_inconsistent_partition(cube, monkeypatch):
     records = {}
     verdict = enumeration.angle_record(cube, dual, actions, records,
                                        partition)
-    assert verdict == ("infeasible", None, None) and len(calls) == 1
+    assert verdict == ("infeasible", None) and len(calls) == 1
     images = {frozenset(frozenset(perm[e] for e in cl) for cl in partition)
               for *_, perm in actions}
     assert len(images) == 8
@@ -575,47 +577,103 @@ def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
         assert len(seen) == partitions
 
 
-def test_pull_back_check_fires(cube, cube_inc, cube_dual, fd1):
+def test_action_check_fires(cube, cube_inc, cube_dual, fd1, monkeypatch,
+                            tmp_path):
     # swapping two edges of different classes at a common vertex is no
-    # symmetry of the angle system: the row check must refuse it, although
-    # the witness, the regular point, is fixed by every such swap
+    # symmetry of the angle system, although the witness, the regular
+    # point, is fixed by every such swap: classify refuses such an action
+    # before the stream, and the CLI exits 3
     classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
-    system = angles.assemble_system(cube, classes)
-    _, witness = angles.feasible(system, cube_dual)
+    _, witness = angles.feasible(angles.assemble_system(cube, classes),
+                                 cube_dual)
     assert set(witness.values.values()) == {Fraction(2, 3)}
-    identity = list(range(len(cube_inc.edges)))
-    same = enumeration.pull_back(system, system, witness, identity)
-    assert same.values == witness.values
+    actions = pairings.automorphism_actions(cube)
+    vmap, rotation, faces, identity = actions[0]
+    assert identity == tuple(range(len(cube_inc.edges)))
     swaps = [(a, b) for a in classes[0] for b in classes[1]
              if set(cube_inc.edges[a]) & set(cube_inc.edges[b])]
     assert len(swaps) == 16
+    stream = []
+    monkeypatch.setattr(enumeration, "scheme_stream",
+                        lambda *a: stream.append(a) or iter(()))
     for a, b in swaps:
         perm = list(identity)
         perm[a], perm[b] = b, a
-        with pytest.raises(AssertionError, match="pull-back failed"):
-            enumeration.pull_back(system, system, witness, perm)
+        monkeypatch.setattr(pairings, "automorphism_actions", lambda poly: [
+            *actions, (vmap, rotation, faces, tuple(perm))])
+        with pytest.raises(AssertionError, match="vertex stars"):
+            enumeration.classify(cube)
+    assert stream == []
+    cube_doc = str(resources.files("hypdom.data").joinpath("cube.json"))
+    for command in ("enumerate", "pipeline"):
+        assert cli.main([command, cube_doc,
+                         "--out", str(tmp_path / command)]) == 3
 
 
-def test_pull_back_refuses_another_partitions_image(cube, cube_inc,
-                                                    cube_dual, fd1, fd2):
-    # a genuine symmetry carries the partition's system onto its own image,
-    # and onto no other partition's system
+def test_witness_read_through_a_symmetry(cube, cube_inc, cube_dual, fd1, fd2,
+                                         solids, octahedron_report,
+                                         monkeypatch):
+    # a genuine symmetry's witness, read through its edge permutation,
+    # solves the partition's own system strictly; with only another
+    # partition's record present, the lookup finds nothing and `feasible`
+    # runs
     classes = [set(o.edges) for o in pairings.edge_orbits(fd1)]
-    system = angles.assemble_system(cube, classes)
-    vmap = next(vmap for vmap, orient in symmetry_group(cube)
-                if orient and any(k != v for k, v in vmap.items()))
-    perm = [cube_inc.edge_id(*(vmap[v] for v in cube_inc.edges[eid]))
-            for eid in range(len(cube_inc.edges))]
-    image = angles.assemble_system(
-        cube, [{perm[e] for e in cl} for cl in classes])
-    _, witness = angles.feasible(image, cube_dual)
-    pulled = enumeration.pull_back(system, image, witness, perm)
-    assert angles.satisfies(system, pulled.values)
-    other = angles.assemble_system(
-        cube, [set(o.edges) for o in pairings.edge_orbits(fd2)])
-    _, other_witness = angles.feasible(other, cube_dual)
-    with pytest.raises(AssertionError, match="pull-back failed"):
-        enumeration.pull_back(system, other, other_witness, perm)
+    partition = frozenset(map(frozenset, classes))
+    for vmap, orient in symmetry_group(cube):
+        perm = tuple(cube_inc.edge_id(*(vmap[v] for v in cube_inc.edges[eid]))
+                     for eid in range(len(cube_inc.edges)))
+        image = frozenset(frozenset(perm[e] for e in cl) for cl in classes)
+        if orient and image != partition:
+            break
+    action = (vmap, orient, None, perm)
+    solution, witness = angles.feasible(
+        angles.assemble_system(cube, [set(cl) for cl in image]), cube_dual)
+    calls = []
+    feasible = angles.feasible
+    monkeypatch.setattr(angles, "feasible",
+                        lambda *a: calls.append(a) or feasible(*a))
+    records = {image: (solution.status, witness)}
+    status, pulled = enumeration.angle_record(cube, cube_dual, [action],
+                                              records, partition)
+    assert calls == [] and status == solution.status
+    assert records[partition] == (status, pulled)
+    assert pulled.values == {e: witness.values[perm[e]] for e in range(12)}
+    assert angles.satisfies(angles.assemble_system(cube, classes),
+                            pulled.values)
+    ok, failures = angles.check_inequalities(cube, cube_dual, pulled)
+    assert ok, failures
+    other = frozenset(frozenset(o.edges) for o in pairings.edge_orbits(fd2))
+    assert other not in (image, partition)
+    other_solution, other_witness = feasible(angles.assemble_system(
+        cube, [set(cl) for cl in other]), cube_dual)
+    records = {other: (other_solution.status, other_witness)}
+    status, found = enumeration.angle_record(cube, cube_dual, [action],
+                                             records, partition)
+    assert len(calls) == 1 and found is not None
+    assert angles.satisfies(angles.assemble_system(cube, classes),
+                            found.values)
+    # every cube witness is the regular point, which every permutation
+    # fixes; an octahedron witness is not constant, and the image's witness
+    # as it stands fails the partition's system for some symmetry
+    octahedron = solids["octahedron"]
+    dual = polytope.build_dual(octahedron)
+    cand = octahedron_report.survivors[0]
+    assert len(set(cand.witness.values.values())) > 1
+    partition = frozenset(frozenset(o.edges) for o in cand.orbits)
+    moved = 0
+    for action in pairings.automorphism_actions(octahedron):
+        perm = action[3]
+        image = frozenset(frozenset(perm[e] for e in cl) for cl in partition)
+        solution, witness = feasible(angles.assemble_system(
+            octahedron, [set(cl) for cl in image]), dual)
+        _, pulled = enumeration.angle_record(
+            octahedron, dual, [action], {image: (solution.status, witness)},
+            partition)
+        assert angles.satisfies(cand.system, pulled.values)
+        ok, failures = angles.check_inequalities(octahedron, dual, pulled)
+        assert ok, failures
+        moved += not angles.satisfies(cand.system, witness.values)
+    assert moved > 0
 
 
 def test_classify_checks_report_counts(monkeypatch, tmp_path):
