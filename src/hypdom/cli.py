@@ -23,7 +23,7 @@ from . import angles, enumeration, geometry, grouplab, pairings, polytope
 
 def _encode(doc):
     """`doc` as JSON text, byte for byte what json.dumps(doc, indent=1,
-    sort_keys=True) writes: dicts with string keys, lists, tuples,
+    sort_keys=True) writes: dicts with string keys, lists, plain tuples,
     strings, ints, booleans and None; anything else raises TypeError."""
     parts = []
     _write(doc, "\n", parts.append)
@@ -54,7 +54,7 @@ def _write(value, pad, out):
             _write(value[key], inner, out)
             sep = comma
         out(pad + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
+    elif kind is list or kind is tuple:
         inner = pad + " "
         sep, comma = "[" + inner, "," + inner
         for item in value:

@@ -7,14 +7,15 @@ bundled realizations lie in that ring: each cube coordinate is
 +-(sqrt3 - 1) or +-(sqrt3 + 1), and the octahedron sits at inf, 0, +-1 and
 +-i.  Mobius maps are 2x2 matrices over the ring acting as
 z -> (az+b)/(cz+d), identified projectively, so every verdict below is an
-equality of ring elements: there is no tolerance anywhere.  Products run
-on integer parts through one formula, _ring_product, and only a map built
-from outside data has its determinant checked (see MobiusMap).
+equality of ring elements: there is no tolerance anywhere.  A ring element
+is a tuple of its four integer parts and a map a tuple of its four
+entries; products run on the parts through one formula, _ring_product,
+and only a map built from outside data has its determinant checked.
 
 A realization places each vertex of a solid on the boundary.  The regular
 ideal ones are data: one document per solid under data/realizations, named
 after the polyhedron document's "name" (the cube and the octahedron are
-bundled), loaded and validated by load_realization.
+bundled), loaded and validated by load_realization once per process.
 """
 
 import collections
@@ -23,13 +24,13 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from . import angles
 
 INF = "inf"
+_new = tuple.__new__  # builds a Z3i or MobiusMap from a tuple, unchecked
 
 
 class GeometryError(ValueError):
@@ -64,31 +65,36 @@ def _ring_product(x, y):
             a * h + b * g + c * f + d * e)
 
 
-@dataclass(frozen=True, slots=True)
-class Z3i:
-    """a + b sqrt3 + i (c + d sqrt3), with integers a, b, c, d."""
-    a: int
-    b: int = 0
-    c: int = 0
-    d: int = 0
+class Z3i(collections.namedtuple("Z3i", "a b c d", defaults=(0, 0, 0))):
+    """a + b sqrt3 + i (c + d sqrt3), with integers a, b, c, d: a tuple of
+    the four, so a value is one tuple.__new__ and products read its parts
+    directly.  +, - and * take only another Z3i, else raise TypeError."""
+    __slots__ = ()
 
     def __add__(self, o):
-        return Z3i(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        (a, b, c, d), (e, f, g, h) = self, _operand(o)
+        return _new(Z3i, (a + e, b + f, c + g, d + h))
 
     def __sub__(self, o):
-        return Z3i(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        (a, b, c, d), (e, f, g, h) = self, _operand(o)
+        return _new(Z3i, (a - e, b - f, c - g, d - h))
 
     def __neg__(self):
-        return Z3i(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return _new(Z3i, (-a, -b, -c, -d))
 
     def __mul__(self, o):
-        return Z3i(*_ring_product(self.parts(), o.parts()))
+        return _new(Z3i, _ring_product(self, _operand(o)))
+
+    # else (1, 0, 0, 0) + z and 2 * z would fall back to the tuple's
+    # concatenation and repetition; the ring is commutative
+    __radd__, __rmul__ = __add__, __mul__
 
     def __bool__(self):
-        return bool(self.a or self.b or self.c or self.d)
+        return any(self)
 
     def conjugate(self):
-        return Z3i(self.a, self.b, -self.c, -self.d)
+        return _new(Z3i, (self.a, self.b, -self.c, -self.d))
 
     def real_sign(self):
         """Sign of the real part a + b sqrt3: where a and b differ in sign
@@ -99,25 +105,29 @@ class Z3i:
         return sa if self.a * self.a > 3 * self.b * self.b else sb
 
     def parts(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class MobiusMap:
-    """[[a, b], [c, d]] over the ring; a singular one raises GeometryError.
-    compose and inverse skip the check: products and inverses of invertible
-    matrices are invertible, so only maps built from outside data need it."""
-    a: Z3i  # an int entry n is read as Z3i(n)
-    b: Z3i
-    c: Z3i
-    d: Z3i
+def _operand(o):
+    if type(o) is not Z3i:
+        raise TypeError(f"ring arithmetic on a Z3i and a {type(o).__name__}")
+    return o
 
-    def __post_init__(self):
-        for name in "abcd":
-            if isinstance(getattr(self, name), int):
-                object.__setattr__(self, name, Z3i(getattr(self, name)))
-        if not self.det:
+
+class MobiusMap(collections.namedtuple("MobiusMap", "a b c d")):
+    """[[a, b], [c, d]] over the ring, a tuple of four Z3i entries (an int
+    entry n is read as Z3i(n)); a singular one raises GeometryError.
+    compose and inverse build their result unchecked: products and inverses
+    of invertible matrices are invertible, so only maps built from outside
+    data need the check."""
+    __slots__ = ()
+
+    def __new__(cls, a, b, c, d):
+        m = _new(cls, (Z3i(x) if isinstance(x, int) else x
+                       for x in (a, b, c, d)))
+        if not m.det:
             raise GeometryError("singular matrix")
+        return m
 
     @property
     def det(self):
@@ -137,29 +147,22 @@ class MobiusMap:
     def compose(self, other):
         """self after other (matrix product self * other), divided by the
         gcd of its 16 integers so that entries stay small."""
-        a, b, c, d = map(Z3i.parts, self.entries())
-        e, f, g, h = map(Z3i.parts, other.entries())
+        (a, b, c, d), (e, f, g, h) = self, other
         parts = [*map(operator.add, _ring_product(a, e), _ring_product(b, g)),
                  *map(operator.add, _ring_product(a, f), _ring_product(b, h)),
                  *map(operator.add, _ring_product(c, e), _ring_product(d, g)),
                  *map(operator.add, _ring_product(c, f), _ring_product(d, h))]
         n = math.gcd(*parts)
-        quotients = iter([x // n for x in parts])
-        return MobiusMap._invertible(*map(Z3i, *[quotients] * 4))
+        q = [x // n for x in parts]
+        return _new(MobiusMap, (_new(Z3i, q[:4]), _new(Z3i, q[4:8]),
+                                _new(Z3i, q[8:12]), _new(Z3i, q[12:])))
 
     def inverse(self):
-        return MobiusMap._invertible(self.d, -self.b, -self.c, self.a)
-
-    @classmethod
-    def _invertible(cls, a, b, c, d):
-        """A map of Z3i entries known to be invertible, built unchecked."""
-        m = object.__new__(cls)
-        for name, entry in zip("abcd", (a, b, c, d)):
-            object.__setattr__(m, name, entry)
-        return m
+        a, b, c, d = self
+        return _new(MobiusMap, (d, -b, -c, a))
 
     def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
 def _homogeneous(z):
@@ -201,9 +204,13 @@ def classify_element(m):
 # Regular ideal realizations, bundled as data
 # ---------------------------------------------------------------------------
 
+_realizations = {}  # (document path, vertices, faces) -> validated points
+
+
 def load_realization(poly):
     """vertex name -> boundary point of the regular ideal realization
-    bundled under `poly.name`, validated against `poly`.
+    bundled under `poly.name`, validated against `poly`: a fresh dict, but
+    a document is read once per process per polyhedron that it fits.
 
     Raises NotRealizableError when no realization is bundled for the
     solid, and RealizationError when the document does not fit it: each
@@ -212,6 +219,9 @@ def load_realization(poly):
     """
     filename = f"{poly.name}.json"
     path = resources.files("hypdom.data") / "realizations" / filename
+    key = (str(path), poly.vertices, poly.faces)
+    if key in _realizations:
+        return dict(_realizations[key])
     try:  # no file has a name with a separator, or one too long for any
         bundled = path.name == filename and path.is_file()
     except OSError:
@@ -231,7 +241,8 @@ def load_realization(poly):
             raise RealizationError(
                 f"face {list(face)} is not a face of the bundled "
                 f"{poly.name!r}, whose vertices the realization places")
-    return realization
+    _realizations[key] = realization
+    return dict(realization)
 
 
 def _edge_set(face):
@@ -347,11 +358,13 @@ def face_pairing_maps(realization, scheme):
 
 def relator_product(generators, word):
     """Evaluate a traversal word: the first letter acts first, so the matrix
-    product is taken with the last letter leftmost."""
-    m = IDENTITY
-    for gen, sign in word:
-        g = generators[gen]
-        m = (g if sign > 0 else g.inverse()).compose(m)
+    product is taken with the last letter leftmost.  The fold starts from
+    the first letter; only the empty word gives IDENTITY."""
+    letters = (generators[gen] if sign > 0 else generators[gen].inverse()
+               for gen, sign in word)
+    m = next(letters, IDENTITY)
+    for g in letters:
+        m = g.compose(m)
     return m
 
 

@@ -798,6 +798,8 @@ def test_writer_matches_json_dumps_on_hand_made_documents(doc):
 @pytest.mark.parametrize("doc", [
     1.5, Fraction(1, 3), [Fraction(2)], {"a": {"b": 0.5}}, {1: "a"},
     {"a": 1, 2: "b"}, {("a",): 1}, {None: 1}, {"a"}, b"bytes",
+    # ring values are tuples, but reach a document only through ring_to_json
+    {"z": geometry.Z3i(1, 2)}, [geometry.IDENTITY],
 ])
 def test_writer_rejects_what_it_does_not_cover(doc):
     with pytest.raises(TypeError):

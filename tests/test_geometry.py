@@ -281,6 +281,37 @@ def test_relator_empty_word():
         geometry.relator_product(refs, ())) == "identity"
 
 
+def identity_first_product(generators, word):
+    """relator_product as it was: the fold starts from IDENTITY."""
+    m = geometry.IDENTITY
+    for gen, sign in word:
+        g = generators[gen]
+        m = (g if sign > 0 else g.inverse()).compose(m)
+    return m
+
+
+def test_relator_product_folds_from_the_first_letter(solids, cube_report,
+                                                     octahedron_report):
+    # on every relator word of the 150 survivors, on the solid's bundled
+    # realization: the same map as the fold that starts from IDENTITY
+    words = 0
+    for name, report in (("cube", cube_report),
+                         ("octahedron", octahedron_report)):
+        realization = geometry.load_realization(solids[name])
+        for cand in report.survivors:
+            gens = geometry.face_pairing_maps(realization, cand.scheme)
+            for w in cand.words:
+                assert geometry.projective_distance(
+                    geometry.relator_product(gens, w),
+                    identity_first_product(gens, w)) == 0, w
+                words += 1
+    assert words == 2 * 30 + 3 * 120
+    gens = reference_generators()
+    assert geometry.relator_product(gens, ()) is geometry.IDENTITY
+    gen = next(iter(gens))
+    assert geometry.relator_product(gens, ((gen, 1),)) is gens[gen]
+
+
 def test_relator_word_times_inverse(realization, fd1):
     gens = geometry.face_pairing_maps(realization, fd1)
     word = pairings.relator_word(pairings.edge_orbits(fd1)[0])
@@ -322,6 +353,30 @@ def test_classify_element_det_guard():
                     (Z3i(0, 1), 3, 1, Z3i(0, 1))):  # sqrt3 sqrt3 - 3
         with pytest.raises(geometry.GeometryError, match="singular"):
             MobiusMap(*entries)
+
+
+def test_ring_values_are_not_tuple_arithmetic():
+    # ring values and maps are tuples underneath, but +, - and * take only
+    # ring elements: an int or a plain tuple is neither repeated nor
+    # concatenated
+    z = Z3i(1, 2, 3, 4)
+    for op in (lambda: 2 * z, lambda: z * 2, lambda: z + (1, 0, 0, 0),
+               lambda: (1, 0, 0, 0) + z, lambda: z - 1,
+               lambda: z - (1, 0, 0, 0), lambda: (1, 0, 0, 0) * z):
+        with pytest.raises(TypeError):
+            op()
+    assert z + z == z * Z3i(2) == Z3i(2, 4, 6, 8)
+    assert not Z3i(0) and Z3i(0, 0, 0, 1)
+    assert (z.a, z.b, z.c, z.d) == z.parts() == (1, 2, 3, 4)
+    assert repr(z) == "Z3i(a=1, b=2, c=3, d=4)"
+    with pytest.raises(geometry.GeometryError, match="singular"):
+        MobiusMap(0, 0, 0, 0)
+    m = MobiusMap(1, z, 0, 1)
+    assert type(m.a) is Z3i and m.entries() == (Z3i(1), z, Z3i(0), Z3i(1))
+    product = m.compose(m.inverse())
+    assert type(product) is MobiusMap
+    assert all(type(e) is Z3i for e in product.entries())
+    assert product == geometry.IDENTITY
 
 
 def product_oracle(m, n):
@@ -503,6 +558,40 @@ def test_load_realization_reads_only_its_own_folder(cube):
     for name in ("../cube", "../realizations/cube"):
         with pytest.raises(geometry.NotRealizableError, match="bundled"):
             geometry.load_realization(dataclasses.replace(cube, name=name))
+
+
+def test_load_realization_is_read_once(solids, realization):
+    # every caller gets its own dict: bending a vertex in one, as
+    # test_fourth_vertex_error does in its copy, leaves the next load alone
+    loaded = geometry.load_realization(solids["cube"])
+    assert loaded == realization and loaded is not realization
+    loaded["BBL"] = loaded["BBL"] + Z3i(1)
+    del loaded["FTR"]
+    assert geometry.load_realization(solids["cube"]) == realization
+    # the cache is keyed on the faces as well as the name: a cube named
+    # "cube" with FTR and BBL swapped in every face is still refused
+    swap = {"FTR": "BBL", "BBL": "FTR"}
+    swapped = dataclasses.replace(solids["cube"], faces=tuple(
+        tuple(swap.get(v, v) for v in face) for face in solids["cube"].faces))
+    with pytest.raises(geometry.RealizationError, match="not a face"):
+        geometry.load_realization(swapped)
+
+
+def test_load_realization_does_not_cache_failures(solids, monkeypatch,
+                                                  tmp_path):
+    # a document that fails is read again on the next call: written back
+    # to the same path as the bundled one, it loads
+    octahedron = solids["octahedron"]
+    bundled = geometry.load_realization(octahedron)
+    folder = tmp_path / "realizations"
+    folder.mkdir()
+    monkeypatch.setattr(geometry.resources, "files", lambda package: tmp_path)
+    doc = geometry.realization_to_json_dict(bundled)
+    (folder / "octahedron.json").write_text(json.dumps({**doc, "v1": "inf"}))
+    with pytest.raises(geometry.RealizationError, match="pairwise distinct"):
+        geometry.load_realization(octahedron)
+    (folder / "octahedron.json").write_text(json.dumps(doc))
+    assert geometry.load_realization(octahedron) == bundled
 
 
 def test_realization_json_roundtrip(realization):
