@@ -15,7 +15,8 @@ and only a map built from outside data has its determinant checked.
 A realization places each vertex of a solid on the boundary.  The regular
 ideal ones are data: one document per solid under data/realizations, named
 after the polyhedron document's "name" (the cube and the octahedron are
-bundled), loaded and validated by load_realization once per process.
+bundled).  A process fits each once per solid name, vertices and faces,
+against the bundled solid of that name; load_realization copies the fit.
 """
 
 import collections
@@ -27,7 +28,7 @@ import operator
 from fractions import Fraction
 from importlib import resources
 
-from . import angles
+from . import angles, polytope
 
 INF = "inf"
 _new = tuple.__new__  # builds a Z3i or MobiusMap from a tuple, unchecked
@@ -161,6 +162,11 @@ class MobiusMap(collections.namedtuple("MobiusMap", "a b c d")):
         a, b, c, d = self
         return _new(MobiusMap, (d, -b, -c, a))
 
+    def __add__(self, o):
+        raise TypeError("a MobiusMap has no + or *: compose maps instead")
+
+    __radd__ = __mul__ = __rmul__ = __add__  # else the tuple's, as for Z3i
+
     def entries(self):
         return tuple(self)
 
@@ -204,70 +210,54 @@ def classify_element(m):
 # Regular ideal realizations, bundled as data
 # ---------------------------------------------------------------------------
 
-_realizations = {}  # (document path, vertices, faces) -> validated points
-
-
 def load_realization(poly):
     """vertex name -> boundary point of the regular ideal realization
-    bundled under `poly.name`, validated against `poly`: a fresh dict, but
-    a document is read once per process per polyhedron that it fits.
+    bundled under `poly.name`, validated against `poly`: a fresh dict of
+    the one fit per solid name, vertices and faces that a process makes.
 
     Raises NotRealizableError when no realization is bundled for the
     solid, and RealizationError when the document does not fit it: each
     face of `poly` must be, up to rotation and reversal, a face of the
     bundled polyhedron document of that name, whose vertices it places.
     """
-    filename = f"{poly.name}.json"
+    return dict(_fit(poly.name, poly.vertices, poly.faces)[0])
+
+
+@functools.cache
+def _fit(name, vertices, faces):
+    """(points, common vertex degree) of the realization bundled under
+    `name`, checked as load_realization says; a failure is not cached."""
+    filename = f"{name}.json"
     path = resources.files("hypdom.data") / "realizations" / filename
-    key = (str(path), poly.vertices, poly.faces)
-    if key in _realizations:
-        return dict(_realizations[key])
     try:  # no file has a name with a separator, or one too long for any
         bundled = path.name == filename and path.is_file()
     except OSError:
         bundled = False
     if not bundled:
         raise NotRealizableError(
-            f"no regular ideal realization is bundled for {poly.name!r}")
+            f"no regular ideal realization is bundled for {name!r}")
     doc = json.loads(path.read_text())
-    if not isinstance(doc, dict) or set(doc) != set(poly.vertices):
-        raise RealizationError(f"the {poly.name!r} realization does not "
+    if not isinstance(doc, dict) or set(doc) != set(vertices):
+        raise RealizationError(f"the {name!r} realization does not "
                                "name exactly the polyhedron's vertices")
-    _regular_degree(poly)
-    realization = realization_from_json_dict(doc)
-    bundled = _bundled_faces(poly.name)
-    for face in poly.faces:
-        if _edge_set(face) not in bundled:
+    degrees = set(collections.Counter(
+        v for face in faces for v in face).values())
+    if len(degrees) != 1:
+        raise RealizationError(f"vertex degrees {sorted(degrees)} differ: "
+                               "no regular ideal realization")
+    points = realization_from_json_dict(doc)
+    solid = {_edge_set(face) for face in polytope.bundled(name).faces}
+    for face in faces:
+        if _edge_set(face) not in solid:
             raise RealizationError(
                 f"face {list(face)} is not a face of the bundled "
-                f"{poly.name!r}, whose vertices the realization places")
-    _realizations[key] = realization
-    return dict(realization)
+                f"{name!r}, whose vertices the realization places")
+    return points, degrees.pop()
 
 
 def _edge_set(face):
     """The edges of a face cycle, which fix it up to rotation and reversal."""
     return frozenset(map(frozenset, zip(face, face[1:] + face[:1])))
-
-
-@functools.cache
-def _bundled_faces(name):
-    """The face edge sets of the bundled document `name`, read once as
-    package data: loading it as a polyhedron would number its darts again."""
-    ref = resources.files("hypdom.data") / f"{name}.json"
-    return {_edge_set(face) for face in json.loads(ref.read_text())["faces"]}
-
-
-def _regular_degree(poly):
-    """The common vertex degree d.  The regular ideal realization has
-    exterior angle 2/d (in units of pi) on every edge, since the exterior
-    angles at an ideal vertex sum to 2."""
-    degrees = set(collections.Counter(
-        v for face in poly.faces for v in face).values())
-    if len(degrees) != 1:
-        raise RealizationError(f"vertex degrees {sorted(degrees)} differ: "
-                               "no regular ideal realization")
-    return degrees.pop()
 
 
 def ring_to_json(z):
@@ -394,7 +384,8 @@ def verify_candidate(candidate):
     on its solid's bundled regular ideal realization.
 
     The candidate's angle system must admit the regular point, exterior
-    angle 2/d on every edge; anything else is not realizable here.  It
+    angle 2/d on every edge, since the exterior angles at an ideal vertex
+    of degree d sum to 2; anything else is not realizable here.  It
     solves a class row of k edges iff k = 2d/(d - 2): 6 on the cube, 4 on
     the octahedron.  So the verdict is known (the regular-symmetry lemma):
     every pairing is an isometry of regular ideal faces, so each edge cycle
@@ -402,11 +393,11 @@ def verify_candidate(candidate):
     its class has 2d/(d - 2) edges, elliptic otherwise; every cusp keeps
     a horosphere.  The Mobius check certifies that answer.
     """
-    scheme = candidate.scheme
-    realization = load_realization(scheme.poly)
-    angle = Fraction(2, _regular_degree(scheme.poly))
-    regular = {eid: angle for eid in range(scheme.poly.edge_count())}
+    poly = candidate.scheme.poly
+    realization, degree = _fit(poly.name, poly.vertices, poly.faces)
+    angle = Fraction(2, degree)
+    regular = {eid: angle for eid in range(poly.edge_count())}
     if not angles.satisfies(candidate.system, regular):
         raise NotRealizableError(
             f"angle system does not admit the regular all-{angle} solution")
-    return verify_words(realization, scheme, candidate.words)
+    return verify_words(realization, candidate.scheme, candidate.words)

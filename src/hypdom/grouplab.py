@@ -5,6 +5,8 @@ squared terms in relators against adjacent identified faces, size-3 classes
 against short relators, the exact commutation test, and the edge-count
 bound that forces commuting generators.  `restriction_report` gathers them
 for one scheme into the document that `hypdom restrict` writes as it is.
+Every restriction is about torsion-free orientable groups: no edge class
+carries a cone order and no pairing keeps the face direction.
 """
 
 import itertools
@@ -48,7 +50,12 @@ def edge_bound_check(poly):
 def parity_check(orbits, words, poly):
     """When no word has a squared term, every orbit size and the global edge
     and vertex counts must be even; returns that verdict (vacuously true
-    when a squared term exists)."""
+    when a squared term exists).
+
+    An open case: False on no cube survivor, but on one octahedron family
+    of 12 survivors, class sizes 3, 3, 6, Rivin-feasible and outside the
+    regular realization's scope; a shape solve of its non-regular
+    realizations would decide it."""
     squared, _ = has_squared_term(words)
     if squared:
         return True

@@ -1,12 +1,14 @@
 import cmath
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import random
 import types
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -357,12 +359,14 @@ def test_classify_element_det_guard():
 
 def test_ring_values_are_not_tuple_arithmetic():
     # ring values and maps are tuples underneath, but +, - and * take only
-    # ring elements: an int or a plain tuple is neither repeated nor
-    # concatenated
-    z = Z3i(1, 2, 3, 4)
+    # ring elements and a map has no + or *: an int or a plain tuple is
+    # neither repeated nor concatenated
+    z, one = Z3i(1, 2, 3, 4), geometry.IDENTITY
     for op in (lambda: 2 * z, lambda: z * 2, lambda: z + (1, 0, 0, 0),
                lambda: (1, 0, 0, 0) + z, lambda: z - 1,
-               lambda: z - (1, 0, 0, 0), lambda: (1, 0, 0, 0) * z):
+               lambda: z - (1, 0, 0, 0), lambda: (1, 0, 0, 0) * z,
+               lambda: one + one, lambda: 2 * one, lambda: one * 2,
+               lambda: (1,) + one):
         with pytest.raises(TypeError):
             op()
     assert z + z == z * Z3i(2) == Z3i(2, 4, 6, 8)
@@ -520,6 +524,21 @@ def test_regular_point_solves_one_class_size(solids, name, size):
     assert fits == ([size] if size else [])
 
 
+def swap_data_folder(monkeypatch, tmp_path):
+    """Point the package data at tmp_path, holding a copy of the bundled
+    octahedron document, and give the fit a fresh cache, so that a solid
+    already fitted reads its realization again; returns the (empty)
+    realizations folder there."""
+    (tmp_path / "octahedron.json").write_text(
+        resources.files("hypdom.data").joinpath("octahedron.json").read_text())
+    folder = tmp_path / "realizations"
+    folder.mkdir()
+    monkeypatch.setattr(geometry, "_fit",
+                        functools.cache(geometry._fit.__wrapped__))
+    monkeypatch.setattr(geometry.resources, "files", lambda package: tmp_path)
+    return folder
+
+
 def test_load_realization_rejects(solids, monkeypatch, tmp_path):
     with pytest.raises(geometry.NotRealizableError, match="tetrahedron"):
         geometry.load_realization(solids["tetrahedron"])
@@ -533,9 +552,7 @@ def test_load_realization_rejects(solids, monkeypatch, tmp_path):
         geometry.load_realization(pyramid)
     bundled = geometry.realization_to_json_dict(
         geometry.load_realization(solids["octahedron"]))
-    folder = tmp_path / "realizations"
-    folder.mkdir()
-    monkeypatch.setattr(geometry.resources, "files", lambda package: tmp_path)
+    folder = swap_data_folder(monkeypatch, tmp_path)
     for change, message in (
             ({"v6": [[2, 0], [0, 0]]}, "exactly the polyhedron's vertices"),
             ({"v2": [[0, 0], [0, 0]]}, "not pairwise distinct"),
@@ -583,15 +600,27 @@ def test_load_realization_does_not_cache_failures(solids, monkeypatch,
     # to the same path as the bundled one, it loads
     octahedron = solids["octahedron"]
     bundled = geometry.load_realization(octahedron)
-    folder = tmp_path / "realizations"
-    folder.mkdir()
-    monkeypatch.setattr(geometry.resources, "files", lambda package: tmp_path)
+    folder = swap_data_folder(monkeypatch, tmp_path)
     doc = geometry.realization_to_json_dict(bundled)
     (folder / "octahedron.json").write_text(json.dumps({**doc, "v1": "inf"}))
     with pytest.raises(geometry.RealizationError, match="pairwise distinct"):
         geometry.load_realization(octahedron)
     (folder / "octahedron.json").write_text(json.dumps(doc))
     assert geometry.load_realization(octahedron) == bundled
+
+
+def test_cache_hit_does_no_package_lookup(cube, cube_report, monkeypatch):
+    # once the cube is fitted, neither a second load nor a verify of a
+    # cube survivor looks the package data up again
+    realization = geometry.load_realization(cube)
+
+    def no_lookup(package):
+        raise AssertionError(f"package data of {package} looked up")
+
+    monkeypatch.setattr(geometry.resources, "files", no_lookup)
+    assert geometry.load_realization(cube) == realization
+    doc = geometry.verify_candidate(cube_report.survivors[0])
+    assert doc["status"] == "CONFIRMED"
 
 
 def test_realization_json_roundtrip(realization):

@@ -207,10 +207,29 @@ def test_candidate_parity_property(cube_report):
             assert all(o.size % 2 == 0 for o in cand.orbits)
 
 
-def test_prop63_exhaustive(cube):
+def test_parity_open_case(solids, cube_report, octahedron_report):
+    # parity holds on all 30 cube survivors; on the octahedron it fails on
+    # exactly 12 survivors, the whole of one full-group family with class
+    # sizes 3, 3, 6: the open case that parity_check's docstring names
+    def failures(report, name):
+        return [c for c in report.survivors if not grouplab.parity_check(
+            c.orbits, c.words, solids[name])]
+
+    assert len(cube_report.survivors) == 30
+    assert failures(cube_report, "cube") == []
+    failed = failures(octahedron_report, "octahedron")
+    assert len(failed) == 12
+    (key,) = {c.key_full for c in failed}
+    assert octahedron_report.families_full[key] == failed
+    assert {tuple(c.class_sizes) for c in failed} == {(3, 3, 6)}
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_prop63_exhaustive(solids, name):
     # squared term <=> some pairing identifies adjacent faces, over the
-    # entire scheme population, with zero exceptions
-    for scheme in enumerate_schemes(cube):
+    # entire scheme population (960 cube and 8,505 octahedron schemes),
+    # with zero exceptions
+    for scheme in enumerate_schemes(solids[name]):
         squared, _ = grouplab.has_squared_term(words_of(scheme))
         adjacent = grouplab.adjacent_identified_sharing_edge(scheme)
         assert squared == adjacent
