@@ -22,10 +22,13 @@ common denominator in one place, `common_denominator`.
 
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polytope
+
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")  # what to_json_dict writes
 
 
 class AngleDomainError(ValueError):
@@ -56,12 +59,15 @@ class AngleAssignment:
 
     @classmethod
     def from_json_dict(cls, doc):
-        """The assignment `to_json_dict` writes: each value a string such
-        as "2/3".  Any other value is a ValueError, so a JSON number (an
-        infinite one among them) never enters the exact path."""
+        """The assignment `to_json_dict` writes: each value a string of the
+        form [-]digits[/digits], such as "2/3".  Any other value is a
+        ValueError, so neither a JSON number (an infinite one among them)
+        nor a decimal or exponent string, whose exponent `Fraction` would
+        expand in full, enters the exact path."""
         for v in doc.values():
-            if not isinstance(v, str):
-                raise ValueError(f"angle {v!r} is not a string")
+            if not (isinstance(v, str) and _RATIONAL.fullmatch(v)):
+                raise ValueError(f"angle {v!r} is not a string of the form "
+                                 "[-]digits[/digits]")
         return cls({int(k): Fraction(v) for k, v in doc.items()})
 
 

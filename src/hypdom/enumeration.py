@@ -131,47 +131,125 @@ def _pairing_table(poly):
     return table
 
 
-def scheme_stream(poly, report):
+def _carried_indices(table, representative, action, matching, passing):
+    """The index tuples, on `matching`, of the images under `action` of the
+    representative matching's passing schemes (index tuples `passing`),
+    read through one map, built once per matching, from each (slot,
+    index) of the representative that they use to the (slot, index) of
+    its `pairings.pair_image`.  An image correspondence missing from its
+    pair's table list raises AssertionError."""
+    slot = {pair: j for j, pair in enumerate(matching)}
+    moved = {}
+    for r, i in {entry for index in passing for entry in enumerate(index)}:
+        f1, f2 = representative[r]
+        src, tgt, image = pairings.pair_image(action, f1, f2,
+                                              table[f1, f2][i][0])
+        found = [k for k, (corr, _) in enumerate(table[src, tgt])
+                 if corr == image]
+        if not found:
+            raise AssertionError("a symmetry's image of a non-elliptic "
+                                 "pairing is not in the pairing table")
+        moved[r, i] = slot[src, tgt], found[0]
+    for index in passing:
+        image = [None] * len(matching)
+        for entry in enumerate(index):
+            j, image[j] = moved[entry]
+        yield tuple(image)
+
+
+def scheme_stream(poly, report, actions):
     """Each scheme past the structural filters, as (chosen pairings, edge
     orbits), matching by matching in `_perfect_matchings` order, the pairs
-    of a matching named A, B, C, ... in turn; `report.total` and the
-    elliptic, class-count and class-size rejections are counted as it goes.
+    of a matching named A, B, C, ... in turn, the schemes of a matching in
+    `itertools.product` order over its pairs' lists in `_pairing_table`;
+    `report.total` and the elliptic, class-count and class-size rejections
+    are counted as it goes.  `actions` are the solid's `Action`s, each
+    checked by `classify` to map the vertex set of face f onto that of
+    face faces[f].
 
     Elliptic pairings (a dart move fixes its dart: a rotation about an
     edge) are dropped from the pairing table before the product, the
-    schemes they remove counted in closed form.  Each other scheme's moves
-    go into one reused table, whose dart cycles are walked once and
-    filtered on (the class count, then the class size); only a scheme that
-    passes gets named pairings and orbit steps.
+    schemes they remove counted in closed form.  The class filters (the
+    class count, then the class size) are invariant under the actions,
+    so they are decided once per orbit of matchings under the face
+    permutations.  The orbit's first matching, its representative, has
+    every scheme's moves written into one reused table and its dart
+    cycles walked and filtered.  A later member of the orbit is an
+    action's image of the representative: it takes the representative's
+    rejection counts, and the images of the representative's passing
+    schemes, pair by pair (`pairings.pair_image`), are its passing
+    schemes.  Only those are walked, in product order, and a carried
+    scheme that fails a filter, or whose image pairing is not in the
+    table, raises AssertionError.  Only a scheme that passes gets named
+    pairings and orbit steps.
     """
     required = angles.required_class_count(poly)
     rejected = report.rejected
     table = _pairing_table(poly)
     nxt = [None] * len(poly.incidence.dart_edge)  # the scheme's moves
-    for matching in _perfect_matchings(list(range(poly.face_count())), table):
+    # a face pair's key is the mask 1 << f1 | 1 << f2, the same in either
+    # direction, and a matching's the set of its pairs' keys; each action's
+    # face masks are listed once
+    masks = [[1 << f for f in action.faces] for action in actions]
+    # matching image's key -> (representative, action, the representative's
+    # rejection counts and passing index tuples)
+    carried = {}
+
+    def walked(matching, indices):
+        """(index tuple, cycles, failed filter or None) of each scheme of
+        the matching picked by `indices` from its pairs' table lists."""
         kept = [table[pair] for pair in matching]
-        built = math.prod(len(poly.faces[f1]) for f1, _ in matching)
-        report.total += built
-        rejected["elliptic"] += built - math.prod(map(len, kept))
-        for choice in itertools.product(*kept):
-            for _, moves in choice:
-                for first, ids in moves:
+        for index in indices:
+            for i, pairs in zip(index, kept):
+                for first, ids in pairs[i][1]:
                     nxt[first:first + len(ids)] = ids
             cycles = pairings.dart_cycles(poly, nxt)
             shortest = min(map(len, cycles))
             if shortest == 1:
                 raise AssertionError("an elliptic pairing passed the filter")
-            if len(cycles) != required:
-                rejected["class_count"] += 1
-                continue
-            if shortest < 3:
-                rejected["class_size"] += 1
-                continue
-            chosen = tuple(
-                pairings.FacePairing(symbol, f1, f2, corr)
-                for symbol, (f1, f2), (corr, _)
-                in zip(string.ascii_uppercase, matching, choice))
-            yield chosen, pairings.cycle_orbits(poly, cycles, chosen)
+            yield index, cycles, ("class_count" if len(cycles) != required
+                                  else "class_size" if shortest < 3 else None)
+
+    @functools.cache
+    def pairing(symbol, pair, i):
+        """The pairing in one slot: frozen, so schemes share it."""
+        return pairings.FacePairing(symbol, *pair, table[pair][i][0])
+
+    def named(matching, index, cycles):
+        chosen = tuple(map(pairing, string.ascii_uppercase, matching, index))
+        return chosen, pairings.cycle_orbits(poly, cycles, chosen)
+
+    for matching in _perfect_matchings(list(range(poly.face_count())), table):
+        sizes = [len(table[pair]) for pair in matching]
+        built = math.prod(len(poly.faces[f1]) for f1, _ in matching)
+        report.total += built
+        rejected["elliptic"] += built - math.prod(sizes)
+        found = carried.get(frozenset(1 << f1 | 1 << f2
+                                      for f1, f2 in matching))
+        if found is None:
+            counts, passing = collections.Counter(), []
+            for index, cycles, failed in walked(
+                    matching, itertools.product(*map(range, sizes))):
+                if failed:
+                    counts[failed] += 1
+                else:
+                    passing.append(index)
+                    yield named(matching, index, cycles)
+            for action, mask in zip(actions, masks):
+                carried.setdefault(frozenset(mask[f1] | mask[f2]
+                                             for f1, f2 in matching),
+                                   (matching, action, counts, passing))
+        else:
+            representative, action, counts, passing = found
+            for index, cycles, failed in walked(matching, sorted(
+                    _carried_indices(table, representative, action, matching,
+                                     passing))):
+                if failed:
+                    raise AssertionError(
+                        f"a carried scheme failed the {failed} filter")
+                yield named(matching, index, cycles)
+        for name, n in counts.items():
+            rejected[name] += n
 
 
 def angle_record(poly, dual, actions, records, partition):
@@ -186,7 +264,8 @@ def angle_record(poly, dual, actions, records, partition):
     """
     if partition in records:
         return records[partition]
-    for _, _, _, perm in actions:
+    for action in actions:
+        perm = action.edges
         image = frozenset(frozenset(perm[e] for e in cl) for cl in partition)
         if image in records:
             status, witness = records[image]
@@ -220,7 +299,9 @@ def classify(poly):
     list is built.  Each action's edge permutation must carry the set of
     vertex stars onto itself, so that it carries every partition's vertex
     rows, class rows and dual circuits onto its image's and `angle_record`
-    may read a witness through it."""
+    may read a witness through it; and its face permutation must agree
+    with its vertex map, so that `scheme_stream` may carry a matching's
+    passing schemes onto its images."""
     # class count, face count and scheme cap first, and an empty scheme
     # space answered, before the dual and the symmetries are built
     angles.required_class_count(poly)
@@ -229,14 +310,21 @@ def classify(poly):
         return report
     dual = polytope.build_dual(poly)
     actions = pairings.automorphism_actions(poly)
-    identity = next(a for a in actions if all(u == v for u, v in a[0].items()))
+    identity = next(a for a in actions
+                    if all(u == v for u, v in a.vmap.items()))
     stars = set(poly.incidence.vertex_edges.values())
-    for _, _, _, perm in actions:
+    faces = [set(face) for face in poly.faces]
+    for action in actions:
+        perm, vmap = action.edges, action.vmap
         if {frozenset(perm[e] for e in star) for star in stars} != stars:
             raise AssertionError("an action does not carry the vertex stars "
                                  "onto themselves")
+        if any({vmap[v] for v in face} != faces[image]
+               for face, image in zip(faces, action.faces)):
+            raise AssertionError("an action's face permutation does not "
+                                 "agree with its vertex map")
     records, keys = {}, {}
-    for chosen, orbits in scheme_stream(poly, report):
+    for chosen, orbits in scheme_stream(poly, report, actions):
         status, witness = angle_record(
             poly, dual, actions, records,
             frozenset(frozenset(o.edges) for o in orbits))

@@ -11,7 +11,12 @@ the one dart numbering of `poly.incidence`.  Edge classes are the cycles
 of a scheme's dart moves, walked by one traversal (`dart_cycles`); a move
 that fixes its dart makes the pairing, and every scheme using it,
 elliptic.  An automorphism is a dart map spread from one dart along twin
-and next.  Words are the signed generator letters in traversal order.
+and next, kept as an `Action` (its vertex map, rotation flag and face and
+edge permutations).  It carries a pairing to the image pairing
+`pair_image`, and a scheme's dart cycles onto the image scheme's, so
+class count and class sizes are the same across a symmetry orbit of
+schemes; the search decides them once per orbit of face matchings.
+Words are the signed generator letters in traversal order.
 """
 
 import collections
@@ -234,9 +239,15 @@ def quotient_census(scheme, orbits):
     return {"V": v, "E": e, "F": f, "P": 1, "q": v - e + f - 1}
 
 
+Action = collections.namedtuple("Action", "vmap rotation faces edges")
+Action.__doc__ = """A combinatorial automorphism: its vertex map, rotation
+flag (False for a reflection), and face and edge permutations, face f
+going to faces[f] and edge e to edges[e]."""
+
+
 def automorphism_actions(poly):
-    """All combinatorial automorphisms, each as (vertex map, rotation flag,
-    face permutation, edge permutation), all read off its dart map.
+    """All combinatorial automorphisms, each an Action, all read off its
+    dart map.
 
     The vertex graph is 3-connected, so its embedding is unique (Whitney):
     an automorphism is a dart map that commutes with twin and sends next
@@ -261,7 +272,7 @@ def automorphism_actions(poly):
             dmap = _dart_map(inc, step, image)
             if dmap is not None:
                 key = tuple(ends[dmap[d]] for d in outs)
-                found.append((key, (
+                found.append((key, Action(
                     dict(zip(order, key)), rotation,
                     tuple(inc.dart_face[dmap[d]] for d in inc.first),
                     tuple(inc.dart_edge[dmap[d]] for d in inc.edge_dart))))
@@ -288,22 +299,23 @@ def _dart_map(inc, step, image):
     return dmap
 
 
+def pair_image(action, source, target, corr):
+    """The image (source, target, corr) of a pairing's faces and sorted
+    correspondence under `action`, direction-normalized: the lower face id
+    first, the inverse correspondence when the direction flips."""
+    vmap, faces = action.vmap, action.faces
+    src, tgt = faces[source], faces[target]
+    if src < tgt:
+        return src, tgt, tuple(sorted((vmap[a], vmap[b]) for a, b in corr))
+    return tgt, src, tuple(sorted((vmap[b], vmap[a]) for a, b in corr))
+
+
 def signature(scheme, action):
     """The symbol-free signature of the scheme's image under `action` (from
-    automorphism_actions): each image pair direction-normalized (lower face
-    id first, the inverse correspondence when the direction flips), and the
-    pairs sorted.  At the identity action it is the scheme's own."""
-    vmap, _, face_perm, _ = action
-    items = []
-    for p in scheme.pairings:
-        src, tgt = face_perm[p.source], face_perm[p.target]
-        if src < tgt:
-            corr = sorted((vmap[a], vmap[b]) for a, b in p.corr)
-        else:
-            src, tgt = tgt, src
-            corr = sorted((vmap[b], vmap[a]) for a, b in p.corr)
-        items.append((src, tgt, tuple(corr)))
-    return tuple(sorted(items))
+    automorphism_actions): each image pair by `pair_image`, and the pairs
+    sorted.  At the identity action it is the scheme's own."""
+    return tuple(sorted(pair_image(action, p.source, p.target, p.corr)
+                        for p in scheme.pairings))
 
 
 def image_keys(scheme, actions):
@@ -317,7 +329,8 @@ def image_keys(scheme, actions):
     full-group orbit, so one pass keys every member, and the members share
     its key strings.
     """
-    images = [(signature(scheme, action), action[1]) for action in actions]
+    images = [(signature(scheme, action), action.rotation)
+              for action in actions]
     full = repr(min(sig for sig, _ in images))
     coset = {kind: repr(min(sig for sig, rotation in images
                             if rotation == kind))

@@ -695,7 +695,8 @@ def matching_partitions(poly, k, monkeypatch):
         partitions = dict.fromkeys(
             frozenset(frozenset(o.edges) for o in orbits)
             for _, orbits in enumeration.scheme_stream(
-                poly, enumeration.EnumerationReport()))
+                poly, enumeration.EnumerationReport(),
+                pairings.automorphism_actions(poly)))
     return list(partitions)
 
 

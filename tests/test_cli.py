@@ -212,10 +212,12 @@ def test_changed_witness_exit_code(capsys, cube_run, tmp_path):
     _rejected_by_angles_and_verify(capsys, changed, "does not solve")
 
 
-@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "1e400",
+                                 '"1e-1000000"', '"5e-1"', '"0.5"'])
 def test_infinite_witness_exit_code(capsys, cube_run, tmp_path, raw):
     # an infinite JSON number as an angle is invalid input, not a crash:
-    # the witness values are the strings `angles` writes
+    # the witness values are the strings `angles` writes, so a decimal or
+    # exponent string is refused too, before Fraction expands an exponent
     doc = json.loads((cube_run / "candidate_000.json").read_text())
     doc["witness"]["0"] = "angle"
     numeric = tmp_path / "numeric.json"

@@ -1,7 +1,9 @@
 import collections
+import functools
 import itertools
 import json
 import math
+import random
 import string
 import types
 from fractions import Fraction
@@ -15,6 +17,7 @@ from conftest import (DRAWN_EDGES, FD2_CLASSES, canonicalize,
                       conjugate_scheme, detect_elliptic_generator, drawn,
                       enumerate_schemes, scheme_keys, scheme_signature,
                       symmetry_group)
+from test_polytope import _bipyramid
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -179,7 +182,8 @@ def test_scheme_stream(solids, name, schemes, rejected):
     # rejections, and yields each scheme past them with its edge orbits
     poly = solids[name]
     report = enumeration.EnumerationReport()
-    stream = list(enumeration.scheme_stream(poly, report))
+    stream = list(enumeration.scheme_stream(
+        poly, report, pairings.automorphism_actions(poly)))
     assert len(stream) == schemes
     assert (report.total, report.rejected["elliptic"],
             report.rejected["class_count"],
@@ -204,6 +208,133 @@ def test_scheme_stream(solids, name, schemes, rejected):
                 == [o.steps for o in pairings.edge_orbits(scheme)])
         assert min(o.size for o in orbits) >= 3
     assert position == sorted(position)
+
+
+def renumbered(poly, seed):
+    """The polyhedron with its faces renumbered: by a rotation for seed
+    None (face i the image of face i under the first rotation that moves
+    every face), otherwise in a seeded order with each cycle started at a
+    seeded corner."""
+    if seed is None:
+        vmap, *_ = next(a for a in pairings.automorphism_actions(poly)
+                        if a.rotation and all(
+                            g != f for f, g in enumerate(a.faces)))
+        faces = [[vmap[v] for v in face] for face in poly.faces]
+    else:
+        rng = random.Random(seed)
+        faces = []
+        for face in rng.sample(poly.faces, len(poly.faces)):
+            k = rng.randrange(len(face))
+            faces.append(list(face[k:] + face[:k]))
+    assert faces != [list(face) for face in poly.faces]
+    return polytope.load_polyhedron({"name": poly.name,
+                                     "vertices": list(poly.vertices),
+                                     "faces": faces})
+
+
+STREAM_CASES = {
+    "tetrahedron": lambda solids: solids["tetrahedron"],
+    "cube": lambda solids: solids["cube"],
+    "octahedron": lambda solids: solids["octahedron"],
+    "prism6": lambda solids: prism(6),
+    "bipyramid3": lambda solids: polytope.load_polyhedron(_bipyramid(3)),
+    **{f"{name}-{how}": functools.partial(
+        lambda solids, name, seed: renumbered(solids[name], seed),
+        name=name, seed=seed)
+       for name in ("cube", "octahedron")
+       for how, seed in (("rotated", None), ("shuffled", 11))},
+}
+
+
+@pytest.mark.parametrize("case", STREAM_CASES)
+def test_scheme_stream_matches_oracle(solids, case):
+    # the stream decides the class filters once per matching orbit and
+    # carries the passing schemes to the orbit's other matchings; it must
+    # yield exactly the brute-force schemes with no elliptic pairing (by
+    # the shared-edge oracle) whose edge_orbits pass the class count and
+    # class size filters, in the same order, with the same orbit steps,
+    # and count the same rejections
+    poly = STREAM_CASES[case](solids)
+    required = angles.required_class_count(poly)
+    expected, counts = [], collections.Counter()
+    for scheme in enumerate_schemes(poly):
+        counts["total"] += 1
+        if detect_elliptic_generator(scheme):
+            counts["elliptic"] += 1
+            continue
+        orbits = pairings.edge_orbits(scheme)
+        if len(orbits) != required:
+            counts["class_count"] += 1
+        elif min(o.size for o in orbits) < 3:
+            counts["class_size"] += 1
+        else:
+            expected.append((scheme.pairings, [o.steps for o in orbits]))
+    report = enumeration.EnumerationReport()
+    stream = [(chosen, [o.steps for o in orbits])
+              for chosen, orbits in enumeration.scheme_stream(
+                  poly, report, pairings.automorphism_actions(poly))]
+    assert stream == expected
+    assert collections.Counter(
+        total=report.total, **{name: report.rejected[name] for name in
+                               ("elliptic", "class_count", "class_size")}
+    ) == counts
+
+
+@pytest.mark.parametrize("fault", ["faces", "vertices"])
+def test_non_symmetry_action_refused(cube, monkeypatch, tmp_path, fault):
+    # an action whose face permutation disagrees with its vertex map, put
+    # first in the list, is refused before the stream, which would carry
+    # schemes through it: classify raises and never returns counts, and
+    # the CLI exits 3
+    actions = pairings.automorphism_actions(cube)
+    identity = actions[0]
+    if fault == "faces":
+        faces = list(identity.faces)
+        faces[0], faces[2] = faces[2], faces[0]
+        bogus = identity._replace(faces=tuple(faces))
+    else:
+        first, second = cube.faces[0][:2]
+        bogus = identity._replace(vmap={**identity.vmap, first: second,
+                                        second: first})
+    stream = []
+    monkeypatch.setattr(enumeration, "scheme_stream",
+                        lambda *a: stream.append(a) or iter(()))
+    monkeypatch.setattr(pairings, "automorphism_actions",
+                        lambda poly: [bogus, *actions])
+    with pytest.raises(AssertionError, match="does not agree"):
+        enumeration.classify(cube)
+    assert stream == []
+    cube_doc = str(resources.files("hypdom.data").joinpath("cube.json"))
+    for command in ("enumerate", "pipeline"):
+        assert cli.main([command, cube_doc,
+                         "--out", str(tmp_path / command)]) == 3
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("image", "not in the pairing table"),
+    ("scheme", "carried scheme failed the class_count filter")])
+def test_carry_guards(cube, monkeypatch, tmp_path, fault, message):
+    # a carried scheme is walked again and must pass the filters, and each
+    # image correspondence must be in its pair's table list; either fault
+    # raises AssertionError out of classify, and the CLI exits 3
+    if fault == "image":
+        pair_image = pairings.pair_image
+        monkeypatch.setattr(pairings, "pair_image",
+                            lambda *a: (*pair_image(*a)[:2], ()))
+    else:
+        # every scheme of the member matching, not only the images of the
+        # representative's passing ones
+        monkeypatch.setattr(
+            enumeration, "_carried_indices",
+            lambda table, representative, action, matching, passing:
+            itertools.product(*(range(len(table[pair]))
+                                for pair in matching)))
+    with pytest.raises(AssertionError, match=message):
+        enumeration.classify(cube)
+    cube_doc = str(resources.files("hypdom.data").joinpath("cube.json"))
+    for command in ("enumerate", "pipeline"):
+        assert cli.main([command, cube_doc,
+                         "--out", str(tmp_path / command)]) == 3
 
 
 @pytest.mark.parametrize("name, compiled", [
@@ -231,10 +362,10 @@ def test_angle_stage(solids, monkeypatch, name, partitions, decided, empty,
     # each witness, read through a symmetry or not, solves its partition's
     # own system
     poly = solids[name]
-    stream = list(enumeration.scheme_stream(
-        poly, enumeration.EnumerationReport()))
-    dual = polytope.build_dual(poly)
     actions = pairings.automorphism_actions(poly)
+    stream = list(enumeration.scheme_stream(
+        poly, enumeration.EnumerationReport(), actions))
+    dual = polytope.build_dual(poly)
     calls, assembled = [], []
     feasible, assemble = angles.feasible, angles.assemble_system
     monkeypatch.setattr(angles, "feasible",
@@ -285,7 +416,7 @@ def test_angle_stage_records_an_inconsistent_partition(cube, monkeypatch):
                                     image) == verdict
     assert len(calls) == 1 and records[image] == verdict
 
-    def stream(poly, report):
+    def stream(poly, report, actions):
         report.total += 2
         for p in (partition, image):
             yield None, [types.SimpleNamespace(edges=cl) for cl in p]
@@ -439,9 +570,14 @@ def test_reload_takes_persisted_keys(cube, cube_report, monkeypatch):
     ({**REGULAR, 1: json.loads("1e400")}, "not valid"),
     ({**REGULAR, 1: math.nan}, "not valid"),
     ({**REGULAR, 1: 0.5}, "not valid"),
+    # strings other than [-]digits[/digits]: Fraction would read them, an
+    # exponent's digits in full however long that takes
+    ({**REGULAR, 1: "1e-1000000"}, "not valid"),
+    ({**REGULAR, 1: "5e-1"}, "not valid"),
+    ({**REGULAR, 1: "0.5"}, "not valid"),
 ], ids=["missing", "keys", "range", "unparsable", "zero-denominator",
         "changed", "circuit", "infinity", "minus-infinity", "overflow",
-        "nan", "number"])
+        "nan", "number", "huge-exponent", "exponent", "decimal"])
 def test_candidate_witness_checked(cube, cube_inc, fd1, values, message):
     witness = None if values is None else {
         str(cube_inc.edge_id(*DRAWN_EDGES[n])):
@@ -531,12 +667,14 @@ def test_elliptic_pairings_match_oracle(solids, name, elliptic):
 
 
 @pytest.mark.parametrize("name, traversals, orbit_schemes", [
-    ("cube", 496, 170), ("octahedron", 4656, 120)])
+    ("cube", 256, 170), ("octahedron", 679, 120)])
 def test_orbits_built_only_past_the_class_filters(solids, monkeypatch, name,
                                                   traversals, orbit_schemes):
-    # classify walks the dart cycles of every non-elliptic scheme once, and
-    # builds orbit steps only for the schemes past the class count and class
-    # size filters; it never calls edge_orbits
+    # classify walks the dart cycles of every non-elliptic scheme of an
+    # orbit representative matching once, and of only the carried passing
+    # schemes of the orbit's other matchings; it builds orbit steps only
+    # for the schemes past the class count and class size filters, and it
+    # never calls edge_orbits
     calls = {}
     for fn in ("dart_cycles", "cycle_orbits", "edge_orbits"):
         def counted(*args, _fn=fn, _original=getattr(pairings, fn)):
@@ -545,8 +683,8 @@ def test_orbits_built_only_past_the_class_filters(solids, monkeypatch, name,
         monkeypatch.setattr(pairings, fn, counted)
     report = enumeration.classify(solids[name])
     assert calls == {"dart_cycles": traversals, "cycle_orbits": orbit_schemes}
-    assert (report.total - report.rejected["elliptic"] == traversals
-            and traversals - report.rejected["class_count"]
+    assert (report.total - report.rejected["elliptic"]
+            - report.rejected["class_count"]
             - report.rejected["class_size"] == orbit_schemes)
 
 
@@ -600,7 +738,7 @@ def test_action_check_fires(cube, cube_inc, cube_dual, fd1, monkeypatch,
         perm = list(identity)
         perm[a], perm[b] = b, a
         monkeypatch.setattr(pairings, "automorphism_actions", lambda poly: [
-            *actions, (vmap, rotation, faces, tuple(perm))])
+            *actions, pairings.Action(vmap, rotation, faces, tuple(perm))])
         with pytest.raises(AssertionError, match="vertex stars"):
             enumeration.classify(cube)
     assert stream == []
@@ -625,7 +763,7 @@ def test_witness_read_through_a_symmetry(cube, cube_inc, cube_dual, fd1, fd2,
         image = frozenset(frozenset(perm[e] for e in cl) for cl in classes)
         if orient and image != partition:
             break
-    action = (vmap, orient, None, perm)
+    action = pairings.Action(vmap, orient, None, perm)
     solution, witness = angles.feasible(
         angles.assemble_system(cube, [set(cl) for cl in image]), cube_dual)
     calls = []
