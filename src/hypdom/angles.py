@@ -20,10 +20,10 @@ and the witness are Fractions.  Every rational point goes over its least
 common denominator in one place, `common_denominator`.
 """
 
+import collections
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polytope
@@ -43,15 +43,20 @@ class PartitionError(ValueError):
     """Classes do not partition the edge set, or a class is too small."""
 
 
-@dataclass(frozen=True)
-class AngleAssignment:
-    """Exterior dihedral angle per edge, as rationals in units of pi."""
-    values: dict  # edge id -> Fraction in (0, 1)
+class AngleAssignment(collections.namedtuple("AngleAssignment", "values")):
+    """Exterior dihedral angle per edge, as rationals in units of pi:
+    values maps edge id -> Fraction in (0, 1).  AngleAssignment(values)
+    checks that range and raises AngleDomainError outside it.  `_make`
+    and `_replace` build one unchecked; they serve only to permute the
+    values of an already checked assignment (a witness read through a
+    symmetry)."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        for eid, q in self.values.items():
+    def __new__(cls, values):
+        for eid, q in values.items():
             if not 0 < q < 1:
                 raise AngleDomainError(f"edge {eid}: q={q} outside (0, 1)")
+        return super().__new__(cls, values)
 
     def to_json_dict(self):
         return {str(eid): f"{q.numerator}/{q.denominator}"
@@ -71,20 +76,28 @@ class AngleAssignment:
         return cls({int(k): Fraction(v) for k, v in doc.items()})
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    columns: tuple     # edge ids, in column order
-    rows: tuple        # (coefficient tuple, rhs), integers
-    provenance: tuple  # ("vertex", name) or ("class", index) per row
+class LinearSystem(collections.namedtuple("LinearSystem",
+                                          "columns rows provenance")):
+    """A linear system over the edge angles:
+
+    - columns: edge ids, in column order;
+    - rows: (coefficient tuple, rhs) per row, integers;
+    - provenance: ("vertex", name) or ("class", index) per row.
+    """
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    status: str        # "infeasible" | "unique" | "affine-family"
-    particular: dict   # edge id -> Fraction, or None when infeasible
-    basis: tuple       # null-space basis vectors (tuples over columns)
-    rank: int
-    columns: tuple
+class SolutionSet(collections.namedtuple(
+        "SolutionSet", "status particular basis rank columns")):
+    """The exact solution set of a LinearSystem:
+
+    - status: "infeasible", "unique" or "affine-family";
+    - particular: edge id -> Fraction, or None when infeasible;
+    - basis: null-space basis vectors (tuples over columns);
+    - rank: the rank of the system;
+    - columns: the system's columns.
+    """
+    __slots__ = ()
 
 
 def required_class_count(poly):

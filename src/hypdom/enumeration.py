@@ -11,7 +11,6 @@ import itertools
 import math
 import operator
 import string
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import angles, pairings, polytope
@@ -28,17 +27,14 @@ class SchemeCapExceeded(RuntimeError):
 DEFAULT_SCHEME_CAP = 200000
 
 
-@dataclass(frozen=True)
-class CandidateDomain:
-    """A surviving scheme with its edge orbits, a strict witness of its
-    angle system and its canonical keys; the rest, the angle system (one
-    class row per orbit) among it, is derived from the scheme and the
-    orbits when read."""
-    scheme: pairings.PairingScheme
-    orbits: tuple
-    witness: angles.AngleAssignment
-    key_rotations: str
-    key_full: str
+class CandidateDomain(collections.namedtuple(
+        "CandidateDomain", "scheme orbits witness key_rotations key_full")):
+    """A surviving scheme (a PairingScheme) with its edge orbits (a tuple
+    of EdgeOrbits), a strict witness of its angle system (an
+    AngleAssignment) and its canonical keys under the rotations and the
+    full group (strings); the rest, the angle system (one class row per
+    orbit) among it, is derived from the scheme and the orbits when read,
+    and cached in the instance dict."""
 
     @property
     def class_sizes(self):
@@ -62,14 +58,18 @@ REJECTIONS = ("elliptic", "class_count", "class_size", "system_infeasible",
               "rivin_infeasible")
 
 
-@dataclass
 class EnumerationReport:
-    total: int = 0
-    rejected: dict = field(
-        default_factory=functools.partial(dict.fromkeys, REJECTIONS, 0))
-    survivors: list = field(default_factory=list)
-    families_full: dict = field(default_factory=dict)
-    families_rotations: dict = field(default_factory=dict)
+    """What `classify` found, filled in as it runs: the total scheme
+    count, the rejection count per filter (keyed by REJECTIONS), the
+    surviving CandidateDomains, and the survivors grouped by full-group
+    key and by rotation-group key."""
+
+    def __init__(self):
+        self.total = 0
+        self.rejected = dict.fromkeys(REJECTIONS, 0)
+        self.survivors = []
+        self.families_full = {}
+        self.families_rotations = {}
 
     def counts_consistent(self):
         return self.total == sum(self.rejected.values()) + len(self.survivors)
@@ -258,9 +258,11 @@ def angle_record(poly, dual, actions, records, partition):
     verdict is symmetry-invariant: a partition that an edge permutation
     perm of `actions` (each checked by `classify` to carry the vertex
     stars onto themselves) sends onto a recorded one takes its status,
-    the witness read through perm, edge e taking the angle of perm[e];
-    only a partition with no recorded image runs `angles.feasible` on its
-    own system and the dual graph `dual` of `poly`.
+    the witness read through perm, edge e taking the angle of perm[e]
+    (built by `_make`, unchecked: its values are the recorded witness's,
+    already checked); only a partition with no recorded image runs
+    `angles.feasible` on its own system and the dual graph `dual` of
+    `poly`.
     """
     if partition in records:
         return records[partition]
@@ -270,8 +272,8 @@ def angle_record(poly, dual, actions, records, partition):
         if image in records:
             status, witness = records[image]
             if witness is not None:
-                witness = angles.AngleAssignment(
-                    {e: witness.values[perm[e]] for e in range(len(perm))})
+                witness = angles.AngleAssignment._make(
+                    ({e: witness.values[perm[e]] for e in range(len(perm))},))
             break
     else:
         solution, witness = angles.feasible(angles.assemble_system(
@@ -352,9 +354,8 @@ def classify(poly):
 def candidate_to_json_dict(candidate):
     return {
         "scheme": pairings.scheme_to_json_dict(candidate.scheme),
-        "orbits": [[list(step[:2]) + [list(step[2])] for step in o.steps]
-                   for o in candidate.orbits],
-        "words": [[[g, s] for g, s in w] for w in candidate.words],
+        "orbits": [o.steps for o in candidate.orbits],
+        "words": candidate.words,
         "class_sizes": list(candidate.class_sizes),
         "witness": candidate.witness.to_json_dict(),
         "census": candidate.census,

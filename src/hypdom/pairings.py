@@ -20,9 +20,6 @@ Words are the signed generator letters in traversal order.
 """
 
 import collections
-from dataclasses import dataclass
-
-from . import polytope
 
 
 class SchemeError(ValueError):
@@ -33,12 +30,11 @@ class CensusError(RuntimeError):
     """Quotient census arithmetic broke an identity it must satisfy."""
 
 
-@dataclass(frozen=True)
-class FacePairing:
-    gen: str
-    source: int
-    target: int
-    corr: tuple  # sorted tuple of (source vertex, target vertex)
+class FacePairing(collections.namedtuple("FacePairing",
+                                         "gen source target corr")):
+    """Generator `gen` carrying face `source` onto face `target`; corr is
+    the sorted tuple of (source vertex, target vertex)."""
+    __slots__ = ()
 
     def mapping(self):
         return dict(self.corr)
@@ -47,15 +43,15 @@ class FacePairing:
         return {v: k for k, v in self.corr}
 
 
-@dataclass(frozen=True)
-class PairingScheme:
-    poly: polytope.AbstractPolyhedron
-    pairings: tuple
+class PairingScheme(collections.namedtuple("PairingScheme", "poly pairings")):
+    """A polyhedron and a tuple of FacePairings."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgeOrbit:
-    steps: tuple  # (edge id, side face id, (gen symbol, sign))
+class EdgeOrbit(collections.namedtuple("EdgeOrbit", "steps")):
+    """An edge class in traversal order: steps holds one (edge id, side
+    face id, (gen symbol, sign)) per edge."""
+    __slots__ = ()
 
     @property
     def edges(self):

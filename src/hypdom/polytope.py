@@ -12,10 +12,10 @@ The dual's simple circuits are listed in full, uncapped, only as the
 oracle of the light-cycle search in `angles`; no library path lists them.
 """
 
+import collections
 import functools
 import itertools
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 
@@ -23,11 +23,11 @@ class PolyhedronError(ValueError):
     """Raised when a document fails polyhedron validation."""
 
 
-@dataclass(frozen=True)
-class AbstractPolyhedron:
-    name: str
-    vertices: tuple
-    faces: tuple  # tuple of cyclic vertex-name tuples
+class AbstractPolyhedron(collections.namedtuple("AbstractPolyhedron",
+                                                 "name vertices faces")):
+    """A polyhedron by its name, its vertex names and its faces, each face
+    a cyclic tuple of vertex names.  It keeps an instance dict for the
+    cached `incidence`."""
 
     def vertex_count(self):
         return len(self.vertices)
@@ -44,29 +44,38 @@ class AbstractPolyhedron:
         return build_incidence(self)
 
 
-@dataclass(frozen=True)
-class IncidenceData:
-    edges: tuple               # edge id -> frozenset({u, v}), indexed by position
-    edge_faces: tuple          # edge id -> (face id, face id)
-    vertex_edges: dict         # vertex name -> frozenset of edge ids
-    face_edge_cycle: tuple     # face id -> tuple of edge ids around the face
-    darts: dict                # (u, v) on a face cycle -> dart id, in id order
-    first: tuple               # face id -> id of its first dart
-    dart_edge: tuple           # dart id -> edge id
-    dart_face: tuple           # dart id -> face id
-    dart_next: tuple           # dart id -> the next dart along its face
-    dart_twin: tuple           # dart id -> the dart across its edge
-    edge_dart: tuple           # edge id -> its dart on the lower face id
+class IncidenceData(collections.namedtuple(
+        "IncidenceData", "edges edge_faces vertex_edges face_edge_cycle darts "
+        "first dart_edge dart_face dart_next dart_twin edge_dart")):
+    """The incidence structure of a polyhedron, in one dart numbering:
+
+    - edges: edge id -> frozenset({u, v}), indexed by position;
+    - edge_faces: edge id -> (face id, face id);
+    - vertex_edges: vertex name -> frozenset of edge ids;
+    - face_edge_cycle: face id -> tuple of edge ids around the face;
+    - darts: (u, v) on a face cycle -> dart id, in id order;
+    - first: face id -> id of its first dart;
+    - dart_edge: dart id -> edge id;
+    - dart_face: dart id -> face id;
+    - dart_next: dart id -> the next dart along its face;
+    - dart_twin: dart id -> the dart across its edge;
+    - edge_dart: edge id -> its dart on the lower face id.
+    """
+    __slots__ = ()
 
     def edge_id(self, u, v):
         return self.dart_edge[self.darts[u, v]]
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    nodes: tuple               # face ids of the primal
-    links: tuple               # link id == primal edge id -> (face id, face id)
-    facial_cycles: dict        # primal vertex -> cyclic tuple of link ids around it
+class DualGraph(collections.namedtuple("DualGraph",
+                                       "nodes links facial_cycles")):
+    """The dual graph:
+
+    - nodes: face ids of the primal;
+    - links: link id == primal edge id -> (face id, face id);
+    - facial_cycles: primal vertex -> cyclic tuple of link ids around it.
+    """
+    __slots__ = ()
 
 
 def _face_pairs(face):

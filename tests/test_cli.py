@@ -669,6 +669,17 @@ def test_determinism_across_processes(tmp_path):
         assert outs[0] == outs[1]
 
 
+def test_import_loads_no_dataclasses():
+    # the library's records are namedtuples: a dataclass writes and execs
+    # its methods when its class is created, a cost every CLI process paid
+    # on import
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypdom.cli; print('dataclasses' in sys.modules)"],
+        check=True, env=child_env(), capture_output=True, text=True)
+    assert child.stdout == "False\n"
+
+
 def tree_digest(directory):
     """sha256 over the sorted relative paths and bytes of every file, with
     the file count and the byte count."""

@@ -814,6 +814,30 @@ def test_witness_read_through_a_symmetry(cube, cube_inc, cube_dual, fd1, fd2,
     assert moved > 0
 
 
+def test_symmetry_read_witness_checked_once(solids, cube_report,
+                                            octahedron_report, monkeypatch):
+    # only `feasible` builds a witness through the checking constructor
+    # (test_angle_assignment_range: it refuses a value outside (0, 1)); a
+    # witness read through a symmetry permutes checked values and is built
+    # by `_make`, yet every survivor's witness passes the check
+    for report in (cube_report, octahedron_report):
+        for cand in report.survivors:
+            assert angles.AngleAssignment(cand.witness.values) == cand.witness
+    checked, found = [], []
+    new, feasible = angles.AngleAssignment.__new__, angles.feasible
+    monkeypatch.setattr(angles.AngleAssignment, "__new__",
+                        lambda cls, values: checked.append(1)
+                        or new(cls, values))
+    monkeypatch.setattr(angles, "feasible",
+                        lambda *a: found.append(feasible(*a)) or found[-1])
+    report = enumeration.classify(solids["octahedron"])
+    assert len(checked) == sum(w is not None for _, w in found) == 6
+    assert ([c.witness for c in report.survivors]
+            == [c.witness for c in octahedron_report.survivors])
+    assert all(type(c.witness) is angles.AngleAssignment
+               for c in report.survivors)
+
+
 def test_classify_checks_report_counts(monkeypatch, tmp_path):
     # the check runs inside classify, so `pipeline` and library callers get
     # it as well as `enumerate`

@@ -1,6 +1,5 @@
 import cmath
 import collections
-import dataclasses
 import functools
 import itertools
 import json
@@ -574,7 +573,7 @@ def test_load_realization_reads_only_its_own_folder(cube):
     # realization, although the file it would reach exists
     for name in ("../cube", "../realizations/cube"):
         with pytest.raises(geometry.NotRealizableError, match="bundled"):
-            geometry.load_realization(dataclasses.replace(cube, name=name))
+            geometry.load_realization(cube._replace(name=name))
 
 
 def test_load_realization_is_read_once(solids, realization):
@@ -588,7 +587,7 @@ def test_load_realization_is_read_once(solids, realization):
     # the cache is keyed on the faces as well as the name: a cube named
     # "cube" with FTR and BBL swapped in every face is still refused
     swap = {"FTR": "BBL", "BBL": "FTR"}
-    swapped = dataclasses.replace(solids["cube"], faces=tuple(
+    swapped = solids["cube"]._replace(faces=tuple(
         tuple(swap.get(v, v) for v in face) for face in solids["cube"].faces))
     with pytest.raises(geometry.RealizationError, match="not a face"):
         geometry.load_realization(swapped)
