@@ -101,16 +101,22 @@ def cmd_info(poly, args):
 
 def _write_run(report, doc, out):
     """report.json plus one candidate_NNN.json per survivor in directory
-    `out`, or the report alone on stdout when no directory is given."""
+    `out`, whose other candidate_<digits>.json files (an earlier run's) go,
+    or the report alone on stdout when no directory is given."""
     if not out:
         _dump(doc)
         return
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
+    stale = {path.name for path in outdir.glob("candidate_*.json")
+             if path.stem[10:].isdigit()}
     _dump(doc, outdir / "report.json")
     for i, cand in enumerate(report.survivors):
-        _dump(enumeration.candidate_to_json_dict(cand),
-              outdir / f"candidate_{i:03d}.json")
+        name = f"candidate_{i:03d}.json"
+        stale.discard(name)
+        _dump(enumeration.candidate_to_json_dict(cand), outdir / name)
+    for name in stale:
+        (outdir / name).unlink()
 
 
 def cmd_enumerate(poly, args):

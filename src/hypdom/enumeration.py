@@ -172,16 +172,16 @@ def scheme_stream(poly, report, actions):
     schemes they remove counted in closed form.  The class filters (the
     class count, then the class size) are invariant under the actions,
     so they are decided once per orbit of matchings under the face
-    permutations.  The orbit's first matching, its representative, has
-    every scheme's moves written into one reused table and its dart
-    cycles walked and filtered.  A later member of the orbit is an
-    action's image of the representative: it takes the representative's
-    rejection counts, and the images of the representative's passing
-    schemes, pair by pair (`pairings.pair_image`), are its passing
-    schemes.  Only those are walked, in product order, and a carried
-    scheme that fails a filter, or whose image pairing is not in the
-    table, raises AssertionError.  Only a scheme that passes gets named
-    pairings and orbit steps.
+    permutations.  One walk serves every matching: each scheme it picks
+    has its moves written into one reused table and its dart cycles
+    walked and filtered, and only a scheme that passes gets named
+    pairings and orbit steps.  The orbit's first matching, its
+    representative, picks every scheme and then publishes its rejection
+    counts and passing index tuples under each action's image of it.  A
+    later member picks only the images of those passing schemes, pair by
+    pair (`pairings.pair_image`), in product order, and takes the
+    representative's counts; a picked scheme that fails a filter, or
+    whose image pairing is not in the table, raises AssertionError.
     """
     required = angles.required_class_count(poly)
     rejected = report.rejected
@@ -195,10 +195,26 @@ def scheme_stream(poly, report, actions):
     # rejection counts and passing index tuples)
     carried = {}
 
-    def walked(matching, indices):
-        """(index tuple, cycles, failed filter or None) of each scheme of
-        the matching picked by `indices` from its pairs' table lists."""
+    @functools.cache
+    def pairing(symbol, pair, i):
+        """The pairing in one slot: frozen, so schemes share it."""
+        return pairings.FacePairing(symbol, *pair, table[pair][i][0])
+
+    for matching in _perfect_matchings(list(range(poly.face_count())), table):
         kept = [table[pair] for pair in matching]
+        built = math.prod(len(poly.faces[f1]) for f1, _ in matching)
+        report.total += built
+        rejected["elliptic"] += built - math.prod(map(len, kept))
+        found = carried.get(frozenset(1 << f1 | 1 << f2
+                                      for f1, f2 in matching))
+        if found is None:
+            counts = collections.Counter()
+            indices = itertools.product(*(range(len(k)) for k in kept))
+        else:
+            representative, action, counts, passing = found
+            indices = sorted(_carried_indices(table, representative, action,
+                                              matching, passing))
+        passed = []
         for index in indices:
             for i, pairs in zip(index, kept):
                 for first, ids in pairs[i][1]:
@@ -207,47 +223,23 @@ def scheme_stream(poly, report, actions):
             shortest = min(map(len, cycles))
             if shortest == 1:
                 raise AssertionError("an elliptic pairing passed the filter")
-            yield index, cycles, ("class_count" if len(cycles) != required
-                                  else "class_size" if shortest < 3 else None)
-
-    @functools.cache
-    def pairing(symbol, pair, i):
-        """The pairing in one slot: frozen, so schemes share it."""
-        return pairings.FacePairing(symbol, *pair, table[pair][i][0])
-
-    def named(matching, index, cycles):
-        chosen = tuple(map(pairing, string.ascii_uppercase, matching, index))
-        return chosen, pairings.cycle_orbits(poly, cycles, chosen)
-
-    for matching in _perfect_matchings(list(range(poly.face_count())), table):
-        sizes = [len(table[pair]) for pair in matching]
-        built = math.prod(len(poly.faces[f1]) for f1, _ in matching)
-        report.total += built
-        rejected["elliptic"] += built - math.prod(sizes)
-        found = carried.get(frozenset(1 << f1 | 1 << f2
-                                      for f1, f2 in matching))
+            failed = ("class_count" if len(cycles) != required
+                      else "class_size" if shortest < 3 else None)
+            if failed and found:
+                raise AssertionError(
+                    f"a carried scheme failed the {failed} filter")
+            if failed:
+                counts[failed] += 1
+                continue
+            passed.append(index)
+            chosen = tuple(map(pairing, string.ascii_uppercase, matching,
+                               index))
+            yield chosen, pairings.cycle_orbits(poly, cycles, chosen)
         if found is None:
-            counts, passing = collections.Counter(), []
-            for index, cycles, failed in walked(
-                    matching, itertools.product(*map(range, sizes))):
-                if failed:
-                    counts[failed] += 1
-                else:
-                    passing.append(index)
-                    yield named(matching, index, cycles)
             for action, mask in zip(actions, masks):
                 carried.setdefault(frozenset(mask[f1] | mask[f2]
                                              for f1, f2 in matching),
-                                   (matching, action, counts, passing))
-        else:
-            representative, action, counts, passing = found
-            for index, cycles, failed in walked(matching, sorted(
-                    _carried_indices(table, representative, action, matching,
-                                     passing))):
-                if failed:
-                    raise AssertionError(
-                        f"a carried scheme failed the {failed} filter")
-                yield named(matching, index, cycles)
+                                   (matching, action, counts, passed))
         for name, n in counts.items():
             rejected[name] += n
 

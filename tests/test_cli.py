@@ -710,6 +710,31 @@ def test_pipeline_output_bytes_pinned(tmp_path, solid, digest):
     assert tree_digest(out) == digest
 
 
+def test_reused_out_directory_holds_this_run_only(tmp_path):
+    # a run into a directory an earlier run wrote removes the earlier
+    # candidates it does not overwrite: the octahedron's 120 then the
+    # cube's 30 leave the cube's tree, and the tetrahedron's none leave
+    # report.json alone; a file that is not a candidate stays
+    out = tmp_path / "run"
+    out.mkdir()
+    notes = out / "notes.txt"
+    notes.write_text("kept\n")
+    for solids, digest in [
+            (("octahedron", "cube"),
+             ("221c49bc8b1ae7e9a0a59df8841c757f"
+              "11934ab13ae6d1c148bf0bdf9cb27b90", 31, 69489)),
+            (("tetrahedron",),
+             ("cbcb486d4212590c6471e47d87eeb33b"
+              "618acf2869b07af032989f7605b7c1df", 1, 245))]:
+        for solid in solids:
+            assert cli.main(["pipeline", data_path(solid),
+                             "--out", str(out)]) == 0
+        assert notes.read_text() == "kept\n"
+        notes.unlink()  # out of the digest, then back for the next run
+        assert tree_digest(out) == digest
+        notes.write_text("kept\n")
+
+
 def test_closed_pipe_exits_quietly():
     # the reader closes its end before the child writes: no traceback, 0
     child = subprocess.Popen(

@@ -688,6 +688,36 @@ def test_orbits_built_only_past_the_class_filters(solids, monkeypatch, name,
             - report.rejected["class_size"] == orbit_schemes)
 
 
+@pytest.mark.parametrize("name, memo, pair_by_pair", [
+    ("cube", 113, 387), ("octahedron", 246, 404)])
+def test_carry_maps_each_used_pairing_once(solids, monkeypatch, name, memo,
+                                           pair_by_pair):
+    # _carried_indices maps each (slot, index) entry the representative's
+    # passing schemes use once per member matching, not every carried
+    # scheme pair by pair; only the pair_image calls made while it runs
+    # are counted (family_keys calls pair_image too)
+    inside, calls, pairs = [False], [0], [0]
+    pair_image, carry = pairings.pair_image, enumeration._carried_indices
+
+    def counted(*args):
+        calls[0] += inside[0]
+        return pair_image(*args)
+
+    def carried(table, representative, action, matching, passing):
+        pairs[0] += len(passing) * len(matching)
+        inside[0] = True
+        try:
+            return list(carry(table, representative, action, matching,
+                              passing))
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pairings, "pair_image", counted)
+    monkeypatch.setattr(enumeration, "_carried_indices", carried)
+    enumeration.classify(solids[name])
+    assert (calls[0], pairs[0]) == (memo, pair_by_pair)
+
+
 def test_pulled_back_witnesses_solve_own_systems(solids, cube_report,
                                                  octahedron_report):
     # every feasible partition is a survivor's partition; the witness pulled
