@@ -60,7 +60,7 @@ class AngleAssignment(collections.namedtuple("AngleAssignment", "values")):
 
     def to_json_dict(self):
         return {str(eid): f"{q.numerator}/{q.denominator}"
-                for eid, q in sorted(self.values.items())}
+                for eid, q in self.values.items()}
 
     @classmethod
     def from_json_dict(cls, doc):

@@ -8,12 +8,14 @@ closed the pipe early), 2 invalid input, 3 internal invariant breach.
 All outputs are deterministic JSON (sorted keys) so runs can be diffed.
 One writer, `_dump`, encodes every document: the bytes of json.dumps with
 indent=1 and sorted keys, without the pure-Python encoder that the indent
-would select.  Candidate documents are read as UTF-8, like polyhedra.
+would select.  It alone sorts keys and refuses a non-string key.
+Candidate documents are read as UTF-8, like polyhedra.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -43,13 +45,11 @@ def _write(value, pad, out):
     elif value is True or value is False:
         out("true" if value else "false")
     elif isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("keys must be str")
         inner = pad + " "
         sep, comma = "{" + inner, "," + inner
         for key in sorted(value):
             out(sep)
-            out(encode_basestring_ascii(key))
+            out(encode_basestring_ascii(key))  # TypeError unless a str
             out(": ")
             _write(value[key], inner, out)
             sep = comma
@@ -101,15 +101,15 @@ def cmd_info(poly, args):
 
 def _write_run(report, doc, out):
     """report.json plus one candidate_NNN.json per survivor in directory
-    `out`, whose other candidate_<digits>.json files (an earlier run's) go,
-    or the report alone on stdout when no directory is given."""
+    `out`, whose other candidate_<ASCII digits>.json files (an earlier
+    run's) go, or the report alone on stdout when no directory is given."""
     if not out:
         _dump(doc)
         return
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     stale = {path.name for path in outdir.glob("candidate_*.json")
-             if path.stem[10:].isdigit()}
+             if re.fullmatch(r"candidate_[0-9]+\.json", path.name)}
     _dump(doc, outdir / "report.json")
     for i, cand in enumerate(report.survivors):
         name = f"candidate_{i:03d}.json"
@@ -168,8 +168,8 @@ def cmd_pipeline(poly, args):
     report = enumeration.classify(poly)
     doc = enumeration.report_to_json_dict(report)
     families = []
-    reps = [members[0] for _, members in sorted(report.families_full.items())]
-    for summary, rep in zip(doc["families_full_group"], reps):
+    for summary, (rep, *_) in zip(doc["families_full_group"],
+                                  report.families_full.values()):
         entry = dict(summary)
         entry["schemes"] = entry.pop("size")
         try:

@@ -21,7 +21,7 @@ class EnumerationError(ValueError):
 
 
 class SchemeCapExceeded(RuntimeError):
-    """The scheme space is past desk scale."""
+    """The scheme space is larger than DEFAULT_SCHEME_CAP."""
 
 
 DEFAULT_SCHEME_CAP = 200000
@@ -61,15 +61,16 @@ REJECTIONS = ("elliptic", "class_count", "class_size", "system_infeasible",
 class EnumerationReport:
     """What `classify` found, filled in as it runs: the total scheme
     count, the rejection count per filter (keyed by REJECTIONS), the
-    surviving CandidateDomains, and the survivors grouped by full-group
-    key and by rotation-group key."""
+    surviving CandidateDomains sorted by (full-group key, rotation-group
+    key), and in `families_full` the survivors grouped by full-group key,
+    keys inserted in sorted order, the order in which every output lists
+    the families; each rotation class lies inside one of them."""
 
     def __init__(self):
         self.total = 0
         self.rejected = dict.fromkeys(REJECTIONS, 0)
         self.survivors = []
         self.families_full = {}
-        self.families_rotations = {}
 
     def counts_consistent(self):
         return self.total == sum(self.rejected.values()) + len(self.survivors)
@@ -335,7 +336,6 @@ def classify(poly):
     report.survivors.sort(key=operator.attrgetter("key_full", "key_rotations"))
     for cand in report.survivors:
         report.families_full.setdefault(cand.key_full, []).append(cand)
-        report.families_rotations.setdefault(cand.key_rotations, []).append(cand)
     return report
 
 
@@ -367,18 +367,18 @@ def candidate_from_json_dict(poly, doc):
     """Rebuild a candidate from its persisted scheme, re-deriving the rest,
     and check its persisted witness exactly instead of searching again.
     The check reads the candidate's own angle system, so that system is
-    assembled once, here, and kept for `angles` and `verify`.  The
-    canonical keys are taken as persisted: no caller of a reloaded
-    candidate groups it into families."""
+    assembled once, here, after the cheap checks, and kept for `angles`
+    and `verify`.  The canonical keys are taken as persisted: no caller
+    of a reloaded candidate groups it into families."""
     scheme = candidate_scheme(poly, doc)
     witness = _parsed_witness(poly, doc.get("witness"))
     keys = [doc.get(name) for name in ("key_rotations", "key_full")]
-    cand = CandidateDomain(scheme, tuple(pairings.edge_orbits(scheme)),
-                           witness, *keys)
-    _check_witness(cand)
     if not all(isinstance(key, str) for key in keys):
         raise EnumerationError(
             "candidate has no string 'key_rotations' and 'key_full'")
+    cand = CandidateDomain(scheme, tuple(pairings.edge_orbits(scheme)),
+                           witness, *keys)
+    _check_witness(cand)
     return cand
 
 
@@ -419,11 +419,12 @@ def report_to_json_dict(report):
         "size": len(members),
         "class_sizes": list(members[0].class_sizes),
         "rotation_classes": len({m.key_rotations for m in members}),
-    } for _, members in sorted(report.families_full.items())]
+    } for members in report.families_full.values()]
     return {
         "total_schemes": report.total,
-        "rejected": dict(sorted(report.rejected.items())),
+        "rejected": dict(report.rejected),
         "survivors": len(report.survivors),
         "families_full_group": families_full,
-        "families_rotation_group": len(report.families_rotations),
+        "families_rotation_group": sum(family["rotation_classes"]
+                                       for family in families_full),
     }

@@ -276,7 +276,7 @@ def ring_from_json(val):
 
 def realization_to_json_dict(realization):
     return {name: z if is_infinity(z) else ring_to_json(z)
-            for name, z in sorted(realization.items())}
+            for name, z in realization.items()}
 
 
 def realization_from_json_dict(doc):

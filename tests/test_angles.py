@@ -69,6 +69,13 @@ def test_assemble_rejects_repeated_edge(cube):
     # from its length (5), not from its 6 distinct edges (4)
     with pytest.raises(angles.PartitionError, match="edge 0 more than once"):
         angles.assemble_system(cube, [[0, 0, 1, 2, 3, 4, 5], list(range(6, 12))])
+    # nor may an edge lie in two classes, be unknown, or be left out
+    for classes, message in (
+            ([set(range(6)), set(range(5, 12))], "classes overlap"),
+            ([set(range(6)), set(range(6, 13))], "unknown edge id"),
+            ([set(range(6)), set(range(6, 11))], "do not cover")):
+        with pytest.raises(angles.PartitionError, match=message):
+            angles.assemble_system(cube, classes)
 
 
 def test_assemble_five_seven_rhs(cube, cube_inc):
@@ -207,6 +214,12 @@ def test_check_inequalities_waist_failure(cube, cube_inc, cube_dual):
     assert circuit_failures
     waist = drawn(cube_inc, {9, 10, 11, 12})
     assert any(set(f[1]) == waist and f[2] == 2 for f in circuit_failures)
+    # a plain dict is taken as given: a value outside (0, 1) is named
+    top = drawn(cube_inc, {1}).pop()
+    vals[top] = Fraction(1)
+    ok, failures = angles.check_inequalities(cube, cube_dual, vals)
+    assert not ok
+    assert [f for f in failures if f[0] == "edge"] == [("edge", top, 1)]
 
 
 def test_feasible_fd1(cube, cube_inc, cube_dual):

@@ -56,13 +56,26 @@ def test_info_cube(capsys):
     assert doc["edge_bound_ok"]
 
 
-def test_info_icosahedron_warns(capsys):
+def test_info_icosahedron_warns(capsys, tmp_path):
     code, out, _ = run(capsys, "info", data_path("icosahedron"))
     assert code == 0
     doc = json.loads(out)
     assert doc["edge_classes_required"] == 9
     assert not doc["edge_bound_ok"]
     assert "commuting" in doc["warning"]
+    # the square pyramid (F = 5, E - V = 3) has no class count: info
+    # reports why and exits 0, enumerate refuses it
+    pyramid = tmp_path / "pyramid.json"
+    pyramid.write_text(json.dumps({
+        "name": "square pyramid", "vertices": ["a", "b", "c", "d", "p"],
+        "faces": [["a", "b", "c", "d"], ["b", "a", "p"], ["c", "b", "p"],
+                  ["d", "c", "p"], ["a", "d", "p"]]}))
+    code, out, _ = run(capsys, "info", str(pyramid))
+    doc = json.loads(out)
+    assert (code, doc["edge_classes_required"]) == (0, None)
+    assert "E - V = 3 is odd" in doc["class_count_error"]
+    code, out, err = run(capsys, "enumerate", str(pyramid))
+    assert (code, out) == (2, "") and "E - V = 3 is odd" in err
 
 
 def test_malformed_input_exit_code(capsys, tmp_path):
@@ -255,7 +268,9 @@ def test_malformed_scheme_exit_code(capsys, cube_run, tmp_path):
             ({**first, "gen": 7}, "not all strings"),
             ({**sugar, "from": ["front"]}, "unknown cube face"),
             ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
-            ({**sugar, "twist_quarter_turns": True}, "integer 0..3"))):
+            ({**sugar, "twist_quarter_turns": True}, "integer 0..3"),
+            # the second pairing listed twice, the first not at all
+            (doc["scheme"]["pairings"][1], "every face exactly once"))):
         broken = json.loads(json.dumps(doc))
         broken["scheme"]["pairings"][0] = pairing
         path = tmp_path / f"bad_{i}.json"
@@ -714,11 +729,14 @@ def test_reused_out_directory_holds_this_run_only(tmp_path):
     # a run into a directory an earlier run wrote removes the earlier
     # candidates it does not overwrite: the octahedron's 120 then the
     # cube's 30 leave the cube's tree, and the tetrahedron's none leave
-    # report.json alone; a file that is not a candidate stays
+    # report.json alone; a file that is not a candidate stays, also one
+    # named candidate_ and digits that are not ASCII digits
     out = tmp_path / "run"
     out.mkdir()
-    notes = out / "notes.txt"
-    notes.write_text("kept\n")
+    kept = [out / name for name in ("notes.txt", "candidate_\u00b2\u00b3.json",
+                                    "candidate_\u0661\u0662.json")]
+    for path in kept:
+        path.write_text("kept\n")
     for solids, digest in [
             (("octahedron", "cube"),
              ("221c49bc8b1ae7e9a0a59df8841c757f"
@@ -729,10 +747,12 @@ def test_reused_out_directory_holds_this_run_only(tmp_path):
         for solid in solids:
             assert cli.main(["pipeline", data_path(solid),
                              "--out", str(out)]) == 0
-        assert notes.read_text() == "kept\n"
-        notes.unlink()  # out of the digest, then back for the next run
+        for path in kept:
+            assert path.read_text() == "kept\n"
+            path.unlink()  # out of the digest, then back for the next run
         assert tree_digest(out) == digest
-        notes.write_text("kept\n")
+        for path in kept:
+            path.write_text("kept\n")
 
 
 def test_closed_pipe_exits_quietly():

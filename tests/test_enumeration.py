@@ -154,7 +154,10 @@ def test_classify_families(cube_report):
     rot_split = sorted(
         len({m.key_rotations for m in members}) for members in fams.values())
     assert rot_split == [1, 2, 2]
-    assert len(cube_report.families_rotations) == 5
+    assert enumeration.report_to_json_dict(
+        cube_report)["families_rotation_group"] == 5
+    # the per-family sum is the count of distinct rotation keys
+    assert len({m.key_rotations for m in cube_report.survivors}) == 5
 
 
 @pytest.mark.parametrize("name, families", [("cube", 3), ("octahedron", 7)])
@@ -536,7 +539,8 @@ def test_candidate_json_roundtrip(cube, cube_report, tmp_path, capsys):
 
 def test_reload_takes_persisted_keys(cube, cube_report, monkeypatch):
     # a reload builds no automorphism group: both canonical keys come from
-    # the document, and a document without them is refused by name
+    # the document, and a document without them is refused by name before
+    # its witness is checked against the circuits
     calls = []
     group = pairings.automorphism_actions
     monkeypatch.setattr(pairings, "automorphism_actions",
@@ -549,10 +553,15 @@ def test_reload_takes_persisted_keys(cube, cube_report, monkeypatch):
         assert back.key_rotations == cand.key_rotations
         assert back.key_full == cand.key_full
     assert calls == []
+    searches = []
+    light = angles.light_cycles
+    monkeypatch.setattr(angles, "light_cycles",
+                        lambda *a: searches.append(a) or light(*a))
     missing = {k: v for k, v in docs[0].items() if k != "key_full"}
     for doc in (missing, {**docs[0], "key_rotations": 7}):
         with pytest.raises(enumeration.EnumerationError, match="'key_full'"):
             enumeration.candidate_from_json_dict(cube, doc)
+    assert searches == []
 
 
 @pytest.mark.parametrize("values, message", [
@@ -583,7 +592,9 @@ def test_candidate_witness_checked(cube, cube_inc, fd1, values, message):
         str(cube_inc.edge_id(*DRAWN_EDGES[n])):
             str(q) if isinstance(q, Fraction) else q
         for n, q in values.items()}
-    doc = {"scheme": pairings.scheme_to_json_dict(fd1), "witness": witness}
+    # string keys, which are checked before the witness is
+    doc = {"scheme": pairings.scheme_to_json_dict(fd1), "witness": witness,
+           "key_rotations": "", "key_full": ""}
     with pytest.raises(enumeration.EnumerationError, match=message):
         enumeration.candidate_from_json_dict(cube, doc)
 

@@ -635,6 +635,8 @@ def test_scheme_json_missing_keys(cube, fd1):
     doc = pairings.scheme_to_json_dict(fd1)
     with pytest.raises(pairings.SchemeError, match="'pairings'"):
         pairings.scheme_from_json_dict(cube, {})
+    with pytest.raises(pairings.SchemeError, match="not an object"):
+        pairings.scheme_from_json_dict(cube, {"pairings": [["A", 0, 1]]})
     for key in ("gen", "from", "to"):
         broken = {"pairings": [dict(p) for p in doc["pairings"]]}
         del broken["pairings"][1][key]
@@ -669,7 +671,9 @@ def test_scheme_json_map_not_vertex_mapping(cube, fd1):
 
 
 def test_scheme_json_bad_types_named(cube, fd1):
-    # each of these reached a bare TypeError before it was named
+    # each of these reached a bare TypeError before it was named; the last
+    # two are well-formed pairings that do not make a scheme together (one
+    # listed twice, a symbol used twice)
     doc = pairings.scheme_to_json_dict(fd1)
     sugar = {"gen": "A", "from": "front", "to": "back",
              "twist_quarter_turns": 1}
@@ -682,7 +686,10 @@ def test_scheme_json_bad_types_named(cube, fd1):
             ({**sugar, "to": {"back": 1}}, "unknown cube face"),
             ({**sugar, "twist_quarter_turns": 1.0}, "integer 0..3"),
             ({**sugar, "twist_quarter_turns": True}, "integer 0..3"),
-            ({**sugar, "twist_quarter_turns": [1]}, "integer 0..3")):
+            ({**sugar, "twist_quarter_turns": [1]}, "integer 0..3"),
+            (doc["pairings"][1], "every face exactly once"),
+            ({**doc["pairings"][0], "gen": doc["pairings"][1]["gen"]},
+             "not distinct")):
         broken = {"pairings": [pairing] + doc["pairings"][1:]}
         with pytest.raises(pairings.SchemeError, match=message):
             pairings.scheme_from_json_dict(cube, broken)

@@ -42,6 +42,14 @@ def test_parse_error(tmp_path, cube):
         polytope.load_polyhedron(str(five))
     good = {"name": "cube", "vertices": list(cube.vertices),
             "faces": [list(f) for f in cube.faces]}
+    for key in good:
+        with pytest.raises(polytope.PolyhedronError,
+                           match=f"missing key {key!r}"):
+            polytope.load_polyhedron({k: v for k, v in good.items()
+                                      if k != key})
+    with pytest.raises(polytope.PolyhedronError, match="duplicate vertex"):
+        polytope.load_polyhedron({**good, "vertices": good["vertices"]
+                                  + good["vertices"][:1]})
     for key, bad in (("vertices", "abcd"), ("vertices", 8),
                      ("faces", {"a": 1}), ("faces", None)):
         with pytest.raises(polytope.PolyhedronError, match="not a list"):
