@@ -101,15 +101,16 @@ def cmd_info(poly, args):
 
 def _write_run(report, doc, out):
     """report.json plus one candidate_NNN.json per survivor in directory
-    `out`, whose other candidate_<ASCII digits>.json files (an earlier
-    run's) go, or the report alone on stdout when no directory is given."""
+    `out`, whose other candidate_NNN.json files (NNN: 3+ ASCII digits, no
+    extra leading 0; an earlier run's) go, or the report alone on stdout."""
     if not out:
         _dump(doc)
         return
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     stale = {path.name for path in outdir.glob("candidate_*.json")
-             if re.fullmatch(r"candidate_[0-9]+\.json", path.name)}
+             if re.fullmatch(r"candidate_([0-9]{3}|[1-9][0-9]{3,})\.json",
+                             path.name)}
     _dump(doc, outdir / "report.json")
     for i, cand in enumerate(report.survivors):
         name = f"candidate_{i:03d}.json"

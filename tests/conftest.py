@@ -139,6 +139,25 @@ def ball_model_cube_realization(poly):
     return out
 
 
+def prism_doc(n, flip):
+    """The n-gonal prism's document: the faces a(n-1)..a0 and b0..b(n-1),
+    then the sides a(i) a(i+1) b(i+1) b(i); `flip` reverses every face."""
+    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
+    faces = [a[::-1], b] + [[a[i], a[(i + 1) % n], b[(i + 1) % n], b[i]]
+                            for i in range(n)]
+    return {"name": f"prism{n}", "vertices": a + b,
+            "faces": [f[::-1] for f in faces] if flip else faces}
+
+
+def bipyramid_doc(n):
+    """The n-gonal bipyramid's document: the triangles on apex p, then
+    those on apex q, around the equator c0..c(n-1)."""
+    c = [f"c{i}" for i in range(n)]
+    return {"name": f"bipyramid{n}", "vertices": ["p", "q"] + c,
+            "faces": [["p", c[i], c[(i + 1) % n]] for i in range(n)]
+            + [["q", c[(i + 1) % n], c[i]] for i in range(n)]}
+
+
 def verify_scheme(realization, scheme):
     """geometry.verify_words on the relators read off the scheme's edge
     orbits."""

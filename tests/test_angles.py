@@ -11,20 +11,10 @@ from hypdom import angles, enumeration, pairings, polytope
 import fraction_angles
 from fraction_angles import solution_point
 from conftest import (FD1_CLASSES, FIVE_SEVEN_ANGLES, FIVE_SEVEN_CLASSES,
-                      drawn, enumerate_schemes)
+                      drawn, enumerate_schemes, prism_doc)
 
 THIRD = Fraction(2, 3)
 NO_DUAL = polytope.DualGraph((), (), {})  # no circuit rows, for toy systems
-
-
-@pytest.fixture(scope="module")
-def prism():
-    doc = {"name": "prism",
-           "vertices": ["a", "b", "c", "a2", "b2", "c2"],
-           "faces": [["a", "b", "c"], ["c2", "b2", "a2"],
-                     ["a", "a2", "b2", "b"], ["b", "b2", "c2", "c"],
-                     ["c", "c2", "a2", "a"]]}
-    return polytope.load_polyhedron(doc)
 
 
 def test_required_counts(solids):
@@ -34,8 +24,9 @@ def test_required_counts(solids):
         assert angles.required_class_count(solids[name]) == k
 
 
-def test_required_count_parity_error(prism):
+def test_required_count_parity_error():
     # 9 edges, 6 vertices: odd difference
+    prism = polytope.load_polyhedron(prism_doc(3, False))
     with pytest.raises(angles.ClassCountError, match="odd"):
         angles.required_class_count(prism)
 

@@ -695,6 +695,19 @@ def test_import_loads_no_dataclasses():
     assert child.stdout == "False\n"
 
 
+def test_import_surface_is_the_modules():
+    # the package exports nothing, and a module loads only the hypdom
+    # modules it imports itself
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypdom; "
+         "print([n for n in vars(hypdom) if not n.startswith('_')]); "
+         "import hypdom.polytope; "
+         "print(sorted(m for m in sys.modules if m.startswith('hypdom')))"],
+        check=True, env=child_env(), capture_output=True, text=True)
+    assert child.stdout == "[]\n['hypdom', 'hypdom.polytope']\n"
+
+
 def tree_digest(directory):
     """sha256 over the sorted relative paths and bytes of every file, with
     the file count and the byte count."""
@@ -729,12 +742,14 @@ def test_reused_out_directory_holds_this_run_only(tmp_path):
     # a run into a directory an earlier run wrote removes the earlier
     # candidates it does not overwrite: the octahedron's 120 then the
     # cube's 30 leave the cube's tree, and the tetrahedron's none leave
-    # report.json alone; a file that is not a candidate stays, also one
-    # named candidate_ and digits that are not ASCII digits
+    # report.json alone; a file hypdom never writes stays, also one named
+    # candidate_ and digits that are not ASCII digits, or ASCII digits
+    # that are not f"{i:03d}"
     out = tmp_path / "run"
     out.mkdir()
     kept = [out / name for name in ("notes.txt", "candidate_\u00b2\u00b3.json",
-                                    "candidate_\u0661\u0662.json")]
+                                    "candidate_\u0661\u0662.json",
+                                    "candidate_5.json", "candidate_0001.json")]
     for path in kept:
         path.write_text("kept\n")
     for solids, digest in [

@@ -13,11 +13,10 @@ import pytest
 
 from hypdom import angles, cli, enumeration, pairings, polytope
 
-from conftest import (DRAWN_EDGES, FD2_CLASSES, canonicalize,
+from conftest import (DRAWN_EDGES, FD2_CLASSES, bipyramid_doc, canonicalize,
                       conjugate_scheme, detect_elliptic_generator, drawn,
-                      enumerate_schemes, scheme_keys, scheme_signature,
-                      symmetry_group)
-from test_polytope import _bipyramid
+                      enumerate_schemes, prism_doc, scheme_keys,
+                      scheme_signature, symmetry_group)
 
 # exterior angles in drawing numbers for the quarter-twist opposite-face
 # scheme: the regular point, and a point of the same angle family whose
@@ -42,12 +41,7 @@ def test_scheme_count_tetrahedron(solids):
 
 
 def test_odd_face_count_rejected():
-    doc = {"name": "prism",
-           "vertices": ["a", "b", "c", "a2", "b2", "c2"],
-           "faces": [["a", "b", "c"], ["c2", "b2", "a2"],
-                     ["a", "a2", "b2", "b"], ["b", "b2", "c2", "c"],
-                     ["c", "c2", "a2", "a"]]}
-    prism = polytope.load_polyhedron(doc)
+    prism = polytope.load_polyhedron(prism_doc(3, False))
     with pytest.raises(enumeration.EnumerationError, match="odd"):
         enumeration.scheme_space_size(prism)
 
@@ -55,18 +49,6 @@ def test_odd_face_count_rejected():
 def test_icosahedron_past_desk_scale(solids):
     with pytest.raises(enumeration.SchemeCapExceeded):
         enumeration.classify(solids["icosahedron"])
-
-
-def prism(n):
-    """The n-gonal prism: top face a0..a(n-1) counterclockwise from above,
-    the bottom face under it, then the sides."""
-    top = [f"a{i}" for i in range(n)]
-    bottom = [f"b{i}" for i in range(n)]
-    sides = [[top[(i + 1) % n], top[i], bottom[i], bottom[(i + 1) % n]]
-             for i in range(n)]
-    return polytope.load_polyhedron({
-        "name": f"prism{n}", "vertices": top + bottom,
-        "faces": [top, bottom[::-1]] + sides})
 
 
 def truncated(poly, cut):
@@ -121,7 +103,7 @@ def test_matchings_walk_equal_length_faces_in_order():
     # oracle: every perfect matching of the face ids, each as its pairs
     # (smaller face first) in order, sorted: the order of a walk that
     # pairs the first free face with each later one in turn
-    poly = prism(6)
+    poly = polytope.load_polyhedron(prism_doc(6, True))
     faces = range(poly.face_count())
     everything = sorted({tuple(sorted(tuple(sorted(perm[i:i + 2]))
                                       for i in range(0, len(perm), 2)))
@@ -239,8 +221,8 @@ STREAM_CASES = {
     "tetrahedron": lambda solids: solids["tetrahedron"],
     "cube": lambda solids: solids["cube"],
     "octahedron": lambda solids: solids["octahedron"],
-    "prism6": lambda solids: prism(6),
-    "bipyramid3": lambda solids: polytope.load_polyhedron(_bipyramid(3)),
+    "prism6": lambda solids: polytope.load_polyhedron(prism_doc(6, True)),
+    "bipyramid3": lambda solids: polytope.load_polyhedron(bipyramid_doc(3)),
     **{f"{name}-{how}": functools.partial(
         lambda solids, name, seed: renumbered(solids[name], seed),
         name=name, seed=seed)

@@ -8,7 +8,7 @@ import pytest
 
 from hypdom import polytope
 
-from conftest import DRAWN_EDGES
+from conftest import DRAWN_EDGES, bipyramid_doc, prism_doc
 
 
 def test_cube_counts(cube):
@@ -410,21 +410,6 @@ def _pillow(k):
             "faces": [["n", eq[i], "s", eq[(i + 1) % k]] for i in range(k)]}
 
 
-def _prism(n, flip):
-    a, b = [f"a{i}" for i in range(n)], [f"b{i}" for i in range(n)]
-    faces = [a[::-1], b] + [[a[i], a[(i + 1) % n], b[(i + 1) % n], b[i]]
-                            for i in range(n)]
-    return {"name": f"prism{n}", "vertices": a + b,
-            "faces": [f[::-1] for f in faces] if flip else faces}
-
-
-def _bipyramid(n):
-    c = [f"c{i}" for i in range(n)]
-    return {"name": f"bipyramid{n}", "vertices": ["p", "q"] + c,
-            "faces": [["p", c[i], c[(i + 1) % n]] for i in range(n)]
-            + [["q", c[(i + 1) % n], c[i]] for i in range(n)]}
-
-
 # two diamonds u-x1-v-x2 with diagonal x1-x2, side by side: {u, v} is a
 # 2-cut although every vertex has degree 3 or more
 TWO_DIAMONDS = {"name": "two diamonds",
@@ -439,9 +424,9 @@ CUT_CASES = [
     *(pytest.param(_subdivided(_bundled_doc(s)), False, id=f"{s}+mid")
       for s in SOLIDS),
     *(pytest.param(_pillow(k), False, id=f"pillow{k}") for k in range(2, 7)),
-    *(pytest.param(_prism(n, flip), True, id=f"prism{n}{'-flipped' * flip}")
+    *(pytest.param(prism_doc(n, flip), True, id=f"prism{n}{'-flipped' * flip}")
       for n in range(3, 8) for flip in (False, True)),
-    *(pytest.param(_bipyramid(n), True, id=f"bipyramid{n}")
+    *(pytest.param(bipyramid_doc(n), True, id=f"bipyramid{n}")
       for n in range(3, 8)),
     pytest.param(TWO_DIAMONDS, False, id="two-diamonds"),
 ]
